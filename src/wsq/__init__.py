@@ -49,10 +49,7 @@ from .queries import (
 from .structures import (
     Vocabulary,
     WeightedStructure,
-    expand,
     load_structure,
-    lookup_relation,
-    lookup_weight,
     save_structure,
     structure_from_json,
     structure_to_json,

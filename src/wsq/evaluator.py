@@ -16,20 +16,40 @@ makes the iteration inflationary and forces stabilization within
 under test.  Resource budgets (fixed-point table cells, summands per
 summation node) convert runaway evaluations into :class:`ResourceError`
 rather than wrong answers.
+
+Each call compiles the expression once: a single pass turns the tree
+into closures over the structure, settling there the kind of every
+generic atom, every comparison operator, literal values and the table
+each symbol reads, and computing free variables bottom-up.  Variables
+live in numbered slots, one per binder occurrence, so a binder that
+reuses an outer name needs no save and restore.  A node object reached
+twice under the same binders compiles to one closure.
+
+A summation, aggregate or quantifier that sits inside a binder looping
+over variables it does not read is memoised by the values of its free
+variables, so it is computed once per distinct binding rather than once
+per iteration of the loops around it.  A fixed point's table is memoised
+the same way, by the free variables of its body other than the bound
+tuple, and not by the tuple it is applied to.  Memo tables inside a
+fixed-point body are cleared at the start of every round, because the
+intensional table they may read grows between rounds.  Nothing is cached
+across calls: closures and memo tables belong to one call, which keeps
+evaluation a pure function of its inputs and safe to run from several
+threads on shared structures and expressions.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from itertools import product
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ResourceError, UsageError
-from .numerics import BOT, ExtRational, rational
-from .numerics import compare as num_compare
+from .numerics import BOT, ONE, ZERO, ExtRational, rational
 from .structures import WeightedStructure
-from .syntax.analysis import covered_by, free_vars, vocabulary_of
+from .syntax.analysis import covered_by, vocabulary_of
 from .syntax.nodes import (
     Aggregate,
     And,
@@ -60,9 +80,21 @@ __all__ = ["Value", "EvalLimits", "FixpointTable", "evaluate", "ifp_iterate"]
 
 Value = Union[bool, ExtRational]
 
+# a compiled node: reads variable values from the slot list, returns its value
+Compiled = Callable[[list], Value]
+
 _MISSING = object()
-_ZERO = rational(0)
-_ONE = rational(1)
+
+_ORDER = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "!=": operator.ne,
+}
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 @dataclass
@@ -85,209 +117,364 @@ class FixpointTable:
     rounds: int
 
 
-class _Evaluator:
-    def __init__(self, structure: WeightedStructure, limits: EvalLimits):
-        self.limits = limits
-        self.universe = structure.universe
+def _span(lo: int, hi: int) -> int:
+    """Bitmask of the slots ``lo .. hi-1``."""
+    return (1 << hi) - (1 << lo)
 
-    def eval(self, n: Node, s: WeightedStructure, env: dict) -> Value:
-        return _HANDLERS[type(n)](self, n, s, env)
+
+def _tuple_getter(slots: Sequence[int]) -> Callable[[list], tuple]:
+    """Function reading the given slots of an environment as a tuple."""
+    if not slots:
+        return lambda env: ()
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda env: (env[slot],)
+    return operator.itemgetter(*slots)
+
+
+def _constant(value) -> Compiled:
+    return lambda env: value
+
+
+_ZERO_FN, _ONE_FN, _BOT_FN = _constant(ZERO), _constant(ONE), _constant(BOT)
+
+
+class _Scope:
+    """What compiling a node depends on besides the node itself.
+
+    A new scope starts at every binder.  ``slots`` maps the variables
+    bound so far to their slots; ``cells`` maps each intensional symbol
+    to the holder of its fixed point's live table; ``loops`` is the
+    bitmask of slots that enclosing binders loop over; ``memos`` lists
+    the memo tables to clear at each round of the innermost enclosing
+    fixed point (``None`` outside any); ``shared`` holds the nodes already
+    compiled in this scope by object identity.
+    """
+
+    __slots__ = ("slots", "cells", "loops", "memos", "shared")
+
+    def __init__(self, slots: dict, cells: dict, loops: int, memos: Optional[list]):
+        self.slots = slots
+        self.cells = cells
+        self.loops = loops
+        self.memos = memos
+        self.shared: dict[int, tuple[Compiled, int]] = {}
+
+
+class _Compiler:
+    """One compile pass: AST nodes to closures over one structure.
+
+    :meth:`compile` returns a node's closure together with the bitmask of
+    the slots it reads, which are its free variables.  Variables free in
+    the whole expression get slots on first use, recorded in ``free``.
+    """
+
+    def __init__(self, structure: WeightedStructure, limits: EvalLimits):
+        self.structure = structure
+        self.universe = structure.universe
+        self.limits = limits
+        self.free: dict[str, int] = {}
+        self.size = 0
+        self.root = _Scope({}, {}, 0, None)
+
+    def compile(self, n: Node, scope: _Scope) -> tuple[Compiled, int]:
+        if type(n) in _LEAVES:
+            # cheaper to compile again than to keep in the cache
+            return _COMPILE[type(n)](self, n, scope)
+        done = scope.shared.get(id(n))
+        if done is None:
+            done = scope.shared[id(n)] = _COMPILE[type(n)](self, n, scope)
+        return done
+
+    def environment(self, env: Optional[Mapping[str, str]]) -> list:
+        """The slot list for a caller's assignment of the free variables."""
+        env = dict(env or {})
+        missing = self.free.keys() - env.keys()
+        if missing:
+            raise UsageError(f"unbound variables: {sorted(missing)}")
+        universe = set(self.universe)
+        for var, val in env.items():
+            if val not in universe:
+                raise UsageError(f"assignment {var}={val!r} is not a universe element")
+        slots: list = [None] * self.size
+        for var, slot in self.free.items():
+            slots[slot] = env[var]
+        return slots
+
+    # -- variables and binders -------------------------------------------
+
+    def _slot(self, scope: _Scope, var: str) -> int:
+        slot = scope.slots.get(var)
+        if slot is None:
+            slot = self.free.get(var)
+            if slot is None:
+                slot = self.free[var] = self.size
+                self.size += 1
+        return slot
+
+    def _slots(self, scope: _Scope, args: tuple) -> tuple[list, int]:
+        slots = [self._slot(scope, a) for a in args]
+        mask = 0
+        for slot in slots:
+            mask |= 1 << slot
+        return slots, mask
+
+    def _bind(self, scope: _Scope, vars_: tuple) -> tuple[_Scope, int, int]:
+        """A scope binding ``vars_`` to fresh consecutive slots ``lo .. hi-1``."""
+        lo = self.size
+        self.size += len(vars_)
+        hi = self.size
+        slots = dict(scope.slots)
+        slots.update(zip(vars_, range(lo, hi)))
+        return _Scope(slots, scope.cells, scope.loops | _span(lo, hi), scope.memos), lo, hi
+
+    def _memo(self, fn: Compiled, mask: int, scope: _Scope) -> Compiled:
+        """``fn`` memoised by the slots in ``mask`` when an enclosing binder
+        loops over a slot outside ``mask``; otherwise ``fn`` itself."""
+        if not scope.loops & ~mask:
+            return fn
+        memo: dict = {}
+        if scope.memos is not None:
+            scope.memos.append(memo)
+        slots = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            slots.append(low.bit_length() - 1)
+            rest ^= low
+        key = operator.itemgetter(*slots) if slots else (lambda env: None)
+
+        def memoised(env):
+            k = key(env)
+            value = memo.get(k, _MISSING)
+            if value is _MISSING:
+                value = memo[k] = fn(env)
+            return value
+
+        return memoised
 
     # -- formulas -----------------------------------------------------
 
-    def _elem_eq(self, n: ElemEq, s, env):
-        return env[n.left] == env[n.right]
+    def _elem_eq(self, n: ElemEq, scope):
+        a, b = self._slot(scope, n.left), self._slot(scope, n.right)
+        return (lambda env: env[a] == env[b]), (1 << a) | (1 << b)
 
-    def _rel_atom(self, n: RelAtom, s, env):
-        table = s.relations.get(n.name)
-        if table is None:
-            return False
-        return tuple(env[a] for a in n.args) in table
+    def _rel_atom(self, n, scope):
+        slots, mask = self._slots(scope, n.args)
+        table = self.structure.relations.get(n.name)
+        if table is None or not slots:
+            return _constant(table is not None and () in table), mask
+        if len(slots) == 1:
+            (a,) = slots
+            return (lambda env: (env[a],) in table), mask
+        key = operator.itemgetter(*slots)
+        return (lambda env: key(env) in table), mask
 
-    def _leq(self, n: Leq, s, env):
-        return num_compare(self.eval(n.left, s, env), self.eval(n.right, s, env)) <= 0
+    def _order(self, op: str, left: Node, right: Node, scope):
+        lf, lm = self.compile(left, scope)
+        rf, rm = self.compile(right, scope)
+        if op in ("=", "!=") and (type(left) is BotConst or type(right) is BotConst):
+            # comparing with bot is a definedness test
+            t = rf if type(left) is BotConst else lf
+            if op == "=":
+                return (lambda env: t(env).is_bot), lm | rm
+            return (lambda env: not t(env).is_bot), lm | rm
+        test = _ORDER[op]
+        return (lambda env: test(lf(env), rf(env))), lm | rm
 
-    def _compare(self, n: Compare, s, env):
-        c = num_compare(self.eval(n.left, s, env), self.eval(n.right, s, env))
-        if n.op == "<":
-            return c < 0
-        if n.op == ">":
-            return c > 0
-        if n.op == ">=":
-            return c >= 0
-        if n.op == "=":
-            return c == 0
-        return c != 0
+    def _leq(self, n: Leq, scope):
+        return self._order("<=", n.left, n.right, scope)
 
-    def _not(self, n: Not, s, env):
-        return not self.eval(n.body, s, env)
+    def _compare(self, n: Compare, scope):
+        return self._order(n.op, n.left, n.right, scope)
 
-    def _and(self, n: And, s, env):
-        return self.eval(n.left, s, env) and self.eval(n.right, s, env)
+    def _not(self, n: Not, scope):
+        body, mask = self.compile(n.body, scope)
+        return (lambda env: not body(env)), mask
 
-    def _or(self, n: Or, s, env):
-        return self.eval(n.left, s, env) or self.eval(n.right, s, env)
+    def _and(self, n: And, scope):
+        (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
+        return (lambda env: lf(env) and rf(env)), lm | rm
 
-    def _implies(self, n: Implies, s, env):
-        return (not self.eval(n.left, s, env)) or self.eval(n.right, s, env)
+    def _or(self, n: Or, scope):
+        (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
+        return (lambda env: lf(env) or rf(env)), lm | rm
 
-    def _quantify(self, n, s, env, want):
-        saved = env.get(n.var, _MISSING)
-        try:
-            for elem in self.universe:
-                env[n.var] = elem
-                if self.eval(n.body, s, env) is want:
-                    return want
-            return not want
-        finally:
-            if saved is _MISSING:
-                env.pop(n.var, None)
-            else:
-                env[n.var] = saved
+    def _implies(self, n: Implies, scope):
+        (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
+        return (lambda env: not lf(env) or rf(env)), lm | rm
 
-    def _exists(self, n: Exists, s, env):
-        return self._quantify(n, s, env, True)
+    def _quantifier(self, n, scope):
+        inner, lo, _ = self._bind(scope, (n.var,))
+        body, mask = self.compile(n.body, inner)
+        mask &= ~(1 << lo)
+        universe = self.universe
+        if type(n) is Exists:
 
-    def _forall(self, n: Forall, s, env):
-        return self._quantify(n, s, env, False)
+            def quantify(env):
+                for elem in universe:
+                    env[lo] = elem
+                    if body(env):
+                        return True
+                return False
+
+        else:
+
+            def quantify(env):
+                for elem in universe:
+                    env[lo] = elem
+                    if not body(env):
+                        return False
+                return True
+
+        return self._memo(quantify, mask, scope), mask
 
     # -- terms ----------------------------------------------------------
 
-    def _zero(self, n, s, env):
-        return _ZERO
+    def _zero(self, n, scope):
+        return _ZERO_FN, 0
 
-    def _one(self, n, s, env):
-        return _ONE
+    def _one(self, n, scope):
+        return _ONE_FN, 0
 
-    def _literal(self, n: Literal, s, env):
-        return ExtRational(n.value)
+    def _literal(self, n: Literal, scope):
+        return _constant(rational(n.value)), 0
 
-    def _bot(self, n, s, env):
-        return BOT
+    def _bot(self, n, scope):
+        return _BOT_FN, 0
 
-    def _weight_atom(self, n: WeightAtom, s, env):
-        table = s.weights.get(n.name)
-        if table is None:
-            return BOT
-        return table.get(tuple(env[a] for a in n.args), BOT)
+    def _weight_atom(self, n, scope):
+        slots, mask = self._slots(scope, n.args)
+        holder = scope.cells.get(n.name)
+        if holder is not None:
+            key = _tuple_getter(slots)
+            return (lambda env: holder[0].get(key(env), BOT)), mask
+        table = self.structure.weights.get(n.name)
+        if table is None or not slots:
+            return _constant(BOT if table is None else table.get((), BOT)), mask
+        if len(slots) == 1:
+            (a,) = slots
+            return (lambda env: table.get((env[a],), BOT)), mask
+        key = operator.itemgetter(*slots)
+        return (lambda env: table.get(key(env), BOT)), mask
 
-    def _atom(self, n: Atom, s, env):
-        if n.name in s.vocabulary.relations:
-            return tuple(env[a] for a in n.args) in s.relations[n.name]
-        table = s.weights.get(n.name)
-        if table is None:
-            return BOT
-        return table.get(tuple(env[a] for a in n.args), BOT)
+    def _atom(self, n: Atom, scope):
+        if n.name not in scope.cells and n.name in self.structure.vocabulary.relations:
+            return self._rel_atom(n, scope)
+        return self._weight_atom(n, scope)
 
-    def _arith(self, n: Arith, s, env):
-        left = self.eval(n.left, s, env)
-        right = self.eval(n.right, s, env)
-        if n.op == "+":
-            return left + right
-        if n.op == "-":
-            return left - right
-        if n.op == "*":
-            return left * right
-        return left / right
+    def _arith(self, n: Arith, scope):
+        (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
+        op = _ARITH[n.op]
+        return (lambda env: op(lf(env), rf(env))), lm | rm
 
-    def _cond(self, n: Cond, s, env):
-        branch = n.then if self.eval(n.test, s, env) else n.otherwise
-        return self.eval(branch, s, env)
+    def _cond(self, n: Cond, scope):
+        test, tm = self.compile(n.test, scope)
+        then, thm = self.compile(n.then, scope)
+        other, om = self.compile(n.otherwise, scope)
+        return (lambda env: then(env) if test(env) else other(env)), tm | thm | om
 
-    def _bindings(self, vars_: tuple, env: dict):
-        return itertools.product(self.universe, repeat=len(vars_))
+    def _sum(self, n: Sum, scope):
+        inner, lo, hi = self._bind(scope, n.vars)
+        guard, gm = self.compile(n.guard, inner)
+        body, bm = self.compile(n.body, inner)
+        mask = (gm | bm) & ~_span(lo, hi)
+        universe, k, limit = self.universe, hi - lo, self.limits.max_summands
 
-    def _sum(self, n: Sum, s, env):
-        saved = [env.get(v, _MISSING) for v in n.vars]
-        total = Fraction(0)
-        count = 0
-        result = None
-        try:
-            for combo in self._bindings(n.vars, env):
-                for v, elem in zip(n.vars, combo):
-                    env[v] = elem
-                if self.eval(n.guard, s, env):
+        def total(env):
+            acc = Fraction(0)
+            count = 0
+            for combo in product(universe, repeat=k):
+                env[lo:hi] = combo
+                if guard(env):
                     count += 1
-                    if count > self.limits.max_summands:
-                        raise ResourceError(
-                            f"summation exceeds {self.limits.max_summands} summands"
-                        )
-                    value = self.eval(n.body, s, env)
-                    if value.frac is None:
-                        result = BOT
-                        break
-                    total += value.frac
-        finally:
-            self._restore(n.vars, saved, env)
-        return result if result is not None else ExtRational(total)
+                    if count > limit:
+                        raise ResourceError(f"summation exceeds {limit} summands")
+                    value = body(env).frac
+                    if value is None:
+                        return BOT
+                    acc += value
+            return ExtRational(acc)
 
-    def _aggregate(self, n: Aggregate, s, env):
-        saved = [env.get(v, _MISSING) for v in n.vars]
-        count = 0
-        total = Fraction(0)
-        saw_bot = False
-        best: Optional[ExtRational] = None
-        kind = n.kind
-        try:
-            for combo in self._bindings(n.vars, env):
-                for v, elem in zip(n.vars, combo):
-                    env[v] = elem
-                if not self.eval(n.guard, s, env):
+        return self._memo(total, mask, scope), mask
+
+    def _aggregate(self, n: Aggregate, scope):
+        inner, lo, hi = self._bind(scope, n.vars)
+        guard, mask = self.compile(n.guard, inner)
+        body = None
+        if n.body is not None:
+            body, bm = self.compile(n.body, inner)
+            mask |= bm
+        mask &= ~_span(lo, hi)
+        universe, k, limit, kind = self.universe, hi - lo, self.limits.max_summands, n.kind
+
+        def aggregate(env):
+            count = 0
+            acc = Fraction(0)
+            best: Optional[ExtRational] = None
+            for combo in product(universe, repeat=k):
+                env[lo:hi] = combo
+                if not guard(env):
                     continue
                 count += 1
-                if count > self.limits.max_summands:
-                    raise ResourceError(f"aggregate exceeds {self.limits.max_summands} summands")
+                if count > limit:
+                    raise ResourceError(f"aggregate exceeds {limit} summands")
                 if kind == "count":
                     continue
-                value = self.eval(n.body, s, env)
+                value = body(env)
                 if kind == "avg":
-                    if value.frac is None:
-                        saw_bot = True
-                        break
-                    total += value.frac
+                    if value.is_bot:
+                        return BOT
+                    acc += value.frac
                 elif kind == "max":
-                    if best is None or num_compare(value, best) > 0:
+                    if best is None or value > best:
                         best = value
-                else:  # min
-                    if best is None or num_compare(value, best) < 0:
-                        best = value
-        finally:
-            self._restore(n.vars, saved, env)
-        if kind == "count":
-            return rational(count)
-        if kind == "avg":
-            if count == 0 or saw_bot:
-                return BOT
-            return ExtRational(total / count)
-        return best if best is not None else BOT
+                elif best is None or value < best:  # min
+                    best = value
+            if kind == "count":
+                return rational(count)
+            if kind == "avg":
+                return BOT if count == 0 else ExtRational(acc / count)
+            return BOT if best is None else best
 
-    def _ifp(self, n: Ifp, s, env):
-        table = self._ifp_run(n.name, n.vars, n.body, s, env)
-        key = tuple(env[a] for a in n.applied)
-        return table.entries.get(key, BOT)
+        return self._memo(aggregate, mask, scope), mask
 
-    def _ifp_run(self, name: str, vars_: tuple, body: Node, s, env) -> FixpointTable:
-        k = len(vars_)
-        cells = len(self.universe) ** k
-        if cells > self.limits.max_fixpoint_cells:
-            raise ResourceError(
-                f"fixed-point table needs {cells} cells, budget is {self.limits.max_fixpoint_cells}"
-            )
-        table: dict[tuple, ExtRational] = {}
-        shadowed = s._with_weight_override(name, k, table)
-        keys = list(itertools.product(self.universe, repeat=k))
-        saved = [env.get(v, _MISSING) for v in vars_]
-        rounds = 0
-        try:
+    def _ifp(self, n: Ifp, scope):
+        run, mask = self.fixpoint(n.name, n.vars, n.body, scope)
+        table = self._memo(lambda env: run(env).entries, mask, scope)
+        slots, am = self._slots(scope, n.applied)
+        applied = _tuple_getter(slots)
+        return (lambda env: table(env).get(applied(env), BOT)), mask | am
+
+    def fixpoint(self, name: str, vars_: tuple, body: Node, scope: _Scope):
+        """Closure running the fixed point of ``body`` over ``name(vars_)``
+        to stabilization, and the bitmask of the slots the run reads."""
+        holder: list = [None]
+        memos: list = []
+        inner, lo, hi = self._bind(scope, vars_)
+        inner.cells = {**scope.cells, name: holder}
+        inner.memos = memos
+        step, mask = self.compile(body, inner)
+        universe, k = self.universe, hi - lo
+        cells, limit = len(universe) ** k, self.limits.max_fixpoint_cells
+
+        def run(env) -> FixpointTable:
+            if cells > limit:
+                raise ResourceError(f"fixed-point table needs {cells} cells, budget is {limit}")
+            table: dict[tuple, ExtRational] = {}
+            holder[0] = table
+            keys = list(product(universe, repeat=k))
+            rounds = 0
             while True:
+                for memo in memos:
+                    memo.clear()
                 additions: dict[tuple, ExtRational] = {}
                 for key in keys:
                     if key in table:
                         continue
-                    for v, elem in zip(vars_, key):
-                        env[v] = elem
-                    value = self.eval(body, shadowed, env)
-                    if value.frac is not None:
+                    env[lo:hi] = key
+                    value = step(env)
+                    if not value.is_bot:
                         additions[key] = value
                 if not additions:
                     break
@@ -300,54 +487,36 @@ class _Evaluator:
                 rounds += 1
                 if rounds > cells:
                     raise AssertionError("fixed point failed to stabilize within |A|**k rounds")
-        finally:
-            self._restore(vars_, saved, env)
-        return FixpointTable(table, rounds)
+            return FixpointTable(table, rounds)
 
-    @staticmethod
-    def _restore(vars_: tuple, saved: list, env: dict) -> None:
-        for v, old in zip(vars_, saved):
-            if old is _MISSING:
-                env.pop(v, None)
-            else:
-                env[v] = old
+        return run, mask & ~_span(lo, hi)
 
 
-_HANDLERS = {
-    ElemEq: _Evaluator._elem_eq,
-    RelAtom: _Evaluator._rel_atom,
-    Leq: _Evaluator._leq,
-    Compare: _Evaluator._compare,
-    Not: _Evaluator._not,
-    And: _Evaluator._and,
-    Or: _Evaluator._or,
-    Implies: _Evaluator._implies,
-    Exists: _Evaluator._exists,
-    Forall: _Evaluator._forall,
-    Zero: _Evaluator._zero,
-    One: _Evaluator._one,
-    Literal: _Evaluator._literal,
-    BotConst: _Evaluator._bot,
-    WeightAtom: _Evaluator._weight_atom,
-    Atom: _Evaluator._atom,
-    Arith: _Evaluator._arith,
-    Cond: _Evaluator._cond,
-    Sum: _Evaluator._sum,
-    Aggregate: _Evaluator._aggregate,
-    Ifp: _Evaluator._ifp,
+_LEAVES = frozenset((ElemEq, RelAtom, Zero, One, Literal, BotConst, WeightAtom, Atom))
+
+_COMPILE = {
+    ElemEq: _Compiler._elem_eq,
+    RelAtom: _Compiler._rel_atom,
+    Leq: _Compiler._leq,
+    Compare: _Compiler._compare,
+    Not: _Compiler._not,
+    And: _Compiler._and,
+    Or: _Compiler._or,
+    Implies: _Compiler._implies,
+    Exists: _Compiler._quantifier,
+    Forall: _Compiler._quantifier,
+    Zero: _Compiler._zero,
+    One: _Compiler._one,
+    Literal: _Compiler._literal,
+    BotConst: _Compiler._bot,
+    WeightAtom: _Compiler._weight_atom,
+    Atom: _Compiler._atom,
+    Arith: _Compiler._arith,
+    Cond: _Compiler._cond,
+    Sum: _Compiler._sum,
+    Aggregate: _Compiler._aggregate,
+    Ifp: _Compiler._ifp,
 }
-
-
-def _checked_env(e: Node, structure: WeightedStructure, env, *, bound: tuple = ()) -> dict:
-    env = dict(env or {})
-    missing = free_vars(e) - set(bound) - env.keys()
-    if missing:
-        raise UsageError(f"unbound variables: {sorted(missing)}")
-    universe = set(structure.universe)
-    for var, val in env.items():
-        if val not in universe:
-            raise UsageError(f"assignment {var}={val!r} is not a universe element")
-    return env
 
 
 def evaluate(
@@ -363,11 +532,12 @@ def evaluate(
     vocabulary; if it resolves to neither kind the term default ``bot``
     applies.
     """
-    env = _checked_env(e, structure, env)
-    info = vocabulary_of(e)
-    if not covered_by(info, structure):
+    compiler = _Compiler(structure, limits or EvalLimits())
+    fn, _ = compiler.compile(e, compiler.root)
+    slots = compiler.environment(env)
+    if not covered_by(vocabulary_of(e), structure):
         return False if syntactic_kind(e) == "formula" else BOT
-    return _Evaluator(structure, limits or EvalLimits()).eval(e, structure, env)
+    return fn(slots)
 
 
 def ifp_iterate(
@@ -384,10 +554,9 @@ def ifp_iterate(
     every other symbol must be interpreted by the structure.
     """
     vars_ = tuple(vars_)
-    env = _checked_env(body, structure, env, bound=vars_)
-    info = vocabulary_of(Ifp(name, vars_, body, vars_))
-    if not covered_by(info, structure):
+    compiler = _Compiler(structure, limits or EvalLimits())
+    run, _ = compiler.fixpoint(name, vars_, body, compiler.root)
+    slots = compiler.environment(env)
+    if not covered_by(vocabulary_of(Ifp(name, vars_, body, vars_)), structure):
         raise UsageError("fixed-point body uses symbols the structure does not interpret")
-    return _Evaluator(structure, limits or EvalLimits())._ifp_run(
-        name, vars_, body, structure, env
-    )
+    return run(slots)

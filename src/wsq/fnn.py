@@ -394,13 +394,17 @@ class Pwl:
     pieces: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        assert len(self.pieces) == len(self.breakpoints) + 1
+        if len(self.pieces) != len(self.breakpoints) + 1:
+            raise UsageError("a piecewise-linear function needs one piece more than breakpoints")
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            assert a < b, "breakpoints must be strictly increasing"
+            if not a < b:
+                raise UsageError("breakpoints must be strictly increasing")
         for i, x in enumerate(self.breakpoints):
             (s1, t1), (s2, t2) = self.pieces[i], self.pieces[i + 1]
-            assert s1 * x + t1 == s2 * x + t2, "pieces must agree at breakpoints"
-            assert s1 != s2, "canonical form requires distinct adjacent slopes"
+            if s1 * x + t1 != s2 * x + t2:
+                raise UsageError("pieces must agree at breakpoints")
+            if s1 == s2:
+                raise UsageError("canonical form requires distinct adjacent slopes")
 
     @classmethod
     def make(cls, breakpoints: Sequence[Fraction], pieces: Sequence[tuple[Fraction, Fraction]]) -> "Pwl":

@@ -29,14 +29,16 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\d+/0*[1-9]\d*)$")
 RationalLike = Union[int, Fraction, "ExtRational"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ExtRational:
     """A rational number in canonical form, or the undefined element.
 
     The payload is a :class:`Fraction` (which keeps gcd-reduced form with
     a positive denominator) or ``None`` for ``bot``.  Instances are
     immutable and hashable; use :func:`rational`, :data:`BOT` or
-    :meth:`parse` rather than the raw constructor.
+    :meth:`parse` rather than the raw constructor.  Equality agrees with
+    the total order and with :class:`Fraction`: ``rational(1) == 1``,
+    ``hash(rational(1)) == hash(1)``, and ``bot == bot``.
     """
 
     _frac: Optional[Fraction]
@@ -121,6 +123,16 @@ class ExtRational:
         return BOT if self._frac is None else ExtRational(-self._frac)
 
     # -- total order (bot below everything, bot == bot) -----------------
+
+    def __eq__(self, other: object) -> bool:
+        rhs = self._coerce(other)  # type: ignore[arg-type]
+        if rhs is NotImplemented:
+            return NotImplemented
+        return self._frac == rhs._frac
+
+    def __hash__(self) -> int:
+        # a defined value hashes like its Fraction, so equal numbers hash equal
+        return hash(self._frac)
 
     def _cmp(self, other: RationalLike) -> int:
         rhs = self._coerce(other)

@@ -23,9 +23,6 @@ __all__ = [
     "Vocabulary",
     "WeightedStructure",
     "validate_structure",
-    "expand",
-    "lookup_relation",
-    "lookup_weight",
     "structure_from_json",
     "structure_to_json",
     "load_structure",
@@ -176,11 +173,11 @@ class WeightedStructure:
         )
 
     def _with_weight_override(self, name: str, arity: int, table: dict) -> "WeightedStructure":
-        """Shadow or add one weight symbol, sharing the given live table.
+        """Shadow or add one weight symbol, sharing the given table.
 
-        Internal hook for the fixed-point evaluator; the table reference
-        is stored as-is so the caller can grow it between iteration
-        rounds.  Not part of the public API.
+        The table reference is stored as-is.  Lets a test re-run a fixed
+        point round by round outside the evaluator.  Not part of the
+        public API.
         """
         relations = self.relations
         rel_voc = self.vocabulary.relations
@@ -238,21 +235,6 @@ def validate_structure(s: WeightedStructure) -> list[str]:
             if not isinstance(v, ExtRational) or v.is_bot:
                 violations.append(f"weight {name}: stored value for {t!r} must be a defined rational")
     return violations
-
-
-def expand(s: WeightedStructure, relations=None, weights=None) -> WeightedStructure:
-    """Functional alias for :meth:`WeightedStructure.expand`."""
-    return s.expand(relations, weights)
-
-
-def lookup_relation(s: WeightedStructure, name: str, t: Sequence[str]) -> bool:
-    """Functional alias for :meth:`WeightedStructure.rel`."""
-    return s.rel(name, t)
-
-
-def lookup_weight(s: WeightedStructure, name: str, t: Sequence[str]) -> ExtRational:
-    """Functional alias for :meth:`WeightedStructure.weight`."""
-    return s.weight(name, t)
 
 
 # -- JSON file format ------------------------------------------------------

@@ -1,20 +1,39 @@
 """Semantics engine: quantifiers, summation, fixed points, defaults, guards."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from randgen import build_fnn, path_net, random_expression, random_structure
+from randgen import build_fnn, path_net, random_expression, random_fnn, random_structure
 from ref_eval import normalize, ref_evaluate
 from wsq.errors import ResourceError, UsageError
 from wsq.evaluator import EvalLimits, evaluate, ifp_iterate
 from wsq.fnn import forward, with_input
 from wsq.numerics import BOT, rational
-from wsq.queries import make_basic, make_eval, make_eval_node, make_squaring
+from wsq.queries import make_basic, make_eval, make_eval_node, make_squaring, make_useless
 from wsq.structures import WeightedStructure
 from wsq.syntax import desugar, parse
+from wsq.syntax.nodes import (
+    Aggregate,
+    Arith,
+    BotConst,
+    Compare,
+    Cond,
+    Exists,
+    Forall,
+    Ifp,
+    Leq,
+    One,
+    Or,
+    RelAtom,
+    Sum,
+    WeightAtom,
+    Zero,
+)
 
 
 @pytest.fixture
@@ -282,3 +301,188 @@ class TestInvariants:
         assert evaluate(closed, with_input(net, r)) == forward(net, r)[0]
         assert evaluate(closed, with_input(padded, r)) is BOT
         assert evaluate(make_eval_node(), with_input(padded, r)) == forward(net, r)[0]
+
+
+def _nested_binders(rng, levels, scope, ifp_depth=0):
+    """A term whose binders nest ``levels`` deep along one chain.
+
+    Each level binds a fresh variable and sees only a random part of the
+    outer scope, so inner binders often ignore outer loop variables (the
+    case the evaluator memoises) and sometimes rebind an outer name.
+    """
+    if levels == 0:
+        return random_expression(rng, 1, "term", scope, ifp_depth)
+    var = f"b{levels}"
+    seen = tuple(v for v in scope if rng.random() < 0.5) + (var,)
+    inner = _nested_binders(rng, levels - 1, seen, ifp_depth)
+    side = random_expression(rng, 1, "term", seen, ifp_depth)
+    guard = random_expression(rng, 1, "formula", seen, ifp_depth)
+    body = Arith(rng.choice("+-*"), inner, side)
+    roll = rng.random()
+    if roll < 0.35:
+        return Sum((var,), guard, body)
+    if roll < 0.65:
+        kind = rng.choice(("count", "avg", "min", "max"))
+        return Aggregate(kind, (var,), guard, None if kind == "count" else body)
+    if roll < 0.85:
+        quantifier = rng.choice((Exists, Forall))
+        test = quantifier(var, Or(guard, Leq(body, side)))
+        then, otherwise = (random_expression(rng, 1, "term", scope, ifp_depth) for _ in "ab")
+        return Cond(test, then, otherwise)
+    if ifp_depth >= 2:
+        return Sum((var,), guard, body)
+    inner = _nested_binders(rng, levels - 1, seen, ifp_depth + 1)
+    return Ifp("F", (var,), Arith("+", inner, side), (rng.choice(scope),))
+
+
+class TestCompiledEvaluation:
+    """Memoisation and closure sharing must not change any answer."""
+
+    def test_memo_in_fixed_point_body_cleared_each_round(self):
+        # the exists and the count read F but not x: they are memoised and
+        # must be recomputed every round as F grows
+        net = path_net(4)
+        q = parse(
+            "ifp (F(x) <- if not exists y wt(y, x) != bot then 1 "
+            "else if exists y (wt(y, x) != bot and F(y) != bot) "
+            "then count {z : F(z) != bot} else bot) (x)"
+        )
+        table = ifp_iterate("F", ("x",), q.body, net.structure)
+        assert table.rounds == 5
+        assert table.entries == {(f"n{i}",): rational(max(i, 1)) for i in range(5)}
+        for node in net.structure.universe:
+            expected = ref_evaluate(q, net.structure, {"x": node})
+            assert normalize(evaluate(q, net.structure, {"x": node})) == normalize(expected)
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_squaring_on_paths(self, d):
+        net = path_net(d)
+        assert evaluate(make_squaring(), net.structure, {"x": f"n{d}"}) == rational(2 ** (2**d))
+
+    def test_path_sum_computes_one_table(self):
+        # the same fixed point read under a binder, once in the guard and
+        # once in the body; its table is memoised across the binder's loop
+        dist = parse(
+            "ifp (D(x) <- if not exists y wt(y, x) != bot then 0 "
+            "else min {y : wt(y, x) != bot and D(y) != bot} (D(y) + wt(y, x))) (x)"
+        )
+        shared = Sum(("x",), Compare("!=", dist, BotConst()), dist)
+        text = parse(
+            "sum {x : ifp (D(x) <- if not exists y wt(y, x) != bot then 0 "
+            "else min {y : wt(y, x) != bot and D(y) != bot} (D(y) + wt(y, x))) (x) != bot} "
+            "ifp (D(x) <- if not exists y wt(y, x) != bot then 0 "
+            "else min {y : wt(y, x) != bot and D(y) != bot} (D(y) + wt(y, x))) (x)"
+        )
+        rng = random.Random(31)
+        for _ in range(6):
+            s = random_fnn(rng, max_depth=3, max_width=3, mag=5).structure
+            expected = normalize(ref_evaluate(shared, s))
+            assert normalize(evaluate(shared, s)) == expected
+            assert normalize(evaluate(text, s)) == expected
+        # on a unit path the distances are 0, 1, ..., 4
+        assert evaluate(shared, path_net(4).structure) == rational(10)
+
+    def test_nested_fixed_point_reads_outer_symbol(self):
+        # the inner table reads F but no variable of the outer body, so it is
+        # memoised; it must be recomputed every outer round as F grows
+        q = parse(
+            "ifp (F(x) <- if exists y wt(y, x) != bot "
+            "then ifp (G(u) <- (max {z : wt(z, u) != bot and F(z) != bot} F(z)) + 1) (x) "
+            "else 1) (x)"
+        )
+        net = path_net(3)
+        table = ifp_iterate("F", ("x",), q.body, net.structure)
+        assert table.rounds == 4
+        assert table.entries == {(f"n{i}",): rational(i + 1) for i in range(4)}
+        rng = random.Random(32)
+        for _ in range(6):
+            s = random_fnn(rng, max_depth=3, max_width=3, mag=5).structure
+            for node in s.universe:
+                expected = normalize(ref_evaluate(q, s, {"x": node}))
+                assert normalize(evaluate(q, s, {"x": node})) == expected
+
+    def test_shared_subtree_in_memoised_context(self):
+        # one node object used three times by the rectifier shape, inside a
+        # binder over x that it does not read
+        f_y = WeightAtom("f", ("y",))
+        t = Sum(("y",), Leq(f_y, One()), Arith("-", f_y, One()))
+        relu = Cond(Compare(">=", t, Zero()), t, Arith("*", Zero(), t))
+        q = Sum(("x",), RelAtom("p", ("x",)), Arith("+", WeightAtom("f", ("x",)), relu))
+        rng = random.Random(33)
+        for _ in range(30):
+            s = random_structure(rng, drop_prob=0.0)
+            assert normalize(evaluate(q, s)) == normalize(ref_evaluate(q, s))
+
+    def test_summand_budget_on_memoised_node(self, two_triangle_graph):
+        # the inner sum ignores x, so it is memoised; its 16 summands still
+        # exceed the budget on its first evaluation
+        q = parse("sum {x : x = x} sum {y, z : y = y} 1")
+        with pytest.raises(ResourceError, match="summands"):
+            evaluate(q, two_triangle_graph, limits=EvalLimits(max_summands=10))
+        assert evaluate(q, two_triangle_graph, limits=EvalLimits(max_summands=16)) == rational(64)
+        agg = parse("sum {x : x = x} count {y, z : y = y}")
+        with pytest.raises(ResourceError, match="summands"):
+            evaluate(agg, two_triangle_graph, limits=EvalLimits(max_summands=10))
+
+    def test_cell_budget_on_memoised_fixed_point(self, two_triangle_graph):
+        q = parse("sum {x : x = x} ifp (F(y, z) <- 1) (x, x)")
+        with pytest.raises(ResourceError, match="cells"):
+            evaluate(q, two_triangle_graph, limits=EvalLimits(max_fixpoint_cells=8))
+        limits = EvalLimits(max_fixpoint_cells=16)
+        assert evaluate(q, two_triangle_graph, limits=limits) == rational(4)
+
+    def test_rounds_match_external_iteration(self):
+        rng = random.Random(34)
+        for _ in range(40):
+            s = random_structure(rng, drop_prob=0.0)
+            body = _nested_binders(rng, rng.randint(1, 2), ("v0", "x"), ifp_depth=1)
+            env = {"x": rng.choice(s.universe)}
+            table = ifp_iterate("F", ("v0",), body, s, env)
+            current, rounds = {}, 0
+            while True:
+                shadowed = s._with_weight_override("F", 1, dict(current))
+                after = dict(current)
+                for elem in s.universe:
+                    if (elem,) not in current:
+                        value = ref_evaluate(body, shadowed, {**env, "v0": elem})
+                        if value is not None:
+                            after[(elem,)] = rational(value)
+                if after == current:
+                    break
+                current, rounds = after, rounds + 1
+            assert table.entries == current
+            assert table.rounds == rounds
+
+    def test_threads_share_one_ast_and_structure(self):
+        net = random_fnn(random.Random(35), max_depth=4, max_width=4, mag=20)
+        s = with_input(net, [Fraction(1, k + 2) for k in range(net.input_dim)])
+        queries = [make_eval_node(), make_eval(net.depth, 1), make_useless(net.depth)]
+        u, v = next(iter(net.structure.weights["wt"]))
+        envs = [{}, {}, {"x0": u, "y0": v}]
+        expected = [evaluate(q, s, env) for q, env in zip(queries, envs)]
+        results: list = []
+
+        def work():
+            for _ in range(5):
+                results.append([evaluate(q, s, env) for q, env in zip(queries, envs)])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 20
+
+    def test_agrees_with_reference_on_nested_binders(self):
+        rng = random.Random(36)
+        for _ in range(120):
+            s = random_structure(rng, max_size=3, drop_prob=0.0)
+            e = _nested_binders(rng, rng.randint(3, 4), ("x", "y"))
+            env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
+            assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))

@@ -1,7 +1,11 @@
 """Networks: validation, forward oracle, padding, piecewise-linear analysis."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -225,8 +229,38 @@ class TestPwl:
             to_pwl(net, max_pieces=1)
 
     def test_continuity_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(UsageError, match="agree"):
             Pwl((Fraction(0),), ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(5))))
+
+    @pytest.mark.parametrize(
+        "breakpoints,pieces,message",
+        [
+            ((Fraction(0),), ((Fraction(0), Fraction(0)),), "one piece more"),
+            ((Fraction(1), Fraction(1)), ((0, 0), (1, -1), (2, -2)), "strictly increasing"),
+            ((Fraction(0),), ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))), "distinct"),
+        ],
+    )
+    def test_malformed_rejected(self, breakpoints, pieces, message):
+        with pytest.raises(UsageError, match=message):
+            Pwl(breakpoints, pieces)
+
+    def test_invariants_survive_optimized_mode(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from wsq.errors import UsageError\n"
+            "from wsq.fnn import Pwl\n"
+            "try:\n"
+            "    Pwl((F(0),), ((F(0), F(0)), (F(1), F(5))))\n"
+            "except UsageError:\n"
+            "    print('rejected')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "rejected"
 
 
 class TestIntegral:

@@ -83,6 +83,46 @@ class TestCompare:
         assert BOT <= BOT and not BOT < BOT
 
 
+# few distinct values, so that equal pairs are drawn often
+clustered = st.one_of(
+    st.just(BOT),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2).map(ExtRational),
+)
+
+
+class TestEquality:
+    def test_agrees_with_fraction_and_int(self):
+        assert rational(1) == 1 and 1 == rational(1)
+        assert rational(1, 2) == Fraction(1, 2)
+        assert rational(1) != 2 and rational(1) != BOT
+        assert hash(rational(1)) == hash(1) == hash(Fraction(1))
+        assert hash(rational(-3, 4)) == hash(Fraction(-3, 4))
+
+    def test_bot_equals_bot(self):
+        assert BOT == ExtRational(None) and hash(BOT) == hash(ExtRational(None))
+        assert not BOT != BOT
+
+    def test_foreign_types_are_unequal(self):
+        assert rational(1) != "1"
+        assert BOT != None  # noqa: E711
+
+    def test_usable_as_dict_key_alongside_fraction(self):
+        assert {Fraction(3, 2): "x"}[rational(3, 2)] == "x"
+
+    @given(a=clustered, b=clustered)
+    def test_equality_agrees_with_order(self, a, b):
+        assert (a == b) == (a <= b and b <= a)
+        assert (a == b) != (a != b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(a=defined, n=st.integers(-50, 50))
+    def test_equality_agrees_with_fraction(self, a, n):
+        assert (a == a.frac) and hash(a) == hash(a.frac)
+        assert (rational(n) == n) and hash(rational(n)) == hash(n)
+        assert (a == n) == (a.frac == n)
+
+
 class TestSumAll:
     def test_empty_sum_is_zero(self):
         assert sum_all([]) == rational(0)
