@@ -9,13 +9,13 @@ variables, assignments outside the universe, a symbol used at two
 arities) raises :class:`UsageError` instead.
 
 The fixed-point operator iterates synchronously from the all-undefined
-table: each round recomputes every still-undefined entry against the
-previous round's table, and an entry, once defined, never changes.  That
-makes the iteration inflationary and forces stabilization within
-``|A|**k`` rounds; both properties are checked on every run, not only
-under test.  Resource budgets (fixed-point table cells, summands per
-summation node) convert runaway evaluations into :class:`ResourceError`
-rather than wrong answers.
+table: each round computes still-undefined entries against the previous
+round's table, and an entry, once defined, never changes.  That makes
+the iteration inflationary and forces stabilization within ``|A|**k``
+rounds; both properties are checked on every run, not only under test.
+Resource budgets (fixed-point table cells, summands per summation node)
+convert runaway evaluations into :class:`ResourceError` rather than
+wrong answers.
 
 Each call compiles the expression once: a single pass turns the tree
 into closures over the structure, settling there the kind of every
@@ -25,17 +25,41 @@ live in numbered slots, one per binder occurrence, so a binder that
 reuses an outer name needs no save and restore.  A node object reached
 twice under the same binders compiles to one closure.
 
+Sums, aggregates and quantifiers draw their bindings from one routine.
+When a top-level conjunct of the guard (for ``forall``, of the
+antecedent of an implication body) is an extensional ``R(..)`` or
+``w(..) != bot`` mentioning the bound variables, and no conjunct before
+it can raise, the candidates come from that table's support, looked up
+by the values of the outer variables it mentions; otherwise they are
+all of ``product(universe, repeat=k)``.  The full guard is still tested
+on every candidate, and candidates come in the order of the product, so
+the first undefined summand and the first summand over budget are the
+same as under full enumeration.  A support index is built on first use
+and shared by every binder of the call that reads the same symbol with
+the same pattern of bound and repeated positions.
+
+A fixed point tracks dependencies: while the body runs for a tuple, the
+lookups of its symbol record the entries they found missing.  A tuple
+that stays undefined is computed again only in the round after one of
+those entries is defined; a tuple that read no missing entry stays
+undefined for good.  This is the semi-naive strategy, and it leaves
+every round's table, and so ``FixpointTable.rounds``, as the naive
+iteration has them.
+
 A summation, aggregate or quantifier that sits inside a binder looping
 over variables it does not read is memoised by the values of its free
 variables, so it is computed once per distinct binding rather than once
 per iteration of the loops around it.  A fixed point's table is memoised
 the same way, by the free variables of its body other than the bound
-tuple, and not by the tuple it is applied to.  Memo tables inside a
-fixed-point body are cleared at the start of every round, because the
-intensional table they may read grows between rounds.  Nothing is cached
-across calls: closures and memo tables belong to one call, which keeps
-evaluation a pure function of its inputs and safe to run from several
-threads on shared structures and expressions.
+tuple, and not by the tuple it is applied to.  Inside a fixed-point body
+only the fixed point's own tuple counts as looping, since the outer
+variables are constant during a run.  Memo tables inside a fixed-point
+body are cleared at the start of every round, because the intensional
+table they may read grows between rounds, and a memo hit there replays
+the missing entries its value was computed from.  Nothing is cached
+across calls: closures, support indexes and memo tables belong to one
+call, which keeps evaluation a pure function of its inputs and safe to
+run from several threads on shared structures and expressions.
 """
 
 from __future__ import annotations
@@ -44,7 +68,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ResourceError, UsageError
 from .numerics import BOT, ONE, ZERO, ExtRational, rational
@@ -73,6 +97,7 @@ from .syntax.nodes import (
     Sum,
     WeightAtom,
     Zero,
+    children,
     syntactic_kind,
 )
 
@@ -82,6 +107,9 @@ Value = Union[bool, ExtRational]
 
 # a compiled node: reads variable values from the slot list, returns its value
 Compiled = Callable[[list], Value]
+
+# candidate values of a binder's slots under the slot list
+Bindings = Callable[[list], Iterable[tuple]]
 
 _MISSING = object()
 
@@ -138,17 +166,78 @@ def _constant(value) -> Compiled:
 
 _ZERO_FN, _ONE_FN, _BOT_FN = _constant(ZERO), _constant(ONE), _constant(BOT)
 
+# nodes whose evaluation can raise a ResourceError (their budgets)
+_BUDGETED = (Sum, Aggregate, Ifp)
+
+
+def _conjuncts(f: Node) -> list[Node]:
+    """The top-level conjuncts of a formula, in evaluation order."""
+    out: list[Node] = []
+    stack = [f]
+    while stack:
+        n = stack.pop()
+        if type(n) is And:
+            stack.append(n.right)
+            stack.append(n.left)
+        else:
+            out.append(n)
+    return out
+
+
+def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> dict:
+    """The support index of one symbol under one argument pattern, built
+    into ``indexes`` on first use.
+
+    ``signature`` is the symbol and, per argument position, ``-1`` if
+    the position is bound outside the binder, else the number of the
+    bound slot it holds (repeated slots repeat the number).  The index
+    maps the values at the outside positions to the distinct values
+    of the bound slots, sorted in universe order.  A tuple binding a slot
+    to a value outside the universe (an unvalidated structure) is left
+    out, as full enumeration never binds one.
+    """
+    index = indexes.get(signature)
+    if index is not None:
+        return index
+    roles = signature[1]
+    outside = [i for i, role in enumerate(roles) if role < 0]
+    first = [roles.index(r) for r in range(max(roles) + 1)]
+    repeats = [(i, first[role]) for i, role in enumerate(roles) if role >= 0 and i != first[role]]
+    rank = {elem: i for i, elem in enumerate(universe)}
+    groups: dict[tuple, set] = {}
+    for t in table:
+        if all(t[i] == t[j] for i, j in repeats) and all(t[i] in rank for i in first):
+            groups.setdefault(tuple(t[i] for i in outside), set()).add(
+                tuple(t[i] for i in first)
+            )
+    index = indexes[signature] = {
+        key: sorted(subs, key=lambda sub: [rank[elem] for elem in sub])
+        for key, subs in groups.items()
+    }
+    return index
+
+
+class _Cell:
+    """The live table of one fixed point and, while the body runs for one
+    tuple, the set of missing entries it has read."""
+
+    __slots__ = ("table", "reads")
+
+    def __init__(self):
+        self.table: dict[tuple, ExtRational] = {}
+        self.reads: set = set()
+
 
 class _Scope:
     """What compiling a node depends on besides the node itself.
 
     A new scope starts at every binder.  ``slots`` maps the variables
     bound so far to their slots; ``cells`` maps each intensional symbol
-    to the holder of its fixed point's live table; ``loops`` is the
-    bitmask of slots that enclosing binders loop over; ``memos`` lists
-    the memo tables to clear at each round of the innermost enclosing
-    fixed point (``None`` outside any); ``shared`` holds the nodes already
-    compiled in this scope by object identity.
+    to the :class:`_Cell` of its fixed point; ``loops`` is the bitmask of
+    slots that enclosing binders loop over; ``memos`` lists the memo
+    tables to clear at each round of the innermost enclosing fixed point
+    (``None`` outside any); ``shared`` holds the nodes already compiled in
+    this scope by object identity.
     """
 
     __slots__ = ("slots", "cells", "loops", "memos", "shared")
@@ -167,6 +256,7 @@ class _Compiler:
     :meth:`compile` returns a node's closure together with the bitmask of
     the slots it reads, which are its free variables.  Variables free in
     the whole expression get slots on first use, recorded in ``free``.
+    ``indexes`` holds the support indexes built so far by this call.
     """
 
     def __init__(self, structure: WeightedStructure, limits: EvalLimits):
@@ -176,6 +266,9 @@ class _Compiler:
         self.free: dict[str, int] = {}
         self.size = 0
         self.root = _Scope({}, {}, 0, None)
+        self.indexes: dict[tuple, dict] = {}
+        self.budgeted: dict[int, bool] = {}
+        self.every: dict[int, Bindings] = {}  # the full product, by arity
 
     def compile(self, n: Node, scope: _Scope) -> tuple[Compiled, int]:
         if type(n) in _LEAVES:
@@ -230,12 +323,15 @@ class _Compiler:
 
     def _memo(self, fn: Compiled, mask: int, scope: _Scope) -> Compiled:
         """``fn`` memoised by the slots in ``mask`` when an enclosing binder
-        loops over a slot outside ``mask``; otherwise ``fn`` itself."""
+        loops over a slot outside ``mask``; otherwise ``fn`` itself.
+
+        Inside a fixed-point body a memoised value is stored with the
+        missing entries its computation read, and every hit adds them to
+        the reads of the tuple being computed.
+        """
         if not scope.loops & ~mask:
             return fn
         memo: dict = {}
-        if scope.memos is not None:
-            scope.memos.append(memo)
         slots = []
         rest = mask
         while rest:
@@ -244,14 +340,162 @@ class _Compiler:
             rest ^= low
         key = operator.itemgetter(*slots) if slots else (lambda env: None)
 
-        def memoised(env):
+        if scope.memos is None:
+
+            def memoised(env):
+                k = key(env)
+                value = memo.get(k, _MISSING)
+                if value is _MISSING:
+                    value = memo[k] = fn(env)
+                return value
+
+            return memoised
+
+        scope.memos.append(memo)
+        cells = tuple(scope.cells.values())
+
+        def tracked(env):
             k = key(env)
-            value = memo.get(k, _MISSING)
-            if value is _MISSING:
-                value = memo[k] = fn(env)
+            hit = memo.get(k)
+            if hit is None:
+                outer = [cell.reads for cell in cells]
+                for cell in cells:
+                    cell.reads = set()
+                value = fn(env)
+                hit = memo[k] = (value, [cell.reads for cell in cells])
+                for cell, reads in zip(cells, outer):
+                    cell.reads = reads
+            value, reads = hit
+            for cell, found in zip(cells, reads):
+                if found:
+                    cell.reads |= found
             return value
 
-        return memoised
+        return tracked
+
+    # -- binding enumeration ------------------------------------------
+
+    def _bindings(self, scope: _Scope, lo: int, hi: int, guard: Optional[Node]) -> Bindings:
+        """Candidate values of the slots ``lo .. hi-1`` under ``guard``.
+
+        The candidates include every binding that satisfies ``guard`` and
+        come in the order of ``product(universe, repeat=hi-lo)``.  They
+        are drawn from the support of one extensional conjunct of the
+        guard when there is a usable one (see the module docstring).
+        """
+        universe, k = self.universe, hi - lo
+        chosen = self._support_conjunct(scope, lo, hi, guard) if guard is not None else None
+        if chosen is None:
+            every = self.every.get(k)
+            if every is None:
+                if k == 1:
+                    singles = [(elem,) for elem in universe]
+                    every = self.every[k] = lambda env: singles
+                else:
+                    every = self.every[k] = lambda env: product(universe, repeat=k)
+            return every
+        name, table, slots = chosen
+        bound, roles, found = [], [], []
+        for slot in slots:
+            if not lo <= slot < hi:
+                bound.append(slot)
+                roles.append(-1)
+            elif slot in found:
+                roles.append(found.index(slot))
+            else:
+                roles.append(len(found))
+                found.append(slot)
+        signature = (name, tuple(roles))
+        key = _tuple_getter(bound)
+        indexes = self.indexes  # not self: closures must not form a cycle with the compiler
+        box: list = [None]
+
+        def lookup(env) -> list:
+            index = box[0]
+            if index is None:
+                index = box[0] = _support_index(indexes, signature, table, universe)
+            return index.get(key(env), ())
+
+        if found == list(range(lo, lo + len(found))):
+            if len(found) == k:
+                return lookup
+            rest = k - len(found)
+            # the unmentioned slots come last, so the product order holds
+            return lambda env: (
+                sub + tail for sub in lookup(env) for tail in product(universe, repeat=rest)
+            )
+        at = [slot - lo for slot in found]
+        others = [i for i in range(k) if i + lo not in found]
+        rank = {elem: i for i, elem in enumerate(universe)}
+
+        def reordered(env) -> list:
+            combos = []
+            for sub in lookup(env):
+                for tail in product(universe, repeat=len(others)):
+                    combo = [None] * k
+                    for i, value in zip(at, sub):
+                        combo[i] = value
+                    for i, value in zip(others, tail):
+                        combo[i] = value
+                    combos.append(tuple(combo))
+            combos.sort(key=lambda combo: [rank[elem] for elem in combo])
+            return combos
+
+        return reordered
+
+    def _support_conjunct(self, scope: _Scope, lo: int, hi: int, guard: Node):
+        """``(symbol, table, argument slots)`` of the guard conjunct whose
+        support drives the enumeration, or ``None`` if no conjunct is usable.
+
+        Usable conjuncts are extensional ``R(..)`` and ``w(..) != bot``
+        mentioning a bound slot, up to the first conjunct whose evaluation
+        can raise: skipping a binding must not skip an error.  The one
+        mentioning the most bound slots wins, the earliest among equals.
+        """
+        best, best_count = None, 0
+        for conj in _conjuncts(guard):
+            found = self._support_of(conj, scope)
+            if found is None:
+                if self._budgeted(conj):
+                    break
+                continue
+            slots = self._slots(scope, found[2])[0]
+            count = len({slot for slot in slots if lo <= slot < hi})
+            if count > best_count:
+                best, best_count = (found[0], found[1], slots), count
+        return best
+
+    def _support_of(self, n: Node, scope: _Scope):
+        """``(symbol, table, args)`` if ``n`` holds only on the support of an
+        extensional table: ``R(..)`` or ``w(..) != bot``; else ``None``.
+        A symbol the structure lacks has empty support."""
+        relations = self.structure.vocabulary.relations
+        if type(n) is Compare and n.op == "!=":
+            if type(n.right) is BotConst:
+                atom = n.left
+            elif type(n.left) is BotConst:
+                atom = n.right
+            else:
+                return None
+            if type(atom) not in (WeightAtom, Atom) or atom.name in scope.cells:
+                return None
+            if type(atom) is Atom and atom.name in relations:
+                return None
+            return atom.name, self.structure.weights.get(atom.name, {}), atom.args
+        if type(n) is RelAtom or (
+            type(n) is Atom and n.name not in scope.cells and n.name in relations
+        ):
+            return n.name, self.structure.relations.get(n.name, frozenset()), n.args
+        return None
+
+    def _budgeted(self, n: Node) -> bool:
+        """Whether ``n`` contains a summation, aggregate or fixed point,
+        whose budgets can raise :class:`ResourceError`."""
+        known = self.budgeted.get(id(n))
+        if known is None:
+            known = type(n) in _BUDGETED or any(self._budgeted(c) for c in children(n))
+            self.budgeted[id(n)] = known
+        return known
 
     # -- formulas -----------------------------------------------------
 
@@ -305,14 +549,19 @@ class _Compiler:
         return (lambda env: not lf(env) or rf(env)), lm | rm
 
     def _quantifier(self, n, scope):
-        inner, lo, _ = self._bind(scope, (n.var,))
+        inner, lo, hi = self._bind(scope, (n.var,))
+        if type(n) is Exists:
+            guard = n.body
+        else:
+            # forall x (a -> b) holds wherever a fails
+            guard = n.body.left if type(n.body) is Implies else None
+        bindings = self._bindings(inner, lo, hi, guard)
         body, mask = self.compile(n.body, inner)
         mask &= ~(1 << lo)
-        universe = self.universe
         if type(n) is Exists:
 
             def quantify(env):
-                for elem in universe:
+                for (elem,) in bindings(env):
                     env[lo] = elem
                     if body(env):
                         return True
@@ -321,7 +570,7 @@ class _Compiler:
         else:
 
             def quantify(env):
-                for elem in universe:
+                for (elem,) in bindings(env):
                     env[lo] = elem
                     if not body(env):
                         return False
@@ -345,10 +594,19 @@ class _Compiler:
 
     def _weight_atom(self, n, scope):
         slots, mask = self._slots(scope, n.args)
-        holder = scope.cells.get(n.name)
-        if holder is not None:
+        cell = scope.cells.get(n.name)
+        if cell is not None:
             key = _tuple_getter(slots)
-            return (lambda env: holder[0].get(key(env), BOT)), mask
+
+            def intensional(env):
+                k = key(env)
+                value = cell.table.get(k)
+                if value is None:
+                    cell.reads.add(k)
+                    return BOT
+                return value
+
+            return intensional, mask
         table = self.structure.weights.get(n.name)
         if table is None or not slots:
             return _constant(BOT if table is None else table.get((), BOT)), mask
@@ -376,15 +634,16 @@ class _Compiler:
 
     def _sum(self, n: Sum, scope):
         inner, lo, hi = self._bind(scope, n.vars)
+        bindings = self._bindings(inner, lo, hi, n.guard)
         guard, gm = self.compile(n.guard, inner)
         body, bm = self.compile(n.body, inner)
         mask = (gm | bm) & ~_span(lo, hi)
-        universe, k, limit = self.universe, hi - lo, self.limits.max_summands
+        limit = self.limits.max_summands
 
         def total(env):
             acc = Fraction(0)
             count = 0
-            for combo in product(universe, repeat=k):
+            for combo in bindings(env):
                 env[lo:hi] = combo
                 if guard(env):
                     count += 1
@@ -400,19 +659,20 @@ class _Compiler:
 
     def _aggregate(self, n: Aggregate, scope):
         inner, lo, hi = self._bind(scope, n.vars)
+        bindings = self._bindings(inner, lo, hi, n.guard)
         guard, mask = self.compile(n.guard, inner)
         body = None
         if n.body is not None:
             body, bm = self.compile(n.body, inner)
             mask |= bm
         mask &= ~_span(lo, hi)
-        universe, k, limit, kind = self.universe, hi - lo, self.limits.max_summands, n.kind
+        limit, kind = self.limits.max_summands, n.kind
 
         def aggregate(env):
             count = 0
             acc = Fraction(0)
             best: Optional[ExtRational] = None
-            for combo in product(universe, repeat=k):
+            for combo in bindings(env):
                 env[lo:hi] = combo
                 if not guard(env):
                     continue
@@ -449,10 +709,12 @@ class _Compiler:
     def fixpoint(self, name: str, vars_: tuple, body: Node, scope: _Scope):
         """Closure running the fixed point of ``body`` over ``name(vars_)``
         to stabilization, and the bitmask of the slots the run reads."""
-        holder: list = [None]
+        cell = _Cell()
         memos: list = []
         inner, lo, hi = self._bind(scope, vars_)
-        inner.cells = {**scope.cells, name: holder}
+        # the outer slots are constant during a run, and memos live one round
+        inner.loops = _span(lo, hi)
+        inner.cells = {**scope.cells, name: cell}
         inner.memos = memos
         step, mask = self.compile(body, inner)
         universe, k = self.universe, hi - lo
@@ -462,20 +724,26 @@ class _Compiler:
             if cells > limit:
                 raise ResourceError(f"fixed-point table needs {cells} cells, budget is {limit}")
             table: dict[tuple, ExtRational] = {}
-            holder[0] = table
+            cell.table = table
             keys = list(product(universe, repeat=k))
+            rank = {key: i for i, key in enumerate(keys)}
+            # missing entry -> undefined tuples whose last computation read it
+            waiting: dict[tuple, list] = {}
+            pending = keys
             rounds = 0
             while True:
                 for memo in memos:
                     memo.clear()
                 additions: dict[tuple, ExtRational] = {}
-                for key in keys:
-                    if key in table:
-                        continue
+                for key in pending:
                     env[lo:hi] = key
+                    cell.reads = reads = set()
                     value = step(env)
                     if not value.is_bot:
                         additions[key] = value
+                    else:
+                        for entry in reads:
+                            waiting.setdefault(entry, []).append(key)
                 if not additions:
                     break
                 # always-on discipline checks: entries are write-once and the
@@ -487,6 +755,13 @@ class _Compiler:
                 rounds += 1
                 if rounds > cells:
                     raise AssertionError("fixed point failed to stabilize within |A|**k rounds")
+                woken = {
+                    key
+                    for entry in additions
+                    for key in waiting.pop(entry, ())
+                    if key not in table
+                }
+                pending = sorted(woken, key=rank.__getitem__)
             return FixpointTable(table, rounds)
 
         return run, mask & ~_span(lo, hi)

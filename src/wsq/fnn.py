@@ -20,7 +20,6 @@ the oracle for integration and the zero test.
 from __future__ import annotations
 
 import json
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,45 +269,49 @@ def node_values(s: WeightedStructure) -> dict[str, ExtRational]:
     reports bias plus the weighted sum of rectified in-neighbour values.
     Works on any acyclic structure interpreting ``wt``, ``bias`` and
     ``inp`` (for example a network with an edge deleted), with ``bot``
-    propagating where the recursion is not grounded.
+    propagating where the recursion is not grounded.  Nodes are computed
+    in topological order without recursion, so depth costs no stack.
     """
     for name in (WT, BIAS, INP):
         if name not in s.vocabulary.weights:
             raise UsageError(f"structure does not interpret weight symbol {name!r}")
     inp = s.weights[INP]
     bias = s.weights[BIAS]
+    # a node with a defined inp entry reports it and reads no in-neighbour
     preds: dict[str, list[tuple[str, ExtRational]]] = {v: [] for v in s.universe}
+    succs: dict[str, list[str]] = {v: [] for v in s.universe}
     for (u, v), w in s.weights[WT].items():
-        preds[v].append((u, w))
+        if (v,) not in inp:
+            preds[v].append((u, w))
+            succs[u].append(v)
 
+    # Kahn's algorithm: a node is computed once all its in-neighbours are
+    pending = {v: len(preds[v]) for v in s.universe}
+    ready = [v for v in reversed(s.universe) if not pending[v]]
     values: dict[str, ExtRational] = {}
-    in_progress: set[str] = set()
-
-    def value_of(v: str) -> ExtRational:
-        if v in values:
-            return values[v]
-        if v in in_progress:
-            raise UsageError(f"weight graph has a cycle through {v!r}")
-        in_progress.add(v)
+    while ready:
+        v = ready.pop()
         if (v,) in inp:
             result = inp[(v,)]
         else:
             result = bias.get((v,), BOT)
             for u, w in preds[v]:
-                result = result + w * _relu(value_of(u))
-        in_progress.discard(v)
+                result = result + w * _relu(values[u])
         values[v] = result
-        return result
-
-    # the recursion is at most one frame per node
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * len(s.universe) + 100))
-    try:
-        for v in s.universe:
-            value_of(v)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return values
+        for x in succs[v]:
+            pending[x] -= 1
+            if not pending[x]:
+                ready.append(x)
+    if len(values) < len(s.universe):
+        # every node left waits on another node left, so walking back
+        # from one of them must come round a cycle
+        v = next(v for v in s.universe if v not in values)
+        walked: set[str] = set()
+        while v not in walked:
+            walked.add(v)
+            v = next(u for u, _ in preds[v] if u not in values)
+        raise UsageError(f"weight graph has a cycle through {v!r}")
+    return {v: values[v] for v in s.universe}
 
 
 def forward(net: FnnStructure, values: Sequence) -> list[ExtRational]:

@@ -29,16 +29,20 @@ from .nodes import (
     Aggregate,
     Arith,
     Atom,
+    BotConst,
     Cond,
     ElemEq,
     Exists,
     Forall,
     Ifp,
+    Literal,
     Node,
+    One,
     RelAtom,
     Span,
     Sum,
     WeightAtom,
+    Zero,
     children,
 )
 
@@ -53,28 +57,45 @@ __all__ = [
 
 
 def free_vars(node: Node) -> frozenset:
-    """The exact set of free variables of an expression."""
+    """The exact set of free variables of an expression.
+
+    A node object shared by several parents is visited once.
+    """
+    done: dict[int, frozenset] = {}
 
     def go(n: Node) -> frozenset:
-        if isinstance(n, ElemEq):
-            return frozenset((n.left, n.right))
-        if isinstance(n, (RelAtom, WeightAtom, Atom)):
+        kind = type(n)
+        if kind in _ATOM_KINDS:
             return frozenset(n.args)
-        if isinstance(n, (Exists, Forall)):
-            return go(n.body) - {n.var}
-        if isinstance(n, Sum):
-            return (go(n.guard) | go(n.body)) - set(n.vars)
-        if isinstance(n, Aggregate):
-            scope = go(n.guard) | (go(n.body) if n.body is not None else frozenset())
-            return scope - set(n.vars)
-        if isinstance(n, Ifp):
-            return (go(n.body) - set(n.vars)) | set(n.applied)
-        out: frozenset = frozenset()
-        for child in children(n):
-            out |= go(child)
+        if kind is ElemEq:
+            return frozenset((n.left, n.right))
+        out = done.get(id(n))
+        if out is not None:
+            return out
+        if kind is Exists or kind is Forall:
+            out = go(n.body) - {n.var}
+        elif kind is Sum:
+            out = (go(n.guard) | go(n.body)).difference(n.vars)
+        elif kind is Aggregate:
+            out = go(n.guard)
+            if n.body is not None:
+                out |= go(n.body)
+            out = out.difference(n.vars)
+        elif kind is Ifp:
+            out = go(n.body).difference(n.vars).union(n.applied)
+        else:
+            out = frozenset()
+            for child in children(n):
+                out |= go(child)
+        done[id(n)] = out
         return out
 
     return go(node)
+
+
+_ATOM_KINDS = frozenset((RelAtom, WeightAtom, Atom))
+# leaves that mention no symbol
+_CONSTANT_KINDS = frozenset((ElemEq, Zero, One, Literal, BotConst))
 
 
 @dataclass
@@ -97,9 +118,13 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
 
     A name used with two arities, or as both a relation and a weight
     function, cannot be interpreted by any single structure and raises
-    :class:`UsageError`.
+    :class:`UsageError`.  A node object shared by several parents is
+    visited once per set of enclosing fixed-point binders, since a second
+    visit would record the same symbols again.
     """
     out = ExprVocabulary()
+    # inner nodes visited so far, per set of enclosing fixed-point binders
+    seen: dict[frozenset, set[int]] = {}
 
     def record(bucket: str, name: str, arity: int) -> None:
         rel = out.relations.get(name)
@@ -123,15 +148,18 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
             out.weights[name] = arity
         out.generic.pop(name, None)
 
-    def go(n: Node, binders: dict[str, int]) -> None:
-        if isinstance(n, RelAtom):
+    def go(n: Node, binders: dict[str, int], visited: set[int]) -> None:
+        kind = type(n)
+        if kind in _CONSTANT_KINDS:
+            return
+        if kind is RelAtom:
             if n.name in binders:
                 raise UsageError(
                     f"symbol {n.name!r} is bound as a weight function here but used as a relation"
                 )
             record("relation", n.name, len(n.args))
             return
-        if isinstance(n, (WeightAtom, Atom)):
+        if kind is WeightAtom or kind is Atom:
             if n.name in binders:
                 if len(n.args) != binders[n.name]:
                     raise UsageError(
@@ -140,9 +168,12 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
                     )
                 out.intensional[n.name] = binders[n.name]
                 return
-            record("weight" if isinstance(n, WeightAtom) else "generic", n.name, len(n.args))
+            record("weight" if kind is WeightAtom else "generic", n.name, len(n.args))
             return
-        if isinstance(n, Ifp):
+        if id(n) in visited:
+            return
+        visited.add(id(n))
+        if kind is Ifp:
             arity = len(n.vars)
             prev = out.intensional.get(n.name)
             if prev is not None and prev != arity:
@@ -150,12 +181,13 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
                     f"intensional symbol {n.name!r} bound with arities {prev} and {arity}"
                 )
             out.intensional[n.name] = arity
-            go(n.body, {**binders, n.name: arity})
+            inner = {**binders, n.name: arity}
+            go(n.body, inner, seen.setdefault(frozenset(inner.items()), set()))
             return
         for child in children(n):
-            go(child, binders)
+            go(child, binders, visited)
 
-    go(node, {})
+    go(node, {}, seen.setdefault(frozenset(), set()))
     return out
 
 

@@ -1,7 +1,8 @@
 """Expansion of sugar forms into the core grammar.
 
 The sugar comparisons reduce to ``<=`` and negation under the total
-order; rational literals expand to ``{0, 1, +, -, *, /}`` combinations;
+order; rational literals expand to ``{0, 1, +, -, *, /}`` combinations
+of depth logarithmic in the numerator and denominator;
 ``count``/``avg`` reduce to summation, and ``min``/``max`` reduce to an
 average over the tuples achieving the extremum, guarded by a universally
 quantified comparison with a renamed copy of the scope.
@@ -46,10 +47,16 @@ __all__ = ["desugar", "literal_term"]
 
 
 def _nat_term(n: int) -> Node:
-    """1 + 1 + ... + 1 (n times), left associated; n must be positive."""
+    """A term of depth O(log n) denoting n, which must be positive.
+
+    Reads the binary digits of n from the top: each further digit doubles
+    the term so far as ``(1 + 1) * t`` and adds 1 if the digit is set.
+    """
     term: Node = One()
-    for _ in range(n - 1):
-        term = Arith("+", term, One())
+    for digit in bin(n)[3:]:
+        term = Arith("*", Arith("+", One(), One()), term)
+        if digit == "1":
+            term = Arith("+", term, One())
     return term
 
 

@@ -10,8 +10,9 @@ import pytest
 
 from randgen import build_fnn, path_net, random_expression, random_fnn, random_structure
 from ref_eval import normalize, ref_evaluate
+import wsq.evaluator
 from wsq.errors import ResourceError, UsageError
-from wsq.evaluator import EvalLimits, evaluate, ifp_iterate
+from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate
 from wsq.fnn import forward, with_input
 from wsq.numerics import BOT, rational
 from wsq.queries import make_basic, make_eval, make_eval_node, make_squaring, make_useless
@@ -19,6 +20,7 @@ from wsq.structures import WeightedStructure
 from wsq.syntax import desugar, parse
 from wsq.syntax.nodes import (
     Aggregate,
+    And,
     Arith,
     BotConst,
     Compare,
@@ -26,7 +28,9 @@ from wsq.syntax.nodes import (
     Exists,
     Forall,
     Ifp,
+    Implies,
     Leq,
+    Not,
     One,
     Or,
     RelAtom,
@@ -154,6 +158,12 @@ class TestEvalTemplates:
         net = two_node_net()
         s = with_input(net, [5])
         assert evaluate(make_eval(0), s, {"x": "u"}) == rational(5)
+
+    def test_deep_template_on_shallow_net(self):
+        # 40 levels of the rectifier template, each sharing its subterm
+        net = clamp_net()
+        r = [Fraction(1, 2)]
+        assert evaluate(make_eval(40, 1), with_input(net, r)) == forward(net, r)[0]
 
     def test_closed_eval_out_of_range_index(self):
         net = two_node_net()
@@ -486,3 +496,248 @@ class TestCompiledEvaluation:
             e = _nested_binders(rng, rng.randint(3, 4), ("x", "y"))
             env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
             assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))
+
+
+def _guard(rng, bound, outer, ifp):
+    """A conjunction mixing the conjuncts sparse enumeration draws from
+    (relation atoms, ``w(..) != bot``, with repeated and outer variables)
+    with ones it must only test (intensional and arbitrary formulas)."""
+    names = bound + outer
+
+    def arg():
+        return rng.choice(names)
+
+    def conjunct():
+        roll = rng.random()
+        if roll < 0.3:
+            return RelAtom("e", (arg(), arg()))
+        if roll < 0.4:
+            return RelAtom("p", (arg(),))
+        if roll < 0.6:
+            if rng.random() < 0.7:
+                atom = WeightAtom("w", (arg(), arg()))
+            else:
+                atom = WeightAtom("f", (arg(),))
+            if rng.random() < 0.5:
+                return Compare("!=", atom, BotConst())
+            return Compare("!=", BotConst(), atom)
+        if roll < 0.75 and ifp:
+            return Compare(rng.choice(("!=", ">=")), WeightAtom("F", (arg(),)), Zero())
+        if roll < 0.85:
+            return Not(RelAtom("e", (arg(), arg())))
+        return random_expression(rng, 1, "formula", names, 1 if ifp else 0)
+
+    out = conjunct()
+    for _ in range(rng.randint(0, 2)):
+        out = And(out, conjunct()) if rng.random() < 0.6 else And(conjunct(), out)
+    return out
+
+
+def _guarded_binder(rng, outer, ifp=False):
+    """A sum, aggregate or quantifier (under a conditional) over a random
+    guard; its body may read the fixed-point symbol when ``ifp``."""
+    bound = ("b1",) if rng.random() < 0.6 else ("b1", "b2")
+    names = bound + outer
+    body = random_expression(rng, 1, "term", names, 1 if ifp else 0)
+    guard = _guard(rng, bound, outer, ifp)
+    roll = rng.random()
+    if roll < 0.35:
+        return Sum(bound, guard, body)
+    if roll < 0.7:
+        kind = rng.choice(("count", "avg", "min", "max"))
+        return Aggregate(kind, bound, guard, None if kind == "count" else body)
+    test = random_expression(rng, 1, "formula", names, 1 if ifp else 0)
+    if rng.random() < 0.5:
+        formula = Exists("b1", guard if len(bound) == 1 else Exists("b2", guard))
+    else:
+        formula = Forall("b1", Implies(guard, test) if len(bound) == 1 else Exists("b2", Implies(guard, test)))
+    return Cond(formula, One(), Zero())
+
+
+class TestSparseEnumeration:
+    """Bindings drawn from a guard conjunct's support give the same
+    answers, budgets and rounds as enumerating the whole product."""
+
+    def test_agrees_with_reference_on_random_guards(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            s = random_structure(rng, drop_prob=0.05)
+            e = _guarded_binder(rng, ("x", "y"))
+            if rng.random() < 0.3:
+                # an enclosing binder makes x an outer loop variable
+                e = Sum(("x",), RelAtom("p", ("x",)), e)
+            env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
+            assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))
+
+    def test_agrees_with_reference_in_fixed_point_bodies(self):
+        rng = random.Random(42)
+        for _ in range(150):
+            s = random_structure(rng, drop_prob=0.0)
+            body = Arith("+", _guarded_binder(rng, ("v0", "x"), ifp=True), WeightAtom("F", ("v0",)))
+            if rng.random() < 0.5:
+                body = Cond(Compare("!=", WeightAtom("f", ("v0",)), BotConst()), One(), body)
+            e = Ifp("F", ("v0",), body, ("y",))
+            env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
+            assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))
+
+    def test_candidates_follow_product_order(self):
+        # The summand is undefined at one binding only (the hole).  Under a
+        # budget of half the bindings the sum is bot if the hole comes in
+        # the first half and over budget otherwise, so any order other
+        # than the product's changes some outcome.  w lists its tuples
+        # against the universe order, and e puts the inner variable first
+        universe = [f"u{i}" for i in range(4)]
+        everywhere = [(y, x) for x in universe for y in reversed(universe)]
+        column = parse("sum {y : w(y, x) != bot} f(y, x)")
+        pairs = parse("sum {x, y : e(y, x)} f(y, x)")
+        for q, env, holes in (
+            (column, {"x": "u0"}, [(y, "u0") for y in universe]),
+            (pairs, {}, [(y, x) for x in universe for y in universe]),
+        ):
+            for position, hole in enumerate(holes):
+                s = WeightedStructure.build(
+                    universe,
+                    relations={"e": (2, everywhere)},
+                    weights={
+                        "f": (2, {t: 1 for t in everywhere if t != hole}),
+                        "w": (2, {t: 1 for t in everywhere}),
+                    },
+                )
+                limits = EvalLimits(max_summands=len(holes) // 2)
+                if position < len(holes) // 2:
+                    assert evaluate(q, s, env, limits) is BOT
+                else:
+                    with pytest.raises(ResourceError, match="summands"):
+                        evaluate(q, s, env, limits)
+
+    def test_no_skipped_binding_hides_a_budget_error(self):
+        # the count precedes the relation conjunct, so its budget is
+        # charged on every binding of x, also on b where p(x) fails
+        s = WeightedStructure.build(
+            ["a", "b", "c"],
+            relations={"p": (1, [("a",)]), "e": (2, [("b", "a"), ("b", "b"), ("b", "c")])},
+        )
+        q = parse("sum {x : count {y : e(x, y)} >= 0 and p(x)} 1")
+        with pytest.raises(ResourceError, match="summands"):
+            evaluate(q, s, limits=EvalLimits(max_summands=2))
+        assert evaluate(q, s, limits=EvalLimits(max_summands=3)) == rational(1)
+
+    def test_tuples_outside_the_universe_bind_nothing(self):
+        # build() does not validate; full enumeration never binds zz
+        s = WeightedStructure.build(
+            ["a", "b"],
+            relations={"e": (2, [("a", "zz"), ("a", "b")])},
+            weights={"w": (2, {("zz", "a"): 1, ("b", "a"): 1})},
+        )
+        for text in ("sum {y : e(x, y)} 1", "sum {y : w(y, x) != bot} 1"):
+            q = parse(text)
+            assert evaluate(q, s, {"x": "a"}) == rational(1)
+            assert normalize(evaluate(q, s, {"x": "a"})) == normalize(ref_evaluate(q, s, {"x": "a"}))
+
+    def test_support_index_keeps_repeated_positions_equal(self):
+        table = {("a", "a", "c"), ("d", "b", "c"), ("b", "b", "c"), ("b", "b", "d")}
+        # e(y, y, x) with y bound and x outer
+        index = wsq.evaluator._support_index({}, ("e", (0, 0, -1)), table, ("b", "a", "c", "d"))
+        assert index == {("c",): [("b",), ("a",)], ("d",): [("b",)]}
+
+    def test_index_built_lazily_and_shared(self, monkeypatch):
+        built = []
+        original = wsq.evaluator._support_index
+
+        def spy(indexes, signature, table, universe):
+            if signature not in indexes:
+                built.append(signature)
+            return original(indexes, signature, table, universe)
+
+        monkeypatch.setattr(wsq.evaluator, "_support_index", spy)
+        net = clamp_net()
+        s = with_input(net, [Fraction(1, 2)])
+        # three levels of sums over wt(y, x) != bot share one index; the
+        # output position reads le_out(x, x) and counts le_out(y0, x)
+        assert evaluate(make_eval(3, 1), s) == forward(net, [Fraction(1, 2)])[0]
+        assert sorted(built) == [("le_out", (0, -1)), ("le_out", (0, 0)), ("wt", (0, -1))]
+        built.clear()
+        # a binder that never runs builds nothing
+        untaken = parse("if 0 <= 1 then 1 else sum {y : wt(y, x) != bot} 1")
+        assert evaluate(untaken, s, {"x": "o"}) == rational(1)
+        assert built == []
+
+
+class TestTrackedFixpoint:
+    """Tuples are recomputed only after an entry they read is defined."""
+
+    def test_memo_hit_replays_reads(self):
+        # the exists ignores x and is memoised: n1 computes it, n2 and n3
+        # hit the memo, and must still wait on the entries it read
+        q = parse(
+            "ifp (F(x) <- if not exists y wt(y, x) != bot then 1 "
+            "else if exists z F(z) != bot then 2 else bot) (x)"
+        )
+        net = path_net(3)
+        table = ifp_iterate("F", ("x",), q.body, net.structure)
+        assert table.rounds == 2
+        assert table.entries == {
+            ("n0",): rational(1),
+            ("n1",): rational(2),
+            ("n2",): rational(2),
+            ("n3",): rational(2),
+        }
+        for node in net.structure.universe:
+            expected = normalize(ref_evaluate(q, net.structure, {"x": node}))
+            assert normalize(evaluate(q, net.structure, {"x": node})) == expected
+
+    def test_nested_memo_reads_both_symbols(self):
+        # the count inside G ignores u and reads both F and G
+        q = parse(
+            "ifp (F(x) <- if not exists y wt(y, x) != bot then 1 else "
+            "ifp (G(u) <- if count {z : F(z) != bot and G(z) = bot} >= 1 then 1 else bot) (x)) (x)"
+        )
+        rng = random.Random(43)
+        for net in [path_net(3)] + [random_fnn(rng, max_depth=3, max_width=3) for _ in range(4)]:
+            for node in net.structure.universe:
+                expected = normalize(ref_evaluate(q, net.structure, {"x": node}))
+                assert normalize(evaluate(q, net.structure, {"x": node})) == expected
+
+    def test_rounds_match_external_iteration_on_guarded_bodies(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            s = random_structure(rng, drop_prob=0.0)
+            body = Arith("+", _guarded_binder(rng, ("v0", "x"), ifp=True), WeightAtom("F", ("v0",)))
+            if rng.random() < 0.5:
+                body = Cond(RelAtom("p", ("v0",)), One(), body)
+            env = {"x": rng.choice(s.universe)}
+            table = ifp_iterate("F", ("v0",), body, s, env)
+            current, rounds = {}, 0
+            while True:
+                shadowed = s._with_weight_override("F", 1, dict(current))
+                after = dict(current)
+                for elem in s.universe:
+                    if (elem,) not in current:
+                        value = ref_evaluate(body, shadowed, {**env, "v0": elem})
+                        if value is not None:
+                            after[(elem,)] = rational(value)
+                if after == current:
+                    break
+                current, rounds = after, rounds + 1
+            assert table.entries == current
+            assert table.rounds == rounds
+
+    def test_eval_node_body_registers_no_memo(self, monkeypatch):
+        # outer slots are constant during a run, so no binder of the body
+        # loops over a variable the body's sum does not read
+        registered = []
+        original = _Compiler._memo
+
+        def spy(self, fn, mask, scope):
+            out = original(self, fn, mask, scope)
+            if out is not fn and scope.memos is not None:
+                registered.append(mask)
+            return out
+
+        monkeypatch.setattr(_Compiler, "_memo", spy)
+        net = random_fnn(random.Random(45), max_depth=3, max_width=3)
+        x = [Fraction(1, k + 2) for k in range(net.input_dim)]
+        outputs = forward(net, x)
+        expected = sum((out.frac for out in outputs), Fraction(0)) / len(outputs)
+        assert evaluate(make_eval_node(), with_input(net, x)) == rational(expected)
+        assert registered == []

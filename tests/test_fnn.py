@@ -149,6 +149,51 @@ class TestForward:
             node_values(s)
 
 
+class TestNodeValuesIterative:
+    def test_deep_padding_leaves_recursion_limit(self, monkeypatch):
+        # 3 000 relays: far deeper than the interpreter's recursion limit
+        net = clamp_net()
+        padded = pad(net, ("u", "h1"), 3000)
+        limit = sys.getrecursionlimit()
+
+        def refuse(_):
+            raise AssertionError("node_values must not change the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        for x in (Fraction(-1), Fraction(1, 2), Fraction(3)):
+            assert forward(padded, [x]) == forward(net, [x])
+        assert sys.getrecursionlimit() == limit
+
+    def test_cycle_behind_a_node_is_named(self):
+        from wsq.structures import WeightedStructure
+
+        # c hangs below the cycle a <-> b; the message names a node on it
+        s = WeightedStructure.build(
+            ["c", "a", "b"],
+            weights={
+                "wt": (2, {("a", "b"): 1, ("b", "a"): 1, ("b", "c"): 1}),
+                "bias": (1, {}),
+                "inp": (1, {}),
+            },
+        )
+        with pytest.raises(UsageError, match="cycle through '[ab]'"):
+            node_values(s)
+
+    def test_input_entry_cuts_a_cycle(self):
+        from wsq.structures import WeightedStructure
+
+        # an input node reports inp and reads no in-neighbour
+        s = WeightedStructure.build(
+            ["a", "b"],
+            weights={
+                "wt": (2, {("a", "b"): 2, ("b", "a"): 1}),
+                "bias": (1, {("b",): 1}),
+                "inp": (1, {("a",): 3}),
+            },
+        )
+        assert node_values(s) == {"a": rational(3), "b": rational(7)}
+
+
 class TestPad:
     def test_forward_unchanged_through_relay(self):
         net = two_node()

@@ -1,5 +1,6 @@
 """Parser, printer, binding analysis, fragment checker, desugaring."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +8,10 @@ import pytest
 
 from randgen import random_expression
 from wsq.errors import ParseError, UsageError
-from wsq.queries import make_eval_node, make_squaring
+from wsq.evaluator import evaluate
+from wsq.numerics import rational
+from wsq.queries import make_eval, make_eval_node, make_squaring, make_useless
+from wsq.structures import WeightedStructure
 from wsq.syntax import (
     Aggregate,
     And,
@@ -24,6 +28,7 @@ from wsq.syntax import (
     Implies,
     Leq,
     Literal,
+    Node,
     Not,
     One,
     RelAtom,
@@ -33,6 +38,7 @@ from wsq.syntax import (
     check_scalar_fragment,
     desugar,
     free_vars,
+    literal_term,
     parse,
     substitute,
     to_text,
@@ -224,6 +230,58 @@ class TestVocabularyOf:
         assert info.intensional == {"F": 1}
 
 
+def _unshared(n: Node) -> Node:
+    """A copy of ``n`` in which every reference gets its own node object."""
+    fields = {}
+    for f in dataclasses.fields(n):
+        if f.name != "span":
+            value = getattr(n, f.name)
+            fields[f.name] = _unshared(value) if isinstance(value, Node) else value
+    return type(n)(**fields)
+
+
+def _distinct_nodes(n: Node) -> int:
+    seen: dict[int, Node] = {}
+    stack = [n]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(child for child in vars(node).values() if isinstance(child, Node))
+    return len(seen)
+
+
+class TestSharedSubtrees:
+    """The analyses visit a shared node once per binder context."""
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_same_results_as_unshared_copy(self, d):
+        shadowed = WeightAtom("F", ("x",))
+        both_sides = Arith("+", shadowed, Ifp("F", ("x",), Arith("+", shadowed, One()), ("x",)))
+        for e in (make_eval(d, 1), make_eval(d), make_useless(d), both_sides):
+            copy = _unshared(e)
+            assert copy == e
+            assert free_vars(copy) == free_vars(e)
+            assert vocabulary_of(copy) == vocabulary_of(e)
+        if d:
+            assert _distinct_nodes(make_eval(d)) < _distinct_nodes(_unshared(make_eval(d)))
+
+    def test_context_of_a_shared_node_is_kept(self):
+        # F(x) is extensional outside the fixed point and intensional inside
+        shadowed = WeightAtom("F", ("x",))
+        e = Arith("+", shadowed, Ifp("F", ("x",), Arith("+", shadowed, One()), ("y",)))
+        info = vocabulary_of(e)
+        assert info.weights == {"F": 1} and info.intensional == {"F": 1}
+        assert free_vars(e) == {"x", "y"}
+
+    def test_deep_template_completes(self):
+        e = make_eval(40, 1)
+        assert free_vars(e) == frozenset()
+        info = vocabulary_of(e)
+        assert info.weights == {"inp": 1, "bias": 1, "wt": 2}
+        assert info.relations == {"le_out": 2}
+
+
 class TestScalarFragment:
     def test_eval_node_qualifies(self):
         assert check_scalar_fragment(make_eval_node()) == []
@@ -279,10 +337,34 @@ class TestDesugar:
         )
 
     def test_literal_expansion(self):
+        # binary digits from the top: 3 = 2*1 + 1, 4 = 2*(2*1)
         expanded = desugar(parse("3/4"))
-        three = Arith("+", Arith("+", One(), One()), One())
-        four = Arith("+", three, One())
+        two = Arith("+", One(), One())
+        three = Arith("+", Arith("*", two, One()), One())
+        four = Arith("*", two, Arith("*", two, One()))
         assert expanded == Arith("/", three, four)
+
+    def test_large_literal_evaluates(self):
+        s = WeightedStructure.build(["a"])
+        assert evaluate(desugar(parse("500")), s) == rational(500)
+        assert evaluate(desugar(parse("123456789/1024")), s) == rational(Fraction(123456789, 1024))
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(-1000, 7), Fraction(0), Fraction(1), Fraction(2), Fraction(-3, 2)]
+    )
+    def test_literal_term_round_trips(self, value):
+        term = literal_term(value)
+        s = WeightedStructure.build(["a"])
+        assert evaluate(term, s) == rational(value)
+        assert parse(to_text(term)) == term
+
+    def test_literal_depth_is_logarithmic(self):
+        def depth(n: Node) -> int:
+            kids = [c for c in vars(n).values() if isinstance(c, Node)]
+            return 1 + max((depth(c) for c in kids), default=0)
+
+        # 10**6 has 20 binary digits: two levels per digit, and the sign
+        assert depth(literal_term(Fraction(-(10**6)))) <= 2 * 20 + 2
 
     def test_bot_becomes_one_over_zero(self):
         assert desugar(BotConst()) == Arith("/", One(), Zero())
