@@ -28,11 +28,13 @@ twice under the same binders compiles to one closure.
 Sums, aggregates and quantifiers draw their bindings from one routine.
 When a top-level conjunct of the guard (for ``forall``, of the
 antecedent of an implication body) is an extensional ``R(..)`` or
-``w(..) != bot`` mentioning the bound variables, and no conjunct before
-it can raise, the candidates come from that table's support, looked up
-by the values of the outer variables it mentions; otherwise they are
-all of ``product(universe, repeat=k)``.  The full guard is still tested
-on every candidate, and candidates come in the order of the product, so
+``w(..) != bot`` whose bound variables, by first mention, are the
+leading ones of the binder in binder order (``e(x, y)`` or ``e(x, z)``
+under ``{x, y}``, not ``e(y, x)``), and no conjunct before it can raise,
+the candidates come from that table's support, looked up by the values
+of the outer variables it mentions; otherwise they are all of
+``product(universe, repeat=k)``.  The full guard is still tested on
+every candidate, and candidates come in the order of the product, so
 the first undefined summand and the first summand over budget are the
 same as under full enumeration.  A support index is built on first use
 and shared by every binder of the call that reads the same symbol with
@@ -110,8 +112,6 @@ Compiled = Callable[[list], Value]
 
 # candidate values of a binder's slots under the slot list
 Bindings = Callable[[list], Iterable[tuple]]
-
-_MISSING = object()
 
 _ORDER = {
     "<": operator.lt,
@@ -268,7 +268,6 @@ class _Compiler:
         self.root = _Scope({}, {}, 0, None)
         self.indexes: dict[tuple, dict] = {}
         self.budgeted: dict[int, bool] = {}
-        self.every: dict[int, Bindings] = {}  # the full product, by arity
 
     def compile(self, n: Node, scope: _Scope) -> tuple[Compiled, int]:
         if type(n) in _LEAVES:
@@ -339,20 +338,9 @@ class _Compiler:
             slots.append(low.bit_length() - 1)
             rest ^= low
         key = operator.itemgetter(*slots) if slots else (lambda env: None)
-
-        if scope.memos is None:
-
-            def memoised(env):
-                k = key(env)
-                value = memo.get(k, _MISSING)
-                if value is _MISSING:
-                    value = memo[k] = fn(env)
-                return value
-
-            return memoised
-
-        scope.memos.append(memo)
-        cells = tuple(scope.cells.values())
+        if scope.memos is not None:
+            scope.memos.append(memo)
+        cells = tuple(scope.cells.values())  # empty outside any fixed point
 
         def tracked(env):
             k = key(env)
@@ -385,15 +373,16 @@ class _Compiler:
         """
         universe, k = self.universe, hi - lo
         chosen = self._support_conjunct(scope, lo, hi, guard) if guard is not None else None
-        if chosen is None:
-            every = self.every.get(k)
-            if every is None:
-                if k == 1:
-                    singles = [(elem,) for elem in universe]
-                    every = self.every[k] = lambda env: singles
-                else:
-                    every = self.every[k] = lambda env: product(universe, repeat=k)
-            return every
+        drawn = self._drawn(chosen, lo, hi) if chosen is not None else None
+        if drawn is None:
+            return lambda env: product(universe, repeat=k)
+        return drawn
+
+    def _drawn(self, chosen: tuple, lo: int, hi: int) -> Optional[Bindings]:
+        """Bindings of the slots ``lo .. hi-1`` drawn from the support of
+        the ``chosen`` conjunct, or ``None`` if the conjunct names the
+        bound slots out of slot order, where its support order is not the
+        order of the product."""
         name, table, slots = chosen
         bound, roles, found = [], [], []
         for slot in slots:
@@ -405,9 +394,11 @@ class _Compiler:
             else:
                 roles.append(len(found))
                 found.append(slot)
+        if found != list(range(lo, lo + len(found))):
+            return None
         signature = (name, tuple(roles))
         key = _tuple_getter(bound)
-        indexes = self.indexes  # not self: closures must not form a cycle with the compiler
+        indexes, universe = self.indexes, self.universe  # not self: no cycle with the compiler
         box: list = [None]
 
         def lookup(env) -> list:
@@ -416,32 +407,13 @@ class _Compiler:
                 index = box[0] = _support_index(indexes, signature, table, universe)
             return index.get(key(env), ())
 
-        if found == list(range(lo, lo + len(found))):
-            if len(found) == k:
-                return lookup
-            rest = k - len(found)
-            # the unmentioned slots come last, so the product order holds
-            return lambda env: (
-                sub + tail for sub in lookup(env) for tail in product(universe, repeat=rest)
-            )
-        at = [slot - lo for slot in found]
-        others = [i for i in range(k) if i + lo not in found]
-        rank = {elem: i for i, elem in enumerate(universe)}
-
-        def reordered(env) -> list:
-            combos = []
-            for sub in lookup(env):
-                for tail in product(universe, repeat=len(others)):
-                    combo = [None] * k
-                    for i, value in zip(at, sub):
-                        combo[i] = value
-                    for i, value in zip(others, tail):
-                        combo[i] = value
-                    combos.append(tuple(combo))
-            combos.sort(key=lambda combo: [rank[elem] for elem in combo])
-            return combos
-
-        return reordered
+        rest = hi - lo - len(found)
+        if not rest:
+            return lookup
+        # the unmentioned slots come last, so the product order holds
+        return lambda env: (
+            sub + tail for sub in lookup(env) for tail in product(universe, repeat=rest)
+        )
 
     def _support_conjunct(self, scope: _Scope, lo: int, hi: int, guard: Node):
         """``(symbol, table, argument slots)`` of the guard conjunct whose

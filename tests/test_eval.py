@@ -585,7 +585,8 @@ class TestSparseEnumeration:
         # budget of half the bindings the sum is bot if the hole comes in
         # the first half and over budget otherwise, so any order other
         # than the product's changes some outcome.  w lists its tuples
-        # against the universe order, and e puts the inner variable first
+        # against the universe order; e names the bound variables out of
+        # binder order, so that sum enumerates the full product
         universe = [f"u{i}" for i in range(4)]
         everywhere = [(y, x) for x in universe for y in reversed(universe)]
         column = parse("sum {y : w(y, x) != bot} f(y, x)")
