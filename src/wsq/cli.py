@@ -11,7 +11,7 @@ Subcommands::
 top-level keys).  ``QUERY`` is inline text, a path to a query file, or a
 ``builtin:`` reference such as ``builtin:eval d=2 i=1``.  Exit codes:
 0 success, 1 query parse error, 2 structure or file error, 3 unbound
-variables, 4 resource budget exceeded.
+variables, 4 resource budget exceeded or expression too deeply nested.
 """
 
 from __future__ import annotations
@@ -463,6 +463,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LoadError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
+    except RecursionError:
+        print("error: expression too deeply nested", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

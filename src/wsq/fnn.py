@@ -15,6 +15,10 @@ This module provides validation, the direct forward oracle, the
 edge-padding transformation, and an exact piecewise-linear representation
 (:class:`Pwl`) for single-input single-output networks, which serves as
 the oracle for integration and the zero test.
+
+Validation derives the graph data once (neighbour lists, a topological
+order, the input/output orders ranked and checked by each member's number
+of predecessors), and :class:`FnnStructure` keeps them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import LoadError, ResourceError, UsageError
 from .numerics import BOT, ExtRational, rational
@@ -78,43 +82,75 @@ def _relu(x: ExtRational) -> ExtRational:
 # ---------------------------------------------------------------------------
 
 
-def _order_violations(pairs: Iterable[tuple], expected: set, label: str) -> list[str]:
-    """Check that pairs form a reflexive linear order exactly on ``expected``."""
+def _topological(universe: Sequence[str], succs: dict[str, Sequence[str]]) -> list[str]:
+    """Kahn's algorithm: sources in universe order, a node that becomes ready
+    next.  Nodes on a cycle of ``succs``, or after one, are left out."""
+    pending = dict.fromkeys(universe, 0)
+    for v in universe:
+        for x in succs[v]:
+            pending[x] += 1
+    ready = [v for v in reversed(universe) if not pending[v]]
+    order: list[str] = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for x in succs[v]:
+            pending[x] -= 1
+            if not pending[x]:
+                ready.append(x)
+    return order
+
+
+def _linear_order(pairs: frozenset, members: Sequence[str], label: str) -> tuple[tuple, list[str]]:
+    """Rank ``members`` under ``pairs``, a reflexive linear order on exactly them.
+
+    Returns the members from least to greatest and the violations (the
+    order is meaningful only when there are none).  A reflexive, total and
+    antisymmetric relation is transitive exactly when no two members have
+    the same number of predecessors, so sorting by that count both ranks
+    the members and checks transitivity, in O(n^2) for n members.
+    """
     out: list[str] = []
-    pairs = set(pairs)
     domain = {a for a, _ in pairs} | {b for _, b in pairs}
-    stray = domain - expected
+    stray = domain.difference(members)
     if stray:
         out.append(f"{label}: defined on non-{label.split('_')[1]} nodes {sorted(stray)}")
-    missing = expected - domain
-    if missing and expected:
+    missing = set(members) - domain
+    if missing:
         out.append(f"{label}: not defined on {sorted(missing)}")
     if out:
-        return out
-    for a in expected:
+        return (), out
+    for i, a in enumerate(members):
         if (a, a) not in pairs:
             out.append(f"{label}: missing reflexive pair ({a},{a})")
-    for a in expected:
-        for b in expected:
+        for b in members[i + 1 :]:
             has_ab, has_ba = (a, b) in pairs, (b, a) in pairs
             if not (has_ab or has_ba):
                 out.append(f"{label}: {a} and {b} are incomparable")
-            if a != b and has_ab and has_ba:
+            elif has_ab and has_ba:
                 out.append(f"{label}: {a} and {b} violate antisymmetry")
-    for a, b in pairs:
-        for c in expected:
-            if (b, c) in pairs and (a, c) not in pairs:
-                out.append(f"{label}: transitivity fails on ({a},{b},{c})")
-    return out
+    if out:
+        return (), out
+    preds = dict.fromkeys(members, 0)
+    for _, b in pairs:
+        preds[b] += 1
+    order = tuple(sorted(members, key=preds.__getitem__))
+    for a, b in zip(order, order[1:]):
+        if preds[a] == preds[b]:
+            if (a, b) not in pairs:
+                a, b = b, a
+            # a <= b makes a a predecessor of b but not of itself, so with
+            # equal counts some w <= a is not <= b: then b <= w <= a, not b <= a
+            w = next(w for w in members if (w, a) in pairs and (w, b) not in pairs)
+            out.append(f"{label}: transitivity fails on ({b},{w},{a})")
+            break
+    return order, out
 
 
-def validate_fnn(s: WeightedStructure) -> list[str]:
-    """Check the network conditions on a weighted structure.
-
-    Returns violation messages (empty list = valid network): the required
-    vocabulary, acyclicity of the weight graph, bias defined exactly on
-    non-input nodes, and the two linear-order conditions.
-    """
+def _derive(s: WeightedStructure) -> tuple[list[str], tuple]:
+    """The network-condition violations of ``s`` and, valid only when there
+    are none, its graph data: in- and out-neighbours (in universe order), a
+    topological order, and the inputs and outputs ranked by their orders."""
     out = validate_structure(s)
     voc = s.vocabulary
     for name, arity in ((WT, 2), (BIAS, 1)):
@@ -124,99 +160,65 @@ def validate_fnn(s: WeightedStructure) -> list[str]:
         if voc.relations.get(name) != 2:
             out.append(f"vocabulary: relation symbol {name}(2) required")
     if out:
-        return out
+        return out, ()
 
-    edges = list(s.weights[WT].keys())
-    indeg = {v: 0 for v in s.universe}
-    outdeg = {v: 0 for v in s.universe}
-    for u, v in edges:
-        indeg[v] += 1
-        outdeg[u] += 1
-
-    # Kahn's algorithm; leftover nodes witness a cycle
-    remaining = dict(indeg)
-    queue = [v for v in s.universe if remaining[v] == 0]
-    succ: dict[str, list[str]] = {v: [] for v in s.universe}
-    for u, v in edges:
-        succ[u].append(v)
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in succ[u]:
-            remaining[v] -= 1
-            if remaining[v] == 0:
-                queue.append(v)
-    if seen != len(s.universe):
-        cyclic = sorted(v for v in s.universe if remaining[v] > 0)
+    rank = {v: i for i, v in enumerate(s.universe)}
+    ins: dict[str, list[str]] = {v: [] for v in s.universe}
+    outs: dict[str, list[str]] = {v: [] for v in s.universe}
+    for u, v in sorted(s.weights[WT], key=lambda e: (rank[e[0]], rank[e[1]])):
+        ins[v].append(u)
+        outs[u].append(v)
+    order = _topological(s.universe, outs)
+    if len(order) < len(s.universe):
+        cyclic = sorted(set(s.universe).difference(order))
         out.append(f"acyclic: weight graph has a cycle through {cyclic}")
-        return out
+        return out, ()
 
-    inputs = {v for v in s.universe if indeg[v] == 0}
-    outputs = {v for v in s.universe if outdeg[v] == 0}
     for v in s.universe:
         has_bias = (v,) in s.weights[BIAS]
-        if v in inputs and has_bias:
+        if not ins[v] and has_bias:
             out.append(f"bias iff input: input node {v} must not have a bias")
-        if v not in inputs and not has_bias:
+        if ins[v] and not has_bias:
             out.append(f"bias iff input: non-input node {v} must have a bias")
-    out.extend(_order_violations(s.relations[LE_IN], inputs, LE_IN))
-    out.extend(_order_violations(s.relations[LE_OUT], outputs, LE_OUT))
-    return out
+    inputs, problems = _linear_order(s.relations[LE_IN], [v for v in ins if not ins[v]], LE_IN)
+    out += problems
+    outputs, problems = _linear_order(s.relations[LE_OUT], [v for v in outs if not outs[v]], LE_OUT)
+    out += problems
+    in_neighbors = {v: tuple(us) for v, us in ins.items()}
+    out_neighbors = {v: tuple(xs) for v, xs in outs.items()}
+    return out, (in_neighbors, out_neighbors, tuple(order), inputs, outputs)
 
 
-def _order_list(pairs: frozenset, members: set) -> tuple[str, ...]:
-    # rank = number of predecessors under the (validated) linear order
-    return tuple(sorted(members, key=lambda v: sum(1 for u in members if (u, v) in pairs)))
+def validate_fnn(s: WeightedStructure) -> list[str]:
+    """Check the network conditions on a weighted structure.
+
+    Returns violation messages (empty list = valid network): the required
+    vocabulary, acyclicity of the weight graph, bias defined exactly on
+    non-input nodes, and the two linear-order conditions.
+    """
+    return _derive(s)[0]
 
 
 class FnnStructure:
     """Validated view of a network structure with derived graph data.
 
-    Construction validates the FNN conditions and precomputes edges,
-    neighbour lists, input/output orders and node depths (length of the
+    Construction validates the network conditions and keeps the data the
+    validation derived: edges, neighbour tuples, a topological ``order``
+    of the nodes, the input/output orders, and node depths (length of the
     longest path from an input).
     """
 
     def __init__(self, structure: WeightedStructure):
-        problems = validate_fnn(structure)
+        problems, graph = _derive(structure)
         if problems:
             raise UsageError("not a valid FNN: " + "; ".join(problems))
         self.structure = structure
         self.edges: dict[tuple[str, str], ExtRational] = dict(structure.weights[WT])
-        index = {v: i for i, v in enumerate(structure.universe)}
-        self.in_neighbors: dict[str, tuple[str, ...]] = {v: () for v in structure.universe}
-        self.out_neighbors: dict[str, tuple[str, ...]] = {v: () for v in structure.universe}
-        grouped_in: dict[str, list[str]] = {v: [] for v in structure.universe}
-        grouped_out: dict[str, list[str]] = {v: [] for v in structure.universe}
-        for u, v in self.edges:
-            grouped_in[v].append(u)
-            grouped_out[u].append(v)
-        for v in structure.universe:
-            self.in_neighbors[v] = tuple(sorted(grouped_in[v], key=index.__getitem__))
-            self.out_neighbors[v] = tuple(sorted(grouped_out[v], key=index.__getitem__))
-        inputs = {v for v in structure.universe if not self.in_neighbors[v]}
-        outputs = {v for v in structure.universe if not self.out_neighbors[v]}
-        self.input_nodes = _order_list(structure.relations[LE_IN], inputs)
-        self.output_nodes = _order_list(structure.relations[LE_OUT], outputs)
-
+        self.in_neighbors, self.out_neighbors, self.order, self.input_nodes, self.output_nodes = graph
         self.depths: dict[str, int] = {}
-        for v in self._topological():
+        for v in self.order:
             preds = self.in_neighbors[v]
             self.depths[v] = 1 + max(self.depths[u] for u in preds) if preds else 0
-
-    def _topological(self) -> list[str]:
-        order: list[str] = []
-        pending = {v: len(self.in_neighbors[v]) for v in self.structure.universe}
-        stack = [v for v in reversed(self.structure.universe) if pending[v] == 0]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v in self.out_neighbors[u]:
-                pending[v] -= 1
-                if pending[v] == 0:
-                    stack.append(v)
-        return order
 
     @property
     def input_dim(self) -> int:
@@ -285,12 +287,19 @@ def node_values(s: WeightedStructure) -> dict[str, ExtRational]:
             preds[v].append((u, w))
             succs[u].append(v)
 
-    # Kahn's algorithm: a node is computed once all its in-neighbours are
-    pending = {v: len(preds[v]) for v in s.universe}
-    ready = [v for v in reversed(s.universe) if not pending[v]]
+    order = _topological(s.universe, succs)
+    if len(order) < len(s.universe):
+        # every node left out waits on another node left out, so walking
+        # back from one of them must come round a cycle
+        done = set(order)
+        v = next(v for v in s.universe if v not in done)
+        walked: set[str] = set()
+        while v not in walked:
+            walked.add(v)
+            v = next(u for u, _ in preds[v] if u not in done)
+        raise UsageError(f"weight graph has a cycle through {v!r}")
     values: dict[str, ExtRational] = {}
-    while ready:
-        v = ready.pop()
+    for v in order:
         if (v,) in inp:
             result = inp[(v,)]
         else:
@@ -298,19 +307,6 @@ def node_values(s: WeightedStructure) -> dict[str, ExtRational]:
             for u, w in preds[v]:
                 result = result + w * _relu(values[u])
         values[v] = result
-        for x in succs[v]:
-            pending[x] -= 1
-            if not pending[x]:
-                ready.append(x)
-    if len(values) < len(s.universe):
-        # every node left waits on another node left, so walking back
-        # from one of them must come round a cycle
-        v = next(v for v in s.universe if v not in values)
-        walked: set[str] = set()
-        while v not in walked:
-            walked.add(v)
-            v = next(u for u, _ in preds[v] if u not in values)
-        raise UsageError(f"weight graph has a cycle through {v!r}")
     return {v: values[v] for v in s.universe}
 
 
@@ -517,7 +513,7 @@ def to_pwl(net: FnnStructure, max_pieces: int = DEFAULT_MAX_PWL_PIECES) -> Pwl:
             raise ResourceError(f"piecewise-linear representation exceeds {max_pieces} pieces")
         return p
 
-    for v in net._topological():
+    for v in net.order:
         preds = net.in_neighbors[v]
         if not preds:
             node_pwl[v] = Pwl.identity()

@@ -31,8 +31,6 @@ __all__ = [
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
-Tuple_ = tuple  # element tuples are plain tuples of universe names
-
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -52,11 +50,6 @@ class Vocabulary:
         for name, arity in list(self.relations.items()) + list(self.weights.items()):
             if not isinstance(arity, int) or arity < 0:
                 raise UsageError(f"bad arity for symbol {name!r}: {arity!r}")
-
-    def symbols(self) -> dict[str, tuple[str, int]]:
-        out = {name: ("relation", ar) for name, ar in self.relations.items()}
-        out.update({name: ("weight", ar) for name, ar in self.weights.items()})
-        return out
 
     def merged(self, other: "Vocabulary") -> "Vocabulary":
         clash = (set(self.relations) | set(self.weights)) & (set(other.relations) | set(other.weights))
@@ -192,9 +185,6 @@ class WeightedStructure:
         return WeightedStructure(
             tuple(reversed(self.universe)), self.vocabulary, self.relations, self.weights
         )
-
-    def validate(self) -> list[str]:
-        return validate_structure(self)
 
 
 def validate_structure(s: WeightedStructure) -> list[str]:

@@ -226,7 +226,7 @@ class Violation:
         return f"division by an intensional subterm at {where}"
 
 
-def _contains_intensional(node: Node, binders: frozenset) -> bool:
+def _contains_intensional(node: Node, binders: frozenset, memo: dict[frozenset, dict]) -> bool:
     """Intensional occurrence in *term position* within ``node``.
 
     Occurrences inside formula contexts (summation guards, conditional
@@ -234,42 +234,52 @@ def _contains_intensional(node: Node, binders: frozenset) -> bool:
     magnitude into the enclosing product or divisor, so they do not make
     the term intensional-carrying.  This keeps fragment membership
     stable under aggregate desugaring, whose introduced divisors are
-    counts.
+    counts.  ``memo`` keeps the answer per set of binders and inner node
+    object, so a shared subtree is looked into once.
     """
-    if isinstance(n := node, (WeightAtom, Atom)):
-        return n.name in binders
-    if isinstance(node, Ifp):
-        return _contains_intensional(node.body, binders | {node.name})
-    if isinstance(node, Arith):
-        return _contains_intensional(node.left, binders) or _contains_intensional(
-            node.right, binders
-        )
-    if isinstance(node, Cond):
-        return _contains_intensional(node.then, binders) or _contains_intensional(
-            node.otherwise, binders
-        )
-    if isinstance(node, Sum):
-        return _contains_intensional(node.body, binders)
-    if isinstance(node, Aggregate):
-        return node.body is not None and _contains_intensional(node.body, binders)
-    return False
+    kind = type(node)
+    if kind is WeightAtom or kind is Atom:
+        return node.name in binders
+    if kind not in (Arith, Cond, Sum, Aggregate, Ifp):
+        return False
+    known = memo.setdefault(binders, {})
+    out = known.get(id(node))
+    if out is None:
+        inner = binders | {node.name} if kind is Ifp else binders
+        # the first child of a conditional, sum or aggregate is its test or guard
+        parts = children(node)[1:] if kind in (Cond, Sum, Aggregate) else children(node)
+        out = any(_contains_intensional(p, inner, memo) for p in parts)
+        known[id(node)] = out
+    return out
 
 
 def check_scalar_fragment(node: Node) -> list[Violation]:
-    """All scalar-restriction breaches; an empty list means the term qualifies."""
+    """All scalar-restriction breaches; an empty list means the term qualifies.
+
+    A node object shared by several parents is visited once per set of
+    enclosing fixed-point binders, so a breach inside a shared subtree is
+    reported once, at the first path that reaches it.
+    """
     violations: list[Violation] = []
+    seen: dict[frozenset, set[int]] = {}
+    memo: dict[frozenset, dict[int, bool]] = {}
 
-    def go(n: Node, binders: frozenset, path: tuple[int, ...]) -> None:
-        if isinstance(n, Arith) and n.op == "*":
-            if _contains_intensional(n.left, binders) and _contains_intensional(n.right, binders):
+    def go(n: Node, binders: frozenset, visited: set[int], path: tuple[int, ...]) -> None:
+        kind = type(n)
+        if kind in _ATOM_KINDS or kind in _CONSTANT_KINDS or id(n) in visited:
+            return
+        visited.add(id(n))
+        if kind is Arith and n.op == "*":
+            if all(_contains_intensional(side, binders, memo) for side in (n.left, n.right)):
                 violations.append(Violation("*", path, n.span))
-        elif isinstance(n, Arith) and n.op == "/":
-            if _contains_intensional(n.right, binders):
+        elif kind is Arith and n.op == "/":
+            if _contains_intensional(n.right, binders, memo):
                 violations.append(Violation("/", path, n.span))
-        if isinstance(n, Ifp):
+        elif kind is Ifp:
             binders = binders | {n.name}
+            visited = seen.setdefault(binders, set())
         for i, child in enumerate(children(n)):
-            go(child, binders, path + (i,))
+            go(child, binders, visited, path + (i,))
 
-    go(node, frozenset(), ())
+    go(node, frozenset(), seen.setdefault(frozenset(), set()), ())
     return violations

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 HERE = Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden"
@@ -108,6 +110,19 @@ class TestExitCodes:
         result = wsq("eval", GRAPH, "sum {x, y : x = x} 1", "--max-summands", "3")
         assert result.returncode == 4
 
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    @pytest.mark.parametrize(
+        "query",
+        ["(" * 2000 + "1" + ")" * 2000, " + ".join(["1"] * 3000), "builtin:eval d=400"],
+        ids=["parentheses", "chain", "deep_template"],
+    )
+    def test_deep_expression_is_four(self, command, query):
+        args = ("eval", CLAMP, query, "--input", "5") if command == "eval" else ("check", query)
+        result = wsq(*args)
+        assert result.returncode == 4
+        assert result.stderr == "error: expression too deeply nested\n"
+        assert "Traceback" not in result.stderr
+
 
 class TestCheck:
     def test_squaring_golden(self):
@@ -142,6 +157,24 @@ class TestFnn:
         result = wsq("fnn", "validate", str(bad))
         assert result.returncode == 2
         assert "bias iff input" in result.stdout
+
+    def test_validate_names_a_transitivity_witness(self, tmp_path):
+        from wsq.structures import WeightedStructure, save_structure
+
+        # a <= b <= c <= a over three inputs feeding one output
+        s = WeightedStructure.build(
+            ["a", "b", "c", "o"],
+            relations={
+                "le_in": (2, [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("c", "a")]),
+                "le_out": (2, [("o", "o")]),
+            },
+            weights={"wt": (2, {(u, "o"): 1 for u in "abc"}), "bias": (1, {("o",): 0})},
+        )
+        path = tmp_path / "cyclic_order.json"
+        save_structure(s, str(path))
+        result = wsq("fnn", "validate", str(path))
+        assert result.returncode == 2
+        assert result.stdout == "le_in: transitivity fails on (b,c,a)\n"
 
     def test_forward(self):
         result = wsq("fnn", "forward", TWO_NODE, "--input", "2")

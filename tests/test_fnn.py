@@ -1,5 +1,6 @@
 """Networks: validation, forward oracle, padding, piecewise-linear analysis."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from randgen import build_fnn, path_net, random_n11, random_n211
 from wsq.errors import ResourceError, UsageError
 from wsq.fnn import (
+    FnnStructure,
     Pwl,
     fnn_from_json,
     fnn_to_json,
@@ -28,6 +30,7 @@ from wsq.fnn import (
     zero_query,
 )
 from wsq.numerics import BOT, rational
+from wsq.structures import WeightedStructure
 
 
 def two_node():
@@ -78,6 +81,77 @@ class TestValidate:
 
         s = WeightedStructure.build(["a"], weights={"wt": (2, {})})
         assert any("required" in v for v in validate_fnn(s))
+
+
+def fan_in(inputs, le_in):
+    """Every input feeds one output ``o``; ``le_in`` is taken as given."""
+    return WeightedStructure.build(
+        [*inputs, "o"],
+        relations={"le_in": (2, le_in), "le_out": (2, [("o", "o")])},
+        weights={"wt": (2, {(u, "o"): 1 for u in inputs}), "bias": (1, {("o",): 0})},
+    )
+
+
+def brute_force_order(members, pairs):
+    """The listing of ``members`` whose ``i <= j`` pairs are exactly ``pairs``, or None."""
+    for listing in itertools.permutations(members):
+        if {(a, b) for i, a in enumerate(listing) for b in listing[i:]} == pairs:
+            return listing
+    return None
+
+
+class TestOrderValidation:
+    def test_missing_reflexive_pair(self):
+        s = fan_in("ab", [("a", "b"), ("b", "b")])
+        assert validate_fnn(s) == ["le_in: missing reflexive pair (a,a)"]
+
+    def test_incomparable_pair(self):
+        s = fan_in("ab", [("a", "a"), ("b", "b")])
+        assert validate_fnn(s) == ["le_in: a and b are incomparable"]
+
+    def test_antisymmetry(self):
+        s = fan_in("ab", [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")])
+        assert validate_fnn(s) == ["le_in: a and b violate antisymmetry"]
+
+    def test_three_cycle_names_the_triple(self):
+        # a <= b <= c <= a: reflexive, total and antisymmetric, not transitive
+        s = fan_in("abc", [("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("c", "a")])
+        assert validate_fnn(s) == ["le_in: transitivity fails on (b,c,a)"]
+        with pytest.raises(UsageError, match=r"transitivity fails on \(b,c,a\)"):
+            FnnStructure(s)
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(5)
+        valid = 0
+        for _ in range(3000):
+            inputs = [f"i{k}" for k in range(rng.randint(1, 4))]
+            nodes = inputs + ["o"] if rng.random() < 0.1 else inputs
+            if rng.random() < 0.5:
+                # a linear order with a few pairs toggled
+                listing = rng.sample(inputs, len(inputs))
+                pairs = {(a, b) for i, a in enumerate(listing) for b in listing[i:]}
+                pairs ^= {p for p in itertools.product(nodes, repeat=2) if rng.random() < 0.1}
+            else:
+                density = rng.random()
+                pairs = {p for p in itertools.product(nodes, repeat=2) if rng.random() < density}
+            expected = brute_force_order(inputs, pairs)
+            s = fan_in(inputs, pairs)
+            assert (validate_fnn(s) == []) == (expected is not None), sorted(pairs)
+            if expected is not None:
+                valid += 1
+                assert FnnStructure(s).input_nodes == expected
+        assert valid > 500
+
+    def test_784_inputs_load(self):
+        inputs = [f"x{k}" for k in range(784)]
+        random.Random(3).shuffle(inputs)
+        doc = {
+            "nodes": [{"name": v} for v in inputs] + [{"name": "o", "bias": "0"}],
+            "edges": [{"from": v, "to": "o", "weight": "1"} for v in inputs],
+            "input_order": inputs,
+            "output_order": ["o"],
+        }
+        assert fnn_from_json(doc).input_nodes == tuple(inputs)
 
 
 class TestForward:

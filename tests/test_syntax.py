@@ -280,6 +280,15 @@ class TestSharedSubtrees:
         info = vocabulary_of(e)
         assert info.weights == {"inp": 1, "bias": 1, "wt": 2}
         assert info.relations == {"le_out": 2}
+        assert check_scalar_fragment(e) == []
+
+    def test_shared_breach_reported_once(self):
+        shifted = Arith("+", WeightAtom("F", ("x",)), One())
+        square = Arith("*", shifted, shifted)
+        # extensional outside the fixed point, a breach at both places inside
+        e = Arith("+", square, Ifp("F", ("x",), Arith("+", square, square), ("x",)))
+        assert [(v.op, v.path) for v in check_scalar_fragment(e)] == [("*", (1, 0, 0))]
+        assert [v.path for v in check_scalar_fragment(_unshared(e))] == [(1, 0, 0), (1, 0, 1)]
 
 
 class TestScalarFragment:
