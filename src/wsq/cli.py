@@ -111,6 +111,13 @@ def _parse_inputs(text: str) -> list[ExtRational]:
     return values
 
 
+def _parse_count(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _CliError(f"{what} takes an integer, got {text!r}", EXIT_STRUCTURE)
+
+
 def _parse_bindings(pairs: list[str]) -> dict[str, str]:
     env = {}
     for pair in pairs:
@@ -253,7 +260,10 @@ def _cmd_fnn(args) -> int:
             if not sep:
                 raise _CliError("--edge takes FROM,TO", EXIT_STRUCTURE)
             padded = pad(net, (u, v), args.k)
-            save_fnn(padded, args.out)
+            try:
+                save_fnn(padded, args.out)
+            except OSError as exc:
+                raise _CliError(f"cannot write {args.out}: {exc}", EXIT_STRUCTURE)
     except ResourceError as exc:
         raise _CliError(str(exc), EXIT_RESOURCE)
     except (UsageError, ValueError) as exc:
@@ -358,16 +368,16 @@ class Repl:
                 raise UsageError("format is plain or json")
             self.format = value
         elif key == "input":
-            values = [ExtRational.parse(chunk) for chunk in value.split(",")]
+            values = _parse_inputs(value)
             if self.net is None:
                 raise UsageError("load a network before :set input")
             self.inputs = values
         elif key == "max-summands":
-            self.limits.max_summands = int(value)
+            self.limits.max_summands = _parse_count(value, key)
         elif key == "max-fixpoint-cells":
-            self.limits.max_fixpoint_cells = int(value)
+            self.limits.max_fixpoint_cells = _parse_count(value, key)
         elif key == "max-pwl-pieces":
-            self.max_pwl_pieces = int(value)
+            self.max_pwl_pieces = _parse_count(value, key)
         else:
             raise UsageError(f"unknown option {key!r}")
         self.out("ok")

@@ -53,15 +53,16 @@ over variables it does not read is memoised by the values of its free
 variables, so it is computed once per distinct binding rather than once
 per iteration of the loops around it.  A fixed point's table is memoised
 the same way, by the free variables of its body other than the bound
-tuple, and not by the tuple it is applied to.  Inside a fixed-point body
-only the fixed point's own tuple counts as looping, since the outer
-variables are constant during a run.  Memo tables inside a fixed-point
-body are cleared at the start of every round, because the intensional
-table they may read grows between rounds, and a memo hit there replays
-the missing entries its value was computed from.  Nothing is cached
-across calls: closures, support indexes and memo tables belong to one
-call, which keeps evaluation a pure function of its inputs and safe to
-run from several threads on shared structures and expressions.
+tuple, and not by the tuple it is applied to.  Memo tables never live
+inside a fixed-point body: there the intensional table grows between
+rounds, and the semi-naive tracking needs every missing entry a tuple's
+computation reads.  The cost is that a binder or nested fixed point in
+such a body that ignores the body's tuple, such as ``exists z F(z) !=
+bot`` in a body over ``F(x)``, is computed again for every tuple rather
+than once per round.  Nothing is cached across calls: closures, support
+indexes and memo tables belong to one call, which keeps evaluation a
+pure function of its inputs and safe to run from several threads on
+shared structures and expressions.
 """
 
 from __future__ import annotations
@@ -234,19 +235,16 @@ class _Scope:
     A new scope starts at every binder.  ``slots`` maps the variables
     bound so far to their slots; ``cells`` maps each intensional symbol
     to the :class:`_Cell` of its fixed point; ``loops`` is the bitmask of
-    slots that enclosing binders loop over; ``memos`` lists the memo
-    tables to clear at each round of the innermost enclosing fixed point
-    (``None`` outside any); ``shared`` holds the nodes already compiled in
-    this scope by object identity.
+    slots that enclosing binders loop over; ``shared`` holds the nodes
+    already compiled in this scope by object identity.
     """
 
-    __slots__ = ("slots", "cells", "loops", "memos", "shared")
+    __slots__ = ("slots", "cells", "loops", "shared")
 
-    def __init__(self, slots: dict, cells: dict, loops: int, memos: Optional[list]):
+    def __init__(self, slots: dict, cells: dict, loops: int):
         self.slots = slots
         self.cells = cells
         self.loops = loops
-        self.memos = memos
         self.shared: dict[int, tuple[Compiled, int]] = {}
 
 
@@ -265,7 +263,7 @@ class _Compiler:
         self.limits = limits
         self.free: dict[str, int] = {}
         self.size = 0
-        self.root = _Scope({}, {}, 0, None)
+        self.root = _Scope({}, {}, 0)
         self.indexes: dict[tuple, dict] = {}
         self.budgeted: dict[int, bool] = {}
 
@@ -318,17 +316,13 @@ class _Compiler:
         hi = self.size
         slots = dict(scope.slots)
         slots.update(zip(vars_, range(lo, hi)))
-        return _Scope(slots, scope.cells, scope.loops | _span(lo, hi), scope.memos), lo, hi
+        return _Scope(slots, scope.cells, scope.loops | _span(lo, hi)), lo, hi
 
     def _memo(self, fn: Compiled, mask: int, scope: _Scope) -> Compiled:
         """``fn`` memoised by the slots in ``mask`` when an enclosing binder
-        loops over a slot outside ``mask``; otherwise ``fn`` itself.
-
-        Inside a fixed-point body a memoised value is stored with the
-        missing entries its computation read, and every hit adds them to
-        the reads of the tuple being computed.
-        """
-        if not scope.loops & ~mask:
+        loops over a slot outside ``mask`` and no fixed point encloses the
+        node; otherwise ``fn`` itself."""
+        if scope.cells or not scope.loops & ~mask:
             return fn
         memo: dict = {}
         slots = []
@@ -338,28 +332,15 @@ class _Compiler:
             slots.append(low.bit_length() - 1)
             rest ^= low
         key = operator.itemgetter(*slots) if slots else (lambda env: None)
-        if scope.memos is not None:
-            scope.memos.append(memo)
-        cells = tuple(scope.cells.values())  # empty outside any fixed point
 
-        def tracked(env):
+        def memoised(env):
             k = key(env)
-            hit = memo.get(k)
-            if hit is None:
-                outer = [cell.reads for cell in cells]
-                for cell in cells:
-                    cell.reads = set()
-                value = fn(env)
-                hit = memo[k] = (value, [cell.reads for cell in cells])
-                for cell, reads in zip(cells, outer):
-                    cell.reads = reads
-            value, reads = hit
-            for cell, found in zip(cells, reads):
-                if found:
-                    cell.reads |= found
+            value = memo.get(k)
+            if value is None:
+                value = memo[k] = fn(env)
             return value
 
-        return tracked
+        return memoised
 
     # -- binding enumeration ------------------------------------------
 
@@ -373,16 +354,13 @@ class _Compiler:
         """
         universe, k = self.universe, hi - lo
         chosen = self._support_conjunct(scope, lo, hi, guard) if guard is not None else None
-        drawn = self._drawn(chosen, lo, hi) if chosen is not None else None
-        if drawn is None:
+        if chosen is None:
             return lambda env: product(universe, repeat=k)
-        return drawn
+        return self._drawn(chosen, lo, hi)
 
-    def _drawn(self, chosen: tuple, lo: int, hi: int) -> Optional[Bindings]:
+    def _drawn(self, chosen: tuple, lo: int, hi: int) -> Bindings:
         """Bindings of the slots ``lo .. hi-1`` drawn from the support of
-        the ``chosen`` conjunct, or ``None`` if the conjunct names the
-        bound slots out of slot order, where its support order is not the
-        order of the product."""
+        the ``chosen`` conjunct, which names the bound slots in slot order."""
         name, table, slots = chosen
         bound, roles, found = [], [], []
         for slot in slots:
@@ -394,8 +372,6 @@ class _Compiler:
             else:
                 roles.append(len(found))
                 found.append(slot)
-        if found != list(range(lo, lo + len(found))):
-            return None
         signature = (name, tuple(roles))
         key = _tuple_getter(bound)
         indexes, universe = self.indexes, self.universe  # not self: no cycle with the compiler
@@ -420,9 +396,11 @@ class _Compiler:
         support drives the enumeration, or ``None`` if no conjunct is usable.
 
         Usable conjuncts are extensional ``R(..)`` and ``w(..) != bot``
-        mentioning a bound slot, up to the first conjunct whose evaluation
-        can raise: skipping a binding must not skip an error.  The one
-        mentioning the most bound slots wins, the earliest among equals.
+        whose bound slots, by first mention, are the leading ones in slot
+        order (otherwise their support order is not the product's), up to
+        the first conjunct whose evaluation can raise: skipping a binding
+        must not skip an error.  The one mentioning the most bound slots
+        wins, the earliest among equals.
         """
         best, best_count = None, 0
         for conj in _conjuncts(guard):
@@ -432,9 +410,11 @@ class _Compiler:
                     break
                 continue
             slots = self._slots(scope, found[2])[0]
-            count = len({slot for slot in slots if lo <= slot < hi})
-            if count > best_count:
-                best, best_count = (found[0], found[1], slots), count
+            mentioned = list(dict.fromkeys(slot for slot in slots if lo <= slot < hi))
+            if mentioned != list(range(lo, lo + len(mentioned))):
+                continue
+            if len(mentioned) > best_count:
+                best, best_count = (found[0], found[1], slots), len(mentioned)
         return best
 
     def _support_of(self, n: Node, scope: _Scope):
@@ -682,12 +662,8 @@ class _Compiler:
         """Closure running the fixed point of ``body`` over ``name(vars_)``
         to stabilization, and the bitmask of the slots the run reads."""
         cell = _Cell()
-        memos: list = []
         inner, lo, hi = self._bind(scope, vars_)
-        # the outer slots are constant during a run, and memos live one round
-        inner.loops = _span(lo, hi)
         inner.cells = {**scope.cells, name: cell}
-        inner.memos = memos
         step, mask = self.compile(body, inner)
         universe, k = self.universe, hi - lo
         cells, limit = len(universe) ** k, self.limits.max_fixpoint_cells
@@ -704,8 +680,6 @@ class _Compiler:
             pending = keys
             rounds = 0
             while True:
-                for memo in memos:
-                    memo.clear()
                 additions: dict[tuple, ExtRational] = {}
                 for key in pending:
                     env[lo:hi] = key

@@ -120,15 +120,24 @@ def _linear_order(pairs: frozenset, members: Sequence[str], label: str) -> tuple
         out.append(f"{label}: not defined on {sorted(missing)}")
     if out:
         return (), out
+    # one message per kind of defect: its first pair and how many there are
+    defects: dict[str, list] = {}
+
+    def note(wording: str, a: str, b: str) -> None:
+        defects.setdefault(wording, [(a, b), 0])[1] += 1
+
     for i, a in enumerate(members):
         if (a, a) not in pairs:
-            out.append(f"{label}: missing reflexive pair ({a},{a})")
+            note("missing reflexive pair ({0},{1})", a, a)
         for b in members[i + 1 :]:
             has_ab, has_ba = (a, b) in pairs, (b, a) in pairs
             if not (has_ab or has_ba):
-                out.append(f"{label}: {a} and {b} are incomparable")
+                note("{0} and {1} are incomparable", a, b)
             elif has_ab and has_ba:
-                out.append(f"{label}: {a} and {b} violate antisymmetry")
+                note("{0} and {1} violate antisymmetry", a, b)
+    for wording, (pair, count) in defects.items():
+        more = f" (and {count - 1} more pairs)" if count > 1 else ""
+        out.append(f"{label}: {wording.format(*pair)}{more}")
     if out:
         return (), out
     preds = dict.fromkeys(members, 0)
@@ -572,11 +581,17 @@ def fnn_from_json(doc: dict) -> FnnStructure:
             raise LoadError(f"{where}: 'bot' not allowed here")
         return value
 
+    def listed(key: str) -> list:
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise LoadError(f"'{key}' must be a list")
+        return entries
+
     names: list[str] = []
     bias: dict = {}
-    for entry in doc["nodes"]:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise LoadError("each node entry needs a 'name'")
+    for entry in listed("nodes"):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise LoadError("each node entry needs a 'name' string")
         name = entry["name"]
         if name in names:
             raise LoadError(f"duplicate node {name!r}")
@@ -586,30 +601,33 @@ def fnn_from_json(doc: dict) -> FnnStructure:
 
     known = set(names)
     wt: dict = {}
-    for entry in doc.get("edges", []):
+    for entry in listed("edges"):
         try:
             u, v, raw = entry["from"], entry["to"], entry["weight"]
         except (TypeError, KeyError) as exc:
             raise LoadError("each edge entry needs 'from', 'to' and 'weight'") from exc
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise LoadError("edge endpoints 'from' and 'to' must be node names")
         if u not in known or v not in known:
             raise LoadError(f"edge ({u},{v}) references unknown nodes")
         if (u, v) in wt:
             raise LoadError(f"duplicate edge ({u},{v})")
         wt[(u, v)] = parse_value(raw, f"weight of ({u},{v})")
 
-    def order_pairs(listed, label):
-        if not isinstance(listed, list) or len(set(listed)) != len(listed):
+    def order_pairs(label):
+        order = listed(label)
+        if not all(isinstance(name, str) for name in order) or len(set(order)) != len(order):
             raise LoadError(f"'{label}' must be a list of distinct node names")
-        for name in listed:
+        for name in order:
             if name not in known:
                 raise LoadError(f"'{label}' references unknown node {name!r}")
-        return [(a, b) for i, a in enumerate(listed) for b in listed[i:]]
+        return [(a, b) for i, a in enumerate(order) for b in order[i:]]
 
     structure = WeightedStructure.build(
         names,
         relations={
-            LE_IN: (2, order_pairs(doc.get("input_order", []), "input_order")),
-            LE_OUT: (2, order_pairs(doc.get("output_order", []), "output_order")),
+            LE_IN: (2, order_pairs("input_order")),
+            LE_OUT: (2, order_pairs("output_order")),
         },
         weights={WT: (2, wt), BIAS: (1, bias)},
     )

@@ -254,6 +254,29 @@ def structure_to_json(s: WeightedStructure) -> dict:
     }
 
 
+def _section(doc: dict, key: str):
+    """The ``(name, spec)`` items of an optional object-valued section."""
+    section = doc.get(key)
+    if section is None:
+        return ()
+    if not isinstance(section, dict):
+        raise LoadError(f"'{key}' must be an object mapping symbol names to entries")
+    return section.items()
+
+
+def _tuples(rows, arity: int, where: str) -> list[tuple]:
+    """Tuples read from a JSON list of lists of ``arity`` element names."""
+    if not isinstance(rows, list) or not all(isinstance(t, (list, tuple)) for t in rows):
+        raise LoadError(f"{where}: tuples must be lists of element names")
+    tuples = [tuple(t) for t in rows]
+    for t in tuples:
+        if len(t) != arity:
+            raise LoadError(f"{where}: tuple {list(t)} does not match arity {arity}")
+    if not all(isinstance(x, str) for t in tuples for x in t):
+        raise LoadError(f"{where}: tuple components must be element names")
+    return tuples
+
+
 def structure_from_json(doc: dict) -> WeightedStructure:
     """Load a structure from its JSON dict form.
 
@@ -275,33 +298,28 @@ def structure_from_json(doc: dict) -> WeightedStructure:
         raise LoadError("'universe' must be a list of element names")
 
     relations = {}
-    for name, spec in (doc.get("relations") or {}).items():
+    for name, spec in _section(doc, "relations"):
         try:
             arity = int(spec["arity"])
-            tuples = [tuple(t) for t in spec.get("tuples", [])]
-        except (TypeError, KeyError) as exc:
+            rows = spec.get("tuples", [])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise LoadError(f"relation {name!r}: malformed entry") from exc
-        for t in tuples:
-            if len(t) != arity:
-                raise LoadError(f"relation {name!r}: tuple {list(t)} does not match arity {arity}")
-        relations[name] = (arity, tuples)
+        relations[name] = (arity, _tuples(rows, arity, f"relation {name!r}"))
 
     weights = {}
-    for name, spec in (doc.get("weights") or {}).items():
+    for name, spec in _section(doc, "weights"):
         try:
             arity = int(spec["arity"])
             entries = spec.get("values", [])
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise LoadError(f"weight {name!r}: malformed entry") from exc
+        try:
+            rows = [entry["tuple"] for entry in entries]
+            raws = [entry["value"] for entry in entries]
+        except (TypeError, KeyError) as exc:
+            raise LoadError(f"weight {name!r}: malformed value entry") from exc
         table: dict = {}
-        for entry in entries:
-            try:
-                t = tuple(entry["tuple"])
-                raw = entry["value"]
-            except (TypeError, KeyError) as exc:
-                raise LoadError(f"weight {name!r}: malformed value entry") from exc
-            if len(t) != arity:
-                raise LoadError(f"weight {name!r}: tuple {list(t)} does not match arity {arity}")
+        for t, raw in zip(_tuples(rows, arity, f"weight {name!r}"), raws):
             if isinstance(raw, bool) or not isinstance(raw, (str, int)):
                 raise LoadError(f"weight {name!r}: value for {list(t)} must be a string or integer")
             try:

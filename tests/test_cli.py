@@ -1,11 +1,14 @@
 """Command-line interface: golden outputs, exit codes, REPL scripting."""
 
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from wsq.cli import Repl, main
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -204,6 +207,13 @@ class TestFnn:
         result = wsq("fnn", "pwl", CLAMP, "--max-pwl-pieces", "1")
         assert result.returncode == 4
 
+    def test_pad_to_unwritable_path_is_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        args = ["fnn", "pad", TWO_NODE, "--edge", "u,v", "--k", "2", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
 
 class TestRepl:
     def test_script_session(self):
@@ -250,3 +260,17 @@ class TestRepl:
         )
         result = wsq("repl", stdin=script + "\n")
         assert "1" in result.stdout.splitlines()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (":set max-summands abc", "error: max-summands takes an integer, got 'abc'"),
+            (":set max-fixpoint-cells 1.5", "error: max-fixpoint-cells takes an integer, got '1.5'"),
+            (":set input 1,x", "error: bad input value: not a rational literal: 'x'"),
+        ],
+    )
+    def test_bad_set_value_keeps_the_session(self, line, message):
+        script = "\n".join([f":load {CLAMP}", line, "count {x : x = x}", ":quit"])
+        out = io.StringIO()
+        assert Repl(io.StringIO(script + "\n"), out).run() == 0
+        assert out.getvalue().splitlines()[1:] == [message, "4"]

@@ -635,6 +635,30 @@ class TestSparseEnumeration:
             assert evaluate(q, s, {"x": "a"}) == rational(1)
             assert normalize(evaluate(q, s, {"x": "a"})) == normalize(ref_evaluate(q, s, {"x": "a"}))
 
+    def test_out_of_order_conjunct_loses_to_a_drawable_one(self, monkeypatch):
+        # e(y, x) mentions as many bound variables as e(x, y) and comes
+        # first, but only e(x, y) names them in binder order
+        built = []
+        original = wsq.evaluator._support_index
+
+        def spy(indexes, signature, table, universe):
+            if signature not in indexes:
+                built.append(signature)
+            return original(indexes, signature, table, universe)
+
+        monkeypatch.setattr(wsq.evaluator, "_support_index", spy)
+        s = WeightedStructure.build(
+            ["a", "b", "c"], relations={"e": (2, [("a", "b"), ("b", "a"), ("b", "c")])}
+        )
+        for text in ("sum {x, y : e(y, x) and e(x, y)} 1", "sum {x, y : e(x, y) and e(y, x)} 1"):
+            built.clear()
+            q = parse(text)
+            assert evaluate(q, s) == rational(2)
+            assert built == [("e", (0, 1))]
+        built.clear()
+        assert evaluate(parse("sum {x, y : e(y, x)} 1"), s) == rational(3)
+        assert built == []
+
     def test_support_index_keeps_repeated_positions_equal(self):
         table = {("a", "a", "c"), ("d", "b", "c"), ("b", "b", "c"), ("b", "b", "d")}
         # e(y, y, x) with y bound and x outer
@@ -724,14 +748,14 @@ class TestTrackedFixpoint:
             assert table.rounds == rounds
 
     def test_eval_node_body_registers_no_memo(self, monkeypatch):
-        # outer slots are constant during a run, so no binder of the body
-        # loops over a variable the body's sum does not read
+        # memo tables never live inside a fixed-point body, not even for a
+        # binder that ignores the body's tuple
         registered = []
         original = _Compiler._memo
 
         def spy(self, fn, mask, scope):
             out = original(self, fn, mask, scope)
-            if out is not fn and scope.memos is not None:
+            if out is not fn and scope.cells:
                 registered.append(mask)
             return out
 
@@ -741,4 +765,9 @@ class TestTrackedFixpoint:
         outputs = forward(net, x)
         expected = sum((out.frac for out in outputs), Fraction(0)) / len(outputs)
         assert evaluate(make_eval_node(), with_input(net, x)) == rational(expected)
+        replaying = parse(
+            "ifp (F(x) <- if not exists y wt(y, x) != bot then 1 "
+            "else if exists z F(z) != bot then 2 else bot) (x)"
+        )
+        assert evaluate(replaying, path_net(3).structure, {"x": "n3"}) == rational(2)
         assert registered == []

@@ -1,6 +1,7 @@
 """Networks: validation, forward oracle, padding, piecewise-linear analysis."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from randgen import build_fnn, path_net, random_n11, random_n211
-from wsq.errors import ResourceError, UsageError
+from wsq.errors import LoadError, ResourceError, UsageError
 from wsq.fnn import (
     FnnStructure,
     Pwl,
@@ -141,6 +142,24 @@ class TestOrderValidation:
                 valid += 1
                 assert FnnStructure(s).input_nodes == expected
         assert valid > 500
+
+    def test_one_message_per_defect_kind(self):
+        inputs = [f"i{k}" for k in range(300)]
+        # the reflexive pairs but (i5, i5), plus i5 <= i6 and i1, i2 both ways
+        pairs = {(a, a) for a in inputs if a != "i5"}
+        pairs |= {("i5", "i6"), ("i1", "i2"), ("i2", "i1")}
+        problems = validate_fnn(fan_in(inputs, pairs))
+        assert problems == [
+            "le_in: i0 and i1 are incomparable (and 44847 more pairs)",
+            "le_in: i1 and i2 violate antisymmetry",
+            "le_in: missing reflexive pair (i5,i5)",
+        ]
+        assert validate_fnn(fan_in(inputs[:60], {(a, a) for a in inputs[:60]})) == [
+            "le_in: i0 and i1 are incomparable (and 1769 more pairs)"
+        ]
+        with pytest.raises(UsageError) as raised:
+            FnnStructure(fan_in(inputs, pairs))
+        assert len(str(raised.value)) < 200
 
     def test_784_inputs_load(self):
         inputs = [f"x{k}" for k in range(784)]
@@ -479,3 +498,41 @@ class TestFiles:
         net = path_net(3)
         assert net.depth == 3
         assert forward(net, [5]) == [rational(5)]
+
+
+class TestMalformedJson:
+    """A malformed network file is a load error with one line, exit 2."""
+
+    BASE = {
+        "nodes": [{"name": "u"}, {"name": "v", "bias": "1"}],
+        "edges": [{"from": "u", "to": "v", "weight": "3"}],
+        "input_order": ["u"],
+        "output_order": ["v"],
+    }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"input_order": [["u"]]},
+            {"nodes": [{"name": ["u"]}, {"name": "v", "bias": "1"}]},
+            {"edges": [{"from": ["u"], "to": "v", "weight": "3"}]},
+        ],
+        ids=["order_entry", "node_name", "edge_endpoint"],
+    )
+    def test_load_error_and_exit_two(self, tmp_path, capsys, change):
+        from wsq.cli import main
+
+        doc = {**self.BASE, **change}
+        with pytest.raises(LoadError):
+            fnn_from_json(doc)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_bad_sections_rejected(self):
+        assert fnn_from_json(self.BASE).input_nodes == ("u",)
+        for change in ({"nodes": 3}, {"edges": {"u": "v"}}, {"output_order": "v"}):
+            with pytest.raises(LoadError):
+                fnn_from_json({**self.BASE, **change})

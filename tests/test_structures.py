@@ -210,3 +210,41 @@ class TestJson:
         doc = structure_to_json(triangle)
         assert json.dumps(doc) == json.dumps(structure_to_json(triangle))
         assert doc["universe"] == ["v1", "v2", "v3"]
+
+
+class TestMalformedJson:
+    """A malformed structure file is a load error with one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"universe": ["a"], "relations": [1]},
+            {"universe": ["a"], "relations": {"e": {"arity": 2, "tuples": [[["a"], "a"]]}}},
+            {
+                "universe": ["a"],
+                "weights": {"f": {"arity": 1, "values": [{"tuple": [["a"]], "value": "1"}]}},
+            },
+        ],
+        ids=["relations_list", "relation_tuple_component", "weight_tuple_component"],
+    )
+    def test_load_error_and_exit_two(self, tmp_path, capsys, doc):
+        from wsq.cli import main
+
+        with pytest.raises(LoadError):
+            structure_from_json(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_bad_sections_rejected(self):
+        for doc in (
+            {"universe": ["a"], "weights": "f"},
+            {"universe": ["a"], "relations": []},
+            {"universe": ["a"], "relations": {"e": {"arity": "two"}}},
+            {"universe": ["a"], "relations": {"e": {"arity": 1, "tuples": "a"}}},
+            {"universe": ["a"], "weights": {"f": {"arity": 1, "values": 3}}},
+        ):
+            with pytest.raises(LoadError):
+                structure_from_json(doc)
