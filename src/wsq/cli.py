@@ -281,7 +281,7 @@ _REPL_HELP = """commands:
   :check NAME|QUERY     free variables, vocabulary, scalar-fragment verdict
   :set format plain|json
   :set input R1,R2,...  attach an input vector to the loaded network
-  :set max-summands N | max-fixpoint-cells N | max-pwl-pieces N
+  :set max-summands N | max-fixpoint-cells N
   :quit                 leave (also Ctrl-D)
 anything else is evaluated as a query against the loaded structure;
 queries may also reference builtins, e.g. builtin:eval_node"""
@@ -299,7 +299,6 @@ class Repl:
         self.bindings: dict = {}
         self.format = "plain"
         self.limits = EvalLimits()
-        self.max_pwl_pieces = DEFAULT_MAX_PWL_PIECES
 
     def out(self, text: str) -> None:
         print(text, file=self.stdout)
@@ -376,8 +375,6 @@ class Repl:
             self.limits.max_summands = _parse_count(value, key)
         elif key == "max-fixpoint-cells":
             self.limits.max_fixpoint_cells = _parse_count(value, key)
-        elif key == "max-pwl-pieces":
-            self.max_pwl_pieces = _parse_count(value, key)
         else:
             raise UsageError(f"unknown option {key!r}")
         self.out("ok")
@@ -432,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("validate", "forward", "pwl", "integrate", "zero", "pad"):
         p = fnn_sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--max-pwl-pieces", type=int, default=DEFAULT_MAX_PWL_PIECES)
+        if name in ("pwl", "integrate", "zero"):
+            p.add_argument("--max-pwl-pieces", type=int, default=DEFAULT_MAX_PWL_PIECES)
         if name == "forward":
             p.add_argument("--input", required=True)
         if name == "integrate":

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .errors import LoadError, ResourceError, UsageError
 from .numerics import BOT, ExtRational, rational
-from .structures import Vocabulary, WeightedStructure, validate_structure
+from .structures import WeightedStructure, validate_structure
 
 __all__ = [
     "WT",
@@ -39,7 +39,6 @@ __all__ = [
     "LE_IN",
     "LE_OUT",
     "INP",
-    "FNN_VOCABULARY",
     "FnnStructure",
     "validate_fnn",
     "with_input",
@@ -63,8 +62,6 @@ BIAS = "bias"
 LE_IN = "le_in"
 LE_OUT = "le_out"
 INP = "inp"
-
-FNN_VOCABULARY = Vocabulary(relations={LE_IN: 2, LE_OUT: 2}, weights={WT: 2, BIAS: 1})
 
 DEFAULT_MAX_PWL_PIECES = 10**6
 
@@ -426,10 +423,6 @@ class Pwl:
             bps.append(x)
             ps.append(piece)
         return cls(tuple(bps), tuple(ps))
-
-    @classmethod
-    def constant(cls, c: Fraction) -> "Pwl":
-        return cls((), ((Fraction(0), Fraction(c)),))
 
     @classmethod
     def identity(cls) -> "Pwl":

@@ -264,6 +264,13 @@ def _section(doc: dict, key: str):
     return section.items()
 
 
+def _arity(raw, where: str) -> int:
+    """An arity as written in JSON: a non-negative integer, not a bool, float or string."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 0:
+        raise LoadError(f"{where}: arity must be a non-negative integer, got {raw!r}")
+    return raw
+
+
 def _tuples(rows, arity: int, where: str) -> list[tuple]:
     """Tuples read from a JSON list of lists of ``arity`` element names."""
     if not isinstance(rows, list) or not all(isinstance(t, (list, tuple)) for t in rows):
@@ -300,18 +307,18 @@ def structure_from_json(doc: dict) -> WeightedStructure:
     relations = {}
     for name, spec in _section(doc, "relations"):
         try:
-            arity = int(spec["arity"])
+            arity = _arity(spec["arity"], f"relation {name!r}")
             rows = spec.get("tuples", [])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        except (TypeError, KeyError) as exc:
             raise LoadError(f"relation {name!r}: malformed entry") from exc
         relations[name] = (arity, _tuples(rows, arity, f"relation {name!r}"))
 
     weights = {}
     for name, spec in _section(doc, "weights"):
         try:
-            arity = int(spec["arity"])
+            arity = _arity(spec["arity"], f"weight {name!r}")
             entries = spec.get("values", [])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        except (TypeError, KeyError) as exc:
             raise LoadError(f"weight {name!r}: malformed entry") from exc
         try:
             rows = [entry["tuple"] for entry in entries]

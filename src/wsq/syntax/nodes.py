@@ -59,10 +59,6 @@ __all__ = [
 
 Span = tuple[int, int]  # 1-based (line, column) of the node's first token
 
-ARITH_OPS = ("+", "-", "*", "/")
-COMPARE_OPS = ("<", ">", ">=", "=", "!=")
-AGGREGATE_KINDS = ("count", "avg", "min", "max")
-
 
 @dataclass(frozen=True)
 class Node:
@@ -297,9 +293,20 @@ def syntactic_kind(node: Node) -> str:
 
 
 def all_var_names(node: Node) -> set[str]:
-    """Every variable name occurring in the expression, free or bound."""
+    """Every variable name occurring in the expression, free or bound.
+
+    Each node object is visited once, so a subtree shared between several
+    parents costs one visit.
+    """
     out: set[str] = set()
-    for _, n in walk(node):
+    seen: set[int] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        stack.extend(children(n))
         if isinstance(n, ElemEq):
             out.update((n.left, n.right))
         elif isinstance(n, (RelAtom, WeightAtom, Atom)):

@@ -1,4 +1,10 @@
-"""Concrete syntax for queries: lexer and recursive-descent parser.
+"""Concrete syntax for queries: a one-pattern scanner and a precedence-climbing parser.
+
+The scanner is one ``finditer`` over one compiled pattern, which also
+matches blanks, newlines and any character outside the syntax.  Binary
+operators are parsed by precedence climbing (Pratt, *Top down operator
+precedence*, POPL 1973) over the ``PRECEDENCE`` table, which the printer
+reads too, so the two cannot disagree on how tightly an operator binds.
 
 The grammar (binding weakest to tightest)::
 
@@ -34,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import ParseError
 from .nodes import (
@@ -70,20 +76,38 @@ KEYWORDS = frozenset(
     "not and or implies exists forall sum count avg min max if then else ifp bot".split()
 )
 
+# Binding strength, weakest first.  Binary operators are keyed by their
+# token; the prefix keywords ``not``/``exists``/``forall`` bind at PREFIX,
+# unary minus at UNARY, and atoms, literals and bracketed forms at PRIMARY.
+PRECEDENCE = {
+    "implies": 1,
+    "or": 2,
+    "and": 3,
+    **dict.fromkeys(("<=", "<", ">=", ">", "=", "!="), 5),
+    "+": 6,
+    "-": 6,
+    "*": 7,
+    "/": 7,
+}
+PREFIX = 4
+COMPARISON = PRECEDENCE["<="]
+UNARY = 8
+PRIMARY = 9
+
 _TOKEN_RE = re.compile(
     r"""
-      (?P<NUMBER>\d+(?:\.\d+|/0*[1-9]\d*)?)
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<OP><=|<-|!=|>=|[<>=+\-*/(){}:,])
+      (?P<number>\d+(?:\.\d+|/0*[1-9]\d*)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op><=|<-|!=|>=|[<>=+\-*/(){}:,])
+    | (?P<blank>[ \t\r]+)
+    | (?P<newline>\n)
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-_CMP_OPS = ("<=", "<", ">=", ">", "=", "!=")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # 'number', 'ident', a keyword, an operator symbol, or 'eof'
     text: str
     line: int
@@ -92,34 +116,27 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r":
-            pos += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
             continue
-        if ch == "\n":
-            pos += 1
+        if kind == "newline":
             line += 1
-            line_start = pos
+            line_start = m.end()
             continue
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
         raw = m.group()
-        if m.lastgroup == "NUMBER":
-            tokens.append(Token("number", raw, line, col))
-        elif m.lastgroup == "IDENT":
-            kind = raw if raw in KEYWORDS else "ident"
-            tokens.append(Token(kind, raw, line, col))
-        else:
+        col = m.start() - line_start + 1
+        if kind == "ident":
+            tokens.append(Token(raw if raw in KEYWORDS else "ident", raw, line, col))
+        elif kind == "op":
             tokens.append(Token(raw, raw, line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, n - line_start + 1))
+        elif kind == "number":
+            tokens.append(Token("number", raw, line, col))
+        else:
+            raise ParseError(f"unexpected character {raw!r}", line, col)
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -156,6 +173,29 @@ def _span_of(node) -> tuple[Optional[int], Optional[int]]:
     return span if span else (None, None)
 
 
+_CONNECTIVES = {"implies": Implies, "or": Or, "and": And}
+
+
+def _binary(tok: Token, left, right) -> Expr:
+    """The node for ``left tok right``; each operand is forced to the kind the operator takes."""
+    op, span = tok.type, (tok.line, tok.column)
+    if op in _CONNECTIVES:
+        return _CONNECTIVES[op](_as_formula(left), _as_formula(right), span=span)
+    if PRECEDENCE[op] != COMPARISON:
+        return Arith(op, _as_term(left), _as_term(right), span=span)
+    if op in ("=", "!="):
+        lv, rv = isinstance(left, _Var), isinstance(right, _Var)
+        if lv and rv:
+            eq = ElemEq(left.name, right.name, span=span)
+            return eq if op == "=" else Not(eq, span=span)
+        if lv or rv:
+            raise ParseError("cannot compare an element variable with a term", *span)
+    lt, rt = _as_term(left), _as_term(right)
+    if op == "<=":
+        return Leq(lt, rt, span=span)
+    return Compare(op, lt, rt, span=span)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -182,88 +222,43 @@ class _Parser:
             raise ParseError(f"{message} at end of input", tok.line, tok.column)
         raise ParseError(f"{message}, found {tok.text!r}", tok.line, tok.column)
 
-    # -- precedence layers -------------------------------------------------
+    # -- operators ---------------------------------------------------------
 
-    def parse_expr(self):
-        left = self.parse_or()
-        if self.peek().type == "implies":
-            tok = self.advance()
-            right = self.parse_expr()
-            return Implies(_as_formula(left), _as_formula(right), span=(tok.line, tok.column))
-        return left
+    def parse_expr(self, floor: int = 0):
+        """Parse an expression whose operators bind at least as tightly as ``floor``.
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.peek().type == "or":
-            tok = self.advance()
-            right = self.parse_and()
-            left = Or(_as_formula(left), _as_formula(right), span=(tok.line, tok.column))
-        return left
-
-    def parse_and(self):
-        left = self.parse_prefix()
-        while self.peek().type == "and":
-            tok = self.advance()
-            right = self.parse_prefix()
-            left = And(_as_formula(left), _as_formula(right), span=(tok.line, tok.column))
-        return left
-
-    def parse_prefix(self):
+        ``ceiling`` is the tightest operator that may still continue it: after
+        a binary operator none tighter, after a comparison (which does not
+        associate) or a prefix form only looser ones.  An operand may stop
+        at its own ceiling, as ``b < c`` does in ``a and b < c < d``, and
+        what it leaves must not attach to the whole expression.
+        """
         tok = self.peek()
-        if tok.type == "not":
-            self.advance()
-            return Not(_as_formula(self.parse_prefix()), span=(tok.line, tok.column))
-        if tok.type in ("exists", "forall"):
-            self.advance()
-            var = self.expect("ident", "a variable name")
-            body = _as_formula(self.parse_prefix())
-            cls = Exists if tok.type == "exists" else Forall
-            return cls(var.text, body, span=(tok.line, tok.column))
-        return self.parse_cmp()
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        tok = self.peek()
-        if tok.type not in _CMP_OPS:
-            return left
-        self.advance()
-        right = self.parse_add()
         span = (tok.line, tok.column)
-        if tok.type in ("=", "!="):
-            lv, rv = isinstance(left, _Var), isinstance(right, _Var)
-            if lv and rv:
-                eq = ElemEq(left.name, right.name, span=span)
-                return eq if tok.type == "=" else Not(eq, span=span)
-            if lv or rv:
-                raise ParseError("cannot compare an element variable with a term", *span)
-        lt, rt = _as_term(left), _as_term(right)
-        if tok.type == "<=":
-            return Leq(lt, rt, span=span)
-        return Compare(tok.type, lt, rt, span=span)
-
-    def parse_add(self):
-        left = self.parse_mul()
-        while self.peek().type in ("+", "-"):
-            tok = self.advance()
-            right = self.parse_mul()
-            left = Arith(tok.type, _as_term(left), _as_term(right), span=(tok.line, tok.column))
-        return left
-
-    def parse_mul(self):
-        left = self.parse_unary()
-        while self.peek().type in ("*", "/"):
-            tok = self.advance()
-            right = self.parse_unary()
-            left = Arith(tok.type, _as_term(left), _as_term(right), span=(tok.line, tok.column))
-        return left
-
-    def parse_unary(self):
-        tok = self.peek()
+        ceiling = PRIMARY
         if tok.type == "-":
             self.advance()
-            span = (tok.line, tok.column)
-            return Arith("-", Zero(span=span), _as_term(self.parse_unary()), span=span)
-        return self.parse_primary()
+            left = Arith("-", Zero(span=span), _as_term(self.parse_expr(UNARY)), span=span)
+        elif tok.type in ("not", "exists", "forall") and floor <= PREFIX:
+            self.advance()
+            if tok.type == "not":
+                left = Not(_as_formula(self.parse_expr(PREFIX)), span=span)
+            else:
+                var = self.expect("ident", "a variable name")
+                body = _as_formula(self.parse_expr(PREFIX))
+                left = (Exists if tok.type == "exists" else Forall)(var.text, body, span=span)
+            ceiling = PREFIX - 1
+        else:
+            left = self.parse_primary()
+        while True:
+            tok = self.peek()
+            prec = PRECEDENCE.get(tok.type)
+            if prec is None or not floor <= prec <= ceiling:
+                return left
+            self.advance()
+            right = self.parse_expr(prec if tok.type == "implies" else prec + 1)
+            left = _binary(tok, left, right)
+            ceiling = prec - 1 if prec == COMPARISON else prec
 
     # -- primaries -----------------------------------------------------------
 
@@ -319,22 +314,22 @@ class _Parser:
         if tok.type == "sum":
             self.advance()
             names, guard = self.parse_binder_braces()
-            body = _as_term(self.parse_unary())
+            body = _as_term(self.parse_expr(UNARY))
             return Sum(names, guard, body, span=span)
 
         if tok.type in ("count", "avg", "min", "max"):
             self.advance()
             names, guard = self.parse_binder_braces()
-            body = None if tok.type == "count" else _as_term(self.parse_unary())
+            body = None if tok.type == "count" else _as_term(self.parse_expr(UNARY))
             return Aggregate(tok.type, names, guard, body, span=span)
 
         if tok.type == "if":
             self.advance()
             test = _as_formula(self.parse_expr())
             self.expect("then", "'then'")
-            then = _as_term(self.parse_add())
+            then = _as_term(self.parse_expr(PRECEDENCE["+"]))
             self.expect("else", "'else'")
-            otherwise = _as_term(self.parse_add())
+            otherwise = _as_term(self.parse_expr(PRECEDENCE["+"]))
             return Cond(test, then, otherwise, span=span)
 
         if tok.type == "ifp":

@@ -1,7 +1,8 @@
 """Render ASTs back to concrete syntax.
 
-Parenthesization is precedence-driven so that reparsing the output
-reproduces a structurally equal tree.
+Parenthesization reads the parser's precedence table, so reparsing the
+output reproduces a structurally equal tree: a child is bracketed when it
+binds more weakly than its position requires.
 """
 
 from __future__ import annotations
@@ -30,14 +31,9 @@ from .nodes import (
     WeightAtom,
     Zero,
 )
+from .parser import COMPARISON, PRECEDENCE, PREFIX, PRIMARY, UNARY
 
 __all__ = ["to_text"]
-
-# precedence levels mirror the parser: implies 1, or 2, and 3, prefix 4,
-# comparisons 5, additive 6, multiplicative 7, unary 8, primaries 9;
-# conditionals sit below additive so they are bracketed inside arithmetic
-
-_ADD = {"+", "-"}
 
 
 def _call(name: str, args: tuple[str, ...]) -> str:
@@ -45,7 +41,7 @@ def _call(name: str, args: tuple[str, ...]) -> str:
 
 
 def _braces(vars_: tuple[str, ...], guard: Node) -> str:
-    return "{" + ", ".join(vars_) + " : " + _fmt(guard, 0) + "}"
+    return "{" + ", ".join(vars_) + " : " + to_text(guard) + "}"
 
 
 def _fmt(node: Node, ctx: int) -> str:
@@ -55,62 +51,64 @@ def _fmt(node: Node, ctx: int) -> str:
     return text
 
 
+def _binary(op: str, left: Node, right: Node) -> tuple[str, int]:
+    prec = PRECEDENCE[op]
+    if op == "implies":  # right associative
+        return f"{_fmt(left, prec + 1)} implies {_fmt(right, prec)}", prec
+    # left associative; comparisons do not associate at all
+    left_ctx = prec + 1 if prec == COMPARISON else prec
+    return f"{_fmt(left, left_ctx)} {op} {_fmt(right, prec + 1)}", prec
+
+
+_OPERATOR = {Implies: "implies", Or: "or", And: "and", Leq: "<="}
+
+
 def _render(node: Node) -> tuple[str, int]:
-    if isinstance(node, Implies):
-        return f"{_fmt(node.left, 2)} implies {_fmt(node.right, 1)}", 1
-    if isinstance(node, Or):
-        return f"{_fmt(node.left, 2)} or {_fmt(node.right, 3)}", 2
-    if isinstance(node, And):
-        return f"{_fmt(node.left, 3)} and {_fmt(node.right, 4)}", 3
+    word = _OPERATOR.get(type(node))
+    if word is not None:
+        return _binary(word, node.left, node.right)
+    if isinstance(node, Arith) and node.op == "-" and node.left == Zero():
+        return f"-{_fmt(node.right, UNARY)}", UNARY
+    if isinstance(node, (Arith, Compare)):
+        return _binary(node.op, node.left, node.right)
     if isinstance(node, Not):
-        return f"not {_fmt(node.body, 4)}", 4
+        return f"not {_fmt(node.body, PREFIX)}", PREFIX
     if isinstance(node, (Exists, Forall)):
         word = "exists" if isinstance(node, Exists) else "forall"
-        return f"{word} {node.var} {_fmt(node.body, 4)}", 4
+        return f"{word} {node.var} {_fmt(node.body, PREFIX)}", PREFIX
     if isinstance(node, ElemEq):
-        return f"{node.left} = {node.right}", 5
-    if isinstance(node, Leq):
-        return f"{_fmt(node.left, 6)} <= {_fmt(node.right, 6)}", 5
-    if isinstance(node, Compare):
-        return f"{_fmt(node.left, 6)} {node.op} {_fmt(node.right, 6)}", 5
-    if isinstance(node, RelAtom):
-        return _call(node.name, node.args), 9
-
+        return f"{node.left} = {node.right}", COMPARISON
+    if isinstance(node, (RelAtom, WeightAtom, Atom)):
+        return _call(node.name, node.args), PRIMARY
     if isinstance(node, Zero):
-        return "0", 9
+        return "0", PRIMARY
     if isinstance(node, One):
-        return "1", 9
+        return "1", PRIMARY
     if isinstance(node, Literal):
-        return str(node.value), 9
+        return str(node.value), PRIMARY
     if isinstance(node, BotConst):
-        return "bot", 9
-    if isinstance(node, (WeightAtom, Atom)):
-        return _call(node.name, node.args), 9
-    if isinstance(node, Arith):
-        if node.op == "-" and node.left == Zero():
-            return f"-{_fmt(node.right, 8)}", 8
-        if node.op in _ADD:
-            return f"{_fmt(node.left, 6)} {node.op} {_fmt(node.right, 7)}", 6
-        return f"{_fmt(node.left, 7)} {node.op} {_fmt(node.right, 8)}", 7
+        return "bot", PRIMARY
     if isinstance(node, Cond):
+        # the branches extend over a full term, so arithmetic brackets a conditional
+        branch = PRECEDENCE["+"]
         text = (
-            f"if {_fmt(node.test, 0)} then {_fmt(node.then, 6)} "
-            f"else {_fmt(node.otherwise, 6)}"
+            f"if {to_text(node.test)} then {_fmt(node.then, branch)} "
+            f"else {_fmt(node.otherwise, branch)}"
         )
-        return text, 5
+        return text, COMPARISON
     if isinstance(node, Sum):
-        return f"sum {_braces(node.vars, node.guard)} {_fmt(node.body, 8)}", 9
+        return f"sum {_braces(node.vars, node.guard)} {_fmt(node.body, UNARY)}", PRIMARY
     if isinstance(node, Aggregate):
         head = f"{node.kind} {_braces(node.vars, node.guard)}"
         if node.body is None:
-            return head, 9
-        return f"{head} {_fmt(node.body, 8)}", 9
+            return head, PRIMARY
+        return f"{head} {_fmt(node.body, UNARY)}", PRIMARY
     if isinstance(node, Ifp):
         head = _call(node.name, node.vars)
-        return f"ifp ({head} <- {_fmt(node.body, 0)}) ({', '.join(node.applied)})", 9
+        return f"ifp ({head} <- {to_text(node.body)}) ({', '.join(node.applied)})", PRIMARY
     raise TypeError(f"cannot print node of type {type(node).__name__}")
 
 
 def to_text(node: Node) -> str:
     """Concrete syntax for an AST; ``parse(to_text(e)) == e``."""
-    return _fmt(node, 0)
+    return _render(node)[0]

@@ -79,11 +79,20 @@ def desugar(node: Node, *, expand_cond: bool = False) -> Node:
 
     Generic atoms are left in place (their kind is a property of the
     target structure, not of the syntax).  Fresh variables introduced for
-    the min/max guards avoid every name in the input.
+    the min/max guards avoid every name in the input.  Each node object is
+    rewritten once, so a subtree shared in the input stays shared in the
+    output.
     """
     used = all_var_names(node)
+    done: dict[int, Node] = {}
 
     def go(n: Node) -> Node:
+        out = done.get(id(n))
+        if out is None:
+            out = done[id(n)] = rewrite(n)
+        return out
+
+    def rewrite(n: Node) -> Node:
         if isinstance(n, Compare):
             left, right = go(n.left), go(n.right)
             if n.op == ">=":

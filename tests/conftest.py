@@ -1,0 +1,13 @@
+"""Shared test setup: the ``python`` child processes the tests start import ``wsq`` from ``src``.
+
+``pythonpath = ["src"]`` in ``pyproject.toml`` reaches only the pytest
+process itself, so ``src`` also goes on ``PYTHONPATH`` for its children.
+"""
+
+import os
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))

@@ -207,6 +207,27 @@ class TestFnn:
         result = wsq("fnn", "pwl", CLAMP, "--max-pwl-pieces", "1")
         assert result.returncode == 4
 
+    @pytest.mark.parametrize(
+        "command, extra", [("integrate", ("--lo", "0", "--hi", "2")), ("zero", ())]
+    )
+    def test_piece_cap_reaches_every_pwl_command(self, capsys, command, extra):
+        assert main(["fnn", command, CLAMP, *extra, "--max-pwl-pieces", "1"]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("validate", ()),
+            ("forward", ("--input", "5")),
+            ("pad", ("--edge", "u,v", "--k", "2", "--out", "x")),
+        ],
+    )
+    def test_piece_cap_only_where_pieces_are_built(self, capsys, command, extra):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fnn", command, TWO_NODE, *extra, "--max-pwl-pieces", "1"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --max-pwl-pieces 1" in capsys.readouterr().err
+
     def test_pad_to_unwritable_path_is_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         args = ["fnn", "pad", TWO_NODE, "--edge", "u,v", "--k", "2", "--out", str(out)]
@@ -267,6 +288,7 @@ class TestRepl:
             (":set max-summands abc", "error: max-summands takes an integer, got 'abc'"),
             (":set max-fixpoint-cells 1.5", "error: max-fixpoint-cells takes an integer, got '1.5'"),
             (":set input 1,x", "error: bad input value: not a rational literal: 'x'"),
+            (":set max-pwl-pieces 5", "error: unknown option 'max-pwl-pieces'"),
         ],
     )
     def test_bad_set_value_keeps_the_session(self, line, message):

@@ -17,7 +17,7 @@ from wsq.fnn import forward, with_input
 from wsq.numerics import BOT, rational
 from wsq.queries import make_basic, make_eval, make_eval_node, make_squaring, make_useless
 from wsq.structures import WeightedStructure
-from wsq.syntax import desugar, parse
+from wsq.syntax import children, desugar, parse
 from wsq.syntax.nodes import (
     Aggregate,
     And,
@@ -164,6 +164,22 @@ class TestEvalTemplates:
         net = clamp_net()
         r = [Fraction(1, 2)]
         assert evaluate(make_eval(40, 1), with_input(net, r)) == forward(net, r)[0]
+
+    def test_desugared_template_stays_shared(self):
+        def distinct(node):
+            seen, stack = set(), [node]
+            while stack:
+                n = stack.pop()
+                if id(n) not in seen:
+                    seen.add(id(n))
+                    stack.extend(children(n))
+            return len(seen)
+
+        native = make_eval(10, 1)
+        core = desugar(native)
+        assert distinct(core) < 2 * distinct(native)
+        s = with_input(clamp_net(), [Fraction(1, 2)])
+        assert evaluate(core, s) == evaluate(native, s) == rational(1, 2)
 
     def test_closed_eval_out_of_range_index(self):
         net = two_node_net()

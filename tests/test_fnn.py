@@ -2,12 +2,10 @@
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -392,10 +390,8 @@ class TestPwl:
             "except UsageError:\n"
             "    print('rejected')\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         done = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "rejected"

@@ -224,8 +224,20 @@ class TestMalformedJson:
                 "universe": ["a"],
                 "weights": {"f": {"arity": 1, "values": [{"tuple": [["a"]], "value": "1"}]}},
             },
+            {"universe": ["a"], "relations": {"e": {"arity": True, "tuples": [["a"]]}}},
+            {"universe": ["a"], "weights": {"f": {"arity": 1.9, "values": []}}},
+            {"universe": ["a"], "relations": {"e": {"arity": "2", "tuples": [["a", "a"]]}}},
+            {"universe": ["a"], "weights": {"f": {"arity": -1, "values": []}}},
         ],
-        ids=["relations_list", "relation_tuple_component", "weight_tuple_component"],
+        ids=[
+            "relations_list",
+            "relation_tuple_component",
+            "weight_tuple_component",
+            "arity_true",
+            "arity_float",
+            "arity_string",
+            "arity_negative",
+        ],
     )
     def test_load_error_and_exit_two(self, tmp_path, capsys, doc):
         from wsq.cli import main

@@ -131,6 +131,52 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("sum {if : p(if)} 1")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a < b < c", "variable 'a' used where a term is required (line 1, column 1)"),
+            ("1 < p() < 2", "unexpected '<' after the expression (line 1, column 9)"),
+            ("f() <= g() = h()", "unexpected '=' after the expression (line 1, column 12)"),
+            ("not 1 < 2 <= 3", "unexpected '<=' after the expression (line 1, column 11)"),
+            ("p() and 1 != 2 < 3", "unexpected '<' after the expression (line 1, column 16)"),
+            ("p() implies 1 < 2 < 3", "unexpected '<' after the expression (line 1, column 19)"),
+            (
+                "p() or 1 / if p() then 1 else 2 = 3 < 4",
+                "unexpected '<' after the expression (line 1, column 37)",
+            ),
+            ("1 + not p(x)", "expected an expression, found 'not' (line 1, column 5)"),
+            ("- not p()", "expected an expression, found 'not' (line 1, column 3)"),
+            ("sum {x : p(x)} not q(x)", "expected an expression, found 'not' (line 1, column 16)"),
+            ("exists x p(x) + 1", "term used where a formula is required (line 1, column 15)"),
+            ("p(x) not q(x)", "unexpected 'not' after the expression (line 1, column 6)"),
+            ("forall 1 p()", "expected a variable name, found '1' (line 1, column 8)"),
+            ("1 +\n  $", "unexpected character '$' (line 2, column 3)"),
+            ("", "expected an expression at end of input (line 1, column 1)"),
+            ("1 * -", "expected an expression at end of input (line 1, column 6)"),
+            ("f(x) = y", "cannot compare an element variable with a term (line 1, column 6)"),
+            ("1 or p()", "term used where a formula is required (line 1, column 1)"),
+            ("p(x) and 1", "term used where a formula is required (line 1, column 10)"),
+            (
+                "if p() then 1 else 2 and q()",
+                "term used where a formula is required (line 1, column 1)",
+            ),
+            ("if p() then 1 2", "expected 'else', found '2' (line 1, column 15)"),
+            ("sum {x : p(x) 1", "expected '}', found '1' (line 1, column 15)"),
+            ("ifp (F(x) 1) (x)", "expected '<-', found '1' (line 1, column 11)"),
+            ("(1 + 2", "expected ')', found end of input (line 1, column 7)"),
+            ("3/0x", "unexpected 'x' after the expression (line 1, column 4)"),
+            ("1.5.5", "unexpected character '.' (line 1, column 4)"),
+            (
+                "\tq(x)\r\n  and\n\n  x",
+                "variable 'x' used where a formula is required (line 4, column 3)",
+            ),
+        ],
+    )
+    def test_error_text(self, text, message):
+        with pytest.raises(ParseError) as error:
+            parse(text)
+        assert str(error.value) == message
+
 
 def _round_trips(e) -> bool:
     """Reparse equality, modulo the one inherent ambiguity: a bare atom at
