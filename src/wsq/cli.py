@@ -111,11 +111,22 @@ def _parse_inputs(text: str) -> list[ExtRational]:
     return values
 
 
+def _count(text: str) -> int:
+    """A budget: a non-negative integer (the ``type`` of the budget flags)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"takes an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"takes a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_count(text: str, what: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise _CliError(f"{what} takes an integer, got {text!r}", EXIT_STRUCTURE)
+        return _count(text)
+    except argparse.ArgumentTypeError as exc:
+        raise _CliError(f"{what} {exc}", EXIT_STRUCTURE)
 
 
 def _parse_bindings(pairs: list[str]) -> dict[str, str]:
@@ -410,8 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_limits(p):
-        p.add_argument("--max-fixpoint-cells", type=int, default=EvalLimits().max_fixpoint_cells)
-        p.add_argument("--max-summands", type=int, default=EvalLimits().max_summands)
+        p.add_argument("--max-fixpoint-cells", type=_count, default=EvalLimits().max_fixpoint_cells)
+        p.add_argument("--max-summands", type=_count, default=EvalLimits().max_summands)
 
     p_eval = sub.add_parser("eval", help="evaluate a query on a structure")
     p_eval.add_argument("structure")
@@ -430,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = fnn_sub.add_parser(name)
         p.add_argument("file")
         if name in ("pwl", "integrate", "zero"):
-            p.add_argument("--max-pwl-pieces", type=int, default=DEFAULT_MAX_PWL_PIECES)
+            p.add_argument("--max-pwl-pieces", type=_count, default=DEFAULT_MAX_PWL_PIECES)
         if name == "forward":
             p.add_argument("--input", required=True)
         if name == "integrate":

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 __all__ = ["ExtRational", "BOT", "ZERO", "ONE", "rational", "arith", "compare", "sum_all"]
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\d+/0*[1-9]\d*)$")
+_NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]+)?|[0-9]+/0*[1-9][0-9]*)$")
 
 RationalLike = Union[int, Fraction, "ExtRational"]
 

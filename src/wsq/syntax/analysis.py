@@ -1,9 +1,9 @@
 """Binding and vocabulary analysis of expressions.
 
-``free_vars`` follows the binding structure: summation and aggregates
-bind their variable tuple over guard and body, quantifiers bind their
-variable, and a fixed-point term contributes the free variables of its
-body minus the bound tuple plus the applied tuple.
+``free_vars`` follows the binding structure that
+:func:`wsq.syntax.nodes.bound_vars` reports: a binder's free variables
+are those of its children minus the variables it binds, and a
+fixed-point term adds its applied tuple.
 
 ``vocabulary_of`` collects the relation and weight symbols an expression
 uses, with occurrences of a symbol bound by an enclosing fixed point
@@ -32,8 +32,6 @@ from .nodes import (
     BotConst,
     Cond,
     ElemEq,
-    Exists,
-    Forall,
     Ifp,
     Literal,
     Node,
@@ -43,6 +41,7 @@ from .nodes import (
     Sum,
     WeightAtom,
     Zero,
+    bound_vars,
     children,
 )
 
@@ -59,7 +58,8 @@ __all__ = [
 def free_vars(node: Node) -> frozenset:
     """The exact set of free variables of an expression.
 
-    A node object shared by several parents is visited once.
+    A node object shared by several parents is visited once, so the cost
+    follows the number of distinct node objects, not the tree size.
     """
     done: dict[int, frozenset] = {}
 
@@ -72,21 +72,15 @@ def free_vars(node: Node) -> frozenset:
         out = done.get(id(n))
         if out is not None:
             return out
-        if kind is Exists or kind is Forall:
-            out = go(n.body) - {n.var}
-        elif kind is Sum:
-            out = (go(n.guard) | go(n.body)).difference(n.vars)
-        elif kind is Aggregate:
-            out = go(n.guard)
-            if n.body is not None:
-                out |= go(n.body)
-            out = out.difference(n.vars)
-        elif kind is Ifp:
-            out = go(n.body).difference(n.vars).union(n.applied)
-        else:
-            out = frozenset()
-            for child in children(n):
-                out |= go(child)
+        out = frozenset()
+        for child in children(n):
+            sub = go(child)
+            out = out | sub if out else sub  # no copy of the first non-empty set
+        bound = bound_vars(n)
+        if bound:
+            out = out.difference(bound)
+        if kind is Ifp:
+            out = out.union(n.applied)
         done[id(n)] = out
         return out
 

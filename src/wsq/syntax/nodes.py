@@ -18,9 +18,9 @@ against a concrete structure at evaluation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 __all__ = [
     "Span",
@@ -50,6 +50,8 @@ __all__ = [
     "Aggregate",
     "Ifp",
     "children",
+    "map_children",
+    "bound_vars",
     "walk",
     "syntactic_kind",
     "all_var_names",
@@ -261,6 +263,16 @@ _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     Ifp: ("body",),
 }
 
+_ATOM_KINDS = (RelAtom, WeightAtom, Atom)
+
+_BINDER_FIELD: dict[type, str] = {
+    Exists: "var",
+    Forall: "var",
+    Sum: "vars",
+    Aggregate: "vars",
+    Ifp: "vars",
+}
+
 
 def children(node: Node) -> tuple[Node, ...]:
     """Sub-expressions of a node in a fixed order (used for paths)."""
@@ -272,11 +284,39 @@ def children(node: Node) -> tuple[Node, ...]:
     return tuple(out)
 
 
+def map_children(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """``node`` with ``fn`` applied to each child, rebuilt with its ``span``.
+
+    ``node`` itself comes back when no child changed, so a pass built on
+    this keeps the sharing of its input.
+    """
+    changed = {}
+    for name in _CHILD_FIELDS[type(node)]:
+        child = getattr(node, name)
+        if child is not None:
+            new = fn(child)
+            if new is not child:
+                changed[name] = new
+    return replace(node, **changed) if changed else node
+
+
+def bound_vars(node: Node) -> tuple[str, ...]:
+    """The element variables a node binds in its children (not ``ifp``'s symbol)."""
+    name = _BINDER_FIELD.get(type(node))
+    if name is None:
+        return ()
+    bound = getattr(node, name)
+    return (bound,) if name == "var" else bound
+
+
 def walk(node: Node, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Node]]:
     """Preorder traversal yielding ``(path, node)`` pairs.
 
     A path is the sequence of child indices from the root, usable to
-    point at a subterm of a generated (position-free) expression.
+    point at a subterm of a generated (position-free) expression.  A
+    subtree shared between several parents is yielded once per path that
+    reaches it, on purpose: every path is a distinct position, and the
+    tree-size census counts positions.
     """
     yield path, node
     for i, child in enumerate(children(node)):
@@ -307,17 +347,15 @@ def all_var_names(node: Node) -> set[str]:
             continue
         seen.add(id(n))
         stack.extend(children(n))
-        if isinstance(n, ElemEq):
+        kind = type(n)
+        if kind is ElemEq:
             out.update((n.left, n.right))
-        elif isinstance(n, (RelAtom, WeightAtom, Atom)):
+        elif kind in _ATOM_KINDS:
             out.update(n.args)
-        elif isinstance(n, (Exists, Forall)):
-            out.add(n.var)
-        elif isinstance(n, (Sum, Aggregate)):
-            out.update(n.vars)
-        elif isinstance(n, Ifp):
-            out.update(n.vars)
-            out.update(n.applied)
+        else:
+            out.update(bound_vars(n))
+            if kind is Ifp:
+                out.update(n.applied)
     return out
 
 
@@ -335,72 +373,47 @@ def fresh_var(base: str, used: set[str]) -> str:
 def substitute(node: Node, mapping: dict[str, str]) -> Node:
     """Rename free variable occurrences, avoiding capture.
 
-    Binders whose variables clash with a substituted name are renamed to
-    fresh variables first.  Only element variables are touched; weight
-    symbols bound by ``ifp`` are not variables.
+    A binder of a variable that some name is renamed to gets a fresh
+    name, added to the same simultaneous renaming.  Only element
+    variables are touched; weight symbols bound by ``ifp`` are not
+    variables.  Each node object is rewritten once per renaming in force
+    and returned as it is when nothing in it changes, so sharing is
+    preserved; rebuilt nodes keep their ``span``.
     """
     if not mapping:
         return node
-
     used = all_var_names(node) | set(mapping.values()) | set(mapping)
+    memo: dict[frozenset, dict[int, Node]] = {}  # rewritten node objects per renaming
 
-    def subst_tuple(args: tuple[str, ...], m: dict[str, str]) -> tuple[str, ...]:
-        return tuple(m.get(a, a) for a in args)
+    def rename(names: tuple[str, ...], m: dict[str, str]) -> tuple[str, ...]:
+        return tuple(m.get(v, v) for v in names)
 
-    def go(n: Node, m: dict[str, str]) -> Node:
+    def go(n: Node, m: dict[str, str], done: dict[int, Node]) -> Node:
         if not m:
             return n
-        if isinstance(n, ElemEq):
-            return ElemEq(m.get(n.left, n.left), m.get(n.right, n.right))
-        if isinstance(n, RelAtom):
-            return RelAtom(n.name, subst_tuple(n.args, m))
-        if isinstance(n, WeightAtom):
-            return WeightAtom(n.name, subst_tuple(n.args, m))
-        if isinstance(n, Atom):
-            return Atom(n.name, subst_tuple(n.args, m))
-        if isinstance(n, (Exists, Forall)):
-            bound, body, m2 = _under_binder((n.var,), n.body, m)
-            return type(n)(bound[0], go(body, m2))
-        if isinstance(n, Sum):
-            bound, pair, m2 = _under_binder(n.vars, (n.guard, n.body), m)
-            guard, body = pair
-            return Sum(bound, go(guard, m2), go(body, m2))
-        if isinstance(n, Aggregate):
-            scope = (n.guard, n.body) if n.body is not None else (n.guard,)
-            bound, scope2, m2 = _under_binder(n.vars, scope, m)
-            guard = go(scope2[0], m2)
-            body = go(scope2[1], m2) if n.body is not None else None
-            return Aggregate(n.kind, bound, guard, body)
-        if isinstance(n, Ifp):
-            applied = subst_tuple(n.applied, m)
-            bound, body, m2 = _under_binder(n.vars, n.body, m)
-            return Ifp(n.name, bound, go(body, m2), applied)
-        if isinstance(n, Leq):
-            return Leq(go(n.left, m), go(n.right, m))
-        if isinstance(n, Compare):
-            return Compare(n.op, go(n.left, m), go(n.right, m))
-        if isinstance(n, Not):
-            return Not(go(n.body, m))
-        if isinstance(n, (And, Or, Implies)):
-            return type(n)(go(n.left, m), go(n.right, m))
-        if isinstance(n, Arith):
-            return Arith(n.op, go(n.left, m), go(n.right, m))
-        if isinstance(n, Cond):
-            return Cond(go(n.test, m), go(n.then, m), go(n.otherwise, m))
-        return n  # leaves: Zero, One, Literal, BotConst
+        out = done.get(id(n))
+        if out is not None:
+            return out
+        kind, fields = type(n), {}
+        if kind is ElemEq:
+            fields["left"], fields["right"] = rename((n.left, n.right), m)
+        elif kind in _ATOM_KINDS:
+            fields["args"] = rename(n.args, m)
+        elif kind is Ifp:
+            fields["applied"] = rename(n.applied, m)
+        inner, done_inner = m, done
+        bound = bound_vars(n)
+        if bound:
+            inner = {k: v for k, v in m.items() if k not in bound}
+            targets = set(inner.values())
+            inner.update((v, fresh_var(v, used)) for v in bound if v in targets)
+            if inner != m:
+                done_inner = memo.setdefault(frozenset(inner.items()), {})
+            name, renamed = _BINDER_FIELD[kind], rename(bound, inner)
+            fields[name] = renamed[0] if name == "var" else renamed
+        out = map_children(n, lambda c: go(c, inner, done_inner))
+        changed = {k: v for k, v in fields.items() if v != getattr(n, k)}
+        done[id(n)] = out = replace(out, **changed) if changed else out
+        return out
 
-    def _under_binder(bound_vars, scope, m):
-        """Drop bound names from the mapping; rename binders that would capture."""
-        m2 = {k: v for k, v in m.items() if k not in bound_vars}
-        captured = [v for v in bound_vars if v in m2.values()]
-        if not captured:
-            return tuple(bound_vars), scope, m2
-        renames = {v: fresh_var(v, used) for v in captured}
-        new_bound = tuple(renames.get(v, v) for v in bound_vars)
-        if isinstance(scope, tuple):
-            scope = tuple(go(part, renames) if part is not None else None for part in scope)
-        else:
-            scope = go(scope, renames)
-        return new_bound, scope, m2
-
-    return go(node, dict(mapping))
+    return go(node, dict(mapping), memo.setdefault(frozenset(mapping.items()), {}))

@@ -96,7 +96,7 @@ PRIMARY = 9
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<number>\d+(?:\.\d+|/0*[1-9]\d*)?)
+      (?P<number>[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|<-|!=|>=|[<>=+\-*/(){}:,])
     | (?P<blank>[ \t\r]+)

@@ -26,20 +26,18 @@ from .nodes import (
     Compare,
     Cond,
     ElemEq,
-    Exists,
     Forall,
-    Ifp,
     Implies,
     Leq,
     Literal,
     Node,
     Not,
     One,
-    Or,
     Sum,
     Zero,
     all_var_names,
     fresh_var,
+    map_children,
     substitute,
 )
 
@@ -80,8 +78,10 @@ def desugar(node: Node, *, expand_cond: bool = False) -> Node:
     Generic atoms are left in place (their kind is a property of the
     target structure, not of the syntax).  Fresh variables introduced for
     the min/max guards avoid every name in the input.  Each node object is
-    rewritten once, so a subtree shared in the input stays shared in the
-    output.
+    rewritten once and a node without sugar below it is returned as it
+    is, so a subtree shared in the input stays shared in the output,
+    including the renamed copy of a min/max scope.  Rebuilt nodes keep
+    their ``span``.
     """
     used = all_var_names(node)
     done: dict[int, Node] = {}
@@ -128,10 +128,8 @@ def desugar(node: Node, *, expand_cond: bool = False) -> Node:
                 selector = Forall(v, selector)
             return _avg(n.vars, And(guard, selector), body)
 
-        if isinstance(n, Cond):
+        if isinstance(n, Cond) and expand_cond:
             test, then, other = go(n.test), go(n.then), go(n.otherwise)
-            if not expand_cond:
-                return Cond(test, then, other)
             v = fresh_var("c", used)
             picked = Arith(
                 "/",
@@ -144,22 +142,7 @@ def desugar(node: Node, *, expand_cond: bool = False) -> Node:
                 Arith("*", Arith("-", One(), picked), other),
             )
 
-        # core and leaves: rebuild with desugared children
-        if isinstance(n, Leq):
-            return Leq(go(n.left), go(n.right))
-        if isinstance(n, Not):
-            return Not(go(n.body))
-        if isinstance(n, (And, Or, Implies)):
-            return type(n)(go(n.left), go(n.right))
-        if isinstance(n, (Exists, Forall)):
-            return type(n)(n.var, go(n.body))
-        if isinstance(n, Arith):
-            return Arith(n.op, go(n.left), go(n.right))
-        if isinstance(n, Sum):
-            return Sum(n.vars, go(n.guard), go(n.body))
-        if isinstance(n, Ifp):
-            return Ifp(n.name, n.vars, go(n.body), n.applied)
-        return n  # ElemEq, RelAtom, WeightAtom, Atom, Zero, One
+        return map_children(n, go)
 
     def _avg(vars_, guard, body):
         return Arith("/", Sum(vars_, guard, body), Sum(vars_, guard, One()))

@@ -113,6 +113,35 @@ class TestExitCodes:
         result = wsq("eval", GRAPH, "sum {x, y : x = x} 1", "--max-summands", "3")
         assert result.returncode == 4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("eval", GRAPH, "sum {x : x = x} 1", "--max-summands", "-1"),
+            ("eval", GRAPH, "1", "--max-fixpoint-cells", "-1"),
+            ("fnn", "pwl", CLAMP, "--max-pwl-pieces", "-5"),
+        ],
+        ids=["max_summands", "max_fixpoint_cells", "max_pwl_pieces"],
+    )
+    def test_negative_budget_is_two(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(args))
+        assert exit_.value.code == 2
+        message = f"argument {args[-2]}: takes a non-negative integer, got '{args[-1]}'"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("fnn", "forward", CLAMP, "--input", "\u0663"),
+            ("eval", CLAMP, "builtin:eval_node", "--input", "\u0663"),
+        ],
+        ids=["fnn_forward", "eval"],
+    )
+    def test_non_ascii_digit_input_is_two(self, capsys, args):
+        assert main(list(args)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad input value: not a rational literal: '\u0663'\n"
+
     @pytest.mark.parametrize("command", ["eval", "check"])
     @pytest.mark.parametrize(
         "query",
@@ -287,6 +316,11 @@ class TestRepl:
         [
             (":set max-summands abc", "error: max-summands takes an integer, got 'abc'"),
             (":set max-fixpoint-cells 1.5", "error: max-fixpoint-cells takes an integer, got '1.5'"),
+            (":set max-summands -3", "error: max-summands takes a non-negative integer, got '-3'"),
+            (
+                ":set max-fixpoint-cells -1",
+                "error: max-fixpoint-cells takes a non-negative integer, got '-1'",
+            ),
             (":set input 1,x", "error: bad input value: not a rational literal: 'x'"),
             (":set max-pwl-pieces 5", "error: unknown option 'max-pwl-pieces'"),
         ],

@@ -154,7 +154,7 @@ class TestText:
     def test_parse(self, text, value):
         assert ExtRational.parse(text) == value
 
-    @pytest.mark.parametrize("bad", ["1/0", "x", "1.2.3", "", "1/-2", "--3"])
+    @pytest.mark.parametrize("bad", ["1/0", "x", "1.2.3", "", "1/-2", "--3", "\u0663", "1/\u0662"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             ExtRational.parse(bad)

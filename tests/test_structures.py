@@ -228,6 +228,10 @@ class TestMalformedJson:
             {"universe": ["a"], "weights": {"f": {"arity": 1.9, "values": []}}},
             {"universe": ["a"], "relations": {"e": {"arity": "2", "tuples": [["a", "a"]]}}},
             {"universe": ["a"], "weights": {"f": {"arity": -1, "values": []}}},
+            {
+                "universe": ["a"],
+                "weights": {"f": {"arity": 1, "values": [{"tuple": ["a"], "value": "\u0663"}]}},
+            },
         ],
         ids=[
             "relations_list",
@@ -237,6 +241,7 @@ class TestMalformedJson:
             "arity_float",
             "arity_string",
             "arity_negative",
+            "value_non_ascii_digit",
         ],
     )
     def test_load_error_and_exit_two(self, tmp_path, capsys, doc):

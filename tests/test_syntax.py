@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from randgen import random_expression
+from randgen import random_expression, random_structure
 from wsq.errors import ParseError, UsageError
 from wsq.evaluator import evaluate
 from wsq.numerics import rational
@@ -44,6 +44,7 @@ from wsq.syntax import (
     to_text,
     vocabulary_of,
 )
+from wsq.syntax.nodes import bound_vars, map_children
 
 
 class TestParse:
@@ -166,6 +167,8 @@ class TestParse:
             ("(1 + 2", "expected ')', found end of input (line 1, column 7)"),
             ("3/0x", "unexpected 'x' after the expression (line 1, column 4)"),
             ("1.5.5", "unexpected character '.' (line 1, column 4)"),
+            ("\u0663", "unexpected character '\u0663' (line 1, column 1)"),
+            ("\u0661/\u0662 + 0", "unexpected character '\u0661' (line 1, column 1)"),
             (
                 "\tq(x)\r\n  and\n\n  x",
                 "variable 'x' used where a formula is required (line 4, column 3)",
@@ -476,3 +479,38 @@ class TestSubstitute:
         assert free_vars(renamed) == {"y"}
         # the binder got a fresh name so the substituted y stays free
         assert renamed.vars != ("y",)
+
+    @pytest.mark.parametrize("target", ["y", "z"])
+    def test_agrees_with_evaluation_under_the_renamed_binding(self, target):
+        # random binders are named z, u, v, so renaming x to z exercises capture
+        rng = random.Random(24 if target == "y" else 25)
+        for _ in range(150):
+            s = random_structure(rng)
+            kind = "formula" if rng.random() < 0.5 else "term"
+            e = random_expression(rng, rng.randint(0, 4), kind, ("x", "y"))
+            a, b = rng.choice(s.universe), rng.choice(s.universe)
+            before = {"x": a, "y": a if target == "y" else b}
+            after = {target: a, "y": before["y"]}
+            assert evaluate(substitute(e, {"x": target}), s, after) == evaluate(e, s, before)
+
+    def test_shared_subtree_renamed_per_context(self):
+        t = WeightAtom("w", ("x", "y"))
+        e = Arith("+", t, Sum(("y",), RelAtom("p", ("y",)), t))
+        renamed = substitute(e, {"x": "y"})
+        assert renamed.left == WeightAtom("w", ("y", "y"))
+        (fresh,) = renamed.right.vars
+        assert fresh != "y"
+        assert renamed.right.guard == RelAtom("p", (fresh,))
+        assert renamed.right.body == WeightAtom("w", ("y", fresh))
+
+    def test_sharing_survives(self):
+        e = make_eval(10)
+        assert _distinct_nodes(substitute(e, {"x": "z"})) == _distinct_nodes(e)
+        extremum = Aggregate("max", ("x",), ElemEq("x", "x"), e)
+        assert _distinct_nodes(desugar(extremum)) < 3 * _distinct_nodes(extremum)
+
+    def test_unchanged_children_keep_the_node(self):
+        e = parse("sum {y : p(y)} w(x, y)")
+        assert map_children(e, lambda c: c) is e
+        assert bound_vars(e) == ("y",) and bound_vars(e.body) == ()
+        assert substitute(e, {"y": "z"}) is e
