@@ -10,8 +10,12 @@ Subcommands::
 ``STRUCTURE`` is a structure file or a network file (detected by their
 top-level keys).  ``QUERY`` is inline text, a path to a query file, or a
 ``builtin:`` reference such as ``builtin:eval d=2 i=1``.  Exit codes:
-0 success, 1 query parse error, 2 structure or file error, 3 unbound
-variables, 4 resource budget exceeded or expression too deeply nested.
+0 success, 1 query error (parse error, misused symbol, bad builtin
+parameter, unreadable query file), 2 structure or file error (a file
+that cannot be read, decoded or parsed included) or bad option value,
+3 unbound variables, 4 resource budget exceeded or expression too
+deeply nested.  Budgets, builtin parameters and ``--k`` take ASCII
+digits only.  Each kind of error gets its exit code in :func:`main`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import LoadError, ParseError, ResourceError, UsageError
+from .errors import LoadError, ParseError, ResourceError, UsageError, WsqError
 from .evaluator import EvalLimits, evaluate
 from .fnn import (
     DEFAULT_MAX_PWL_PIECES,
@@ -37,9 +41,9 @@ from .fnn import (
     validate_fnn,
     with_input,
 )
-from .numerics import ExtRational
+from .numerics import ExtRational, parse_count
 from .queries import builtin_query
-from .structures import WeightedStructure, structure_from_json
+from .structures import WeightedStructure, read_json, structure_from_json
 from .syntax import check_scalar_fragment, free_vars, parse, vocabulary_of
 
 EXIT_OK = 0
@@ -50,83 +54,74 @@ EXIT_RESOURCE = 4
 
 
 class _CliError(Exception):
+    """An error with an exit code of its own: query errors (1), unbound variables (3)."""
+
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", EXIT_STRUCTURE)
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"{path}: not valid JSON: {exc}", EXIT_STRUCTURE)
-
-
 def _load_structure_or_fnn(path: str) -> tuple[WeightedStructure, Optional[FnnStructure]]:
-    doc = _load_json(path)
+    doc = read_json(path)
     try:
         if isinstance(doc, dict) and "nodes" in doc:
             net = fnn_from_json(doc)
             return net.structure, net
         return structure_from_json(doc), None
     except LoadError as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_STRUCTURE)
+        raise LoadError(f"{path}: {exc}") from exc
 
 
 def _load_fnn(path: str) -> FnnStructure:
     structure, net = _load_structure_or_fnn(path)
-    if net is None:
-        try:
-            net = FnnStructure(structure)
-        except UsageError as exc:
-            raise _CliError(f"{path}: {exc}", EXIT_STRUCTURE)
-    return net
+    try:
+        return net or FnnStructure(structure)
+    except UsageError as exc:
+        raise LoadError(f"{path}: {exc}") from exc
+
+
+def _parse_query(text: str):
+    """A ``builtin:`` reference or query text, parsed, with its symbols
+    checked for misuse (one name with two arities or two kinds)."""
+    if text.startswith("builtin:"):
+        query = builtin_query(text[len("builtin:") :])
+    else:
+        query = parse(text)
+    vocabulary_of(query)
+    return query
 
 
 def _resolve_query(text: str):
+    """The query named on the command line: text, a query file, or a builtin."""
     try:
-        if text.startswith("builtin:"):
-            return builtin_query(text[len("builtin:") :])
-        if os.path.exists(text):
+        if not text.startswith("builtin:") and os.path.exists(text):
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return parse(text)
+    except (OSError, ValueError) as exc:
+        raise _CliError(f"cannot read query file: {exc}", EXIT_PARSE)
+    try:
+        return _parse_query(text)
     except (ParseError, UsageError) as exc:
         raise _CliError(f"query error: {exc}", EXIT_PARSE)
-    except OSError as exc:
-        raise _CliError(f"cannot read query file: {exc}", EXIT_PARSE)
+
+
+def _rational(text: str) -> ExtRational:
+    try:
+        return ExtRational.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"bad input value: {exc}") from exc
 
 
 def _parse_inputs(text: str) -> list[ExtRational]:
-    values = []
-    for chunk in text.split(","):
-        try:
-            value = ExtRational.parse(chunk)
-        except ValueError as exc:
-            raise _CliError(f"bad input value: {exc}", EXIT_STRUCTURE)
-        values.append(value)
-    return values
+    return [_rational(chunk) for chunk in text.split(",")]
 
 
 def _count(text: str) -> int:
-    """A budget: a non-negative integer (the ``type`` of the budget flags)."""
+    """The ``type`` of the count options: ASCII digits only."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"takes an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"takes a non-negative integer, got {text!r}")
-    return value
-
-
-def _parse_count(text: str, what: str) -> int:
-    try:
-        return _count(text)
-    except argparse.ArgumentTypeError as exc:
-        raise _CliError(f"{what} {exc}", EXIT_STRUCTURE)
+        return parse_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_bindings(pairs: list[str]) -> dict[str, str]:
@@ -134,7 +129,7 @@ def _parse_bindings(pairs: list[str]) -> dict[str, str]:
     for pair in pairs:
         var, sep, elem = pair.partition("=")
         if not sep or not var or not elem:
-            raise _CliError(f"bindings are VAR=ELEMENT, got {pair!r}", EXIT_STRUCTURE)
+            raise UsageError(f"bindings are VAR=ELEMENT, got {pair!r}")
         env[var] = elem
     return env
 
@@ -169,21 +164,13 @@ def _cmd_eval(args) -> int:
     query = _resolve_query(args.query)
     if args.input is not None:
         if net is None:
-            raise _CliError("--input requires a network structure", EXIT_STRUCTURE)
-        try:
-            structure = with_input(net, _parse_inputs(args.input))
-        except UsageError as exc:
-            raise _CliError(str(exc), EXIT_STRUCTURE)
+            raise UsageError("--input requires a network structure")
+        structure = with_input(net, _parse_inputs(args.input))
     env = _parse_bindings(args.bind)
     missing = sorted(free_vars(query) - env.keys())
     if missing:
         raise _CliError(f"unbound variables: {', '.join(missing)}", EXIT_UNBOUND)
-    try:
-        value = evaluate(query, structure, env, _limits(args))
-    except ResourceError as exc:
-        raise _CliError(str(exc), EXIT_RESOURCE)
-    except UsageError as exc:
-        raise _CliError(str(exc), EXIT_STRUCTURE)
+    value = evaluate(query, structure, env, _limits(args))
     print(_render_value(value, args.json))
     return EXIT_OK
 
@@ -206,11 +193,7 @@ def _describe_query(query, out) -> None:
 
 
 def _cmd_check(args) -> int:
-    query = _resolve_query(args.query)
-    try:
-        _describe_query(query, print)
-    except UsageError as exc:
-        raise _CliError(str(exc), EXIT_PARSE)
+    _describe_query(_resolve_query(args.query), print)
     return EXIT_OK
 
 
@@ -237,7 +220,7 @@ def _print_pwl(p: Pwl) -> None:
 
 def _cmd_fnn(args) -> int:
     if args.fnn_command == "validate":
-        doc = _load_json(args.file)
+        doc = read_json(args.file)
         try:
             if isinstance(doc, dict) and "nodes" in doc:
                 fnn_from_json(doc)
@@ -254,31 +237,25 @@ def _cmd_fnn(args) -> int:
         return EXIT_OK
 
     net = _load_fnn(args.file)
-    try:
-        if args.fnn_command == "forward":
-            values = forward(net, _parse_inputs(args.input))
-            print(" ".join(str(v) for v in values))
-        elif args.fnn_command == "pwl":
-            _print_pwl(to_pwl(net, args.max_pwl_pieces))
-        elif args.fnn_command == "integrate":
-            lo = ExtRational.parse(args.lo)
-            hi = ExtRational.parse(args.hi)
-            print(pwl_integral(to_pwl(net, args.max_pwl_pieces), lo, hi))
-        elif args.fnn_command == "zero":
-            print("true" if to_pwl(net, args.max_pwl_pieces).is_zero else "false")
-        elif args.fnn_command == "pad":
-            u, sep, v = args.edge.partition(",")
-            if not sep:
-                raise _CliError("--edge takes FROM,TO", EXIT_STRUCTURE)
-            padded = pad(net, (u, v), args.k)
-            try:
-                save_fnn(padded, args.out)
-            except OSError as exc:
-                raise _CliError(f"cannot write {args.out}: {exc}", EXIT_STRUCTURE)
-    except ResourceError as exc:
-        raise _CliError(str(exc), EXIT_RESOURCE)
-    except (UsageError, ValueError) as exc:
-        raise _CliError(str(exc), EXIT_STRUCTURE)
+    if args.fnn_command == "forward":
+        values = forward(net, _parse_inputs(args.input))
+        print(" ".join(str(v) for v in values))
+    elif args.fnn_command == "pwl":
+        _print_pwl(to_pwl(net, args.max_pwl_pieces))
+    elif args.fnn_command == "integrate":
+        lo, hi = _rational(args.lo), _rational(args.hi)
+        print(pwl_integral(to_pwl(net, args.max_pwl_pieces), lo, hi))
+    elif args.fnn_command == "zero":
+        print("true" if to_pwl(net, args.max_pwl_pieces).is_zero else "false")
+    elif args.fnn_command == "pad":
+        u, sep, v = args.edge.partition(",")
+        if not sep:
+            raise UsageError("--edge takes FROM,TO")
+        padded = pad(net, (u, v), args.k)
+        try:
+            save_fnn(padded, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 
@@ -332,7 +309,7 @@ class Repl:
                 return EXIT_OK
             try:
                 self.dispatch(line)
-            except (_CliError, ParseError, LoadError, UsageError, ResourceError) as exc:
+            except WsqError as exc:
                 self.out(f"error: {exc}")
             except RecursionError:
                 self.out("error: expression too deeply nested")
@@ -382,10 +359,12 @@ class Repl:
             if self.net is None:
                 raise UsageError("load a network before :set input")
             self.inputs = values
-        elif key == "max-summands":
-            self.limits.max_summands = _parse_count(value, key)
-        elif key == "max-fixpoint-cells":
-            self.limits.max_fixpoint_cells = _parse_count(value, key)
+        elif key in ("max-summands", "max-fixpoint-cells"):
+            try:
+                count = parse_count(value)
+            except ValueError as exc:
+                raise UsageError(f"{key} {exc}") from exc
+            setattr(self.limits, key.replace("-", "_"), count)
         else:
             raise UsageError(f"unknown option {key!r}")
         self.out("ok")
@@ -393,9 +372,7 @@ class Repl:
     def _query(self, text: str):
         if text in self.bindings:
             return self.bindings[text]
-        if text.startswith("builtin:"):
-            return builtin_query(text[len("builtin:") :])
-        return parse(text)
+        return _parse_query(text)
 
     def cmd_eval(self, text: str) -> None:
         query = self._query(text)
@@ -404,9 +381,6 @@ class Repl:
             raise UsageError("no structure loaded (:load PATH)")
         if self.inputs is not None and self.net is not None:
             structure = with_input(self.net, self.inputs)
-        missing = sorted(free_vars(query))
-        if missing:
-            raise UsageError(f"unbound variables: {', '.join(missing)}")
         value = evaluate(query, structure, {}, self.limits)
         self.out(_render_value(value, self.format == "json"))
 
@@ -449,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hi", required=True)
         if name == "pad":
             p.add_argument("--edge", required=True, metavar="FROM,TO")
-            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--k", type=_count, required=True)
             p.add_argument("--out", required=True)
 
     p_repl = sub.add_parser("repl", help="interactive shell")
@@ -473,9 +447,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -281,7 +281,7 @@ class _Compiler:
         env = dict(env or {})
         missing = self.free.keys() - env.keys()
         if missing:
-            raise UsageError(f"unbound variables: {sorted(missing)}")
+            raise UsageError(f"unbound variables: {', '.join(sorted(missing))}")
         universe = set(self.universe)
         for var, val in env.items():
             if val not in universe:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .errors import LoadError, ResourceError, UsageError
 from .numerics import BOT, ExtRational, rational
-from .structures import WeightedStructure, validate_structure
+from .structures import WeightedStructure, read_json, validate_structure, weight_value
 
 __all__ = [
     "WT",
@@ -96,6 +96,23 @@ def _topological(universe: Sequence[str], succs: dict[str, Sequence[str]]) -> li
             if not pending[x]:
                 ready.append(x)
     return order
+
+
+def _cycle(universe: Sequence[str], succs: dict[str, Sequence[str]], order: list[str]) -> str:
+    """The nodes of one cycle of ``succs``, as text, given the ``order`` in
+    which :func:`_topological` left some nodes out."""
+    done = set(order)
+    # a node left out waits on another node left out, so each of them has
+    # such a predecessor, and walking back along them must come round a cycle
+    back = {x: u for u in universe if u not in done for x in succs[u]}
+    v = next(v for v in universe if v not in done)
+    walked: dict[str, None] = {}
+    while v not in walked:
+        walked[v] = None
+        v = back[v]
+    path = list(walked)
+    cycle = path[path.index(v) :]
+    return ", ".join(repr(u) for u in reversed(cycle))
 
 
 def _linear_order(pairs: frozenset, members: Sequence[str], label: str) -> tuple[tuple, list[str]]:
@@ -176,8 +193,7 @@ def _derive(s: WeightedStructure) -> tuple[list[str], tuple]:
         outs[u].append(v)
     order = _topological(s.universe, outs)
     if len(order) < len(s.universe):
-        cyclic = sorted(set(s.universe).difference(order))
-        out.append(f"acyclic: weight graph has a cycle through {cyclic}")
+        out.append(f"acyclic: weight graph has a cycle through {_cycle(s.universe, outs, order)}")
         return out, ()
 
     for v in s.universe:
@@ -295,15 +311,7 @@ def node_values(s: WeightedStructure) -> dict[str, ExtRational]:
 
     order = _topological(s.universe, succs)
     if len(order) < len(s.universe):
-        # every node left out waits on another node left out, so walking
-        # back from one of them must come round a cycle
-        done = set(order)
-        v = next(v for v in s.universe if v not in done)
-        walked: set[str] = set()
-        while v not in walked:
-            walked.add(v)
-            v = next(u for u, _ in preds[v] if u not in done)
-        raise UsageError(f"weight graph has a cycle through {v!r}")
+        raise UsageError(f"weight graph has a cycle through {_cycle(s.universe, succs, order)}")
     values: dict[str, ExtRational] = {}
     for v in order:
         if (v,) in inp:
@@ -563,17 +571,6 @@ def fnn_from_json(doc: dict) -> FnnStructure:
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise LoadError("network file must be an object with a 'nodes' key")
 
-    def parse_value(raw, where: str) -> ExtRational:
-        if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-            raise LoadError(f"{where}: value must be a string or integer")
-        try:
-            value = ExtRational.parse(str(raw))
-        except ValueError as exc:
-            raise LoadError(f"{where}: {exc}") from exc
-        if value.is_bot:
-            raise LoadError(f"{where}: 'bot' not allowed here")
-        return value
-
     def listed(key: str) -> list:
         entries = doc.get(key, [])
         if not isinstance(entries, list):
@@ -581,18 +578,19 @@ def fnn_from_json(doc: dict) -> FnnStructure:
         return entries
 
     names: list[str] = []
+    known: set[str] = set()
     bias: dict = {}
     for entry in listed("nodes"):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise LoadError("each node entry needs a 'name' string")
         name = entry["name"]
-        if name in names:
+        if name in known:
             raise LoadError(f"duplicate node {name!r}")
         names.append(name)
+        known.add(name)
         if "bias" in entry:
-            bias[(name,)] = parse_value(entry["bias"], f"bias of {name}")
+            bias[(name,)] = weight_value(entry["bias"], f"bias of {name}")
 
-    known = set(names)
     wt: dict = {}
     for entry in listed("edges"):
         try:
@@ -605,7 +603,7 @@ def fnn_from_json(doc: dict) -> FnnStructure:
             raise LoadError(f"edge ({u},{v}) references unknown nodes")
         if (u, v) in wt:
             raise LoadError(f"duplicate edge ({u},{v})")
-        wt[(u, v)] = parse_value(raw, f"weight of ({u},{v})")
+        wt[(u, v)] = weight_value(raw, f"weight of ({u},{v})")
 
     def order_pairs(label):
         order = listed(label)
@@ -652,12 +650,8 @@ def fnn_to_json(net: FnnStructure) -> dict:
 
 
 def load_fnn(path: str) -> FnnStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: not valid JSON: {exc}") from exc
-    return fnn_from_json(doc)
+    """Load a network file; any unreadable or malformed file is a :class:`LoadError`."""
+    return fnn_from_json(read_json(path))
 
 
 def save_fnn(net: FnnStructure, path: str) -> None:

@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Union
 __all__ = ["ExtRational", "BOT", "ZERO", "ONE", "rational", "arith", "compare", "sum_all"]
 
 _NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]+)?|[0-9]+/0*[1-9][0-9]*)$")
+_COUNT_RE = re.compile(r"[0-9]+")
 
 RationalLike = Union[int, Fraction, "ExtRational"]
 
@@ -197,6 +198,15 @@ def compare(a: ExtRational, b: ExtRational) -> int:
     the order total on the whole domain.
     """
     return a._cmp(b)
+
+
+def parse_count(text: str) -> int:
+    """A count in ASCII digits (``[0-9]+``); else ``ValueError`` saying it
+    ``takes a non-negative integer`` (a negative one) or ``takes an integer``."""
+    if not _COUNT_RE.fullmatch(text):
+        negative = text[:1] == "-" and _COUNT_RE.fullmatch(text[1:])
+        raise ValueError(f"takes {'a non-negative' if negative else 'an'} integer, got {text!r}")
+    return int(text)
 
 
 def sum_all(items: Iterable[ExtRational]) -> ExtRational:

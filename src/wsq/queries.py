@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from .errors import UsageError
 from .fnn import BIAS, INP, LE_IN, LE_OUT, WT
+from .numerics import parse_count
 from .syntax.nodes import (
     Aggregate,
     And,
@@ -446,9 +447,9 @@ def builtin_query(reference: str) -> Expr:
         if not sep or key not in spec["params"]:
             raise UsageError(f"builtin {name!r} takes parameters {spec['params']}, got {arg!r}")
         try:
-            params[key] = int(value)
+            params[key] = parse_count(value)
         except ValueError as exc:
-            raise UsageError(f"parameter {key!r} must be an integer, got {value!r}") from exc
+            raise UsageError(f"parameter {key!r} {exc}") from exc
     for required in spec.get("required", ()):
         if required not in params:
             raise UsageError(f"builtin {name!r} requires parameter {required!r}")

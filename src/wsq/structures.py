@@ -284,6 +284,19 @@ def _tuples(rows, arity: int, where: str) -> list[tuple]:
     return tuples
 
 
+def weight_value(raw, where: str) -> ExtRational:
+    """A defined weight as written in JSON: a rational literal string or an integer."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise LoadError(f"{where}: value must be a string or integer, got {raw!r}")
+    try:
+        value = ExtRational.parse(str(raw))
+    except ValueError as exc:
+        raise LoadError(f"{where}: {exc}") from exc
+    if value.is_bot:
+        raise LoadError(f"{where}: explicit 'bot' not allowed; omit the entry instead")
+    return value
+
+
 def structure_from_json(doc: dict) -> WeightedStructure:
     """Load a structure from its JSON dict form.
 
@@ -326,17 +339,11 @@ def structure_from_json(doc: dict) -> WeightedStructure:
         except (TypeError, KeyError) as exc:
             raise LoadError(f"weight {name!r}: malformed value entry") from exc
         table: dict = {}
-        for t, raw in zip(_tuples(rows, arity, f"weight {name!r}"), raws):
-            if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-                raise LoadError(f"weight {name!r}: value for {list(t)} must be a string or integer")
-            try:
-                value = ExtRational.parse(str(raw))
-            except ValueError as exc:
-                raise LoadError(f"weight {name!r}: {exc}") from exc
-            if value.is_bot:
-                raise LoadError(f"weight {name!r}: explicit 'bot' not allowed; omit the tuple instead")
+        where = f"weight {name!r}"
+        for t, raw in zip(_tuples(rows, arity, where), raws):
+            value = weight_value(raw, where)
             if t in table and table[t] != value:
-                raise LoadError(f"weight {name!r}: tuple {list(t)} listed twice with different values")
+                raise LoadError(f"{where}: tuple {list(t)} listed twice with different values")
             table[t] = value
         weights[name] = (arity, table)
 
@@ -350,13 +357,24 @@ def structure_from_json(doc: dict) -> WeightedStructure:
     return s
 
 
+def read_json(path: str):
+    """The JSON document in the file at ``path``.  A file that cannot be
+    read, is not UTF-8, is not JSON or nests too deeply for the JSON
+    parser raises :class:`LoadError` (``cannot read PATH: ...`` or
+    ``PATH: not valid JSON: ...``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise LoadError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_structure(path: str) -> WeightedStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: not valid JSON: {exc}") from exc
-    return structure_from_json(doc)
+    """Load a structure file; any unreadable or malformed file is a :class:`LoadError`."""
+    return structure_from_json(read_json(path))
 
 
 def save_structure(s: WeightedStructure, path: str) -> None:

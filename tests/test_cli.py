@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ DATA = HERE / "data"
 GOLDEN = HERE / "golden"
 
 CLAMP = str(DATA / "clamp.fnn.json")
+UNDECODABLE = b"\xff\xfe{"
+DEEP = b"[" * 100_000
 CANCEL = str(DATA / "cancel.fnn.json")
 TWO_NODE = str(DATA / "two_node.fnn.json")
 GRAPH = str(DATA / "graph.json")
@@ -114,20 +117,76 @@ class TestExitCodes:
         assert result.returncode == 4
 
     @pytest.mark.parametrize(
-        "args",
+        "args, wording",
         [
-            ("eval", GRAPH, "sum {x : x = x} 1", "--max-summands", "-1"),
-            ("eval", GRAPH, "1", "--max-fixpoint-cells", "-1"),
-            ("fnn", "pwl", CLAMP, "--max-pwl-pieces", "-5"),
+            (("eval", GRAPH, "sum {x : x = x} 1", "--max-summands", "-1"), "a non-negative integer"),
+            (("eval", GRAPH, "1", "--max-fixpoint-cells", "-1"), "a non-negative integer"),
+            (("fnn", "pwl", CLAMP, "--max-pwl-pieces", "-5"), "a non-negative integer"),
+            (("eval", GRAPH, "sum {x : x = x} 1", "--max-summands", "\u0663"), "an integer"),
+            (("eval", GRAPH, "sum {x : x = x} 1", "--max-summands", "1_0"), "an integer"),
+            (("fnn", "pad", TWO_NODE, "--edge", "u,v", "--out", os.devnull, "--k", "\u0662"), "an integer"),
+            (("fnn", "pad", TWO_NODE, "--edge", "u,v", "--out", os.devnull, "--k", "1_0"), "an integer"),
         ],
-        ids=["max_summands", "max_fixpoint_cells", "max_pwl_pieces"],
+        ids=[
+            "max_summands",
+            "max_fixpoint_cells",
+            "max_pwl_pieces",
+            "max_summands_non_ascii_digit",
+            "max_summands_underscore",
+            "k_non_ascii_digit",
+            "k_underscore",
+        ],
     )
-    def test_negative_budget_is_two(self, capsys, args):
+    def test_negative_budget_is_two(self, capsys, args, wording):
+        # counts take ASCII digits only: int() would read both '\u0663' and '1_0'
         with pytest.raises(SystemExit) as exit_:
             main(list(args))
         assert exit_.value.code == 2
-        message = f"argument {args[-2]}: takes a non-negative integer, got '{args[-1]}'"
+        message = f"argument {args[-2]}: takes {wording}, got '{args[-1]}'"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_0"], ids=["non_ascii_digit", "underscore"])
+    def test_builtin_parameter_takes_ascii_digits(self, capsys, value):
+        assert main(["eval", CLAMP, f"builtin:eval d={value} i=1", "--input", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: query error: parameter 'd' takes an integer, got '{value}'\n"
+
+    @pytest.mark.parametrize("content", [UNDECODABLE, DEEP], ids=["undecodable", "deep"])
+    @pytest.mark.parametrize(
+        "command",
+        [("eval", "{}", "1"), ("fnn", "validate", "{}"), ("fnn", "forward", "{}", "--input", "1")],
+        ids=["eval", "fnn_validate", "fnn_forward"],
+    )
+    def test_unreadable_file_is_two(self, tmp_path, capsys, command, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert main([arg.format(path) for arg in command]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {path}: not valid JSON: ")
+        assert "Traceback" not in err
+
+    def test_undecodable_query_file_is_one(self, tmp_path, capsys):
+        path = tmp_path / "q.wsq"
+        path.write_bytes(UNDECODABLE)
+        assert main(["eval", GRAPH, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: cannot read query file: ")
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("f(x) + sum {y : p(y)} f(y, y)", "symbol 'f' used with arities 1 and 2"),
+            ("e(x, x) and e(x, x) = 1", "symbol 'e' used as both relation and weight function"),
+        ],
+        ids=["arities", "kinds"],
+    )
+    def test_symbol_misuse_is_one_for_eval_and_check(self, capsys, query, message):
+        assert main(["eval", GRAPH, query, "--bind", "x=a"]) == 1
+        assert capsys.readouterr() == ("", f"error: query error: {message}\n")
+        assert main(["check", query]) == 1
+        assert capsys.readouterr() == ("", f"error: query error: {message}\n")
 
     @pytest.mark.parametrize(
         "args",
@@ -323,6 +382,8 @@ class TestRepl:
             ),
             (":set input 1,x", "error: bad input value: not a rational literal: 'x'"),
             (":set max-pwl-pieces 5", "error: unknown option 'max-pwl-pieces'"),
+            (":set max-summands \u0663", "error: max-summands takes an integer, got '\u0663'"),
+            (":set max-fixpoint-cells 1_0", "error: max-fixpoint-cells takes an integer, got '1_0'"),
         ],
     )
     def test_bad_set_value_keeps_the_session(self, line, message):
@@ -330,3 +391,20 @@ class TestRepl:
         out = io.StringIO()
         assert Repl(io.StringIO(script + "\n"), out).run() == 0
         assert out.getvalue().splitlines()[1:] == [message, "4"]
+
+    @pytest.mark.parametrize("content", [UNDECODABLE, DEEP], ids=["undecodable", "deep"])
+    def test_bad_load_keeps_the_session(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        script = "\n".join([f":load {GRAPH}", f":load {path}", "count {x : x = x}", ":quit"])
+        out = io.StringIO()
+        assert Repl(io.StringIO(script + "\n"), out).run() == 0
+        lines = out.getvalue().splitlines()
+        assert lines[1].startswith(f"error: {path}: not valid JSON: ")
+        assert lines[2:] == ["4"]
+
+    def test_unbound_variables_are_reported_once(self):
+        script = "\n".join([f":load {GRAPH}", "wt(x, y)", ":quit"])
+        out = io.StringIO()
+        assert Repl(io.StringIO(script + "\n"), out).run() == 0
+        assert out.getvalue().splitlines()[1:] == ["error: unbound variables: x, y"]

@@ -268,6 +268,10 @@ class TestUsageErrors:
         with pytest.raises(UsageError, match="unbound"):
             evaluate(parse("wt(x, y)"), two_triangle_graph, {"x": "a"})
 
+    def test_unbound_variables_are_listed_as_on_the_command_line(self, two_triangle_graph):
+        with pytest.raises(UsageError, match="^unbound variables: x, y$"):
+            evaluate(parse("wt(x, y)"), two_triangle_graph)
+
     def test_assignment_outside_universe(self, two_triangle_graph):
         with pytest.raises(UsageError, match="universe"):
             evaluate(parse("wt(x, y)"), two_triangle_graph, {"x": "a", "y": "zz"})

@@ -75,6 +75,25 @@ class TestValidate:
         broken = type(s)(s.universe, s.vocabulary, rel, s.weights)
         assert any("le_in" in v for v in validate_fnn(broken))
 
+    def test_cycle_message_names_only_cycle_nodes(self):
+        # c hangs below the cycle a <-> b and is not on it
+        s = WeightedStructure.build(
+            ["c", "a", "b"],
+            relations={"le_in": (2, []), "le_out": (2, [])},
+            weights={
+                "wt": (2, {("a", "b"): 1, ("b", "a"): 1, ("b", "c"): 1}),
+                "bias": (1, {("a",): 0, ("b",): 0, ("c",): 0}),
+            },
+        )
+        message = "acyclic: weight graph has a cycle through 'a', 'b'"
+        assert validate_fnn(s) == [message]
+        with pytest.raises(UsageError) as error:
+            FnnStructure(s)
+        assert str(error.value) == f"not a valid FNN: {message}"
+        with pytest.raises(UsageError) as error:
+            node_values(s.expand(weights={"inp": (1, {})}))
+        assert str(error.value) == "weight graph has a cycle through 'a', 'b'"
+
     def test_missing_vocabulary_reported(self):
         from wsq.structures import WeightedStructure
 
@@ -526,6 +545,37 @@ class TestMalformedJson:
         assert main(["eval", str(path), "1"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe{", b"[" * 100_000], ids=["missing", "undecodable", "deep"]
+    )
+    def test_unreadable_file_is_load_error(self, tmp_path, content):
+        path = tmp_path / "net.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(LoadError, match="cannot read|not valid JSON"):
+            load_fnn(str(path))
+
+    @pytest.mark.parametrize(
+        "raw, wording",
+        [
+            ("bot", "explicit 'bot' not allowed; omit the entry instead"),
+            (1.5, "value must be a string or integer, got 1.5"),
+            ("\u0663", "not a rational literal: '\u0663'"),
+        ],
+        ids=["bot", "float", "non_ascii_digit"],
+    )
+    def test_values_read_as_in_structure_files(self, raw, wording):
+        from wsq.structures import structure_from_json
+
+        doc = {**self.BASE, "nodes": [{"name": "u"}, {"name": "v", "bias": raw}]}
+        with pytest.raises(LoadError) as net_error:
+            fnn_from_json(doc)
+        weights = {"f": {"arity": 1, "values": [{"tuple": ["a"], "value": raw}]}}
+        with pytest.raises(LoadError) as structure_error:
+            structure_from_json({"universe": ["a"], "weights": weights})
+        assert str(net_error.value) == f"bias of v: {wording}"
+        assert str(structure_error.value) == f"weight 'f': {wording}"
 
     def test_bad_sections_rejected(self):
         assert fnn_from_json(self.BASE).input_nodes == ("u",)

@@ -1,6 +1,6 @@
-"""Fuzzing the command line: mutated query text and mutated structure and
-network documents must end in an answer or a documented exit code (0-4),
-never in an exception."""
+"""Fuzzing the command line: mutated query text, mutated structure and
+network documents, and mutated bytes of their files must end in an answer
+or a documented exit code (0-4), never in an exception."""
 
 import contextlib
 import copy
@@ -139,4 +139,30 @@ def test_check_never_raises(query):
 def test_fnn_validate_never_raises(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzz_validate.json"
     path.write_text(json.dumps(doc))
+    assert run(["fnn", "validate", str(path)]) in range(5)
+
+
+@st.composite
+def mutated_files(draw):
+    """The bytes of a structure or network file, with bytes inserted or
+    replaced (any byte value, 0x80-0xff included) and a run of ``[`` in
+    front, which can make the file undecodable or nested too deeply."""
+    data = bytearray(json.dumps(draw(st.sampled_from([STRUCTURE, NETWORK]))).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        chunk = draw(st.binary(min_size=1, max_size=3))
+        if draw(st.booleans()):
+            data[at : at + len(chunk)] = chunk
+        else:
+            data[at:at] = chunk
+    prefix = b"[" * draw(st.sampled_from([0, 0, 1, 500, 100_000]))
+    return prefix + bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_files(), query=st.sampled_from(QUERIES))
+def test_file_bytes_never_raise(tmp_path_factory, data, query):
+    path = tmp_path_factory.getbasetemp() / "fuzz_bytes.json"
+    path.write_bytes(data)
+    assert run(["eval", *LIMITS, "--", str(path), query]) in range(5)
     assert run(["fnn", "validate", str(path)]) in range(5)

@@ -255,6 +255,16 @@ class TestMalformedJson:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe{", b"[" * 100_000], ids=["missing", "undecodable", "deep"]
+    )
+    def test_unreadable_file_is_load_error(self, tmp_path, content):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(LoadError, match="cannot read|not valid JSON"):
+            load_structure(str(path))
+
     def test_bad_sections_rejected(self):
         for doc in (
             {"universe": ["a"], "weights": "f"},
