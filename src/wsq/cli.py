@@ -9,7 +9,8 @@ Subcommands::
 
 ``STRUCTURE`` is a structure file or a network file (detected by their
 top-level keys).  ``QUERY`` is inline text, a path to a query file, or a
-``builtin:`` reference such as ``builtin:eval d=2 i=1``.  Exit codes:
+``builtin:`` reference such as ``builtin:eval d=2 i=1``; text that parses
+is the query even when a file of that name exists.  Exit codes:
 0 success, 1 query error (parse error, misused symbol, bad builtin
 parameter, unreadable query file), 2 structure or file error (a file
 that cannot be read, decoded or parsed included) or bad option value,
@@ -92,15 +93,22 @@ def _parse_query(text: str):
 
 
 def _resolve_query(text: str):
-    """The query named on the command line: text, a query file, or a builtin."""
+    """The query named on the command line: query text or a builtin, or,
+    only when the text does not parse and names a file, that file's query."""
     try:
-        if not text.startswith("builtin:") and os.path.exists(text):
+        try:
+            return _parse_query(text)
+        except ParseError:
+            if not os.path.isfile(text):
+                raise
+        try:
             with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except (OSError, ValueError) as exc:
-        raise _CliError(f"cannot read query file: {exc}", EXIT_PARSE)
-    try:
-        return _parse_query(text)
+                source = fh.read()
+        except (OSError, ValueError) as exc:
+            # an OSError's own text names the file again
+            reason = getattr(exc, "strerror", None) or exc
+            raise _CliError(f"cannot read query file: {text}: {reason}", EXIT_PARSE)
+        return _parse_query(source)
     except (ParseError, UsageError) as exc:
         raise _CliError(f"query error: {exc}", EXIT_PARSE)
 

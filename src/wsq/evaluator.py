@@ -25,6 +25,14 @@ live in numbered slots, one per binder occurrence, so a binder that
 reuses an outer name needs no save and restore.  A node object reached
 twice under the same binders compiles to one closure.
 
+The same pass decides coverage where it reads the tables: a use is
+uncovered when the structure lacks its symbol at that kind and arity, a
+relation atom names the symbol of an enclosing fixed point, an
+intensional use has the wrong arity, or one fixed-point symbol is bound
+at two arities.  Every misuse leaves such a use, so only an uncovered
+expression is walked again with ``vocabulary_of``, to raise the misuse
+error; an uncovered expression without misuse takes the default.
+
 Sums, aggregates and quantifiers draw their bindings from one routine.
 When a top-level conjunct of the guard (for ``forall``, of the
 antecedent of an implication body) is an extensional ``R(..)`` or
@@ -76,7 +84,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from .errors import ResourceError, UsageError
 from .numerics import BOT, ONE, ZERO, ExtRational, rational
 from .structures import WeightedStructure
-from .syntax.analysis import covered_by, vocabulary_of
+from .syntax.analysis import vocabulary_of
 from .syntax.nodes import (
     Aggregate,
     And,
@@ -194,8 +202,9 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     bound slot it holds (repeated slots repeat the number).  The index
     maps the values at the outside positions to the distinct values
     of the bound slots, sorted in universe order.  A tuple binding a slot
-    to a value outside the universe (an unvalidated structure) is left
-    out, as full enumeration never binds one.
+    to a value outside the universe, or of another length than the
+    pattern (both only in an unvalidated structure), is left out, as full
+    enumeration never binds one.
     """
     index = indexes.get(signature)
     if index is not None:
@@ -207,6 +216,8 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     rank = {elem: i for i, elem in enumerate(universe)}
     groups: dict[tuple, set] = {}
     for t in table:
+        if len(t) != len(roles):
+            continue
         if all(t[i] == t[j] for i, j in repeats) and all(t[i] in rank for i in first):
             groups.setdefault(tuple(t[i] for i in outside), set()).add(
                 tuple(t[i] for i in first)
@@ -219,14 +230,15 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
 
 
 class _Cell:
-    """The live table of one fixed point and, while the body runs for one
-    tuple, the set of missing entries it has read."""
+    """The live table of one fixed point of the given arity and, while the
+    body runs for one tuple, the set of missing entries it has read."""
 
-    __slots__ = ("table", "reads")
+    __slots__ = ("table", "reads", "arity")
 
-    def __init__(self):
+    def __init__(self, arity: int):
         self.table: dict[tuple, ExtRational] = {}
         self.reads: set = set()
+        self.arity = arity
 
 
 class _Scope:
@@ -255,6 +267,8 @@ class _Compiler:
     the slots it reads, which are its free variables.  Variables free in
     the whole expression get slots on first use, recorded in ``free``.
     ``indexes`` holds the support indexes built so far by this call.
+    ``covered`` turns false at the first uncovered use (see the module
+    docstring); ``arities`` holds each fixed-point symbol's arity.
     """
 
     def __init__(self, structure: WeightedStructure, limits: EvalLimits):
@@ -266,6 +280,8 @@ class _Compiler:
         self.root = _Scope({}, {}, 0)
         self.indexes: dict[tuple, dict] = {}
         self.budgeted: dict[int, bool] = {}
+        self.covered = True
+        self.arities: dict[str, int] = {}
 
     def compile(self, n: Node, scope: _Scope) -> tuple[Compiled, int]:
         if type(n) in _LEAVES:
@@ -421,7 +437,6 @@ class _Compiler:
         """``(symbol, table, args)`` if ``n`` holds only on the support of an
         extensional table: ``R(..)`` or ``w(..) != bot``; else ``None``.
         A symbol the structure lacks has empty support."""
-        relations = self.structure.vocabulary.relations
         if type(n) is Compare and n.op == "!=":
             if type(n.right) is BotConst:
                 atom = n.left
@@ -431,14 +446,17 @@ class _Compiler:
                 return None
             if type(atom) not in (WeightAtom, Atom) or atom.name in scope.cells:
                 return None
-            if type(atom) is Atom and atom.name in relations:
+            if type(atom) is Atom and self._reads_relation(atom, scope):
                 return None
             return atom.name, self.structure.weights.get(atom.name, {}), atom.args
-        if type(n) is RelAtom or (
-            type(n) is Atom and n.name not in scope.cells and n.name in relations
-        ):
+        if type(n) is RelAtom or (type(n) is Atom and self._reads_relation(n, scope)):
             return n.name, self.structure.relations.get(n.name, frozenset()), n.args
         return None
+
+    def _reads_relation(self, n: Atom, scope: _Scope) -> bool:
+        """Whether a generic atom reads a relation table rather than a
+        weight table or a fixed point's."""
+        return n.name not in scope.cells and n.name in self.structure.vocabulary.relations
 
     def _budgeted(self, n: Node) -> bool:
         """Whether ``n`` contains a summation, aggregate or fixed point,
@@ -457,6 +475,8 @@ class _Compiler:
 
     def _rel_atom(self, n, scope):
         slots, mask = self._slots(scope, n.args)
+        if n.name in scope.cells or self.structure.vocabulary.relations.get(n.name) != len(slots):
+            self.covered = False
         table = self.structure.relations.get(n.name)
         if table is None or not slots:
             return _constant(table is not None and () in table), mask
@@ -548,6 +568,8 @@ class _Compiler:
         slots, mask = self._slots(scope, n.args)
         cell = scope.cells.get(n.name)
         if cell is not None:
+            if cell.arity != len(slots):
+                self.covered = False
             key = _tuple_getter(slots)
 
             def intensional(env):
@@ -559,6 +581,8 @@ class _Compiler:
                 return value
 
             return intensional, mask
+        if self.structure.vocabulary.weights.get(n.name) != len(slots):
+            self.covered = False
         table = self.structure.weights.get(n.name)
         if table is None or not slots:
             return _constant(BOT if table is None else table.get((), BOT)), mask
@@ -569,7 +593,7 @@ class _Compiler:
         return (lambda env: table.get(key(env), BOT)), mask
 
     def _atom(self, n: Atom, scope):
-        if n.name not in scope.cells and n.name in self.structure.vocabulary.relations:
+        if self._reads_relation(n, scope):
             return self._rel_atom(n, scope)
         return self._weight_atom(n, scope)
 
@@ -584,32 +608,10 @@ class _Compiler:
         other, om = self.compile(n.otherwise, scope)
         return (lambda env: then(env) if test(env) else other(env)), tm | thm | om
 
-    def _sum(self, n: Sum, scope):
-        inner, lo, hi = self._bind(scope, n.vars)
-        bindings = self._bindings(inner, lo, hi, n.guard)
-        guard, gm = self.compile(n.guard, inner)
-        body, bm = self.compile(n.body, inner)
-        mask = (gm | bm) & ~_span(lo, hi)
-        limit = self.limits.max_summands
-
-        def total(env):
-            acc = Fraction(0)
-            count = 0
-            for combo in bindings(env):
-                env[lo:hi] = combo
-                if guard(env):
-                    count += 1
-                    if count > limit:
-                        raise ResourceError(f"summation exceeds {limit} summands")
-                    value = body(env).frac
-                    if value is None:
-                        return BOT
-                    acc += value
-            return ExtRational(acc)
-
-        return self._memo(total, mask, scope), mask
-
-    def _aggregate(self, n: Aggregate, scope):
+    def _fold(self, n: Union[Sum, Aggregate], scope):
+        """A summation, as kind ``sum``, or an aggregate: one pass over the
+        bindings that satisfy the guard, with running accumulators."""
+        kind = "sum" if type(n) is Sum else n.kind
         inner, lo, hi = self._bind(scope, n.vars)
         bindings = self._bindings(inner, lo, hi, n.guard)
         guard, mask = self.compile(n.guard, inner)
@@ -618,9 +620,12 @@ class _Compiler:
             body, bm = self.compile(n.body, inner)
             mask |= bm
         mask &= ~_span(lo, hi)
-        limit, kind = self.limits.max_summands, n.kind
+        limit = self.limits.max_summands
+        overflow = f"{'summation' if kind == 'sum' else 'aggregate'} exceeds {limit} summands"
+        counting, additive = kind == "count", kind in ("sum", "avg")
+        better = operator.gt if kind == "max" else operator.lt
 
-        def aggregate(env):
+        def fold(env):
             count = 0
             acc = Fraction(0)
             best: Optional[ExtRational] = None
@@ -630,26 +635,25 @@ class _Compiler:
                     continue
                 count += 1
                 if count > limit:
-                    raise ResourceError(f"aggregate exceeds {limit} summands")
-                if kind == "count":
-                    continue
-                value = body(env)
-                if kind == "avg":
-                    if value.is_bot:
+                    raise ResourceError(overflow)
+                if additive:
+                    value = body(env).frac
+                    if value is None:
                         return BOT
-                    acc += value.frac
-                elif kind == "max":
-                    if best is None or value > best:
+                    acc += value
+                elif not counting:
+                    value = body(env)
+                    if best is None or better(value, best):
                         best = value
-                elif best is None or value < best:  # min
-                    best = value
-            if kind == "count":
+            if kind == "sum":
+                return ExtRational(acc)
+            if counting:
                 return rational(count)
             if kind == "avg":
                 return BOT if count == 0 else ExtRational(acc / count)
             return BOT if best is None else best
 
-        return self._memo(aggregate, mask, scope), mask
+        return self._memo(fold, mask, scope), mask
 
     def _ifp(self, n: Ifp, scope):
         run, mask = self.fixpoint(n.name, n.vars, n.body, scope)
@@ -661,7 +665,9 @@ class _Compiler:
     def fixpoint(self, name: str, vars_: tuple, body: Node, scope: _Scope):
         """Closure running the fixed point of ``body`` over ``name(vars_)``
         to stabilization, and the bitmask of the slots the run reads."""
-        cell = _Cell()
+        cell = _Cell(len(vars_))
+        if self.arities.setdefault(name, cell.arity) != cell.arity:
+            self.covered = False
         inner, lo, hi = self._bind(scope, vars_)
         inner.cells = {**scope.cells, name: cell}
         step, mask = self.compile(body, inner)
@@ -734,8 +740,8 @@ _COMPILE = {
     Atom: _Compiler._atom,
     Arith: _Compiler._arith,
     Cond: _Compiler._cond,
-    Sum: _Compiler._sum,
-    Aggregate: _Compiler._aggregate,
+    Sum: _Compiler._fold,
+    Aggregate: _Compiler._fold,
     Ifp: _Compiler._ifp,
 }
 
@@ -756,7 +762,8 @@ def evaluate(
     compiler = _Compiler(structure, limits or EvalLimits())
     fn, _ = compiler.compile(e, compiler.root)
     slots = compiler.environment(env)
-    if not covered_by(vocabulary_of(e), structure):
+    if not compiler.covered:
+        vocabulary_of(e)  # raises on misuse
         return False if syntactic_kind(e) == "formula" else BOT
     return fn(slots)
 
@@ -778,6 +785,7 @@ def ifp_iterate(
     compiler = _Compiler(structure, limits or EvalLimits())
     run, _ = compiler.fixpoint(name, vars_, body, compiler.root)
     slots = compiler.environment(env)
-    if not covered_by(vocabulary_of(Ifp(name, vars_, body, vars_)), structure):
+    if not compiler.covered:
+        vocabulary_of(Ifp(name, vars_, body, vars_))  # raises on misuse
         raise UsageError("fixed-point body uses symbols the structure does not interpret")
     return run(slots)

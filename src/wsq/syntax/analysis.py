@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import UsageError
-from ..structures import Vocabulary, WeightedStructure
 from .nodes import (
     Aggregate,
     Arith,
@@ -49,7 +48,6 @@ __all__ = [
     "free_vars",
     "ExprVocabulary",
     "vocabulary_of",
-    "covered_by",
     "Violation",
     "check_scalar_fragment",
 ]
@@ -183,26 +181,6 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
 
     go(node, {}, seen.setdefault(frozenset(), set()))
     return out
-
-
-def covered_by(info: ExprVocabulary, structure: WeightedStructure) -> bool:
-    """Whether a structure interprets every extensional symbol as used.
-
-    Name, kind, and arity must all match; a generic symbol is covered by
-    either kind at the right arity.  Intensional symbols are supplied by
-    the fixed-point operator itself and are not required.
-    """
-    voc: Vocabulary = structure.vocabulary
-    for name, arity in info.relations.items():
-        if voc.relations.get(name) != arity:
-            return False
-    for name, arity in info.weights.items():
-        if voc.weights.get(name) != arity:
-            return False
-    for name, arity in info.generic.items():
-        if voc.relations.get(name) != arity and voc.weights.get(name) != arity:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

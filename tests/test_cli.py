@@ -75,6 +75,12 @@ class TestEval:
         result = wsq("eval", GRAPH, str(qfile))
         assert (result.returncode, result.stdout) == (0, "4\n")
 
+    def test_inline_query_wins_over_a_file_of_that_name(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "1").write_text("2")
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", GRAPH, "1"]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_useless_edge_query_with_input_and_bindings(self):
         # at input 5 the h2 branch of the clamp is active: not useless
         result = wsq(
@@ -173,6 +179,17 @@ class TestExitCodes:
         assert main(["eval", GRAPH, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: cannot read query file: ")
+        assert err.startswith(f"error: cannot read query file: {path}: 'utf-8' codec can't decode")
+
+    def test_text_that_parses_nowhere_reports_its_parse_error(self, tmp_path, monkeypatch, capsys):
+        # no file of that name, or only a directory: the text's own error
+        (tmp_path / "dird").mkdir()
+        monkeypatch.chdir(tmp_path)
+        for text in ("dird", "nosuch"):
+            assert main(["eval", GRAPH, text]) == 1
+            assert capsys.readouterr().err == (
+                f"error: query error: a bare variable ('{text}') is not a query (line 1, column 1)\n"
+            )
 
     @pytest.mark.parametrize(
         "query, message",

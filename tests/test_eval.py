@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from randgen import build_fnn, path_net, random_expression, random_fnn, random_structure
-from ref_eval import normalize, ref_evaluate
+from ref_eval import normalize, ref_evaluate, structure_covers
 import wsq.evaluator
 from wsq.errors import ResourceError, UsageError
 from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate
@@ -17,11 +17,12 @@ from wsq.fnn import forward, with_input
 from wsq.numerics import BOT, rational
 from wsq.queries import make_basic, make_eval, make_eval_node, make_squaring, make_useless
 from wsq.structures import WeightedStructure
-from wsq.syntax import children, desugar, parse
+from wsq.syntax import children, desugar, parse, vocabulary_of
 from wsq.syntax.nodes import (
     Aggregate,
     And,
     Arith,
+    Atom,
     BotConst,
     Compare,
     Cond,
@@ -37,6 +38,7 @@ from wsq.syntax.nodes import (
     Sum,
     WeightAtom,
     Zero,
+    map_children,
 )
 
 
@@ -280,12 +282,94 @@ class TestUsageErrors:
         with pytest.raises(UsageError, match="arities"):
             evaluate(parse("wt(x, x) + sum {y : y = y} wt(y, y, y)"), two_triangle_graph, {"x": "a"})
 
+    def test_covered_query_skips_the_vocabulary_walk(self, monkeypatch, two_triangle_graph):
+        calls = []
+        original = wsq.evaluator.vocabulary_of
+
+        def spy(e):
+            calls.append(e)
+            return original(e)
+
+        monkeypatch.setattr(wsq.evaluator, "vocabulary_of", spy)
+        s = two_triangle_graph
+        assert evaluate(parse("sum {x, y : wt(x, y) != bot} wt(x, y)"), s) == rational(14)
+        assert ifp_iterate("F", ("x",), parse("if F(x) = bot then 1 else F(x)"), s).rounds == 1
+        assert calls == []
+        # an uncovered query is walked once: for its misuse, or before its default
+        assert evaluate(parse("price(x)"), s, {"x": "a"}) is BOT
+        with pytest.raises(UsageError, match="arities"):
+            evaluate(parse("wt(x, x) + wt(x)"), s, {"x": "a"})
+        assert len(calls) == 2
+
+    def test_coverage_agrees_with_vocabulary_of_and_reference(self):
+        rng = random.Random(25)
+        outcomes = {"misuse": 0, "default": 0, "value": 0}
+        for _ in range(400):
+            s = random_structure(rng)
+            kind = "formula" if rng.random() < 0.5 else "term"
+            e = _mutate_symbols(rng, random_expression(rng, rng.randint(0, 4), kind, ("x", "y")))
+            env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
+            try:
+                vocabulary_of(e)
+            except UsageError as exc:
+                outcomes["misuse"] += 1
+                with pytest.raises(UsageError) as raised:
+                    evaluate(e, s, env)
+                assert str(raised.value) == str(exc)
+                continue
+            outcomes["value" if structure_covers(s, e) else "default"] += 1
+            assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))
+        assert min(outcomes.values()) >= 20, outcomes
+
+
+_MUTANT_NAMES = ("p", "e", "flag", "f", "w", "cst", "F", "q")
+
+
+def _mutate_symbols(rng, e):
+    """``e`` with some atoms given another name or arity and some fixed
+    points another symbol or arity, so that uses go uncovered and symbols
+    get misused in each way the evaluator must tell apart.  Sometimes the
+    whole expression becomes a generic atom, the only place the parser
+    leaves one."""
+    if rng.random() < 0.1:
+        name = rng.choice(_MUTANT_NAMES)
+        return Atom(name, ("x", "y", "x")[: rng.randint(0, 3)])
+
+    def go(n):
+        n = map_children(n, go)
+        if type(n) in (RelAtom, WeightAtom) and rng.random() < 0.3:
+            args, roll = n.args, rng.random()
+            if roll < 0.3:
+                args = args[:-1]
+            elif roll < 0.6:
+                args = args + args[:1]
+            name = rng.choice(_MUTANT_NAMES) if rng.random() < 0.7 else n.name
+            return type(n)(name, args)
+        if type(n) is Ifp and rng.random() < 0.3:
+            if rng.random() < 0.5:
+                return Ifp(rng.choice(("F", "G", "e", "w")), n.vars, n.body, n.applied)
+            return Ifp(n.name, n.vars + ("t",), n.body, n.applied + n.applied[:1])
+        return n
+
+    return go(e)
+
 
 class TestResourceGuards:
-    def test_summand_budget(self, two_triangle_graph):
+    @pytest.mark.parametrize(
+        "query, text",
+        [
+            ("sum {x, y : x = x} 1", "summation exceeds 3 summands"),
+            ("count {x, y : x = x}", "aggregate exceeds 3 summands"),
+            ("avg {x, y : x = x} 1", "aggregate exceeds 3 summands"),
+            ("min {x, y : x = x} 1", "aggregate exceeds 3 summands"),
+            ("max {x, y : x = x} 1", "aggregate exceeds 3 summands"),
+        ],
+        ids=["sum", "count", "avg", "min", "max"],
+    )
+    def test_summand_budget(self, two_triangle_graph, query, text):
         limits = EvalLimits(max_summands=3)
-        with pytest.raises(ResourceError, match="summands"):
-            evaluate(parse("sum {x, y : x = x} 1"), two_triangle_graph, limits=limits)
+        with pytest.raises(ResourceError, match=f"^{text}$"):
+            evaluate(parse(query), two_triangle_graph, limits=limits)
 
     def test_fixpoint_cell_budget(self, two_triangle_graph):
         limits = EvalLimits(max_fixpoint_cells=2)
@@ -644,13 +728,19 @@ class TestSparseEnumeration:
         assert evaluate(q, s, limits=EvalLimits(max_summands=3)) == rational(1)
 
     def test_tuples_outside_the_universe_bind_nothing(self):
-        # build() does not validate; full enumeration never binds zz
+        # build() checks neither elements nor tuple lengths; full
+        # enumeration never binds zz and never reads a tuple of length 1
         s = WeightedStructure.build(
             ["a", "b"],
-            relations={"e": (2, [("a", "zz"), ("a", "b")])},
-            weights={"w": (2, {("zz", "a"): 1, ("b", "a"): 1})},
+            relations={"e": (2, [("a", "zz"), ("a", "b"), ("a",)])},
+            weights={"w": (2, {("zz", "a"): 1, ("b", "a"): 1, ("a",): 1})},
         )
-        for text in ("sum {y : e(x, y)} 1", "sum {y : w(y, x) != bot} 1"):
+        for text in (
+            "sum {y : e(x, y)} 1",
+            "sum {y : w(y, x) != bot} 1",
+            "sum {x, y : e(x, y)} 1",
+            "sum {x, y : w(x, y) != bot} 1",
+        ):
             q = parse(text)
             assert evaluate(q, s, {"x": "a"}) == rational(1)
             assert normalize(evaluate(q, s, {"x": "a"})) == normalize(ref_evaluate(q, s, {"x": "a"}))
