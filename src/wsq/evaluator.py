@@ -23,7 +23,9 @@ generic atom, every comparison operator, literal values and the table
 each symbol reads, and computing free variables bottom-up.  Variables
 live in numbered slots, one per binder occurrence, so a binder that
 reuses an outer name needs no save and restore.  A node object reached
-twice under the same binders compiles to one closure.
+twice under the same binders compiles to one closure and one memo table
+(below); a summation so shared is one node for ``max_summands``, whose
+budget bounds each run of it.
 
 The same pass decides coverage where it reads the tables: a use is
 uncovered when the structure lacks its symbol at that kind and arity, a
@@ -59,18 +61,24 @@ iteration has them.
 A summation, aggregate or quantifier that sits inside a binder looping
 over variables it does not read is memoised by the values of its free
 variables, so it is computed once per distinct binding rather than once
-per iteration of the loops around it.  A fixed point's table is memoised
-the same way, by the free variables of its body other than the bound
-tuple, and not by the tuple it is applied to.  Memo tables never live
-inside a fixed-point body: there the intensional table grows between
-rounds, and the semi-naive tracking needs every missing entry a tuple's
-computation reads.  The cost is that a binder or nested fixed point in
-such a body that ignores the body's tuple, such as ``exists z F(z) !=
-bot`` in a body over ``F(x)``, is computed again for every tuple rather
-than once per round.  Nothing is cached across calls: closures, support
-indexes and memo tables belong to one call, which keeps evaluation a
-pure function of its inputs and safe to run from several threads on
-shared structures and expressions.
+per iteration of the loops around it.  Compound terms and comparisons
+(arithmetic, conditionals, ``<=`` and the other comparisons) are hoisted
+out of such loops the same way, except a leaf-op-leaf node such as
+``wt(x, y) + 1``, whose operation costs about as much as the lookup a
+memo would make.  A memo keeps values only: a run that raises stores
+nothing, so the first error is the one the unmemoised evaluation
+raises.  A fixed point's table is memoised the same way, by the free
+variables of its body other than the bound tuple, and not by the tuple
+it is applied to.  Memo tables never live inside a fixed-point body:
+there the intensional table grows between rounds, and the semi-naive
+tracking needs every missing entry a tuple's computation reads.  The
+cost is that a binder or nested fixed point in such a body that ignores
+the body's tuple, such as ``exists z F(z) != bot`` in a body over
+``F(x)``, is computed again for every tuple rather than once per
+round.  Nothing is cached across calls: closures, support indexes and
+memo tables belong to one call, which keeps evaluation a pure function
+of its inputs and safe to run from several threads on shared structures
+and expressions.
 """
 
 from __future__ import annotations
@@ -283,8 +291,12 @@ class _Compiler:
         self.covered = True
         self.arities: dict[str, int] = {}
 
-    def compile(self, n: Node, scope: _Scope) -> tuple[Compiled, int]:
+    def compile(self, n: Node, scope: _Scope, term: bool = False) -> tuple[Compiled, int]:
+        """``term`` marks a term position, where a generic atom must not read
+        a relation table."""
         if type(n) in _LEAVES:
+            if term and type(n) is Atom and self._reads_relation(n, scope):
+                raise UsageError(f"relation atom {n.name}({', '.join(n.args)}) used as a term")
             # cheaper to compile again than to keep in the cache
             return _COMPILE[type(n)](self, n, scope)
         done = scope.shared.get(id(n))
@@ -487,16 +499,21 @@ class _Compiler:
         return (lambda env: key(env) in table), mask
 
     def _order(self, op: str, left: Node, right: Node, scope):
-        lf, lm = self.compile(left, scope)
-        rf, rm = self.compile(right, scope)
+        lf, lm = self.compile(left, scope, term=True)
+        rf, rm = self.compile(right, scope, term=True)
         if op in ("=", "!=") and (type(left) is BotConst or type(right) is BotConst):
             # comparing with bot is a definedness test
             t = rf if type(left) is BotConst else lf
             if op == "=":
-                return (lambda env: t(env).is_bot), lm | rm
-            return (lambda env: not t(env).is_bot), lm | rm
-        test = _ORDER[op]
-        return (lambda env: test(lf(env), rf(env))), lm | rm
+                fn = lambda env: t(env).is_bot
+            else:
+                fn = lambda env: not t(env).is_bot
+        else:
+            test = _ORDER[op]
+            fn = lambda env: test(lf(env), rf(env))
+        if not _LEAVES.issuperset((type(left), type(right))):
+            fn = self._memo(fn, lm | rm, scope)
+        return fn, lm | rm
 
     def _leq(self, n: Leq, scope):
         return self._order("<=", n.left, n.right, scope)
@@ -598,15 +615,23 @@ class _Compiler:
         return self._weight_atom(n, scope)
 
     def _arith(self, n: Arith, scope):
-        (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
+        lf, lm = self.compile(n.left, scope, term=True)
+        rf, rm = self.compile(n.right, scope, term=True)
         op = _ARITH[n.op]
-        return (lambda env: op(lf(env), rf(env))), lm | rm
+        fn = lambda env: op(lf(env), rf(env))
+        if not _LEAVES.issuperset((type(n.left), type(n.right))):
+            fn = self._memo(fn, lm | rm, scope)
+        return fn, lm | rm
 
     def _cond(self, n: Cond, scope):
         test, tm = self.compile(n.test, scope)
-        then, thm = self.compile(n.then, scope)
-        other, om = self.compile(n.otherwise, scope)
-        return (lambda env: then(env) if test(env) else other(env)), tm | thm | om
+        then, thm = self.compile(n.then, scope, term=True)
+        other, om = self.compile(n.otherwise, scope, term=True)
+        mask = tm | thm | om
+        fn = lambda env: then(env) if test(env) else other(env)
+        if not _LEAVES.issuperset((type(n.test), type(n.then), type(n.otherwise))):
+            fn = self._memo(fn, mask, scope)
+        return fn, mask
 
     def _fold(self, n: Union[Sum, Aggregate], scope):
         """A summation, as kind ``sum``, or an aggregate: one pass over the
@@ -617,7 +642,7 @@ class _Compiler:
         guard, mask = self.compile(n.guard, inner)
         body = None
         if n.body is not None:
-            body, bm = self.compile(n.body, inner)
+            body, bm = self.compile(n.body, inner, term=True)
             mask |= bm
         mask &= ~_span(lo, hi)
         limit = self.limits.max_summands
@@ -670,7 +695,7 @@ class _Compiler:
             self.covered = False
         inner, lo, hi = self._bind(scope, vars_)
         inner.cells = {**scope.cells, name: cell}
-        step, mask = self.compile(body, inner)
+        step, mask = self.compile(body, inner, term=True)
         universe, k = self.universe, hi - lo
         cells, limit = len(universe) ** k, self.limits.max_fixpoint_cells
 
@@ -719,6 +744,9 @@ class _Compiler:
         return run, mask & ~_span(lo, hi)
 
 
+# Leaves compile afresh at every use.  A term or comparison whose
+# operands are all leaves is not memoised: a dict lookup costs about as
+# much as its operation.
 _LEAVES = frozenset((ElemEq, RelAtom, Zero, One, Literal, BotConst, WeightAtom, Atom))
 
 _COMPILE = {

@@ -13,6 +13,7 @@ Available templates and their parameters are listed in
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .errors import UsageError
@@ -264,30 +265,8 @@ def make_squaring() -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _in_node(z: str):
-    return RelAtom(LE_IN, (z, z))
-
-
-def _out_node(z: str):
-    return RelAtom(LE_OUT, (z, z))
-
-
 def _eq(a: Term, b: Term):
     return Compare("=", a, b)
-
-
-def _lt(a: Term, b: Term):
-    return Compare("<", a, b)
-
-
-def _in_weight_sum(z: str) -> Term:
-    # total weight into z; on a conforming network this is the single
-    # input-to-hidden weight
-    return Sum(("w",), _edge("w", z), WeightAtom(WT, ("w", z)))
-
-
-def _kink(z: str) -> Term:
-    return Arith("/", Arith("-", Zero(), WeightAtom(BIAS, (z,))), _in_weight_sum(z))
 
 
 _LO = WeightAtom("lo", ())
@@ -300,68 +279,111 @@ class _Family:
     ``member(z)`` says element z indexes a grid point of this family and
     ``value(z)`` is its coordinate.  Families are ranked; a coordinate
     already produced by an earlier family is suppressed so every grid
-    value has exactly one owning family.
+    value has exactly one owning family.  Both return one object per
+    variable name.
     """
 
     def __init__(self, member: Callable[[str], Expr], value: Callable[[str], Term]):
-        self.member = member
-        self.value = value
+        self.member = cache(member)
+        self.value = cache(value)
 
 
-def _families() -> list[_Family]:
-    lo_bound = _Family(lambda z: _in_node(z), lambda z: _LO)
-    zero = _Family(
-        lambda z: _and_all(
-            _in_node(z),
-            Leq(_LO, Zero()),
-            Leq(Zero(), _HI),
-            Not(_eq(Zero(), _LO)),
-            Not(_eq(Zero(), _HI)),
-        ),
-        lambda z: Zero(),
-    )
-    kinks = _Family(
-        lambda z: _and_all(
-            Not(_in_node(z)),
-            Not(_out_node(z)),
-            Not(_eq(_in_weight_sum(z), Zero())),
-            Leq(_LO, _kink(z)),
-            Leq(_kink(z), _HI),
-            Not(_eq(_kink(z), _LO)),
-            Not(_eq(_kink(z), _HI)),
-            Not(_eq(_kink(z), Zero())),
-        ),
-        _kink,
-    )
-    hi_bound = _Family(
-        lambda z: And(_out_node(z), Not(_eq(_HI, _LO))),
-        lambda z: _HI,
-    )
-    return [lo_bound, zero, kinks, hi_bound]
+class _Integration:
+    """The subterms of one integration template.
 
-
-def _depth2_value(theta: Term) -> Term:
-    """The network value at input ``theta``, unrolled for depth two.
-
-    Valid on networks with one input node, one optional hidden layer and
-    one output node; elsewhere the value is unspecified.
+    Every builder returns one object per distinct argument, so equal
+    subterms of the template are one object and the template is a DAG.
     """
-    raw_hidden = Cond(
-        _in_node("yi"),
-        theta,
-        Arith("+", WeightAtom(BIAS, ("yi",)), Arith("*", _in_weight_sum("yi"), _relu(theta))),
-    )
-    contributions = Sum(
-        ("yi",),
-        _edge("yi", "xo"),
-        Arith("*", WeightAtom(WT, ("yi", "xo")), _relu(raw_hidden)),
-    )
-    at_output = Cond(
-        _in_node("xo"),
-        theta,
-        Arith("+", WeightAtom(BIAS, ("xo",)), contributions),
-    )
-    return Sum(("xo",), _out_node("xo"), at_output)
+
+    def __init__(self):
+        self.zero = Zero()
+        self.in_node = cache(lambda z: RelAtom(LE_IN, (z, z)))
+        self.out_node = cache(lambda z: RelAtom(LE_OUT, (z, z)))
+        self.in_weight_sum = cache(self._in_weight_sum)
+        self.kink = cache(self._kink)
+        self.depth2_value = cache(self._depth2_value)
+        self.lt = cache(lambda a, b: Compare("<", a, b))
+        self.families = self._families()
+        self.multiplicity = cache(self._multiplicity)
+        self.strictly_between = cache(self._strictly_between)
+
+    def _in_weight_sum(self, z: str) -> Term:
+        # total weight into z; on a conforming network this is the single
+        # input-to-hidden weight
+        return Sum(("w",), _edge("w", z), WeightAtom(WT, ("w", z)))
+
+    def _kink(self, z: str) -> Term:
+        return Arith("/", Arith("-", self.zero, WeightAtom(BIAS, (z,))), self.in_weight_sum(z))
+
+    def _families(self) -> list[_Family]:
+        zero, kink = self.zero, self.kink
+        lo_bound = _Family(self.in_node, lambda z: _LO)
+        at_zero = _Family(
+            lambda z: _and_all(
+                self.in_node(z),
+                Leq(_LO, zero),
+                Leq(zero, _HI),
+                Not(_eq(zero, _LO)),
+                Not(_eq(zero, _HI)),
+            ),
+            lambda z: zero,
+        )
+        kinks = _Family(
+            lambda z: _and_all(
+                Not(self.in_node(z)),
+                Not(self.out_node(z)),
+                Not(_eq(self.in_weight_sum(z), zero)),
+                Leq(_LO, kink(z)),
+                Leq(kink(z), _HI),
+                Not(_eq(kink(z), _LO)),
+                Not(_eq(kink(z), _HI)),
+                Not(_eq(kink(z), zero)),
+            ),
+            kink,
+        )
+        hi_bound = _Family(
+            lambda z: And(self.out_node(z), Not(_eq(_HI, _LO))),
+            lambda z: _HI,
+        )
+        return [lo_bound, at_zero, kinks, hi_bound]
+
+    def _depth2_value(self, theta: Term) -> Term:
+        """The network value at input ``theta``, unrolled for depth two.
+
+        Valid on networks with one input node, one optional hidden layer
+        and one output node; elsewhere the value is unspecified.
+        """
+        raw_hidden = Cond(
+            self.in_node("yi"),
+            theta,
+            Arith(
+                "+",
+                WeightAtom(BIAS, ("yi",)),
+                Arith("*", self.in_weight_sum("yi"), _relu(theta)),
+            ),
+        )
+        contributions = Sum(
+            ("yi",),
+            _edge("yi", "xo"),
+            Arith("*", WeightAtom(WT, ("yi", "xo")), _relu(raw_hidden)),
+        )
+        at_output = Cond(
+            self.in_node("xo"),
+            theta,
+            Arith("+", WeightAtom(BIAS, ("xo",)), contributions),
+        )
+        return Sum(("xo",), self.out_node("xo"), at_output)
+
+    def _multiplicity(self, fam: _Family, z: str) -> Term:
+        same = And(fam.member("zc"), _eq(fam.value("zc"), fam.value(z)))
+        return Aggregate("count", ("zc",), same, None)
+
+    def _strictly_between(self, v1: Term, v2: Term):
+        cases = [
+            _and_all(fam.member("z3"), self.lt(v1, fam.value("z3")), self.lt(fam.value("z3"), v2))
+            for fam in self.families
+        ]
+        return Exists("z3", _or_all(*cases))
 
 
 def make_integrate_2_1() -> Expr:
@@ -376,20 +398,14 @@ def make_integrate_2_1() -> Expr:
     ``(b - a) * (f(a) + f(b)) / 2``, divided by the index multiplicity of
     each endpoint so coinciding hidden kinks are not double counted.  On
     structures outside the target class the value is unspecified.
+
+    The term is a DAG: within one call, equal subterms such as the kink
+    of ``z3`` or the network value at a grid point are one object, so
+    :func:`wsq.evaluate` compiles and memoises each once per binder
+    scope.  It prints as the tree it stands for.
     """
-    fams = _families()
-
-    def multiplicity(fam: _Family, z: str) -> Term:
-        same = And(fam.member("zc"), _eq(fam.value("zc"), fam.value(z)))
-        return Aggregate("count", ("zc",), same, None)
-
-    def strictly_between(v1: Term, v2: Term):
-        cases = [
-            _and_all(fam.member("z3"), _lt(v1, fam.value("z3")), _lt(fam.value("z3"), v2))
-            for fam in fams
-        ]
-        return Exists("z3", _or_all(*cases))
-
+    parts = _Integration()
+    fams = parts.families
     pieces: list[Term] = []
     for fam1 in fams:
         for fam2 in fams:
@@ -398,14 +414,18 @@ def make_integrate_2_1() -> Expr:
             adjacent = _and_all(
                 fam1.member("z1"),
                 fam2.member("z2"),
-                _lt(v1, v2),
-                Not(strictly_between(v1, v2)),
+                parts.lt(v1, v2),
+                Not(parts.strictly_between(v1, v2)),
             )
-            area = Arith("*", Arith("-", v2, v1), Arith("+", _depth2_value(v1), _depth2_value(v2)))
+            area = Arith(
+                "*",
+                Arith("-", v2, v1),
+                Arith("+", parts.depth2_value(v1), parts.depth2_value(v2)),
+            )
             denom = Arith(
                 "*",
                 Literal(Fraction(2)),
-                Arith("*", multiplicity(fam1, "z1"), multiplicity(fam2, "z2")),
+                Arith("*", parts.multiplicity(fam1, "z1"), parts.multiplicity(fam2, "z2")),
             )
             pieces.append(Sum(("z1", "z2"), adjacent, Arith("/", area, denom)))
 

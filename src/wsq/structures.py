@@ -366,7 +366,8 @@ def read_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
+        # an OSError's own text names the file again
+        raise LoadError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise LoadError(f"{path}: not valid JSON: {exc}") from exc

@@ -173,6 +173,13 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith(f"error: {path}: not valid JSON: ")
         assert "Traceback" not in err
 
+    def test_missing_file_is_named_once(self, tmp_path, capsys):
+        path = tmp_path / "nosuch.json"
+        assert main(["eval", str(path), "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {path}: No such file or directory\n"
+        assert err.count("nosuch.json") == 1
+
     def test_undecodable_query_file_is_one(self, tmp_path, capsys):
         path = tmp_path / "q.wsq"
         path.write_bytes(UNDECODABLE)

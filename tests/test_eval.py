@@ -14,7 +14,7 @@ import wsq.evaluator
 from wsq.errors import ResourceError, UsageError
 from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate
 from wsq.fnn import forward, with_input
-from wsq.numerics import BOT, rational
+from wsq.numerics import BOT, ExtRational, rational
 from wsq.queries import make_basic, make_eval, make_eval_node, make_squaring, make_useless
 from wsq.structures import WeightedStructure
 from wsq.syntax import children, desugar, parse, vocabulary_of
@@ -26,6 +26,7 @@ from wsq.syntax.nodes import (
     BotConst,
     Compare,
     Cond,
+    ElemEq,
     Exists,
     Forall,
     Ifp,
@@ -301,6 +302,21 @@ class TestUsageErrors:
             evaluate(parse("wt(x, x) + wt(x)"), s, {"x": "a"})
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda e: evaluate(Sum(("x", "y"), RelAtom("e", ("x", "y")), e), _RELATION_ONLY),
+            lambda e: evaluate(Arith("+", e, One()), _RELATION_ONLY, {"x": "a", "y": "b"}),
+            lambda e: ifp_iterate("F", ("x", "y"), e, _RELATION_ONLY),
+        ],
+        ids=["sum_body", "arith_operand", "ifp_body"],
+    )
+    def test_relation_atom_in_term_position(self, build):
+        # the API can put a generic atom anywhere; one that reads a relation
+        # cannot stand for a term
+        with pytest.raises(UsageError, match=r"^relation atom e\(x, y\) used as a term$"):
+            build(Atom("e", ("x", "y")))
+
     def test_coverage_agrees_with_vocabulary_of_and_reference(self):
         rng = random.Random(25)
         outcomes = {"misuse": 0, "default": 0, "value": 0}
@@ -320,6 +336,9 @@ class TestUsageErrors:
             outcomes["value" if structure_covers(s, e) else "default"] += 1
             assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))
         assert min(outcomes.values()) >= 20, outcomes
+
+
+_RELATION_ONLY = WeightedStructure.build(["a", "b"], relations={"e": (2, [("a", "b"), ("b", "b")])})
 
 
 _MUTANT_NAMES = ("p", "e", "flag", "f", "w", "cst", "F", "q")
@@ -656,6 +675,145 @@ def _guarded_binder(rng, outer, ifp=False):
     else:
         formula = Forall("b1", Implies(guard, test) if len(bound) == 1 else Exists("b2", Implies(guard, test)))
     return Cond(formula, One(), Zero())
+
+
+def _invariant_term(rng, names):
+    """A compound term that reads only ``names``: a quotient whose divisor
+    is often zero, which makes it bot; a conditional on a comparison; or a
+    sum over pairs of elements, which a small summand budget trips."""
+
+    def leaf():
+        roll = rng.random()
+        if roll < 0.4:
+            return WeightAtom("f", (rng.choice(names),))
+        if roll < 0.7:
+            return WeightAtom("w", (rng.choice(names), rng.choice(names)))
+        if roll < 0.85:
+            return WeightAtom("cst", ())
+        return One()
+
+    roll = rng.random()
+    if roll < 0.4:
+        divisor = leaf()
+        zero = Arith("-", divisor, divisor) if rng.random() < 0.2 else Arith("-", divisor, leaf())
+        return Arith("/", Arith("+", leaf(), One()), zero)
+    if roll < 0.7:
+        test = Compare(rng.choice(("<", "=", "!=")), Arith("+", leaf(), leaf()), leaf())
+        return Cond(test, Arith("*", leaf(), leaf()), leaf())
+    pairs = Sum(("s", "t"), ElemEq("s", "s"), Arith("*", WeightAtom("f", ("s",)), leaf()))
+    return Arith("+", pairs, leaf())
+
+
+def _hoisting_case(rng, levels, outer):
+    """A term with ``levels`` binders nested in one chain.  At each level
+    an invariant compound term over a random part of the outer variables
+    (and the free ``x``) meets a term that reads the level's own
+    variable, in the body, the guard or a quantified comparison."""
+    var = f"b{levels}"
+    names = outer + (var,)
+
+    def invariant():
+        read = [v for v in outer if rng.random() < 0.7]
+        if not read or rng.random() < 0.3:
+            read.append("x")
+        return _invariant_term(rng, tuple(read))
+
+    if levels == 1:
+        varying = WeightAtom("f", (var,))
+    else:
+        varying = _hoisting_case(rng, levels - 1, names)
+    body = Arith(rng.choice("+-*"), varying, invariant())
+    guard = rng.choice((ElemEq(var, var), RelAtom("p", (var,)), Leq(invariant(), WeightAtom("f", (var,)))))
+    roll = rng.random()
+    if roll < 0.4:
+        return Sum((var,), guard, body)
+    if roll < 0.7:
+        kind = rng.choice(("avg", "min", "max"))
+        return Aggregate(kind, (var,), guard, body)
+    quantifier = rng.choice((Exists, Forall))
+    return Cond(quantifier(var, Or(Not(guard), Leq(body, invariant()))), invariant(), invariant())
+
+
+def _total_structure(rng):
+    """Two or three elements, a random ``p`` and total ``f``, ``w`` and
+    ``cst``, so that a term is bot only through a division by zero or an
+    empty aggregate."""
+    universe = ["a", "b", "c"][: rng.randint(2, 3)]
+    value = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return WeightedStructure.build(
+        universe,
+        relations={"p": (1, [(v,) for v in universe if rng.random() < 0.6])},
+        weights={
+            "f": (1, {(v,): value() for v in universe}),
+            "w": (2, {(u, v): value() for u in universe for v in universe}),
+            "cst": (0, {(): value()}),
+        },
+    )
+
+
+class TestHoisting:
+    """Compound terms that ignore an enclosing loop's variable are memoised."""
+
+    def test_agrees_with_unmemoised_evaluation_and_reference(self, monkeypatch):
+        # with every memo switched off, the evaluator runs each node at each
+        # iteration: the value, or the first error, must not change
+        rng = random.Random(46)
+        seen = {"value": 0, "bot": 0, "error": 0}
+
+        def outcome(e, s, env, limits):
+            try:
+                return normalize(evaluate(e, s, env, limits))
+            except ResourceError as exc:
+                return str(exc)
+
+        for _ in range(200):
+            s = _total_structure(rng)
+            e = _hoisting_case(rng, rng.randint(2, 3), ())
+            env = {"x": rng.choice(s.universe)}
+            limits = EvalLimits(max_summands=rng.choice((2, 4, 10**6)))
+            got = outcome(e, s, env, limits)
+            with monkeypatch.context() as m:
+                m.setattr(_Compiler, "_memo", lambda self, fn, mask, scope: fn)
+                assert got == outcome(e, s, env, limits)
+            if isinstance(got, str):
+                seen["error"] += 1
+                continue
+            seen["bot" if got == ("term", None) else "value"] += 1
+            if limits.max_summands == 10**6:
+                assert got == normalize(ref_evaluate(e, s, env))
+        assert min(seen.values()) >= 20, seen
+
+    def test_invariant_quotient_runs_once_per_binding(self, monkeypatch):
+        # under loops over x, y, z the quotient reads x and z only: it runs
+        # once per (x, z), while the leaf-op-leaf f(z) - 1 is not memoised
+        counts = {"/": 0, "-": 0}
+        divide, subtract = ExtRational.__truediv__, ExtRational.__sub__
+
+        def counting_divide(a, b):
+            counts["/"] += 1
+            return divide(a, b)
+
+        def counting_subtract(a, b):
+            counts["-"] += 1
+            return subtract(a, b)
+
+        monkeypatch.setattr(ExtRational, "__truediv__", counting_divide)
+        monkeypatch.setattr(ExtRational, "__sub__", counting_subtract)
+        s = WeightedStructure.build(
+            ["a", "b", "c"],
+            weights={
+                "f": (1, {("a",): 1, ("b",): 2, ("c",): 3}),
+                "w": (2, {(p, q): 1 for p in "abc" for q in "abc"}),
+            },
+        )
+        f = lambda v: WeightAtom("f", (v,))
+        quotient = Arith("/", f("x"), Arith("+", f("z"), One()))
+        body = Arith("+", Arith("*", WeightAtom("w", ("y", "z")), quotient), Arith("-", f("z"), One()))
+        q = Sum(("x",), ElemEq("x", "x"), Sum(("y",), ElemEq("y", "y"), Sum(("z",), ElemEq("z", "z"), body)))
+        expected = normalize(ref_evaluate(q, s))
+        counts.update({"/": 0, "-": 0})
+        assert normalize(evaluate(q, s)) == expected
+        assert counts == {"/": 9, "-": 27}
 
 
 class TestSparseEnumeration:

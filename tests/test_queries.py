@@ -1,5 +1,6 @@
 """Built-in query templates against their independent oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ from wsq.queries import (
     make_useless,
 )
 from wsq.structures import WeightedStructure
-from wsq.syntax import check_scalar_fragment, free_vars
+from wsq.syntax import check_scalar_fragment, free_vars, parse, to_text
+from wsq.syntax.nodes import children, walk
 
 
 def k3():
@@ -149,6 +151,9 @@ class TestUseless:
             self._check_net(net, r)
 
 
+INTEGRATE_TEXT_SHA256 = "32686165d86fdfac53b9937b33ed2cc82d18b988e9c63589e62c4f82f59751fb"
+
+
 class TestIntegrate:
     def attach(self, net, lo, hi):
         return net.structure.expand(weights={"lo": (0, {(): lo}), "hi": (0, {(): hi})})
@@ -190,6 +195,45 @@ class TestIntegrate:
 
     def test_closed_term(self):
         assert free_vars(make_integrate_2_1()) == set()
+
+    def test_wide_nets_with_coinciding_kinks_match_pwl(self):
+        # hidden layers up to width 7, and hidden nodes that share a kink,
+        # each evaluated on a freshly built template
+        rng = random.Random(47)
+        for _ in range(8):
+            hidden = [f"h{i}" for i in range(rng.randint(3, 7))]
+            kinks = [Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(3)]
+            edges, biases = {}, {"o": random_input(rng, 10)}
+            for h in hidden:
+                weight = random_input(rng, 10) or Fraction(1)
+                edges[("u", h)] = weight
+                edges[(h, "o")] = random_input(rng, 10)
+                biases[h] = -rng.choice(kinks) * weight
+            net = build_fnn(["u", *hidden, "o"], edges, biases)
+            lo, hi = sorted(random_input(rng, 10) for _ in range(2))
+            got = evaluate(make_integrate_2_1(), self.attach(net, lo, hi))
+            assert got == pwl_integral(to_pwl(net), rational(lo), rational(hi))
+
+    def test_dag_prints_as_the_tree(self):
+        # the SHA-256 of the text the template printed when it was built as a tree
+        text = to_text(make_integrate_2_1())
+        assert hashlib.sha256(text.encode()).hexdigest() == INTEGRATE_TEXT_SHA256
+
+    def test_template_is_a_dag(self):
+        term = make_integrate_2_1()
+        objects, stack = {}, [term]
+        while stack:
+            n = stack.pop()
+            if id(n) not in objects:
+                objects[id(n)] = n
+                stack.extend(children(n))
+        assert len(objects) <= 900
+        # walk still visits a shared subtree once per position
+        assert sum(1 for _ in walk(term)) == 8319
+
+    def test_round_trips_through_text(self):
+        term = make_integrate_2_1()
+        assert parse(to_text(term)) == term
 
 
 class TestSquaring:
