@@ -21,11 +21,12 @@ Each call compiles the expression once: a single pass turns the tree
 into closures over the structure, settling there the kind of every
 generic atom, every comparison operator, literal values and the table
 each symbol reads, and computing free variables bottom-up.  Variables
-live in numbered slots, one per binder occurrence, so a binder that
-reuses an outer name needs no save and restore.  A node object reached
-twice under the same binders compiles to one closure and one memo table
-(below); a summation so shared is one node for ``max_summands``, whose
-budget bounds each run of it.
+live in slots numbered by nesting level, the caller's assignment from
+slot 0, so a binder that reuses an outer name needs no save and restore.
+Binders of the same variables in one scope share one inner scope, so a
+node object reached twice under them compiles to one closure and one
+memo table (below); a summation so shared is one node for
+``max_summands``, whose budget bounds each run of it.
 
 The same pass decides coverage where it reads the tables: a use is
 uncovered when the structure lacks its symbol at that kind and arity, a
@@ -252,19 +253,23 @@ class _Cell:
 class _Scope:
     """What compiling a node depends on besides the node itself.
 
-    A new scope starts at every binder.  ``slots`` maps the variables
-    bound so far to their slots; ``cells`` maps each intensional symbol
-    to the :class:`_Cell` of its fixed point; ``loops`` is the bitmask of
-    slots that enclosing binders loop over; ``shared`` holds the nodes
-    already compiled in this scope by object identity.
+    A scope binds ``vars_`` to the slots from ``outer.top`` upward (the
+    root scope from 0); ``slots`` maps every variable in scope to its
+    slot and ``top`` is the next free one.  ``cells`` maps each
+    intensional symbol to the :class:`_Cell` of its fixed point; ``inner``
+    holds the scopes of this scope's binders by their variables;
+    ``shared`` holds the nodes already compiled in this scope by identity.
     """
 
-    __slots__ = ("slots", "cells", "loops", "shared")
+    __slots__ = ("slots", "top", "cells", "inner", "shared")
 
-    def __init__(self, slots: dict, cells: dict, loops: int):
-        self.slots = slots
+    def __init__(self, outer: Optional[_Scope], vars_: tuple, cells: dict):
+        lo = outer.top if outer else 0
+        self.slots = dict(outer.slots if outer else {})
+        self.slots.update(zip(vars_, range(lo, lo + len(vars_))))
+        self.top = lo + len(vars_)
         self.cells = cells
-        self.loops = loops
+        self.inner: dict[tuple, _Scope] = {}
         self.shared: dict[int, tuple[Compiled, int]] = {}
 
 
@@ -272,31 +277,38 @@ class _Compiler:
     """One compile pass: AST nodes to closures over one structure.
 
     :meth:`compile` returns a node's closure together with the bitmask of
-    the slots it reads, which are its free variables.  Variables free in
-    the whole expression get slots on first use, recorded in ``free``.
-    ``indexes`` holds the support indexes built so far by this call.
+    the slots it reads, which are its free variables.  The root scope
+    binds the caller's assignment; a name read out of scope goes into
+    ``unbound``.  ``indexes`` holds the support indexes built so far.
     ``covered`` turns false at the first uncovered use (see the module
     docstring); ``arities`` holds each fixed-point symbol's arity.
     """
 
-    def __init__(self, structure: WeightedStructure, limits: EvalLimits):
+    def __init__(self, structure: WeightedStructure, limits: EvalLimits, env: Optional[Mapping]):
         self.structure = structure
         self.universe = structure.universe
         self.limits = limits
-        self.free: dict[str, int] = {}
-        self.size = 0
-        self.root = _Scope({}, {}, 0)
+        self.env = dict(env or {})
+        self.root = _Scope(None, tuple(self.env), {})
+        self.size = self.root.top
+        self.unbound: set[str] = set()
         self.indexes: dict[tuple, dict] = {}
         self.budgeted: dict[int, bool] = {}
         self.covered = True
         self.arities: dict[str, int] = {}
 
-    def compile(self, n: Node, scope: _Scope, term: bool = False) -> tuple[Compiled, int]:
-        """``term`` marks a term position, where a generic atom must not read
-        a relation table."""
+    def compile(self, n: Node, scope: _Scope, term: Optional[bool] = False) -> tuple[Compiled, int]:
+        """``term`` is true at a term position, where a generic atom must not
+        read a relation table, false at a formula position, where it must
+        not read a weight or fixed-point table, and ``None`` at the root."""
         if type(n) in _LEAVES:
-            if term and type(n) is Atom and self._reads_relation(n, scope):
-                raise UsageError(f"relation atom {n.name}({', '.join(n.args)}) used as a term")
+            if type(n) is Atom and term is not None:
+                text = f"{n.name}({', '.join(n.args)})"
+                if self._reads_relation(n, scope):
+                    if term:
+                        raise UsageError(f"relation atom {text} used as a term")
+                elif not term and (n.name in scope.cells or n.name in self.structure.vocabulary.weights):
+                    raise UsageError(f"weight atom {text} used as a formula")
             # cheaper to compile again than to keep in the cache
             return _COMPILE[type(n)](self, n, scope)
         done = scope.shared.get(id(n))
@@ -304,31 +316,22 @@ class _Compiler:
             done = scope.shared[id(n)] = _COMPILE[type(n)](self, n, scope)
         return done
 
-    def environment(self, env: Optional[Mapping[str, str]]) -> list:
-        """The slot list for a caller's assignment of the free variables."""
-        env = dict(env or {})
-        missing = self.free.keys() - env.keys()
-        if missing:
-            raise UsageError(f"unbound variables: {', '.join(sorted(missing))}")
+    def environment(self) -> list:
+        """The slot list holding the caller's assignment."""
+        if self.unbound:
+            raise UsageError(f"unbound variables: {', '.join(sorted(self.unbound))}")
         universe = set(self.universe)
-        for var, val in env.items():
+        for var, val in self.env.items():
             if val not in universe:
                 raise UsageError(f"assignment {var}={val!r} is not a universe element")
-        slots: list = [None] * self.size
-        for var, slot in self.free.items():
-            slots[slot] = env[var]
-        return slots
+        return [*self.env.values()] + [None] * (self.size - self.root.top)
 
     # -- variables and binders -------------------------------------------
 
     def _slot(self, scope: _Scope, var: str) -> int:
-        slot = scope.slots.get(var)
-        if slot is None:
-            slot = self.free.get(var)
-            if slot is None:
-                slot = self.free[var] = self.size
-                self.size += 1
-        return slot
+        if var not in scope.slots:
+            self.unbound.add(var)  # environment() raises before a closure runs
+        return scope.slots.get(var, 0)
 
     def _slots(self, scope: _Scope, args: tuple) -> tuple[list, int]:
         slots = [self._slot(scope, a) for a in args]
@@ -338,19 +341,20 @@ class _Compiler:
         return slots, mask
 
     def _bind(self, scope: _Scope, vars_: tuple) -> tuple[_Scope, int, int]:
-        """A scope binding ``vars_`` to fresh consecutive slots ``lo .. hi-1``."""
-        lo = self.size
-        self.size += len(vars_)
-        hi = self.size
-        slots = dict(scope.slots)
-        slots.update(zip(vars_, range(lo, hi)))
-        return _Scope(slots, scope.cells, scope.loops | _span(lo, hi)), lo, hi
+        """The scope of the binders of ``vars_`` in ``scope``, binding them
+        to the slots ``lo .. hi-1`` from ``scope.top``: binders that run at
+        once are nested, so siblings can share slots and compiled nodes."""
+        inner = scope.inner.get(vars_)
+        if inner is None:
+            inner = scope.inner[vars_] = _Scope(scope, vars_, scope.cells)
+            self.size = max(self.size, inner.top)
+        return inner, scope.top, inner.top
 
     def _memo(self, fn: Compiled, mask: int, scope: _Scope) -> Compiled:
         """``fn`` memoised by the slots in ``mask`` when an enclosing binder
         loops over a slot outside ``mask`` and no fixed point encloses the
         node; otherwise ``fn`` itself."""
-        if scope.cells or not scope.loops & ~mask:
+        if scope.cells or not _span(self.root.top, scope.top) & ~mask:
             return fn
         memo: dict = {}
         slots = []
@@ -693,8 +697,9 @@ class _Compiler:
         cell = _Cell(len(vars_))
         if self.arities.setdefault(name, cell.arity) != cell.arity:
             self.covered = False
-        inner, lo, hi = self._bind(scope, vars_)
-        inner.cells = {**scope.cells, name: cell}
+        inner = _Scope(scope, vars_, {**scope.cells, name: cell})  # never shared: a new cell
+        lo, hi = scope.top, inner.top
+        self.size = max(self.size, hi)
         step, mask = self.compile(body, inner, term=True)
         universe, k = self.universe, hi - lo
         cells, limit = len(universe) ** k, self.limits.max_fixpoint_cells
@@ -785,11 +790,12 @@ def evaluate(
     Returns a Boolean for formulas and an :class:`ExtRational` for
     terms.  A generic root atom resolves against the structure's
     vocabulary; if it resolves to neither kind the term default ``bot``
-    applies.
+    applies.  Below the root a generic atom that reads a relation must
+    stand for a formula, and one that reads a weight for a term.
     """
-    compiler = _Compiler(structure, limits or EvalLimits())
-    fn, _ = compiler.compile(e, compiler.root)
-    slots = compiler.environment(env)
+    compiler = _Compiler(structure, limits or EvalLimits(), env)
+    fn, _ = compiler.compile(e, compiler.root, term=None)
+    slots = compiler.environment()
     if not compiler.covered:
         vocabulary_of(e)  # raises on misuse
         return False if syntactic_kind(e) == "formula" else BOT
@@ -810,9 +816,9 @@ def ifp_iterate(
     every other symbol must be interpreted by the structure.
     """
     vars_ = tuple(vars_)
-    compiler = _Compiler(structure, limits or EvalLimits())
+    compiler = _Compiler(structure, limits or EvalLimits(), env)
     run, _ = compiler.fixpoint(name, vars_, body, compiler.root)
-    slots = compiler.environment(env)
+    slots = compiler.environment()
     if not compiler.covered:
         vocabulary_of(Ifp(name, vars_, body, vars_))  # raises on misuse
         raise UsageError("fixed-point body uses symbols the structure does not interpret")

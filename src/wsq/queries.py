@@ -400,9 +400,10 @@ def make_integrate_2_1() -> Expr:
     structures outside the target class the value is unspecified.
 
     The term is a DAG: within one call, equal subterms such as the kink
-    of ``z3`` or the network value at a grid point are one object, so
-    :func:`wsq.evaluate` compiles and memoises each once per binder
-    scope.  It prints as the tree it stands for.
+    of ``z3`` or the network value at a grid point are one object.  The
+    16 sibling ``sum {z1, z2}`` binders share one scope, so
+    :func:`wsq.evaluate` compiles and memoises each such object once for
+    all of them.  It prints as the tree it stands for.
     """
     parts = _Integration()
     fams = parts.families

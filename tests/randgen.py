@@ -40,9 +40,10 @@ def rand_fraction(rng: random.Random, mag: int = 8) -> Fraction:
     return Fraction(rng.randint(-mag, mag), rng.randint(1, mag))
 
 
-def random_structure(rng: random.Random, max_size: int = 4, drop_prob: float = 0.15):
+def random_structure(rng: random.Random, max_size: int = 4, drop_prob: float = 0.15, density: float = 0.7):
     """A structure over the shared pool; sometimes one symbol is dropped
-    so the uninterpreted-vocabulary default gets exercised."""
+    so the uninterpreted-vocabulary default gets exercised.  A weight is
+    defined on each tuple with probability ``density``."""
     size = rng.randint(1, max_size)
     universe = ELEMENTS[:size]
     relations = {}
@@ -55,7 +56,7 @@ def random_structure(rng: random.Random, max_size: int = 4, drop_prob: float = 0
     for name, arity in WEIGHT_POOL.items():
         if rng.random() < drop_prob:
             continue
-        table = {t: rand_fraction(rng) for t in _tuples(universe, arity) if rng.random() < 0.7}
+        table = {t: rand_fraction(rng) for t in _tuples(universe, arity) if rng.random() < density}
         weights[name] = (arity, table)
     return WeightedStructure.build(universe, relations, weights)
 
@@ -198,6 +199,43 @@ def _random_term(rng, depth, scope, ifp_depth):
     body = _random_term(rng, depth - 1, (var,) + scope, ifp_depth + 1)
     applied = _var(rng, scope)
     return Ifp(IFP_SYMBOL, (var,), body, (applied,))
+
+
+def random_dag(rng: random.Random, scope: tuple):
+    """A random term that reuses subterm objects, so it is a DAG.
+
+    ``shared`` (over ``scope`` and a fresh ``y``) sits under sibling
+    binders of ``y``, under binders of other variables (``{y, z}``, and
+    ``{y}`` nested in ``{z}`` or in another ``{y}``) and in the bodies of
+    sibling fixed points over ``y``, whose common ``step`` reads their
+    symbol.  ``outer`` (over ``scope`` only) sits under most of them.  A
+    random subset of these pieces, combined by arithmetic, is returned.
+    It draws its pieces from ``random_expression`` and leaves that
+    function's draws as they are: ``perfbench/corpora.py`` relies on them.
+    """
+    y = _fresh(rng, scope)
+    z = _fresh(rng, scope + (y,))
+    inner = scope + (y,)
+    outer = random_expression(rng, 1, "term", scope)
+    shared = random_expression(rng, 2, "term", inner)
+    guard = random_expression(rng, 1, "formula", inner)
+    step = random_expression(rng, 1, "term", inner, ifp_depth=1)
+    under_z = Sum((z,), random_expression(rng, 1, "formula", scope + (z,)), Arith("*", outer, shared))
+    pieces = [
+        Sum((y,), guard, Arith("+", shared, outer)),
+        Aggregate(rng.choice(("avg", "min", "max")), (y,), guard, shared),
+        Cond(Exists(y, And(guard, Leq(shared, outer))), outer, Sum((y,), Not(guard), shared)),
+        Sum((y, z), guard, Arith("-", shared, outer)),
+        Sum((z,), RelAtom("p", (z,)), Arith("-", outer, Sum((y,), guard, shared))),
+        Sum((y,), guard, Arith("*", shared, Sum((y,), guard, shared))),
+        Ifp(IFP_SYMBOL, (y,), Cond(guard, step, shared), (rng.choice(scope),)),
+        Ifp(IFP_SYMBOL, (y,), Arith("+", step, under_z), (rng.choice(scope),)),
+    ]
+    rng.shuffle(pieces)
+    out = pieces[0]
+    for piece in pieces[1 : rng.randint(2, len(pieces))]:
+        out = Arith(rng.choice("+-*"), out, piece)
+    return out
 
 
 # ---------------------------------------------------------------------------

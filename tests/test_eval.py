@@ -8,16 +8,23 @@ from itertools import product
 
 import pytest
 
-from randgen import build_fnn, path_net, random_expression, random_fnn, random_structure
+from randgen import build_fnn, path_net, random_dag, random_expression, random_fnn, random_structure
 from ref_eval import normalize, ref_evaluate, structure_covers
 import wsq.evaluator
 from wsq.errors import ResourceError, UsageError
 from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate
-from wsq.fnn import forward, with_input
+from wsq.fnn import forward, pwl_integral, to_pwl, with_input
 from wsq.numerics import BOT, ExtRational, rational
-from wsq.queries import make_basic, make_eval, make_eval_node, make_squaring, make_useless
+from wsq.queries import (
+    make_basic,
+    make_eval,
+    make_eval_node,
+    make_integrate_2_1,
+    make_squaring,
+    make_useless,
+)
 from wsq.structures import WeightedStructure
-from wsq.syntax import children, desugar, parse, vocabulary_of
+from wsq.syntax import children, desugar, parse, to_text, vocabulary_of
 from wsq.syntax.nodes import (
     Aggregate,
     And,
@@ -279,6 +286,68 @@ class TestUsageErrors:
         with pytest.raises(UsageError, match="universe"):
             evaluate(parse("wt(x, y)"), two_triangle_graph, {"x": "a", "y": "zz"})
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Sum(("y",), ElemEq("y", "y"), Arith("+", WeightAtom("wt", ("y", "v")), WeightAtom("wt", ("u", "y")))),
+            Arith("+", Ifp("F", ("y",), One(), ("u",)), Ifp("G", ("y", "z"), One(), ("v", "v"))),
+        ],
+        ids=["binder_body", "ifp_applied"],
+    )
+    def test_names_read_only_below_the_root_are_listed(self, q, two_triangle_graph):
+        # a name out of scope gets no slot, wherever it is read
+        with pytest.raises(UsageError, match="^unbound variables: u, v$"):
+            evaluate(q, two_triangle_graph)
+        with pytest.raises(UsageError, match="^unbound variables: u$"):
+            evaluate(q, two_triangle_graph, {"v": "a"})
+
+    def test_unbound_variables_come_before_the_universe_check(self, two_triangle_graph):
+        with pytest.raises(UsageError, match="^unbound variables: y$"):
+            evaluate(parse("wt(x, y)"), two_triangle_graph, {"x": "zz"})
+
+    def test_unread_assignment_outside_universe(self, two_triangle_graph):
+        for run in (
+            lambda env: evaluate(One(), two_triangle_graph, env),
+            lambda env: ifp_iterate("F", ("x",), One(), two_triangle_graph, env),
+        ):
+            with pytest.raises(UsageError, match="^assignment q='zz' is not a universe element$"):
+                run({"x": "a", "q": "zz"})
+
+    def test_assigned_variable_rebound_by_the_query_is_shadowed(self, two_triangle_graph):
+        s = two_triangle_graph
+        q = parse("wt(x, y) + sum {x : x = x} count {y : wt(x, y) != bot}")
+        env = {"y": "b", "x": "a"}
+        assert evaluate(q, s, env) == rational(1 + 5)
+        assert normalize(evaluate(q, s, env)) == normalize(ref_evaluate(q, s, env))
+        table = ifp_iterate("F", ("x",), parse("sum {y : wt(x, y) != bot} wt(x, y)"), s, env)
+        assert table.entries == {("a",): rational(1), ("b",): rational(5), ("c",): rational(3), ("d",): rational(5)}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda e: evaluate(Exists("x", e), _WEIGHT_ONLY),
+            lambda e: evaluate(Not(e), _WEIGHT_ONLY, {"x": "b"}),
+            lambda e: evaluate(Sum(("x",), e, One()), _WEIGHT_ONLY),
+        ],
+        ids=["exists_body", "not_body", "sum_guard"],
+    )
+    def test_weight_atom_in_formula_position(self, build):
+        # f(a) = 0 and f(b) is undefined: as a formula either would be truthy
+        with pytest.raises(UsageError, match=r"^weight atom f\(x\) used as a formula$"):
+            build(Atom("f", ("x",)))
+
+    def test_generic_atom_reads_by_position(self):
+        s = _WEIGHT_ONLY
+        assert evaluate(Atom("f", ("x",)), s, {"x": "a"}) == rational(0)
+        assert evaluate(Atom("f", ("x",)), s, {"x": "b"}) is BOT
+        assert evaluate(Sum(("x",), ElemEq("x", "x"), Atom("f", ("x",))), s) is BOT
+        # a symbol the structure lacks takes the default
+        assert evaluate(Exists("x", Atom("g", ("x",))), s) is False
+        # a fixed point's symbol reads a weight table
+        body = Cond(Atom("F", ("x",)), One(), Zero())
+        with pytest.raises(UsageError, match=r"^weight atom F\(x\) used as a formula$"):
+            ifp_iterate("F", ("x",), body, s)
+
     def test_inconsistent_arities(self, two_triangle_graph):
         with pytest.raises(UsageError, match="arities"):
             evaluate(parse("wt(x, x) + sum {y : y = y} wt(y, y, y)"), two_triangle_graph, {"x": "a"})
@@ -339,6 +408,8 @@ class TestUsageErrors:
 
 
 _RELATION_ONLY = WeightedStructure.build(["a", "b"], relations={"e": (2, [("a", "b"), ("b", "b")])})
+
+_WEIGHT_ONLY = WeightedStructure.build(["a", "b"], weights={"f": (1, {("a",): 0})})
 
 
 _MUTANT_NAMES = ("p", "e", "flag", "f", "w", "cst", "F", "q")
@@ -814,6 +885,100 @@ class TestHoisting:
         counts.update({"/": 0, "-": 0})
         assert normalize(evaluate(q, s)) == expected
         assert counts == {"/": 9, "-": 27}
+
+
+def _wide_integration_structure(width):
+    """A one-hidden-layer network of the given width with its kinks
+    inside [-5, 5], expanded by the interval constants."""
+    hidden = [f"h{i}" for i in range(width)]
+    edges, biases = {}, {"o": Fraction(1, 3)}
+    for i, h in enumerate(hidden):
+        edges[("u", h)] = Fraction(i + 1, 2)
+        edges[(h, "o")] = Fraction((-1) ** i * (i + 2), 3)
+        biases[h] = -Fraction(i - 3, 2) * edges[("u", h)]
+    net = build_fnn(["u", *hidden, "o"], edges, biases)
+    bounds = {"lo": (0, {(): Fraction(-5)}), "hi": (0, {(): Fraction(5)})}
+    return net, net.structure.expand(weights=bounds)
+
+
+class TestSharedSubterms:
+    """Binders of the same variables in one scope share their scope, so a
+    node object under several of them compiles and runs once."""
+
+    def test_dag_agrees_with_its_printed_tree_and_reference(self):
+        # random_dag puts one subterm object under sibling binders of the
+        # same variables, under binders of others and in fixed-point bodies
+        rng = random.Random(48)
+        seen = {"value": 0, "bot": 0, "error": 0}
+        for _ in range(300):
+            s = random_structure(rng, max_size=3, drop_prob=0.0, density=1.0)
+            e = random_dag(rng, ("x",))
+            env = {"x": rng.choice(s.universe)}
+            limits = EvalLimits(max_summands=rng.choice((2, 4, 10**6)))
+
+            def outcome(q):
+                try:
+                    return normalize(evaluate(q, s, env, limits))
+                except ResourceError as exc:
+                    return str(exc)
+
+            got = outcome(e)
+            assert got == outcome(parse(to_text(e)))
+            if isinstance(got, str):
+                seen["error"] += 1
+                continue
+            seen["bot" if got == ("term", None) else "value"] += 1
+            if limits.max_summands == 10**6:
+                assert got == normalize(ref_evaluate(e, s, env))
+        assert min(seen.values()) >= 30, seen
+
+    def test_integration_template_compiles_each_scope_once(self, monkeypatch):
+        # 16 sibling sum {z1, z2} binders share one scope; fresh slots per
+        # binder occurrence would take 4 539 compile calls and 231 slots
+        calls, sizes = [0], []
+        compile_, environment = _Compiler.compile, _Compiler.environment
+
+        def counting_compile(self, *args, **kwargs):
+            calls[0] += 1
+            return compile_(self, *args, **kwargs)
+
+        def sizing_environment(self, *args):
+            slots = environment(self, *args)
+            sizes.append(len(slots))
+            return slots
+
+        monkeypatch.setattr(_Compiler, "compile", counting_compile)
+        monkeypatch.setattr(_Compiler, "environment", sizing_environment)
+        net, s = _wide_integration_structure(8)
+        expected = pwl_integral(to_pwl(net), rational(-5), rational(5))
+        assert evaluate(make_integrate_2_1(), s) == expected
+        assert calls[0] <= 1500
+        assert sizes == [sizes[0]] and sizes[0] <= 8
+
+    def test_shared_quotient_runs_once_per_binding_across_sibling_binders(self, monkeypatch):
+        # the quotient reads x only and sits under two sibling binders of
+        # y: one closure and one memo serve both, so it runs once per x
+        divisions = [0]
+        divide = ExtRational.__truediv__
+
+        def counting_divide(a, b):
+            divisions[0] += 1
+            return divide(a, b)
+
+        monkeypatch.setattr(ExtRational, "__truediv__", counting_divide)
+        s = WeightedStructure.build(["a", "b", "c"], weights={"f": (1, {("a",): 1, ("b",): 2, ("c",): 3})})
+        f = lambda v: WeightAtom("f", (v,))
+        quotient = Arith("/", f("x"), Arith("+", f("x"), One()))
+        siblings = Arith(
+            "+",
+            Sum(("y",), ElemEq("y", "y"), Arith("*", f("y"), quotient)),
+            Sum(("y",), Leq(f("y"), f("x")), Arith("-", quotient, f("y"))),
+        )
+        q = Sum(("x",), ElemEq("x", "x"), siblings)
+        expected = normalize(ref_evaluate(q, s))
+        divisions[0] = 0
+        assert normalize(evaluate(q, s)) == expected
+        assert divisions[0] == 3
 
 
 class TestSparseEnumeration:
