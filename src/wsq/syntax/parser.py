@@ -32,7 +32,17 @@ structure's vocabulary at evaluation time.  Summation and aggregate
 bodies bind tighter than arithmetic (``sum {x : p(x)} f(x) + 1`` is a
 sum plus one); ``else`` extends over a full term.  Numbers are exact
 rational literals: ``7``, ``0.25``, ``3/4`` (a zero denominator such as
-``1/0`` is division, which evaluates to ``bot``).
+``1/0`` is division, which evaluates to ``bot``).  A literal longer
+than Python's integer conversion accepts is a ``ParseError`` at its
+position.
+
+One call of :func:`parse` returns one node object per structurally
+equal subterm: the parser hash-conses every node it builds, so printed
+template text comes back as a DAG and the analyses and the compiler,
+which work per node object, do each subterm once.  A shared node keeps
+the span of its first occurrence in the text; ``walk`` still yields
+every position.  Errors raised while parsing name the occurrence at
+hand, not the shared node's span.  Nothing is shared between calls.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from ..errors import ParseError
 from .nodes import (
@@ -60,10 +70,12 @@ from .nodes import (
     Implies,
     Leq,
     Literal,
+    Node,
     Not,
     One,
     Or,
     RelAtom,
+    Span,
     Sum,
     Term,
     WeightAtom,
@@ -145,61 +157,33 @@ class _Var:
     """A bare identifier; becomes ElemEq material or a parse error."""
 
     name: str
-    span: tuple[int, int]
-
-
-def _as_formula(node) -> Formula:
-    if isinstance(node, Formula):
-        return node
-    if isinstance(node, Atom):
-        return RelAtom(node.name, node.args, span=node.span)
-    if isinstance(node, _Var):
-        raise ParseError(f"variable {node.name!r} used where a formula is required", *node.span)
-    raise ParseError("term used where a formula is required", *_span_of(node))
-
-
-def _as_term(node) -> Term:
-    if isinstance(node, Term):
-        return node
-    if isinstance(node, Atom):
-        return WeightAtom(node.name, node.args, span=node.span)
-    if isinstance(node, _Var):
-        raise ParseError(f"variable {node.name!r} used where a term is required", *node.span)
-    raise ParseError("formula used where a term is required", *_span_of(node))
-
-
-def _span_of(node) -> tuple[Optional[int], Optional[int]]:
-    span = getattr(node, "span", None)
-    return span if span else (None, None)
 
 
 _CONNECTIVES = {"implies": Implies, "or": Or, "and": And}
 
 
-def _binary(tok: Token, left, right) -> Expr:
-    """The node for ``left tok right``; each operand is forced to the kind the operator takes."""
-    op, span = tok.type, (tok.line, tok.column)
-    if op in _CONNECTIVES:
-        return _CONNECTIVES[op](_as_formula(left), _as_formula(right), span=span)
-    if PRECEDENCE[op] != COMPARISON:
-        return Arith(op, _as_term(left), _as_term(right), span=span)
-    if op in ("=", "!="):
-        lv, rv = isinstance(left, _Var), isinstance(right, _Var)
-        if lv and rv:
-            eq = ElemEq(left.name, right.name, span=span)
-            return eq if op == "=" else Not(eq, span=span)
-        if lv or rv:
-            raise ParseError("cannot compare an element variable with a term", *span)
-    lt, rt = _as_term(left), _as_term(right)
-    if op == "<=":
-        return Leq(lt, rt, span=span)
-    return Compare(op, lt, rt, span=span)
-
-
 class _Parser:
+    """One parse.  Every operator and primary returns its node with the
+    span of this occurrence, which a kind error names even when the node
+    is shared with an earlier occurrence."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        # the parse's node objects, keyed by type and fields, children by id
+        self.nodes: dict[tuple, Node] = {}
+
+    def node(self, key: tuple, span: Span, *fields) -> Node:
+        """The one node ``key[0](*fields)`` of this parse, built with ``span`` if new.
+
+        ``key`` is the type and then the fields, each child node by its
+        ``id``: a child is one of this parse's nodes already, so equal
+        children are the same object.
+        """
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = key[0](*fields, span=span)
+        return node
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -222,10 +206,61 @@ class _Parser:
             raise ParseError(f"{message} at end of input", tok.line, tok.column)
         raise ParseError(f"{message}, found {tok.text!r}", tok.line, tok.column)
 
+    # -- kinds -----------------------------------------------------------------
+
+    def as_formula(self, node, span: Span) -> Formula:
+        if isinstance(node, Formula):
+            return node
+        if isinstance(node, Atom):
+            return self.node((RelAtom, node.name, node.args), span, node.name, node.args)
+        if isinstance(node, _Var):
+            raise ParseError(f"variable {node.name!r} used where a formula is required", *span)
+        raise ParseError("term used where a formula is required", *span)
+
+    def as_term(self, node, span: Span) -> Term:
+        if isinstance(node, Term):
+            return node
+        if isinstance(node, Atom):
+            return self.node((WeightAtom, node.name, node.args), span, node.name, node.args)
+        if isinstance(node, _Var):
+            raise ParseError(f"variable {node.name!r} used where a term is required", *span)
+        raise ParseError("formula used where a term is required", *span)
+
+    def formula(self, floor: int = 0) -> Formula:
+        return self.as_formula(*self.parse_expr(floor))
+
+    def term(self, floor: int = 0) -> Term:
+        return self.as_term(*self.parse_expr(floor))
+
     # -- operators ---------------------------------------------------------
 
-    def parse_expr(self, floor: int = 0):
-        """Parse an expression whose operators bind at least as tightly as ``floor``.
+    def binary(self, tok: Token, left: tuple, right: tuple) -> Expr:
+        """The node for ``left tok right``; each operand, a (node, span)
+        pair, is forced to the kind the operator takes."""
+        op, span = tok.type, (tok.line, tok.column)
+        if op in _CONNECTIVES:
+            cls = _CONNECTIVES[op]
+            lf, rf = self.as_formula(*left), self.as_formula(*right)
+            return self.node((cls, id(lf), id(rf)), span, lf, rf)
+        if PRECEDENCE[op] != COMPARISON:
+            lt, rt = self.as_term(*left), self.as_term(*right)
+            return self.node((Arith, op, id(lt), id(rt)), span, op, lt, rt)
+        if op in ("=", "!="):
+            lv, rv = isinstance(left[0], _Var), isinstance(right[0], _Var)
+            if lv and rv:
+                names = left[0].name, right[0].name
+                eq = self.node((ElemEq, *names), span, *names)
+                return eq if op == "=" else self.node((Not, id(eq)), span, eq)
+            if lv or rv:
+                raise ParseError("cannot compare an element variable with a term", *span)
+        lt, rt = self.as_term(*left), self.as_term(*right)
+        if op == "<=":
+            return self.node((Leq, id(lt), id(rt)), span, lt, rt)
+        return self.node((Compare, op, id(lt), id(rt)), span, op, lt, rt)
+
+    def parse_expr(self, floor: int = 0) -> tuple:
+        """Parse an expression whose operators bind at least as tightly as
+        ``floor``; returns its node and the span of its head token.
 
         ``ceiling`` is the tightest operator that may still continue it: after
         a binary operator none tighter, after a comparison (which does not
@@ -238,26 +273,30 @@ class _Parser:
         ceiling = PRIMARY
         if tok.type == "-":
             self.advance()
-            left = Arith("-", Zero(span=span), _as_term(self.parse_expr(UNARY)), span=span)
+            zero = self.node((Zero,), span)
+            operand = self.term(UNARY)
+            left = self.node((Arith, "-", id(zero), id(operand)), span, "-", zero, operand)
         elif tok.type in ("not", "exists", "forall") and floor <= PREFIX:
             self.advance()
             if tok.type == "not":
-                left = Not(_as_formula(self.parse_expr(PREFIX)), span=span)
+                body = self.formula(PREFIX)
+                left = self.node((Not, id(body)), span, body)
             else:
                 var = self.expect("ident", "a variable name")
-                body = _as_formula(self.parse_expr(PREFIX))
-                left = (Exists if tok.type == "exists" else Forall)(var.text, body, span=span)
+                body = self.formula(PREFIX)
+                cls = Exists if tok.type == "exists" else Forall
+                left = self.node((cls, var.text, id(body)), span, var.text, body)
             ceiling = PREFIX - 1
         else:
-            left = self.parse_primary()
+            left, span = self.parse_primary()
         while True:
             tok = self.peek()
             prec = PRECEDENCE.get(tok.type)
             if prec is None or not floor <= prec <= ceiling:
-                return left
+                return left, span
             self.advance()
             right = self.parse_expr(prec if tok.type == "implies" else prec + 1)
-            left = _binary(tok, left, right)
+            left, span = self.binary(tok, (left, span), right), (tok.line, tok.column)
             ceiling = prec - 1 if prec == COMPARISON else prec
 
     # -- primaries -----------------------------------------------------------
@@ -281,26 +320,30 @@ class _Parser:
         self.expect("{", "'{'")
         names = self.parse_varlist(allow_empty=False)
         self.expect(":", "':'")
-        guard = _as_formula(self.parse_expr())
+        guard = self.formula()
         self.expect("}", "'}'")
         return names, guard
 
-    def parse_primary(self):
+    def parse_primary(self) -> tuple:
         tok = self.peek()
         span = (tok.line, tok.column)
 
         if tok.type == "number":
             self.advance()
-            value = Fraction(tok.text)
+            try:
+                value = Fraction(tok.text)
+            except ValueError:
+                # Python refuses to convert integers of more than a set number of digits
+                raise ParseError(f"number literal too long ({len(tok.text)} characters)", *span) from None
             if value == 0:
-                return Zero(span=span)
+                return self.node((Zero,), span), span
             if value == 1:
-                return One(span=span)
-            return Literal(value, span=span)
+                return self.node((One,), span), span
+            return self.node((Literal, value), span, value), span
 
         if tok.type == "bot":
             self.advance()
-            return BotConst(span=span)
+            return self.node((BotConst,), span), span
 
         if tok.type == "ident":
             self.advance()
@@ -308,29 +351,31 @@ class _Parser:
                 self.advance()
                 args = self.parse_varlist(allow_empty=True, allow_duplicates=True)
                 self.expect(")", "')'")
-                return Atom(tok.text, args, span=span)
-            return _Var(tok.text, span)
+                return self.node((Atom, tok.text, args), span, tok.text, args), span
+            return _Var(tok.text), span
 
         if tok.type == "sum":
             self.advance()
             names, guard = self.parse_binder_braces()
-            body = _as_term(self.parse_expr(UNARY))
-            return Sum(names, guard, body, span=span)
+            body = self.term(UNARY)
+            return self.node((Sum, names, id(guard), id(body)), span, names, guard, body), span
 
         if tok.type in ("count", "avg", "min", "max"):
             self.advance()
             names, guard = self.parse_binder_braces()
-            body = None if tok.type == "count" else _as_term(self.parse_expr(UNARY))
-            return Aggregate(tok.type, names, guard, body, span=span)
+            body = None if tok.type == "count" else self.term(UNARY)
+            key = (Aggregate, tok.type, names, id(guard), id(body))
+            return self.node(key, span, tok.type, names, guard, body), span
 
         if tok.type == "if":
             self.advance()
-            test = _as_formula(self.parse_expr())
+            test = self.formula()
             self.expect("then", "'then'")
-            then = _as_term(self.parse_expr(PRECEDENCE["+"]))
+            then = self.term(PRECEDENCE["+"])
             self.expect("else", "'else'")
-            otherwise = _as_term(self.parse_expr(PRECEDENCE["+"]))
-            return Cond(test, then, otherwise, span=span)
+            otherwise = self.term(PRECEDENCE["+"])
+            key = (Cond, id(test), id(then), id(otherwise))
+            return self.node(key, span, test, then, otherwise), span
 
         if tok.type == "ifp":
             self.advance()
@@ -340,7 +385,7 @@ class _Parser:
             bound = self.parse_varlist(allow_empty=True)
             self.expect(")", "')'")
             self.expect("<-", "'<-'")
-            body = _as_term(self.parse_expr())
+            body = self.term()
             self.expect(")", "')'")
             self.expect("(", "'('")
             applied = self.parse_varlist(allow_empty=True, allow_duplicates=True)
@@ -350,7 +395,8 @@ class _Parser:
                     f"fixed point binds {len(bound)} variables but is applied to {len(applied)}",
                     *span,
                 )
-            return Ifp(name.text, bound, body, applied, span=span)
+            key = (Ifp, name.text, bound, id(body), applied)
+            return self.node(key, span, name.text, bound, body, applied), span
 
         if tok.type == "(":
             self.advance()
@@ -368,10 +414,10 @@ def parse(text: str) -> Expr:
     ``ident(...)`` atom) a generic atom resolved at evaluation time.
     """
     parser = _Parser(tokenize(text))
-    node = parser.parse_expr()
+    node, span = parser.parse_expr()
     tok = parser.peek()
     if tok.type != "eof":
         raise ParseError(f"unexpected {tok.text!r} after the expression", tok.line, tok.column)
     if isinstance(node, _Var):
-        raise ParseError(f"a bare variable ({node.name!r}) is not a query", *node.span)
+        raise ParseError(f"a bare variable ({node.name!r}) is not a query", *span)
     return node

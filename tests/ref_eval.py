@@ -4,13 +4,15 @@ Deliberately written against the engine's grain: arithmetic works on
 ``Fraction | None`` (None for the undefined value) with its own helper
 functions, quantifiers and sums materialize full assignment lists, and
 fixed points thread a symbol-to-table mapping through the recursion
-instead of expanding the structure.  Only the AST node classes and the
-raw structure data are shared with the package.
+instead of expanding the structure.  Only the AST node classes, the
+``UsageError`` type and the raw structure data are shared with the
+package.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from wsq.errors import UsageError
 from wsq.syntax.nodes import (
     Aggregate,
     And,
@@ -86,6 +88,44 @@ def collect_symbols(expr):
     return rels, wts, gens
 
 
+def positions(n):
+    """(child, "formula" | "term") for each child of ``n``."""
+    if isinstance(n, (Not, And, Or, Implies, Exists, Forall)):
+        return [(c, "formula") for c in children(n)]
+    if isinstance(n, Cond):
+        return [(n.test, "formula"), (n.then, "term"), (n.otherwise, "term")]
+    if isinstance(n, (Sum, Aggregate)):
+        body = [] if n.body is None else [(n.body, "term")]
+        return [(n.guard, "formula")] + body
+    return [(c, "term") for c in children(n)]
+
+
+def check_generic_atoms(structure, expr):
+    """Reject a generic atom below the root that reads a table of the other
+    kind: a relation in a term position, a weight or fixed point in a formula
+    position.  Decided from the text, before any value is computed; a
+    shared subterm is looked at once per position kind and binders."""
+    voc = structure.vocabulary
+    seen = set()
+
+    def go(n, position, bound):
+        if (id(n), position, bound) in seen:
+            return
+        seen.add((id(n), position, bound))
+        if isinstance(n, Atom) and position is not None:
+            text = f"{n.name}({', '.join(n.args)})"
+            if n.name not in bound and n.name in voc.relations:
+                if position == "term":
+                    raise UsageError(f"relation atom {text} used as a term")
+            elif position == "formula" and (n.name in bound or n.name in voc.weights):
+                raise UsageError(f"weight atom {text} used as a formula")
+        inner = bound | {n.name} if isinstance(n, Ifp) else bound
+        for child, kind in positions(n):
+            go(child, kind, inner)
+
+    go(expr, None, frozenset())
+
+
 def structure_covers(structure, expr):
     rels, wts, gens = collect_symbols(expr)
     voc = structure.vocabulary
@@ -113,9 +153,11 @@ def ref_evaluate(expr, structure, env=None):
     """Value of ``expr`` on ``structure``: bool, Fraction, or None.
 
     Implements the same semantics as ``wsq.evaluator.evaluate`` from
-    scratch, including the default for uninterpreted vocabularies.
+    scratch, including the default for uninterpreted vocabularies and the
+    ``UsageError`` for a generic atom read as the wrong kind.
     """
     env = dict(env or {})
+    check_generic_atoms(structure, expr)
     if not structure_covers(structure, expr):
         return False if isinstance(expr, Formula) else None
     universe = list(structure.universe)

@@ -105,6 +105,15 @@ class TestExitCodes:
         assert result.returncode == 1
         assert "error" in result.stderr
 
+    def test_literal_beyond_the_digit_limit_is_one(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited in this interpreter")
+        text = "1 + " + "9" * (limit + 700)
+        assert main(["eval", GRAPH, text]) == 1
+        message = f"number literal too long ({limit + 700} characters) (line 1, column 5)"
+        assert capsys.readouterr() == ("", f"error: query error: {message}\n")
+
     def test_structure_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"universe": []}')
@@ -257,6 +266,12 @@ class TestCheck:
 
     def test_parse_error_exit(self):
         assert wsq("check", "sum {x").returncode == 1
+
+    def test_repeated_breach_reported_once(self, capsys):
+        # the two products are one node object of the parse
+        assert main(["check", "ifp (F(x) <- F(x) * F(x) + F(x) * F(x)) (x)"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "NOT in sIFP(SUM): multiplication of two intensional subterms at line 1, column 19"
 
 
 class TestFnn:

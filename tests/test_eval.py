@@ -386,6 +386,30 @@ class TestUsageErrors:
         with pytest.raises(UsageError, match=r"^relation atom e\(x, y\) used as a term$"):
             build(Atom("e", ("x", "y")))
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (lambda: (Exists("x", Atom("f", ("x",))), _WEIGHT_ONLY, {}), r"^weight atom f\(x\) used as a formula$"),
+            (lambda: (Sum(("x",), Atom("f", ("x",)), One()), _WEIGHT_ONLY, {}), r"^weight atom f\(x\) used as a formula$"),
+            (lambda: (Not(Atom("f", ("x",))), _WEIGHT_ONLY, {"x": "b"}), r"^weight atom f\(x\) used as a formula$"),
+            (
+                lambda: (Ifp("F", ("x",), Cond(Atom("F", ("x",)), One(), Zero()), ("x",)), _WEIGHT_ONLY, {"x": "a"}),
+                r"^weight atom F\(x\) used as a formula$",
+            ),
+            (
+                lambda: (Sum(("x", "y"), RelAtom("e", ("x", "y")), Atom("e", ("x", "y"))), _RELATION_ONLY, {}),
+                r"^relation atom e\(x, y\) used as a term$",
+            ),
+        ],
+        ids=["exists_body", "sum_guard", "not_body", "ifp_test", "sum_body"],
+    )
+    def test_reference_rejects_what_evaluate_rejects(self, case, message):
+        # the oracle used to take these for uncovered uses and answer False or 0
+        q, s, env = case()
+        for run in (evaluate, ref_evaluate):
+            with pytest.raises(UsageError, match=message):
+                run(q, s, env)
+
     def test_coverage_agrees_with_vocabulary_of_and_reference(self):
         rng = random.Random(25)
         outcomes = {"misuse": 0, "default": 0, "value": 0}

@@ -14,7 +14,7 @@ from randgen import (
     random_n211,
 )
 from wsq.errors import UsageError
-from wsq.evaluator import evaluate
+from wsq.evaluator import _Compiler, evaluate
 from wsq.fnn import forward, node_values, pwl_integral, to_pwl, with_input, without_edge
 from wsq.numerics import BOT, rational
 from wsq.queries import (
@@ -234,6 +234,27 @@ class TestIntegrate:
     def test_round_trips_through_text(self):
         term = make_integrate_2_1()
         assert parse(to_text(term)) == term
+
+    def test_parsed_text_compiles_like_the_template(self, monkeypatch):
+        # the parse shares equal subterms, so its 8 319 positions compile
+        # like the built DAG: about 1 200 calls, not one per position
+        calls = [0]
+        compile_ = _Compiler.compile
+
+        def counting_compile(self, *args, **kwargs):
+            calls[0] += 1
+            return compile_(self, *args, **kwargs)
+
+        hidden = [f"h{i}" for i in range(8)]
+        edges = {("u", h): Fraction(i + 1, 2) for i, h in enumerate(hidden)}
+        edges.update({(h, "o"): Fraction((-1) ** i * (i + 2), 3) for i, h in enumerate(hidden)})
+        biases = {h: Fraction(3 - i, 2) * edges[("u", h)] for i, h in enumerate(hidden)}
+        net = build_fnn(["u", *hidden, "o"], edges, {**biases, "o": Fraction(1, 3)})
+        query = parse(to_text(make_integrate_2_1()))
+        monkeypatch.setattr(_Compiler, "compile", counting_compile)
+        got = evaluate(query, self.attach(net, -5, 5))
+        assert got == pwl_integral(to_pwl(net), rational(-5), rational(5))
+        assert calls[0] <= 1500
 
 
 class TestSquaring:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from randgen import random_expression, random_structure
 from wsq.errors import ParseError, UsageError
 from wsq.evaluator import evaluate
 from wsq.numerics import rational
-from wsq.queries import make_eval, make_eval_node, make_squaring, make_useless
+from wsq.queries import make_eval, make_eval_node, make_integrate_2_1, make_squaring, make_useless
 from wsq.structures import WeightedStructure
 from wsq.syntax import (
     Aggregate,
@@ -33,9 +35,11 @@ from wsq.syntax import (
     One,
     RelAtom,
     Sum,
+    Violation,
     WeightAtom,
     Zero,
     check_scalar_fragment,
+    children,
     desugar,
     free_vars,
     literal_term,
@@ -43,6 +47,7 @@ from wsq.syntax import (
     substitute,
     to_text,
     vocabulary_of,
+    walk,
 )
 from wsq.syntax.nodes import bound_vars, map_children
 
@@ -128,6 +133,21 @@ class TestParse:
         with pytest.raises(ParseError, match="applied"):
             parse("ifp (F(x, y) <- 1) (x)")
 
+    @pytest.mark.parametrize("form", ["{}", "0.{}", "1/{}"])
+    @pytest.mark.parametrize("before", ["", "2 * (\n  "])
+    def test_literal_beyond_the_digit_limit(self, form, before):
+        # Python refuses to convert such an integer; the parser says where it is
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited in this interpreter")
+        literal = form.format("9" * (limit + 700))
+        text = before + literal + (")" if before else "")
+        line, column = (2, 3) if before else (1, 1)
+        with pytest.raises(ParseError) as error:
+            parse(text)
+        message = f"number literal too long ({len(literal)} characters) (line {line}, column {column})"
+        assert str(error.value) == message
+
     def test_keywords_are_reserved(self):
         with pytest.raises(ParseError):
             parse("sum {if : p(if)} 1")
@@ -157,6 +177,9 @@ class TestParse:
             ("f(x) = y", "cannot compare an element variable with a term (line 1, column 6)"),
             ("1 or p()", "term used where a formula is required (line 1, column 1)"),
             ("p(x) and 1", "term used where a formula is required (line 1, column 10)"),
+            # the second f(x) + 1 is the first's node object, but the error names it
+            ("f(x) + 1 + (f(x) + 1 and p())", "term used where a formula is required (line 1, column 18)"),
+            ("1 + 2 * (2 and p())", "term used where a formula is required (line 1, column 10)"),
             (
                 "if p() then 1 else 2 and q()",
                 "term used where a formula is required (line 1, column 1)",
@@ -289,15 +312,20 @@ def _unshared(n: Node) -> Node:
     return type(n)(**fields)
 
 
-def _distinct_nodes(n: Node) -> int:
+def _objects(n: Node) -> dict[int, Node]:
+    """Every node object reachable from ``n``, by id."""
     seen: dict[int, Node] = {}
     stack = [n]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            stack.extend(child for child in vars(node).values() if isinstance(child, Node))
-    return len(seen)
+            stack.extend(children(node))
+    return seen
+
+
+def _distinct_nodes(n: Node) -> int:
+    return len(_objects(n))
 
 
 class TestSharedSubtrees:
@@ -338,6 +366,101 @@ class TestSharedSubtrees:
         e = Arith("+", square, Ifp("F", ("x",), Arith("+", square, square), ("x",)))
         assert [(v.op, v.path) for v in check_scalar_fragment(e)] == [("*", (1, 0, 0))]
         assert [v.path for v in check_scalar_fragment(_unshared(e))] == [(1, 0, 0), (1, 0, 1)]
+
+
+class TestParseSharing:
+    """One parse returns one node object per structurally equal subterm."""
+
+    INTEGRATION = to_text(make_integrate_2_1())
+
+    def test_equal_subterms_are_one_object(self):
+        e = parse("(f(x) + 1) * (f(x) + 1) <= sum {y : p(y)} (f(x) + 1)")
+        assert e.left.left is e.left.right is e.right.body
+        # unary minus is 0 - t, down to the one Zero
+        e = parse("-f(x) + (0 - f(x))")
+        assert e.left is e.right
+
+    def test_equal_values_share_across_notations(self):
+        # x != y is sugar for not x = y; 0.5 and 1/2 are one literal
+        for text in ("(x != y) and (not x = y)", "(0.5 < f(x)) and (1/2 < f(x))"):
+            e = parse(text)
+            assert e.left is e.right, text
+
+    @pytest.mark.parametrize(
+        "kind, a, b",
+        [
+            ("formula", "1 < f(x)", "1 > f(x)"),
+            ("formula", "1 <= f(x)", "1 < f(x)"),
+            ("formula", "x = y", "y = x"),
+            ("formula", "exists x e(x, y)", "exists y e(x, y)"),
+            ("formula", "exists x p(x)", "forall x p(x)"),
+            ("formula", "p(x) and q(x)", "p(x) or q(x)"),
+            ("formula", "p(x)", "p(y)"),
+            ("term", "f(x) + g(x)", "f(x) - g(x)"),
+            ("term", "f(x) * g(x)", "f(x) / g(x)"),
+            ("term", "2", "3"),
+            ("term", "f(x)", "g(x)"),
+            ("term", "min {x : p(x)} f(x)", "max {x : p(x)} f(x)"),
+            ("term", "count {x : e(x, y)}", "count {y : e(x, y)}"),
+            ("term", "sum {x : e(x, y)} 1", "sum {y : e(x, y)} 1"),
+            ("term", "if p(x) then 1 else 2", "if p(x) then 2 else 1"),
+            ("term", "ifp (F(x) <- g(x)) (x)", "ifp (F(x) <- g(x)) (y)"),
+            ("term", "ifp (F(x) <- g(y)) (z)", "ifp (F(y) <- g(y)) (z)"),
+            ("term", "ifp (F(x) <- F(x)) (x)", "ifp (G(x) <- F(x)) (x)"),
+        ],
+    )
+    def test_a_differing_field_keeps_nodes_apart(self, kind, a, b):
+        joined = f"({a}) and ({b})" if kind == "formula" else f"({a}) + ({b})"
+        e = parse(joined)
+        assert e.left is not e.right
+        assert (to_text(e.left), to_text(e.right)) == (to_text(parse(a)), to_text(parse(b)))
+        same = parse(f"({a}) and ({a})" if kind == "formula" else f"({a}) + ({a})")
+        assert same.left is same.right
+
+    def test_one_name_as_relation_and_as_weight(self):
+        e = parse("if p(x) then p(x) else 0")
+        assert type(e.test) is RelAtom and type(e.then) is WeightAtom
+
+    def test_integration_text_parses_to_a_dag(self):
+        e = parse(self.INTEGRATION)
+        assert e == make_integrate_2_1()
+        assert _distinct_nodes(e) <= 900
+        # walk still yields every position
+        assert sum(1 for _ in walk(e)) == 8319
+
+    def test_nothing_is_shared_between_parses(self):
+        first, second = parse(self.INTEGRATION), parse(self.INTEGRATION)
+        assert first == second
+        assert not _objects(first).keys() & _objects(second).keys()
+
+    def test_parses_in_threads_agree(self):
+        texts = [self.INTEGRATION, to_text(make_eval_node()), to_text(make_squaring())] * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-parse
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(parse, texts, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for text, e in zip(texts, results):
+            alone = parse(text)
+            assert e == alone and _distinct_nodes(e) == _distinct_nodes(alone)
+
+    def test_a_shared_node_keeps_its_first_span(self):
+        e = parse("f(x) * 2 + if f(x) * 2 <= 3 then 1 else 0")
+        assert e.right.test.left is e.left and e.left.span == (1, 6)
+        # as a formula, p(x) is first seen at its second occurrence
+        e = parse("p(x) + 1 <= 2 and p(x)")
+        assert type(e.right) is RelAtom and e.right.span == (1, 19)
+
+    def test_repeated_breach_reported_once_at_its_first_position(self):
+        # the breach F(x) * F(x) occurs twice in the text and is one node
+        text = "ifp (F(x) <- F(x) * F(x) + F(x) * F(x)) (x)"
+        e = parse(text)
+        assert e.body.left is e.body.right
+        assert check_scalar_fragment(e) == [Violation("*", (0, 0), (1, 19))]
+        # as a tree it breaches at both places
+        assert [v.path for v in check_scalar_fragment(_unshared(e))] == [(0, 0), (0, 1)]
 
 
 class TestScalarFragment:
