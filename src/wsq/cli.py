@@ -14,9 +14,9 @@ is the query even when a file of that name exists.  Exit codes:
 0 success, 1 query error (parse error, misused symbol, bad builtin
 parameter, unreadable query file), 2 structure or file error (a file
 that cannot be read, decoded or parsed included) or bad option value,
-3 unbound variables, 4 resource budget exceeded or expression too
-deeply nested.  Budgets, builtin parameters and ``--k`` take ASCII
-digits only.  Each kind of error gets its exit code in :func:`main`.
+3 unbound variables, 4 resource budget exceeded, expression too deeply
+nested or result too long to print.  Budgets, builtin parameters and
+``--k`` take ASCII digits only.  Each error gets its exit code in :func:`main`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .errors import LoadError, ParseError, ResourceError, UsageError, WsqError
@@ -142,24 +143,31 @@ def _parse_bindings(pairs: list[str]) -> dict[str, str]:
     return env
 
 
+def _text(value: ExtRational) -> str:
+    """``str(value)``; a number too long for Python to print is a :class:`ResourceError`."""
+    try:
+        return str(value)
+    except ValueError:
+        # Python refuses to convert integers of more than a set number of digits
+        limit = sys.get_int_max_str_digits()
+        raise ResourceError(f"result too long to print (over {limit} digits)") from None
+
+
 def _render_value(value, as_json: bool) -> str:
     is_formula = isinstance(value, bool)
     if as_json:
         payload = {
-            "value": value if is_formula else str(value),
+            "value": value if is_formula else _text(value),
             "kind": "formula" if is_formula else "term",
         }
         return json.dumps(payload, sort_keys=True)
     if is_formula:
         return "true" if value else "false"
-    return str(value)
+    return _text(value)
 
 
-def _limits(args) -> EvalLimits:
-    return EvalLimits(
-        max_fixpoint_cells=args.max_fixpoint_cells,
-        max_summands=args.max_summands,
-    )
+# the evaluation budgets by option name: --max-summands, :set max-summands
+_BUDGETS = {f.name.replace("_", "-"): f for f in fields(EvalLimits)}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +186,8 @@ def _cmd_eval(args) -> int:
     missing = sorted(free_vars(query) - env.keys())
     if missing:
         raise _CliError(f"unbound variables: {', '.join(missing)}", EXIT_UNBOUND)
-    value = evaluate(query, structure, env, _limits(args))
+    limits = EvalLimits(**{f.name: getattr(args, f.name) for f in _BUDGETS.values()})
+    value = evaluate(query, structure, env, limits)
     print(_render_value(value, args.json))
     return EXIT_OK
 
@@ -207,23 +216,25 @@ def _cmd_check(args) -> int:
 
 def _affine_text(slope, intercept) -> str:
     if slope == 0:
-        return str(ExtRational(intercept))
+        return _text(ExtRational(intercept))
     if slope == 1:
         head = "x"
     else:
-        head = f"{ExtRational(slope)}*x"
+        head = f"{_text(ExtRational(slope))}*x"
     if intercept == 0:
         return head
     sign = "+" if intercept > 0 else "-"
-    return f"{head} {sign} {ExtRational(abs(intercept))}"
+    return f"{head} {sign} {_text(ExtRational(abs(intercept)))}"
 
 
 def _print_pwl(p: Pwl) -> None:
-    bps = [str(ExtRational(x)) for x in p.breakpoints]
-    print(f"breakpoints: {', '.join(bps) if bps else 'none'}")
+    bps = [_text(ExtRational(x)) for x in p.breakpoints]
     bounds = ["-inf", *bps, "+inf"]
+    # a number too long to print must not leave half a table on stdout
+    lines = [f"breakpoints: {', '.join(bps) if bps else 'none'}"]
     for i, (slope, intercept) in enumerate(p.pieces):
-        print(f"[{bounds[i]}, {bounds[i + 1]}]: {_affine_text(slope, intercept)}")
+        lines.append(f"[{bounds[i]}, {bounds[i + 1]}]: {_affine_text(slope, intercept)}")
+    print("\n".join(lines))
 
 
 def _cmd_fnn(args) -> int:
@@ -247,12 +258,12 @@ def _cmd_fnn(args) -> int:
     net = _load_fnn(args.file)
     if args.fnn_command == "forward":
         values = forward(net, _parse_inputs(args.input))
-        print(" ".join(str(v) for v in values))
+        print(" ".join(_text(v) for v in values))
     elif args.fnn_command == "pwl":
         _print_pwl(to_pwl(net, args.max_pwl_pieces))
     elif args.fnn_command == "integrate":
         lo, hi = _rational(args.lo), _rational(args.hi)
-        print(pwl_integral(to_pwl(net, args.max_pwl_pieces), lo, hi))
+        print(_text(pwl_integral(to_pwl(net, args.max_pwl_pieces), lo, hi)))
     elif args.fnn_command == "zero":
         print("true" if to_pwl(net, args.max_pwl_pieces).is_zero else "false")
     elif args.fnn_command == "pad":
@@ -271,13 +282,13 @@ def _cmd_fnn(args) -> int:
 # REPL
 # ---------------------------------------------------------------------------
 
-_REPL_HELP = """commands:
+_REPL_HELP = f"""commands:
   :load PATH            load a structure or network file
   :let NAME = QUERY     name a parsed query
   :check NAME|QUERY     free variables, vocabulary, scalar-fragment verdict
   :set format plain|json
   :set input R1,R2,...  attach an input vector to the loaded network
-  :set max-summands N | max-fixpoint-cells N
+  :set {" | ".join(f"{key} N" for key in _BUDGETS)}
   :quit                 leave (also Ctrl-D)
 anything else is evaluated as a query against the loaded structure;
 queries may also reference builtins, e.g. builtin:eval_node"""
@@ -367,12 +378,12 @@ class Repl:
             if self.net is None:
                 raise UsageError("load a network before :set input")
             self.inputs = values
-        elif key in ("max-summands", "max-fixpoint-cells"):
+        elif key in _BUDGETS:
             try:
                 count = parse_count(value)
             except ValueError as exc:
                 raise UsageError(f"{key} {exc}") from exc
-            setattr(self.limits, key.replace("-", "_"), count)
+            setattr(self.limits, _BUDGETS[key].name, count)
         else:
             raise UsageError(f"unknown option {key!r}")
         self.out("ok")
@@ -402,17 +413,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="wsq", description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_limits(p):
-        p.add_argument("--max-fixpoint-cells", type=_count, default=EvalLimits().max_fixpoint_cells)
-        p.add_argument("--max-summands", type=_count, default=EvalLimits().max_summands)
-
     p_eval = sub.add_parser("eval", help="evaluate a query on a structure")
     p_eval.add_argument("structure")
     p_eval.add_argument("query")
     p_eval.add_argument("--bind", action="append", default=[], metavar="VAR=ELEMENT")
     p_eval.add_argument("--input", help="input vector for a network, e.g. 1,1/2")
     p_eval.add_argument("--json", action="store_true", help="emit {'value':..,'kind':..}")
-    add_limits(p_eval)
+    for key, budget in _BUDGETS.items():
+        p_eval.add_argument(f"--{key}", type=_count, default=budget.default)
 
     p_check = sub.add_parser("check", help="analyze a query without a structure")
     p_check.add_argument("query")

@@ -95,6 +95,7 @@ from .numerics import BOT, ONE, ZERO, ExtRational, rational
 from .structures import WeightedStructure
 from .syntax.analysis import vocabulary_of
 from .syntax.nodes import (
+    LEAVES,
     Aggregate,
     And,
     Arith,
@@ -182,7 +183,8 @@ def _constant(value) -> Compiled:
     return lambda env: value
 
 
-_ZERO_FN, _ONE_FN, _BOT_FN = _constant(ZERO), _constant(ONE), _constant(BOT)
+# the closures of the fixed constants; a literal carries its value
+_CONSTANT = {Zero: _constant(ZERO), One: _constant(ONE), BotConst: _constant(BOT)}
 
 # nodes whose evaluation can raise a ResourceError (their budgets)
 _BUDGETED = (Sum, Aggregate, Ifp)
@@ -301,7 +303,7 @@ class _Compiler:
         """``term`` is true at a term position, where a generic atom must not
         read a relation table, false at a formula position, where it must
         not read a weight or fixed-point table, and ``None`` at the root."""
-        if type(n) in _LEAVES:
+        if type(n) in LEAVES:
             if type(n) is Atom and term is not None:
                 text = f"{n.name}({', '.join(n.args)})"
                 if self._reads_relation(n, scope):
@@ -502,7 +504,9 @@ class _Compiler:
         key = operator.itemgetter(*slots)
         return (lambda env: key(env) in table), mask
 
-    def _order(self, op: str, left: Node, right: Node, scope):
+    def _compare(self, n: Union[Leq, Compare], scope):
+        op = "<=" if type(n) is Leq else n.op
+        left, right = n.left, n.right
         lf, lm = self.compile(left, scope, term=True)
         rf, rm = self.compile(right, scope, term=True)
         if op in ("=", "!=") and (type(left) is BotConst or type(right) is BotConst):
@@ -515,15 +519,9 @@ class _Compiler:
         else:
             test = _ORDER[op]
             fn = lambda env: test(lf(env), rf(env))
-        if not _LEAVES.issuperset((type(left), type(right))):
+        if not LEAVES.issuperset((type(left), type(right))):
             fn = self._memo(fn, lm | rm, scope)
         return fn, lm | rm
-
-    def _leq(self, n: Leq, scope):
-        return self._order("<=", n.left, n.right, scope)
-
-    def _compare(self, n: Compare, scope):
-        return self._order(n.op, n.left, n.right, scope)
 
     def _not(self, n: Not, scope):
         body, mask = self.compile(n.body, scope)
@@ -573,17 +571,9 @@ class _Compiler:
 
     # -- terms ----------------------------------------------------------
 
-    def _zero(self, n, scope):
-        return _ZERO_FN, 0
-
-    def _one(self, n, scope):
-        return _ONE_FN, 0
-
-    def _literal(self, n: Literal, scope):
-        return _constant(rational(n.value)), 0
-
-    def _bot(self, n, scope):
-        return _BOT_FN, 0
+    def _constant_term(self, n: Union[Zero, One, BotConst, Literal], scope):
+        fn = _CONSTANT.get(type(n))
+        return fn or _constant(rational(n.value)), 0
 
     def _weight_atom(self, n, scope):
         slots, mask = self._slots(scope, n.args)
@@ -623,7 +613,7 @@ class _Compiler:
         rf, rm = self.compile(n.right, scope, term=True)
         op = _ARITH[n.op]
         fn = lambda env: op(lf(env), rf(env))
-        if not _LEAVES.issuperset((type(n.left), type(n.right))):
+        if not LEAVES.issuperset((type(n.left), type(n.right))):
             fn = self._memo(fn, lm | rm, scope)
         return fn, lm | rm
 
@@ -633,7 +623,7 @@ class _Compiler:
         other, om = self.compile(n.otherwise, scope, term=True)
         mask = tm | thm | om
         fn = lambda env: then(env) if test(env) else other(env)
-        if not _LEAVES.issuperset((type(n.test), type(n.then), type(n.otherwise))):
+        if not LEAVES.issuperset((type(n.test), type(n.then), type(n.otherwise))):
             fn = self._memo(fn, mask, scope)
         return fn, mask
 
@@ -749,15 +739,10 @@ class _Compiler:
         return run, mask & ~_span(lo, hi)
 
 
-# Leaves compile afresh at every use.  A term or comparison whose
-# operands are all leaves is not memoised: a dict lookup costs about as
-# much as its operation.
-_LEAVES = frozenset((ElemEq, RelAtom, Zero, One, Literal, BotConst, WeightAtom, Atom))
-
 _COMPILE = {
     ElemEq: _Compiler._elem_eq,
     RelAtom: _Compiler._rel_atom,
-    Leq: _Compiler._leq,
+    Leq: _Compiler._compare,
     Compare: _Compiler._compare,
     Not: _Compiler._not,
     And: _Compiler._and,
@@ -765,10 +750,10 @@ _COMPILE = {
     Implies: _Compiler._implies,
     Exists: _Compiler._quantifier,
     Forall: _Compiler._quantifier,
-    Zero: _Compiler._zero,
-    One: _Compiler._one,
-    Literal: _Compiler._literal,
-    BotConst: _Compiler._bot,
+    Zero: _Compiler._constant_term,
+    One: _Compiler._constant_term,
+    Literal: _Compiler._constant_term,
+    BotConst: _Compiler._constant_term,
     WeightAtom: _Compiler._weight_atom,
     Atom: _Compiler._atom,
     Arith: _Compiler._arith,

@@ -257,9 +257,6 @@ class FnnStructure:
     def bias(self, v: str) -> ExtRational:
         return self.structure.weights[BIAS].get((v,), BOT)
 
-    def weight(self, u: str, v: str) -> ExtRational:
-        return self.edges.get((u, v), BOT)
-
 
 def _coerce_inputs(values: Sequence) -> list[ExtRational]:
     out = []

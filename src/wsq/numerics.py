@@ -51,14 +51,19 @@ class ExtRational:
         """Parse ``"p/q"``, ``"d.ddd"``, an optionally signed integer, or ``"bot"``.
 
         Decimal input converts exactly (``"0.25"`` -> 1/4).  Raises
-        ``ValueError`` on anything else, including zero denominators.
+        ``ValueError`` on anything else, including zero denominators and
+        numbers too long to convert (``number too long (N characters)``).
         """
         text = text.strip()
         if text == "bot":
             return BOT
         if not _NUMBER_RE.match(text):
             raise ValueError(f"not a rational literal: {text!r}")
-        return cls(Fraction(text))
+        try:
+            return cls(Fraction(text))
+        except ValueError:
+            # Python refuses to convert integers of more than a set number of digits
+            raise ValueError(f"number too long ({len(text)} characters)") from None
 
     # -- accessors -----------------------------------------------------
 

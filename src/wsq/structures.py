@@ -361,10 +361,19 @@ def read_json(path: str):
     """The JSON document in the file at ``path``.  A file that cannot be
     read, is not UTF-8, is not JSON or nests too deeply for the JSON
     parser raises :class:`LoadError` (``cannot read PATH: ...`` or
-    ``PATH: not valid JSON: ...``)."""
+    ``PATH: not valid JSON: ...``), as does an integer too long to convert
+    (``PATH: number too long (N characters)``)."""
+
+    def integer(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            # Python refuses to convert integers of more than a set number of digits
+            raise LoadError(f"{path}: number too long ({len(text)} characters)") from None
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=integer)
     except OSError as exc:
         # an OSError's own text names the file again
         raise LoadError(f"cannot read {path}: {exc.strerror or exc}") from exc

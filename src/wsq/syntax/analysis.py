@@ -25,21 +25,19 @@ from typing import Optional
 
 from ..errors import UsageError
 from .nodes import (
+    ATOMS,
+    LEAVES,
     Aggregate,
     Arith,
     Atom,
-    BotConst,
     Cond,
     ElemEq,
     Ifp,
-    Literal,
     Node,
-    One,
     RelAtom,
     Span,
     Sum,
     WeightAtom,
-    Zero,
     bound_vars,
     children,
 )
@@ -63,7 +61,7 @@ def free_vars(node: Node) -> frozenset:
 
     def go(n: Node) -> frozenset:
         kind = type(n)
-        if kind in _ATOM_KINDS:
+        if kind in ATOMS:
             return frozenset(n.args)
         if kind is ElemEq:
             return frozenset((n.left, n.right))
@@ -83,11 +81,6 @@ def free_vars(node: Node) -> frozenset:
         return out
 
     return go(node)
-
-
-_ATOM_KINDS = frozenset((RelAtom, WeightAtom, Atom))
-# leaves that mention no symbol
-_CONSTANT_KINDS = frozenset((ElemEq, Zero, One, Literal, BotConst))
 
 
 @dataclass
@@ -142,8 +135,6 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
 
     def go(n: Node, binders: dict[str, int], visited: set[int]) -> None:
         kind = type(n)
-        if kind in _CONSTANT_KINDS:
-            return
         if kind is RelAtom:
             if n.name in binders:
                 raise UsageError(
@@ -162,7 +153,7 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
                 return
             record("weight" if kind is WeightAtom else "generic", n.name, len(n.args))
             return
-        if id(n) in visited:
+        if kind in LEAVES or id(n) in visited:
             return
         visited.add(id(n))
         if kind is Ifp:
@@ -238,7 +229,7 @@ def check_scalar_fragment(node: Node) -> list[Violation]:
 
     def go(n: Node, binders: frozenset, visited: set[int], path: tuple[int, ...]) -> None:
         kind = type(n)
-        if kind in _ATOM_KINDS or kind in _CONSTANT_KINDS or id(n) in visited:
+        if kind in LEAVES or id(n) in visited:
             return
         visited.add(id(n))
         if kind is Arith and n.op == "*":

@@ -49,6 +49,8 @@ __all__ = [
     "Sum",
     "Aggregate",
     "Ifp",
+    "ATOMS",
+    "LEAVES",
     "children",
     "map_children",
     "bound_vars",
@@ -263,7 +265,10 @@ _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
     Ifp: ("body",),
 }
 
-_ATOM_KINDS = (RelAtom, WeightAtom, Atom)
+# symbol occurrences: relation, weight and generic atoms
+ATOMS = frozenset((RelAtom, WeightAtom, Atom))
+# node types without children: the atoms, element equality and the constants
+LEAVES = frozenset(kind for kind, fields in _CHILD_FIELDS.items() if not fields)
 
 _BINDER_FIELD: dict[type, str] = {
     Exists: "var",
@@ -350,7 +355,7 @@ def all_var_names(node: Node) -> set[str]:
         kind = type(n)
         if kind is ElemEq:
             out.update((n.left, n.right))
-        elif kind in _ATOM_KINDS:
+        elif kind in ATOMS:
             out.update(n.args)
         else:
             out.update(bound_vars(n))
@@ -397,7 +402,7 @@ def substitute(node: Node, mapping: dict[str, str]) -> Node:
         kind, fields = type(n), {}
         if kind is ElemEq:
             fields["left"], fields["right"] = rename((n.left, n.right), m)
-        elif kind in _ATOM_KINDS:
+        elif kind in ATOMS:
             fields["args"] = rename(n.args, m)
         elif kind is Ifp:
             fields["applied"] = rename(n.applied, m)

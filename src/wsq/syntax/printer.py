@@ -8,10 +8,10 @@ binds more weakly than its position requires.
 from __future__ import annotations
 
 from .nodes import (
+    ATOMS,
     Aggregate,
     And,
     Arith,
-    Atom,
     BotConst,
     Compare,
     Cond,
@@ -26,9 +26,7 @@ from .nodes import (
     Not,
     One,
     Or,
-    RelAtom,
     Sum,
-    WeightAtom,
     Zero,
 )
 from .parser import COMPARISON, PRECEDENCE, PREFIX, PRIMARY, UNARY
@@ -62,12 +60,17 @@ def _binary(op: str, left: Node, right: Node) -> tuple[str, int]:
 
 _OPERATOR = {Implies: "implies", Or: "or", And: "and", Leq: "<="}
 
+_CONSTANT = {Zero: "0", One: "1", BotConst: "bot"}
+
 
 def _render(node: Node) -> tuple[str, int]:
     word = _OPERATOR.get(type(node))
     if word is not None:
         return _binary(word, node.left, node.right)
-    if isinstance(node, Arith) and node.op == "-" and node.left == Zero():
+    word = _CONSTANT.get(type(node))
+    if word is not None:
+        return word, PRIMARY
+    if isinstance(node, Arith) and node.op == "-" and type(node.left) is Zero:
         return f"-{_fmt(node.right, UNARY)}", UNARY
     if isinstance(node, (Arith, Compare)):
         return _binary(node.op, node.left, node.right)
@@ -78,16 +81,10 @@ def _render(node: Node) -> tuple[str, int]:
         return f"{word} {node.var} {_fmt(node.body, PREFIX)}", PREFIX
     if isinstance(node, ElemEq):
         return f"{node.left} = {node.right}", COMPARISON
-    if isinstance(node, (RelAtom, WeightAtom, Atom)):
+    if type(node) in ATOMS:
         return _call(node.name, node.args), PRIMARY
-    if isinstance(node, Zero):
-        return "0", PRIMARY
-    if isinstance(node, One):
-        return "1", PRIMARY
     if isinstance(node, Literal):
         return str(node.value), PRIMARY
-    if isinstance(node, BotConst):
-        return "bot", PRIMARY
     if isinstance(node, Cond):
         # the branches extend over a full term, so arithmetic brackets a conditional
         branch = PRECEDENCE["+"]

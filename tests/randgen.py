@@ -61,6 +61,22 @@ def random_structure(rng: random.Random, max_size: int = 4, drop_prob: float = 0
     return WeightedStructure.build(universe, relations, weights)
 
 
+def isomorphic_copy(rng: random.Random, s: WeightedStructure):
+    """A copy of ``s`` under a random renaming of its elements, listing
+    its universe in a random order, and the renaming as a dict."""
+    names = [f"m{i}" for i in range(len(s.universe))]
+    rng.shuffle(names)
+    rename = dict(zip(s.universe, names))
+    rng.shuffle(names)
+
+    def move(t):
+        return tuple(rename[elem] for elem in t)
+
+    relations = {name: (s.vocabulary.relations[name], [move(t) for t in table]) for name, table in s.relations.items()}
+    weights = {name: (s.vocabulary.weights[name], {move(t): v for t, v in table.items()}) for name, table in s.weights.items()}
+    return WeightedStructure.build(names, relations, weights), rename
+
+
 def _tuples(universe, arity):
     if arity == 0:
         return [()]

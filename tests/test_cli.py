@@ -3,13 +3,19 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import wsq.cli as cli
+from randgen import path_net
 from wsq.cli import Repl, main
+from wsq.evaluator import EvalLimits
+from wsq.fnn import save_fnn
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -113,6 +119,56 @@ class TestExitCodes:
         assert main(["eval", GRAPH, text]) == 1
         message = f"number literal too long ({limit + 700} characters) (line 1, column 5)"
         assert capsys.readouterr() == ("", f"error: query error: {message}\n")
+
+    @pytest.mark.parametrize("where", ["input", "integrate_bound", "string_weight", "json_integer_weight"])
+    def test_number_beyond_the_digit_limit_is_two(self, tmp_path, capsys, where):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited in this interpreter")
+        digits = "9" * (limit + 700)
+        too_long = f"number too long ({limit + 700} characters)"
+        if where == "input":
+            argv, message = ["eval", CLAMP, "builtin:eval_node", "--input", digits], f"bad input value: {too_long}"
+        elif where == "integrate_bound":
+            argv, message = ["fnn", "integrate", CLAMP, "--lo", "0", "--hi", digits], f"bad input value: {too_long}"
+        else:
+            doc = json.loads(Path(GRAPH).read_text())
+            doc["weights"]["wt"]["values"][0]["value"] = "@"
+            path = tmp_path / "graph.json"
+            as_string = where == "string_weight"
+            path.write_text(json.dumps(doc).replace('"@"', f'"{digits}"' if as_string else digits))
+            argv = ["eval", str(path), "1"]
+            message = f"{path}: weight 'wt': {too_long}" if as_string else f"{path}: {too_long}"
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_result_beyond_the_digit_limit_is_four(self, tmp_path, capsys):
+        # 2^(2^14) has 4 933 digits
+        limit = sys.get_int_max_str_digits()
+        if not 0 < limit < 4900:
+            pytest.skip("the results below print in this interpreter")
+        path = tmp_path / "path14.json"
+        save_fnn(path_net(14), str(path))
+        half = "9" * (limit * 2 // 3)
+        net = json.loads(Path(TWO_NODE).read_text())
+        net["edges"][0]["weight"] = half
+        (tmp_path / "big.fnn.json").write_text(json.dumps(net))
+        # two layers of weight `half`: the slope of the one piece is their product
+        net = {
+            "nodes": [{"name": "u"}, {"name": "h", "bias": "0"}, {"name": "o", "bias": "0"}],
+            "edges": [{"from": "u", "to": "h", "weight": half}, {"from": "h", "to": "o", "weight": half}],
+            "input_order": ["u"],
+            "output_order": ["o"],
+        }
+        (tmp_path / "steep.fnn.json").write_text(json.dumps(net))
+        for argv in (
+            ["eval", str(path), "builtin:squaring", "--bind", "x=n14"],
+            ["eval", GRAPH, f"{half} * {half}", "--json"],
+            ["fnn", "forward", str(tmp_path / "big.fnn.json"), "--input", half],
+            ["fnn", "pwl", str(tmp_path / "steep.fnn.json")],
+        ):
+            assert main(argv) == 4
+            assert capsys.readouterr() == ("", f"error: result too long to print (over {limit} digits)\n")
 
     def test_structure_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -442,8 +498,50 @@ class TestRepl:
         assert lines[1].startswith(f"error: {path}: not valid JSON: ")
         assert lines[2:] == ["4"]
 
+    def test_too_long_numbers_keep_the_session(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited in this interpreter")
+        half = "9" * (limit * 2 // 3)
+        script = [f":load {CLAMP}", f":set input {'9' * (limit + 700)}", f"{half} * {half}", "count {x : x = x}"]
+        out = io.StringIO()
+        assert Repl(io.StringIO("\n".join(script) + "\n"), out).run() == 0
+        assert out.getvalue().splitlines()[1:] == [
+            f"error: bad input value: number too long ({limit + 700} characters)",
+            f"error: result too long to print (over {limit} digits)",
+            "4",
+        ]
+
     def test_unbound_variables_are_reported_once(self):
         script = "\n".join([f":load {GRAPH}", "wt(x, y)", ":quit"])
         out = io.StringIO()
         assert Repl(io.StringIO(script + "\n"), out).run() == 0
         assert out.getvalue().splitlines()[1:] == ["error: unbound variables: x, y"]
+
+
+class TestBudgets:
+    """Each ``EvalLimits`` field is one ``wsq eval`` flag and one REPL ``:set`` key."""
+
+    def test_fields(self):
+        assert [f.name for f in fields(EvalLimits)] == ["max_fixpoint_cells", "max_summands"]
+        assert EvalLimits() == EvalLimits(max_fixpoint_cells=10**6, max_summands=10**6)
+
+    def test_eval_flags(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        assert sorted(set(re.findall(r"--max-[a-z-]+", capsys.readouterr().out))) == [
+            "--max-fixpoint-cells",
+            "--max-summands",
+        ]
+        seen = []
+        monkeypatch.setattr(cli, "evaluate", lambda query, structure, env, limits: seen.append(limits) or True)
+        assert main(["eval", GRAPH, "1"]) == 0
+        assert main(["eval", GRAPH, "1", "--max-fixpoint-cells", "7", "--max-summands", "8"]) == 0
+        assert seen == [EvalLimits(), EvalLimits(max_fixpoint_cells=7, max_summands=8)]
+
+    def test_repl_keys(self):
+        out = io.StringIO()
+        repl = Repl(io.StringIO(":help\n:set max-fixpoint-cells 7\n:set max-summands 8\n"), out)
+        assert repl.run() == 0
+        assert "  :set max-fixpoint-cells N | max-summands N" in out.getvalue().splitlines()
+        assert repl.limits == EvalLimits(max_fixpoint_cells=7, max_summands=8)

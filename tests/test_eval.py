@@ -8,7 +8,16 @@ from itertools import product
 
 import pytest
 
-from randgen import build_fnn, path_net, random_dag, random_expression, random_fnn, random_structure
+from randgen import (
+    build_fnn,
+    isomorphic_copy,
+    path_net,
+    random_dag,
+    random_expression,
+    random_fnn,
+    random_input,
+    random_structure,
+)
 from ref_eval import normalize, ref_evaluate, structure_covers
 import wsq.evaluator
 from wsq.errors import ResourceError, UsageError
@@ -348,6 +357,13 @@ class TestUsageErrors:
         with pytest.raises(UsageError, match=r"^weight atom F\(x\) used as a formula$"):
             ifp_iterate("F", ("x",), body, s)
 
+    def test_ifp_iterate_on_an_uncovered_body(self, two_triangle_graph):
+        s = two_triangle_graph
+        with pytest.raises(UsageError, match="^symbol 'wt' used with arities 2 and 1$"):
+            ifp_iterate("F", ("x",), parse("wt(x, x) + wt(x)"), s)
+        with pytest.raises(UsageError, match="^fixed-point body uses symbols the structure does not interpret$"):
+            ifp_iterate("F", ("x",), parse("price(x) + F(x)"), s)
+
     def test_inconsistent_arities(self, two_triangle_graph):
         with pytest.raises(UsageError, match="arities"):
             evaluate(parse("wt(x, x) + sum {y : y = y} wt(y, y, y)"), two_triangle_graph, {"x": "a"})
@@ -517,6 +533,46 @@ class TestInvariants:
             e = random_expression(rng, rng.randint(0, 4), kind, ("x", "y"))
             env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
             assert evaluate(desugar(e), s, env) == evaluate(e, s, env)
+
+    def test_isomorphism_invariance(self):
+        # queries are generic: renaming the elements of the structure and of
+        # the assignment, and listing them in another order, changes no answer
+        rng = random.Random(24)
+        for i in range(300):
+            # with every weight defined, fewer answers are bot whatever the order
+            s = random_structure(rng, density=0.7 if i % 2 else 1.0)
+            kind = "formula" if rng.random() < 0.5 else "term"
+            e = random_expression(rng, rng.randint(0, 4), kind, ("x", "y"))
+            env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
+            copy, rename = isomorphic_copy(rng, s)
+            moved = {var: rename[elem] for var, elem in env.items()}
+            assert normalize(evaluate(e, copy, moved)) == normalize(evaluate(e, s, env))
+            assert normalize(ref_evaluate(e, copy, moved)) == normalize(ref_evaluate(e, s, env))
+
+    def test_isomorphism_invariance_on_networks(self):
+        rng = random.Random(25)
+        body = make_eval_node(closed=False).body
+        for _ in range(12):
+            net = random_fnn(rng, max_depth=3, max_width=3, mag=20)
+            s = with_input(net, [random_input(rng) for _ in range(net.input_dim)])
+            copy, rename = isomorphic_copy(rng, s)
+            for q in (make_eval_node(), make_eval(net.depth, 1)):
+                assert evaluate(q, copy) == evaluate(q, s)
+            table, moved = ifp_iterate("F", ("x",), body, s), ifp_iterate("F", ("x",), body, copy)
+            assert moved.rounds == table.rounds
+            assert moved.entries == {(rename[x],): value for (x,), value in table.entries.items()}
+
+    def test_isomorphism_invariance_of_fixed_point_rounds(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            s = random_structure(rng, drop_prob=0.0)
+            body = _nested_binders(rng, rng.randint(1, 2), ("v0", "x"), ifp_depth=1)
+            env = {"x": rng.choice(s.universe)}
+            copy, rename = isomorphic_copy(rng, s)
+            table = ifp_iterate("F", ("v0",), body, s, env)
+            moved = ifp_iterate("F", ("v0",), body, copy, {"x": rename[env["x"]]})
+            assert moved.rounds == table.rounds
+            assert moved.entries == {(rename[v],): value for (v,), value in table.entries.items()}
 
     def test_padding_vs_locality(self):
         from wsq.fnn import pad
