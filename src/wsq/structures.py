@@ -289,7 +289,7 @@ def weight_value(raw, where: str) -> ExtRational:
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise LoadError(f"{where}: value must be a string or integer, got {raw!r}")
     try:
-        value = ExtRational.parse(str(raw))
+        value = rational(raw) if isinstance(raw, int) else ExtRational.parse(raw)
     except ValueError as exc:
         raise LoadError(f"{where}: {exc}") from exc
     if value.is_bot:

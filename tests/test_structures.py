@@ -1,6 +1,7 @@
 """Weighted structures: validation, lookups, expansion, file round-trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -152,6 +153,12 @@ class TestJson:
         )
         assert s.weight("f", ("a",)) == rational(1, 4)
         assert s.weight("g", ("a",)) == rational(7)
+
+    def test_integer_value_beyond_the_digit_limit(self):
+        # an int is already a number: no text conversion, so no digit limit
+        big = 10 ** (sys.get_int_max_str_digits() + 700)
+        s = structure_from_json({"universe": ["a"], "weights": {"g": {"arity": 1, "values": [{"tuple": ["a"], "value": big}]}}})
+        assert s.weight("g", ("a",)) == rational(big)
 
     def test_duplicate_tuple_with_different_values(self):
         with pytest.raises(LoadError, match="listed twice"):
