@@ -72,8 +72,12 @@ def isomorphic_copy(rng: random.Random, s: WeightedStructure):
     def move(t):
         return tuple(rename[elem] for elem in t)
 
-    relations = {name: (s.vocabulary.relations[name], [move(t) for t in table]) for name, table in s.relations.items()}
-    weights = {name: (s.vocabulary.weights[name], {move(t): v for t, v in table.items()}) for name, table in s.weights.items()}
+    relations = {
+        name: (s.vocabulary.relations[name], [move(t) for t in table]) for name, table in s.relations.items()
+    }
+    weights = {
+        name: (s.vocabulary.weights[name], {move(t): v for t, v in table.items()}) for name, table in s.weights.items()
+    }
     return WeightedStructure.build(names, relations, weights), rename
 
 

@@ -157,7 +157,8 @@ class TestJson:
     def test_integer_value_beyond_the_digit_limit(self):
         # an int is already a number: no text conversion, so no digit limit
         big = 10 ** (sys.get_int_max_str_digits() + 700)
-        s = structure_from_json({"universe": ["a"], "weights": {"g": {"arity": 1, "values": [{"tuple": ["a"], "value": big}]}}})
+        weights = {"g": {"arity": 1, "values": [{"tuple": ["a"], "value": big}]}}
+        s = structure_from_json({"universe": ["a"], "weights": weights})
         assert s.weight("g", ("a",)) == rational(big)
 
     def test_duplicate_tuple_with_different_values(self):
