@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import LoadError, ResourceError, UsageError
-from .numerics import BOT, ExtRational, rational
+from .numerics import BOT, ExtRational, as_rational, rational
 from .structures import WeightedStructure, read_json, validate_structure, weight_value
 
 __all__ = [
@@ -258,24 +258,16 @@ class FnnStructure:
         return self.structure.weights[BIAS].get((v,), BOT)
 
 
-def _coerce_inputs(values: Sequence) -> list[ExtRational]:
-    out = []
-    for v in values:
-        if isinstance(v, (int, Fraction)):
-            v = rational(v)
-        if not isinstance(v, ExtRational) or v.is_bot:
-            raise UsageError("network inputs must be defined rationals")
-        out.append(v)
-    return out
-
-
 def with_input(net: FnnStructure, values: Sequence) -> WeightedStructure:
     """Expand a network by the unary ``inp`` function carrying an input vector.
 
     ``values[i]`` is attached to the i-th input node under ``le_in``; all
-    other nodes are left undefined.
+    other nodes are left undefined.  Values are ints, Fractions or defined
+    ExtRationals, not bools.
     """
-    values = _coerce_inputs(values)
+    values = [as_rational(v) for v in values]
+    if any(v is None or v.is_bot for v in values):
+        raise UsageError("network inputs must be defined rationals")
     if len(values) != net.input_dim:
         raise UsageError(f"expected {net.input_dim} input values, got {len(values)}")
     table = {(u,): r for u, r in zip(net.input_nodes, values)}

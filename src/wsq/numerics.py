@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-__all__ = ["ExtRational", "BOT", "ZERO", "ONE", "rational", "arith", "compare", "sum_all"]
+__all__ = ["ExtRational", "BOT", "ZERO", "ONE", "rational", "as_rational", "arith", "compare", "sum_all"]
 
 _NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]+)?|[0-9]+/0*[1-9][0-9]*)$")
 _COUNT_RE = re.compile(r"[0-9]+")
@@ -184,6 +184,19 @@ ONE = ExtRational(Fraction(1))
 def rational(numerator: int | Fraction, denominator: int = 1) -> ExtRational:
     """Build a defined value in canonical form; q must be nonzero."""
     return ExtRational(Fraction(numerator, denominator))
+
+
+def as_rational(value: object) -> Optional[ExtRational]:
+    """An outside value as an :class:`ExtRational`, or ``None`` if it is not a number.
+
+    An ``ExtRational`` comes back as it is and an ``int`` or ``Fraction``
+    is converted; a ``bool`` is not a number here, as in structure files.
+    """
+    if isinstance(value, ExtRational):
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return ExtRational(Fraction(value))
+    return None
 
 
 def arith(op: str, a: ExtRational, b: ExtRational) -> ExtRational:

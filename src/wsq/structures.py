@@ -3,7 +3,8 @@
 A weighted structure interprets relation symbols as tuple sets over a
 finite universe and weight-function symbols as partial maps from tuples
 to exact rationals; tuples absent from a weight table denote ``bot``.
-Structures are immutable after construction and safe to share.
+Structures are plain immutable values: they hold no lazy state or
+cache, so they are safe to share between threads.
 
 The JSON file format is documented on :func:`structure_from_json`.
 """
@@ -13,11 +14,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import LoadError, UsageError
-from .numerics import BOT, ExtRational, rational
+from .numerics import BOT, ExtRational, as_rational, rational
 
 __all__ = [
     "Vocabulary",
@@ -61,14 +61,6 @@ class Vocabulary:
         )
 
 
-def _coerce_value(v) -> ExtRational:
-    if isinstance(v, ExtRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return rational(v)
-    raise UsageError(f"weight values must be rationals, got {type(v).__name__}")
-
-
 @dataclass(frozen=True)
 class WeightedStructure:
     """A finite universe with relation tables and sparse weight tables.
@@ -94,8 +86,8 @@ class WeightedStructure:
     ) -> "WeightedStructure":
         """Construct from ``{name: (arity, tuples)}`` and ``{name: (arity, {tuple: value})}``.
 
-        Weight values may be ints, Fractions, or ExtRationals; ``bot``
-        entries are dropped (absence means ``bot``).
+        Weight values may be ints, Fractions, or ExtRationals, not bools;
+        ``bot`` entries are dropped (absence means ``bot``).
         """
         rel_arities: dict[str, int] = {}
         rel_tables: dict[str, frozenset] = {}
@@ -108,9 +100,11 @@ class WeightedStructure:
             wt_arities[name] = arity
             coerced = {}
             for t, v in table.items():
-                v = _coerce_value(v)
-                if not v.is_bot:
-                    coerced[tuple(t)] = v
+                value = as_rational(v)
+                if value is None:
+                    raise UsageError(f"weight values must be rationals, got {type(v).__name__}")
+                if not value.is_bot:
+                    coerced[tuple(t)] = value
             wt_tables[name] = coerced
         vocab = Vocabulary(relations=rel_arities, weights=wt_arities)
         return cls(tuple(universe), vocab, rel_tables, wt_tables)
@@ -124,15 +118,8 @@ class WeightedStructure:
         if len(t) != table[name]:
             raise UsageError(f"{kind} {name!r} has arity {table[name]}, got tuple of length {len(t)}")
         for comp in t:
-            if comp not in self._universe_set():
+            if comp not in self.universe:
                 raise UsageError(f"tuple component {comp!r} is not a universe element")
-
-    def _universe_set(self) -> frozenset:
-        cached = getattr(self, "_uset", None)
-        if cached is None:
-            cached = frozenset(self.universe)
-            object.__setattr__(self, "_uset", cached)
-        return cached
 
     def rel(self, name: str, t: Sequence[str]) -> bool:
         """Membership test for a relation symbol; errors on misuse."""
@@ -163,27 +150,6 @@ class WeightedStructure:
             vocab,
             {**self.relations, **extra.relations},
             {**self.weights, **extra.weights},
-        )
-
-    def _with_weight_override(self, name: str, arity: int, table: dict) -> "WeightedStructure":
-        """Shadow or add one weight symbol, sharing the given table.
-
-        The table reference is stored as-is.  Lets a test re-run a fixed
-        point round by round outside the evaluator.  Not part of the
-        public API.
-        """
-        relations = self.relations
-        rel_voc = self.vocabulary.relations
-        if name in rel_voc:
-            rel_voc = {k: v for k, v in rel_voc.items() if k != name}
-            relations = {k: v for k, v in relations.items() if k != name}
-        vocab = Vocabulary(relations=rel_voc, weights={**self.vocabulary.weights, name: arity})
-        return WeightedStructure(self.universe, vocab, relations, {**self.weights, name: table})
-
-    def reversed_universe(self) -> "WeightedStructure":
-        """Same structure with the stored iteration order reversed."""
-        return WeightedStructure(
-            tuple(reversed(self.universe)), self.vocabulary, self.relations, self.weights
         )
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from wsq.fnn import BIAS, LE_IN, LE_OUT, WT, FnnStructure
-from wsq.structures import WeightedStructure
+from wsq.structures import Vocabulary, WeightedStructure
 from wsq.syntax.nodes import (
     Aggregate,
     And,
@@ -61,6 +61,20 @@ def random_structure(rng: random.Random, max_size: int = 4, drop_prob: float = 0
     return WeightedStructure.build(universe, relations, weights)
 
 
+def random_full_structure(rng: random.Random, min_size: int = 3, max_size: int = 8):
+    """A structure of ``min_size`` to ``max_size`` elements interpreting
+    every pool symbol, with every weight defined, so that a quantifier's
+    answer can turn on any of its candidates."""
+    universe = [f"e{i}" for i in range(rng.randint(min_size, max_size))]
+    relations = {
+        name: (arity, [t for t in _tuples(universe, arity) if rng.random() < 0.5]) for name, arity in REL_POOL.items()
+    }
+    weights = {
+        name: (arity, {t: rand_fraction(rng) for t in _tuples(universe, arity)}) for name, arity in WEIGHT_POOL.items()
+    }
+    return WeightedStructure.build(universe, relations, weights)
+
+
 def isomorphic_copy(rng: random.Random, s: WeightedStructure):
     """A copy of ``s`` under a random renaming of its elements, listing
     its universe in a random order, and the renaming as a dict."""
@@ -79,6 +93,18 @@ def isomorphic_copy(rng: random.Random, s: WeightedStructure):
         name: (s.vocabulary.weights[name], {move(t): v for t, v in table.items()}) for name, table in s.weights.items()
     }
     return WeightedStructure.build(names, relations, weights), rename
+
+
+def with_weight_override(s: WeightedStructure, name: str, arity: int, table: dict) -> WeightedStructure:
+    """``s`` with the weight symbol ``name`` shadowed or added, sharing ``table``.
+
+    The table reference is stored as it is, so a test can re-run a fixed
+    point round by round outside the evaluator.
+    """
+    relations = {k: v for k, v in s.relations.items() if k != name}
+    rel_voc = {k: v for k, v in s.vocabulary.relations.items() if k != name}
+    vocab = Vocabulary(relations=rel_voc, weights={**s.vocabulary.weights, name: arity})
+    return WeightedStructure(s.universe, vocab, relations, {**s.weights, name: table})
 
 
 def _tuples(universe, arity):

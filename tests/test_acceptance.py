@@ -24,6 +24,7 @@ from randgen import (
     random_n11,
     random_n211,
     random_structure,
+    with_weight_override,
 )
 from ref_eval import normalize, ref_evaluate
 from wsq.evaluator import evaluate, ifp_iterate
@@ -193,7 +194,7 @@ def test_c05_fixed_point_discipline():
         snapshots = [{}]
         while True:
             current = snapshots[-1]
-            shadowed = s._with_weight_override("F", 1, dict(current))
+            shadowed = with_weight_override(s, "F", 1, dict(current))
             after = dict(current)
             for elem in s.universe:
                 if (elem,) in current:

@@ -15,15 +15,17 @@ from randgen import (
     random_dag,
     random_expression,
     random_fnn,
+    random_full_structure,
     random_input,
     random_structure,
+    with_weight_override,
 )
 from ref_eval import normalize, ref_evaluate, structure_covers
 import wsq.evaluator
 from wsq.errors import ResourceError, UsageError
-from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate
+from wsq.evaluator import _ARITH, _ORDER, EvalLimits, _Compiler, evaluate, ifp_iterate
 from wsq.fnn import forward, pwl_integral, to_pwl, with_input
-from wsq.numerics import BOT, ExtRational, rational
+from wsq.numerics import BOT, ExtRational, arith, rational
 from wsq.queries import (
     make_basic,
     make_eval,
@@ -57,6 +59,7 @@ from wsq.syntax.nodes import (
     Zero,
     map_children,
 )
+from wsq.syntax.parser import COMPARISON, PRECEDENCE
 
 
 @pytest.fixture
@@ -484,6 +487,27 @@ def _mutate_symbols(rng, e):
     return go(e)
 
 
+class TestOperatorTables:
+    """Every operator token of the grammar has a meaning in the evaluator."""
+
+    def test_every_grammar_operator_has_an_evaluator_entry(self):
+        arithmetic = {op for op, prec in PRECEDENCE.items() if prec > COMPARISON}
+        comparisons = {op for op, prec in PRECEDENCE.items() if prec == COMPARISON}
+        assert arithmetic == set(_ARITH)
+        assert comparisons == set(_ORDER)
+        assert {op for op, prec in PRECEDENCE.items() if prec < COMPARISON} == {"and", "or", "implies"}
+
+    def test_arith_accepts_exactly_the_arithmetic_tokens(self):
+        a, b = rational(7, 3), rational(-2, 5)
+        for op in [*PRECEDENCE, "**", "//", "%", "", "+-"]:
+            if op in _ARITH:
+                assert arith(op, a, b) == _ARITH[op](a, b)
+                assert arith(op, a, BOT) is BOT
+            else:
+                with pytest.raises(ValueError, match="unknown operator"):
+                    arith(op, a, b)
+
+
 class TestResourceGuards:
     @pytest.mark.parametrize(
         "query, text",
@@ -514,7 +538,8 @@ class TestInvariants:
             s = random_structure(rng)
             e = random_expression(rng, rng.randint(1, 4), "term", ("x", "y"))
             env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
-            assert evaluate(e, s, env) == evaluate(e, s.reversed_universe(), env)
+            reversed_s = WeightedStructure(tuple(reversed(s.universe)), s.vocabulary, s.relations, s.weights)
+            assert evaluate(e, s, env) == evaluate(e, reversed_s, env)
 
     def test_agrees_with_reference_evaluator(self):
         rng = random.Random(22)
@@ -524,6 +549,19 @@ class TestInvariants:
             e = random_expression(rng, rng.randint(0, 4), kind, ("x", "y"))
             env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
             assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))
+
+    def test_quantifiers_agree_with_counts(self):
+        # exists x phi iff count {x : phi} > 0; forall x phi iff count {x : phi} = |A|.
+        # Universes of 3-8 elements with every weight defined, so an answer
+        # can turn on any candidate, not only the first ones.
+        rng = random.Random(26)
+        for _ in range(200):
+            s = random_full_structure(rng)
+            phi = random_expression(rng, rng.randint(1, 3), "formula", ("x", "y"))
+            env = {"y": rng.choice(s.universe)}
+            count = evaluate(Aggregate("count", ("x",), phi, None), s, env)
+            assert evaluate(Exists("x", phi), s, env) == (count > 0)
+            assert evaluate(Forall("x", phi), s, env) == (count == len(s.universe))
 
     def test_desugar_soundness_random(self):
         rng = random.Random(23)
@@ -724,7 +762,7 @@ class TestCompiledEvaluation:
             table = ifp_iterate("F", ("v0",), body, s, env)
             current, rounds = {}, 0
             while True:
-                shadowed = s._with_weight_override("F", 1, dict(current))
+                shadowed = with_weight_override(s, "F", 1, dict(current))
                 after = dict(current)
                 for elem in s.universe:
                     if (elem,) not in current:
@@ -1247,7 +1285,7 @@ class TestTrackedFixpoint:
             table = ifp_iterate("F", ("v0",), body, s, env)
             current, rounds = {}, 0
             while True:
-                shadowed = s._with_weight_override("F", 1, dict(current))
+                shadowed = with_weight_override(s, "F", 1, dict(current))
                 after = dict(current)
                 for elem in s.universe:
                     if (elem,) not in current:

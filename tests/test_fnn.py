@@ -204,8 +204,19 @@ class TestForward:
             forward(two_node(), [1, 2])
 
     def test_undefined_input_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^network inputs must be defined rationals$"):
             forward(two_node(), [BOT])
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, "1", None])
+    def test_non_rational_input_rejected(self, value):
+        # a bool is not a number here, as in structure files and on the command line
+        with pytest.raises(UsageError, match="^network inputs must be defined rationals$"):
+            forward(two_node(), [value])
+        with pytest.raises(UsageError, match="^network inputs must be defined rationals$"):
+            with_input(two_node(), [value])
+
+    def test_fraction_input_accepted(self):
+        assert forward(two_node(), [Fraction(1, 3)]) == [rational(2)]  # 1 + 3 * relu(1/3)
 
     def test_with_input_covers_exactly_inputs(self):
         expanded = with_input(two_node(), [rational(-1, 2)])

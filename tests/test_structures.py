@@ -2,11 +2,12 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from wsq.errors import LoadError, UsageError
-from wsq.numerics import BOT, rational
+from wsq.numerics import BOT, ExtRational, rational
 from wsq.structures import (
     Vocabulary,
     WeightedStructure,
@@ -105,6 +106,39 @@ class TestLookups:
             triangle.rel("nope", ())
         with pytest.raises(UsageError):
             triangle.weight("wt", ("v1",))
+
+    def test_component_outside_universe_errors(self, triangle):
+        s = WeightedStructure.build(["v1", "v2"], relations={"edge": (2, [("v1", "v2")])})
+        with pytest.raises(UsageError, match="^tuple component 'zz' is not a universe element$"):
+            s.rel("edge", ("v1", "zz"))
+        with pytest.raises(UsageError, match="^tuple component 'zz' is not a universe element$"):
+            triangle.weight("wt", ("zz", "v1"))
+
+    def test_lookups_leave_the_structure_unchanged(self, triangle):
+        before = dict(vars(triangle))
+        triangle.weight("wt", ("v1", "v2"))
+        with pytest.raises(UsageError):
+            triangle.weight("wt", ("v1", "zz"))
+        assert vars(triangle) == before
+
+
+class TestBuildValues:
+    def test_accepts_int_fraction_and_ext_rational(self):
+        s = WeightedStructure.build(
+            ["a", "b", "c"], weights={"f": (1, {("a",): 2, ("b",): Fraction(-1, 3), ("c",): rational(5, 2)})}
+        )
+        assert [s.weight("f", (x,)) for x in "abc"] == [rational(2), rational(-1, 3), rational(5, 2)]
+        assert all(type(v) is ExtRational for v in s.weights["f"].values())
+
+    @pytest.mark.parametrize(
+        "value, name", [(True, "bool"), (False, "bool"), (0.5, "float"), ("1/2", "str"), (None, "NoneType")]
+    )
+    def test_rejects_what_is_not_a_rational(self, value, name):
+        # a bool is not a number here, as in structure files (see weight_value)
+        with pytest.raises(UsageError, match=f"^weight values must be rationals, got {name}$"):
+            WeightedStructure.build(["v"], weights={"f": (1, {("v",): value})})
+        with pytest.raises(UsageError, match=f"^weight values must be rationals, got {name}$"):
+            WeightedStructure.build(["v"]).expand(weights={"g": (0, {(): value})})
 
 
 class TestExpand:
