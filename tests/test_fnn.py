@@ -215,9 +215,6 @@ class TestForward:
         with pytest.raises(UsageError, match="^network inputs must be defined rationals$"):
             with_input(two_node(), [value])
 
-    def test_fraction_input_accepted(self):
-        assert forward(two_node(), [Fraction(1, 3)]) == [rational(2)]  # 1 + 3 * relu(1/3)
-
     def test_with_input_covers_exactly_inputs(self):
         expanded = with_input(two_node(), [rational(-1, 2)])
         assert expanded.weight("inp", ("u",)) == rational(-1, 2)

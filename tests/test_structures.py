@@ -2,12 +2,11 @@
 
 import json
 import sys
-from fractions import Fraction
 
 import pytest
 
 from wsq.errors import LoadError, UsageError
-from wsq.numerics import BOT, ExtRational, rational
+from wsq.numerics import BOT, rational
 from wsq.structures import (
     Vocabulary,
     WeightedStructure,
@@ -123,13 +122,6 @@ class TestLookups:
 
 
 class TestBuildValues:
-    def test_accepts_int_fraction_and_ext_rational(self):
-        s = WeightedStructure.build(
-            ["a", "b", "c"], weights={"f": (1, {("a",): 2, ("b",): Fraction(-1, 3), ("c",): rational(5, 2)})}
-        )
-        assert [s.weight("f", (x,)) for x in "abc"] == [rational(2), rational(-1, 3), rational(5, 2)]
-        assert all(type(v) is ExtRational for v in s.weights["f"].values())
-
     @pytest.mark.parametrize(
         "value, name", [(True, "bool"), (False, "bool"), (0.5, "float"), ("1/2", "str"), (None, "NoneType")]
     )
