@@ -28,8 +28,7 @@ import sys
 from dataclasses import fields
 from typing import Optional
 
-from .errors import LoadError, ParseError, ResourceError, UsageError, WsqError
-from .evaluator import EvalLimits, evaluate
+from .errors import EvalLimits, LoadError, ParseError, ResourceError, UsageError, WsqError
 from .fnn import (
     DEFAULT_MAX_PWL_PIECES,
     FnnStructure,
@@ -44,9 +43,7 @@ from .fnn import (
     with_input,
 )
 from .numerics import ExtRational, parse_count
-from .queries import builtin_query
 from .structures import WeightedStructure, read_json, structure_from_json
-from .syntax import check_scalar_fragment, free_vars, parse, vocabulary_of
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -85,6 +82,9 @@ def _load_fnn(path: str) -> FnnStructure:
 def _parse_query(text: str):
     """A ``builtin:`` reference or query text, parsed, with its symbols
     checked for misuse (one name with two arities or two kinds)."""
+    from .queries import builtin_query
+    from .syntax import parse, vocabulary_of
+
     if text.startswith("builtin:"):
         query = builtin_query(text[len("builtin:") :])
     else:
@@ -176,6 +176,9 @@ _BUDGETS = {f.name.replace("_", "-"): f for f in fields(EvalLimits)}
 
 
 def _cmd_eval(args) -> int:
+    from .evaluator import evaluate
+    from .syntax import free_vars
+
     structure, net = _load_structure_or_fnn(args.structure)
     query = _resolve_query(args.query)
     if args.input is not None:
@@ -193,6 +196,8 @@ def _cmd_eval(args) -> int:
 
 
 def _describe_query(query, out) -> None:
+    from .syntax import check_scalar_fragment, free_vars, vocabulary_of
+
     fv = sorted(free_vars(query))
     out(f"free variables: {', '.join(fv) if fv else 'none'}")
     info = vocabulary_of(query)
@@ -394,6 +399,8 @@ class Repl:
         return _parse_query(text)
 
     def cmd_eval(self, text: str) -> None:
+        from .evaluator import evaluate
+
         query = self._query(text)
         structure = self.structure
         if structure is None:

@@ -1,11 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the evaluation budgets.
 
 Semantic undefinedness is a *value* (``wsq.numerics.BOT``), never an
 exception.  Exceptions are reserved for misuse of the API, malformed input
-files, and exceeded resource budgets.
+files, and exceeded resource budgets (:class:`EvalLimits`, kept here so the
+command line reads its fields without loading the evaluator).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class WsqError(Exception):
@@ -44,3 +47,11 @@ class ResourceError(WsqError):
 
     Raised instead of returning a wrong or truncated answer.
     """
+
+
+@dataclass
+class EvalLimits:
+    """Budgets that turn oversized evaluations into resource errors."""
+
+    max_fixpoint_cells: int = 10**6
+    max_summands: int = 10**6

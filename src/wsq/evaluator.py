@@ -90,7 +90,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import ResourceError, UsageError
+from .errors import EvalLimits, ResourceError, UsageError
 from .numerics import BOT, ONE, ZERO, ExtRational, rational
 from .structures import WeightedStructure
 from .syntax.analysis import vocabulary_of
@@ -142,14 +142,6 @@ _ORDER = {
 }
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-@dataclass
-class EvalLimits:
-    """Budgets that turn oversized evaluations into resource errors."""
-
-    max_fixpoint_cells: int = 10**6
-    max_summands: int = 10**6
 
 
 @dataclass

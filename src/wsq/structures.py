@@ -87,27 +87,14 @@ class WeightedStructure:
         """Construct from ``{name: (arity, tuples)}`` and ``{name: (arity, {tuple: value})}``.
 
         Weight values may be ints, Fractions, or ExtRationals, not bools;
-        ``bot`` entries are dropped (absence means ``bot``).
+        ``bot`` entries are dropped (absence means ``bot``).  A repeated
+        universe element is a :class:`UsageError`.
         """
-        rel_arities: dict[str, int] = {}
-        rel_tables: dict[str, frozenset] = {}
-        for name, (arity, tuples) in (relations or {}).items():
-            rel_arities[name] = arity
-            rel_tables[name] = frozenset(tuple(t) for t in tuples)
-        wt_arities: dict[str, int] = {}
-        wt_tables: dict[str, dict] = {}
-        for name, (arity, table) in (weights or {}).items():
-            wt_arities[name] = arity
-            coerced = {}
-            for t, v in table.items():
-                value = as_rational(v)
-                if value is None:
-                    raise UsageError(f"weight values must be rationals, got {type(v).__name__}")
-                if not value.is_bot:
-                    coerced[tuple(t)] = value
-            wt_tables[name] = coerced
-        vocab = Vocabulary(relations=rel_arities, weights=wt_arities)
-        return cls(tuple(universe), vocab, rel_tables, wt_tables)
+        universe = tuple(universe)
+        if len(set(universe)) != len(universe):
+            repeated = next(x for i, x in enumerate(universe) if x in universe[:i])
+            raise UsageError(f"universe: duplicate element {repeated!r}")
+        return cls(universe, *_tables(relations, weights))
 
     # -- lookups ---------------------------------------------------------
 
@@ -143,14 +130,26 @@ class WeightedStructure:
         New names must be disjoint from the current vocabulary; all
         existing interpretations are preserved unchanged.
         """
-        extra = WeightedStructure.build(self.universe, relations, weights)
-        vocab = self.vocabulary.merged(extra.vocabulary)
-        return WeightedStructure(
-            self.universe,
-            vocab,
-            {**self.relations, **extra.relations},
-            {**self.weights, **extra.weights},
-        )
+        vocab, rels, wts = _tables(relations, weights)
+        rels, wts = {**self.relations, **rels}, {**self.weights, **wts}
+        return WeightedStructure(self.universe, self.vocabulary.merged(vocab), rels, wts)
+
+
+def _tables(relations, weights) -> tuple[Vocabulary, dict, dict]:
+    """The vocabulary and tables of :meth:`WeightedStructure.build`'s arguments."""
+    relations, weights = relations or {}, weights or {}
+    rel_tables = {name: frozenset(tuple(t) for t in tuples) for name, (_, tuples) in relations.items()}
+    wt_tables: dict[str, dict] = {}
+    for name, (_, table) in weights.items():
+        coerced = wt_tables[name] = {}
+        for t, v in table.items():
+            value = as_rational(v)
+            if value is None:
+                raise UsageError(f"weight values must be rationals, got {type(v).__name__}")
+            if not value.is_bot:
+                coerced[tuple(t)] = value
+    arities = [{name: arity for name, (arity, _) in symbols.items()} for symbols in (relations, weights)]
+    return Vocabulary(*arities), rel_tables, wt_tables
 
 
 def validate_structure(s: WeightedStructure) -> list[str]:
@@ -314,7 +313,8 @@ def structure_from_json(doc: dict) -> WeightedStructure:
         weights[name] = (arity, table)
 
     try:
-        s = WeightedStructure.build(universe, relations, weights)
+        # validate_structure below reports a repeated element with the rest
+        s = WeightedStructure(tuple(universe), *_tables(relations, weights))
     except UsageError as exc:
         raise LoadError(str(exc)) from exc
     problems = validate_structure(s)

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import wsq.cli as cli
 from randgen import path_net
 from wsq.cli import Repl, main
 from wsq.evaluator import EvalLimits
@@ -534,7 +533,8 @@ class TestBudgets:
             "--max-summands",
         ]
         seen = []
-        monkeypatch.setattr(cli, "evaluate", lambda query, structure, env, limits: seen.append(limits) or True)
+        # cli imports evaluate when the command runs, so patch it at its source
+        monkeypatch.setattr("wsq.evaluator.evaluate", lambda query, structure, env, limits: seen.append(limits) or True)
         assert main(["eval", GRAPH, "1"]) == 0
         assert main(["eval", GRAPH, "1", "--max-fixpoint-cells", "7", "--max-summands", "8"]) == 0
         assert seen == [EvalLimits(), EvalLimits(max_fixpoint_cells=7, max_summands=8)]

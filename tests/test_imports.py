@@ -1,5 +1,8 @@
 """No module under ``src/wsq`` imports a name it never uses, defines a
 private name nothing refers to, or stores an attribute nothing reads.
+The network side of the package and a ``wsq fnn`` process never load the
+query side (syntax, evaluator, query templates), and the lazy package
+gives the same public names as the eager one did.
 
 No linter ships with the toolchain, so these are small ``ast`` checks.
 Package ``__init__.py`` files are skipped by the import check: they
@@ -7,9 +10,14 @@ import names to re-export them.
 """
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import wsq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wsq"
 TESTS = Path(__file__).resolve().parent
@@ -49,11 +57,21 @@ def test_the_check_sees_an_unused_import():
 SYNTAX = sorted((SRC / "syntax").glob("*.py"))
 
 
-def _wsq_imports(path: Path) -> list[str]:
-    """The ``wsq`` modules a module imports, relative imports resolved."""
+def _outside_functions(tree: ast.AST):
+    """``ast.walk`` that does not enter function bodies."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [c for c in ast.iter_child_nodes(node) if not isinstance(c, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _wsq_imports(path: Path, walk=ast.walk) -> list[str]:
+    """The ``wsq`` modules a module imports, relative imports resolved;
+    with ``walk=_outside_functions``, those it imports when it loads."""
     package = ["wsq", *path.parent.relative_to(SRC).parts]
     out = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             out += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -73,6 +91,51 @@ def test_syntax_imports_only_syntax_and_errors(path):
 def test_the_layering_check_resolves_relative_imports():
     assert _wsq_imports(SRC / "syntax" / "parser.py") == ["wsq.errors", "wsq.syntax.nodes"]
     assert "wsq.structures" in _wsq_imports(SRC / "evaluator.py")
+
+
+# what a network command needs never loads the front end of the query language
+QUERY_SIDE = ("wsq.syntax", "wsq.evaluator", "wsq.queries")
+NETWORK_SIDE = ["errors.py", "numerics.py", "structures.py", "fnn.py"]
+
+
+def _query_side(names: list[str]) -> list[str]:
+    return [name for name in names if name.startswith(QUERY_SIDE)]
+
+
+@pytest.mark.parametrize("name", NETWORK_SIDE)
+def test_network_side_imports_nothing_of_the_query_side(name):
+    assert _query_side(_wsq_imports(SRC / name)) == []
+
+
+def test_cli_imports_the_query_side_only_inside_functions():
+    path = SRC / "cli.py"
+    assert _query_side(_wsq_imports(path, _outside_functions)) == []
+    assert sorted(set(_query_side(_wsq_imports(path)))) == ["wsq.evaluator", "wsq.queries", "wsq.syntax"]
+
+
+def test_the_load_time_walk_skips_function_bodies():
+    tree = ast.parse("import a\ndef f():\n    import b\nclass C:\n    def g(self):\n        import c\n")
+    found = [n.names[0].name for n in _outside_functions(tree) if isinstance(n, ast.Import)]
+    assert found == ["a"]
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["-c", "import wsq"], ("wsq.errors", *QUERY_SIDE, "wsq.fnn")),
+        (["-c", "import wsq.fnn"], QUERY_SIDE),
+        (["-m", "wsq", "fnn", "validate", str(TESTS / "data" / "clamp.fnn.json")], QUERY_SIDE),
+        (["-m", "wsq", "check", "sum {x : e(x, x)} 1"], ("wsq.evaluator",)),
+    ],
+    ids=["import wsq", "import wsq.fnn", "fnn validate", "check"],
+)
+def test_a_process_loads_only_what_it_runs(argv, absent):
+    # -X importtime names every module the process imports, on stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "wsq" in loaded
+    assert sorted(name for name in loaded if name.startswith(absent)) == []
 
 
 def _is_private(name: str) -> bool:
@@ -147,3 +210,74 @@ def test_the_dead_name_check_sees_leftovers():
     )
     test = "from m import _Box\nbox = _Box()\nbox._read()\nassert getattr(box, 'patched') is None\n"
     assert _dead_names({"m.py": source}, [source, test]) == ["m.py:1 _UNUSED", "m.py:4 _orphan", "m.py:10 loops"]
+
+
+# ``from wsq import *`` before the package became lazy: each name by the
+# module the package imported it from, and the submodules those imports loaded
+PUBLIC = {
+    "errors": "LoadError ParseError ResourceError UsageError WsqError",
+    "evaluator": "EvalLimits FixpointTable Value evaluate ifp_iterate",
+    "fnn": "FnnStructure Pwl fnn_from_json fnn_to_json forward load_fnn node_values pad pwl_integral"
+    " save_fnn to_pwl validate_fnn with_input without_edge zero_query",
+    "numerics": "BOT ExtRational arith compare rational sum_all",
+    "queries": "BUILTINS builtin_query make_basic make_eval make_eval_node make_integrate_2_1"
+    " make_squaring make_useless",
+    "structures": "Vocabulary WeightedStructure load_structure save_structure structure_from_json"
+    " structure_to_json validate_structure",
+    "syntax": "check_scalar_fragment desugar free_vars parse to_text vocabulary_of",
+}
+
+
+class TestPublicSurface:
+    def test_star_import_gives_the_same_names(self):
+        expected = sorted([*PUBLIC, *(name for names in PUBLIC.values() for name in names.split())])
+        assert len(expected) == 59
+        assert sorted(wsq.__all__) == expected
+        namespace = {}
+        exec("from wsq import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == expected
+
+    @pytest.mark.parametrize("module", sorted(PUBLIC))
+    def test_each_name_is_its_modules_object(self, module):
+        source = importlib.import_module(f"wsq.{module}")
+        assert getattr(wsq, module) is source
+        for name in PUBLIC[module].split():
+            assert getattr(wsq, name) is getattr(source, name), name
+
+    def test_dir_and_version(self):
+        assert set(wsq.__all__) | {"__version__"} <= set(dir(wsq))
+        assert wsq.__version__ == "0.1.0"
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'wsq' has no attribute 'no_such_name'$"):
+            wsq.no_such_name
+        assert not hasattr(wsq, "cli_main")
+
+    @pytest.mark.parametrize(
+        "names, touch",
+        [
+            ("__import__('wsq').__all__", "getattr(sys.modules['wsq'], n)"),
+            # the eager package failed here in most runs, with a deadlock in the import system
+            ("['syntax', 'evaluator', 'queries', 'syntax.parser']", "importlib.import_module('wsq.' + n)"),
+        ],
+        ids=["names", "modules"],
+    )
+    def test_threads_that_first_touch_different_names_get_the_same_objects(self, names, touch):
+        # a fresh process, so every thread's first access loads the modules
+        script = (
+            "import importlib, sys, threading\n"
+            f"names = {names}\n"
+            "assert [m for m in sys.modules if m.startswith('wsq.')] == []\n"
+            "barrier, seen = threading.Barrier(4), [None] * 4\n"
+            "def touch(i):\n"
+            "    barrier.wait()\n"
+            "    order = names[i * len(names) // 4 :] + names[: i * len(names) // 4]\n"
+            f"    seen[i] = {{n: {touch} for n in order}}\n"
+            "threads = [threading.Thread(target=touch, args=(i,)) for i in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            f"assert all(s[n] is {touch} for s in seen for n in names)\n"
+            "print('same')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "same\n", "")

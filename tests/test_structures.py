@@ -132,6 +132,17 @@ class TestBuildValues:
         with pytest.raises(UsageError, match=f"^weight values must be rationals, got {name}$"):
             WeightedStructure.build(["v"]).expand(weights={"g": (0, {(): value})})
 
+    def test_rejects_a_repeated_element(self):
+        # counted twice, the element would make sum {x : x = x} f(x) read 6
+        with pytest.raises(UsageError, match="^universe: duplicate element 'a'$"):
+            WeightedStructure.build(["a", "b", "a"], weights={"f": (1, {("a",): 3})})
+
+    def test_the_loader_lists_a_repeated_element_with_the_rest(self):
+        doc = {"universe": ["a", "a", "b c"]}
+        message = "invalid structure: universe: duplicate element 'a'; universe: element name 'b c' must match"
+        with pytest.raises(LoadError, match=f"^{message}"):
+            structure_from_json(doc)
+
 
 class TestExpand:
     def test_adds_unary_weights(self, triangle):
