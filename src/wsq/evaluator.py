@@ -13,7 +13,8 @@ table: each round computes still-undefined entries against the previous
 round's table, and an entry, once defined, never changes.  That makes
 the iteration inflationary and forces stabilization within ``|A|**k``
 rounds; both properties are checked on every run, not only under test.
-Resource budgets (fixed-point table cells, summands per summation node)
+Resource budgets (fixed-point table cells, summands per summation node,
+bits in the numerator and denominator of every product and quotient)
 convert runaway evaluations into :class:`ResourceError` rather than
 wrong answers.
 
@@ -27,6 +28,16 @@ Binders of the same variables in one scope share one inner scope, so a
 node object reached twice under them compiles to one closure and one
 memo table (below); a summation so shared is one node for
 ``max_summands``, whose budget bounds each run of it.
+
+Values are unboxed inside the engine: a term's closure returns a bare
+:class:`~fractions.Fraction`, or ``None`` for ``bot``, and a fixed
+point's live table holds Fractions.  Constants, literals and weights are
+unboxed where they are read; arithmetic tests for ``None`` inline (a
+zero divisor gives ``None``), and the comparisons, ``max`` and ``min``
+order ``None`` below every rational, as :class:`ExtRational` does.
+Values are boxed into :class:`ExtRational` only where they leave the
+engine: in the result of :func:`evaluate` and in the entries of the
+:class:`FixpointTable` that :func:`ifp_iterate` returns.
 
 The same pass decides coverage where it reads the tables: a use is
 uncovered when the structure lacks its symbol at that kind and arity, a
@@ -91,7 +102,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import EvalLimits, ResourceError, UsageError
-from .numerics import BOT, ONE, ZERO, ExtRational, rational
+from .numerics import BOT, ExtRational
 from .structures import WeightedStructure
 from .syntax.analysis import vocabulary_of
 from .syntax.nodes import (
@@ -126,22 +137,38 @@ __all__ = ["Value", "EvalLimits", "FixpointTable", "evaluate", "ifp_iterate"]
 
 Value = Union[bool, ExtRational]
 
-# a compiled node: reads variable values from the slot list, returns its value
-Compiled = Callable[[list], Value]
+# a compiled node: reads variable values from the slot list, returns a
+# formula's bool or a term's unboxed value, a Fraction or None for bot
+Compiled = Callable[[list], Union[bool, Fraction, None]]
 
 # candidate values of a binder's slots under the slot list
 Bindings = Callable[[list], Iterable[tuple]]
 
-_ORDER = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "=": operator.eq,
-    "!=": operator.ne,
-}
 
+# the order on Fraction | None: bot (None) below every rational, equal to itself
+def _lt(a, b) -> bool:
+    return b is not None and (a is None or a < b)
+
+
+def _le(a, b) -> bool:
+    return a is None or (b is not None and a <= b)
+
+
+def _gt(a, b) -> bool:
+    return a is not None and (b is None or a > b)
+
+
+def _ge(a, b) -> bool:
+    return b is None or (a is not None and a >= b)
+
+
+_ORDER = {"<": _lt, "<=": _le, ">": _gt, ">=": _ge, "=": operator.eq, "!=": operator.ne}
+
+# the arithmetic the closures apply to two defined operands
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# "no value yet" in memo tables and max/min, where None is a value (bot)
+_MISSING = object()
 
 
 @dataclass
@@ -176,7 +203,7 @@ def _constant(value) -> Compiled:
 
 
 # the closures of the fixed constants; a literal carries its value
-_CONSTANT = {Zero: _constant(ZERO), One: _constant(ONE), BotConst: _constant(BOT)}
+_CONSTANT = {Zero: _constant(Fraction(0)), One: _constant(Fraction(1)), BotConst: _constant(None)}
 
 # nodes whose evaluation can raise a ResourceError (their budgets)
 _BUDGETED = (Sum, Aggregate, Ifp)
@@ -213,22 +240,25 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     if index is not None:
         return index
     roles = signature[1]
-    outside = [i for i, role in enumerate(roles) if role < 0]
+    width = len(roles)
     first = [roles.index(r) for r in range(max(roles) + 1)]
     repeats = [(i, first[role]) for i, role in enumerate(roles) if role >= 0 and i != first[role]]
-    rank = {elem: i for i, elem in enumerate(universe)}
+    outside = _tuple_getter([i for i, role in enumerate(roles) if role < 0])
+    drawn = _tuple_getter(first)
+    members = frozenset(universe)
     groups: dict[tuple, set] = {}
     for t in table:
-        if len(t) != len(roles):
+        if len(t) != width or repeats and not all(t[i] == t[j] for i, j in repeats):
             continue
-        if all(t[i] == t[j] for i, j in repeats) and all(t[i] in rank for i in first):
-            groups.setdefault(tuple(t[i] for i in outside), set()).add(
-                tuple(t[i] for i in first)
-            )
-    index = indexes[signature] = {
-        key: sorted(subs, key=lambda sub: [rank[elem] for elem in sub])
-        for key, subs in groups.items()
-    }
+        sub = drawn(t)
+        if members.issuperset(sub):
+            groups.setdefault(outside(t), set()).add(sub)
+    rank = {elem: i for i, elem in enumerate(universe)}
+    if len(first) == 1:
+        order = lambda sub: rank[sub[0]]
+    else:
+        order = lambda sub: [rank[elem] for elem in sub]
+    index = indexes[signature] = {key: sorted(subs, key=order) for key, subs in groups.items()}
     return index
 
 
@@ -239,7 +269,7 @@ class _Cell:
     __slots__ = ("table", "reads", "arity")
 
     def __init__(self, arity: int):
-        self.table: dict[tuple, ExtRational] = {}
+        self.table: dict[tuple, Fraction] = {}
         self.reads: set = set()
         self.arity = arity
 
@@ -361,8 +391,8 @@ class _Compiler:
 
         def memoised(env):
             k = key(env)
-            value = memo.get(k)
-            if value is None:
+            value = memo.get(k, _MISSING)
+            if value is _MISSING:
                 value = memo[k] = fn(env)
             return value
 
@@ -505,9 +535,9 @@ class _Compiler:
             # comparing with bot is a definedness test
             t = rf if type(left) is BotConst else lf
             if op == "=":
-                fn = lambda env: t(env).is_bot
+                fn = lambda env: t(env) is None
             else:
-                fn = lambda env: not t(env).is_bot
+                fn = lambda env: t(env) is not None
         else:
             test = _ORDER[op]
             fn = lambda env: test(lf(env), rf(env))
@@ -565,7 +595,7 @@ class _Compiler:
 
     def _constant_term(self, n: Union[Zero, One, BotConst, Literal], scope):
         fn = _CONSTANT.get(type(n))
-        return fn or _constant(rational(n.value)), 0
+        return fn or _constant(Fraction(n.value)), 0
 
     def _weight_atom(self, n, scope):
         slots, mask = self._slots(scope, n.args)
@@ -580,7 +610,6 @@ class _Compiler:
                 value = cell.table.get(k)
                 if value is None:
                     cell.reads.add(k)
-                    return BOT
                 return value
 
             return intensional, mask
@@ -588,12 +617,14 @@ class _Compiler:
             self.covered = False
         table = self.structure.weights.get(n.name)
         if table is None or not slots:
-            return _constant(BOT if table is None else table.get((), BOT)), mask
-        if len(slots) == 1:
-            (a,) = slots
-            return (lambda env: table.get((env[a],), BOT)), mask
-        key = operator.itemgetter(*slots)
-        return (lambda env: table.get(key(env), BOT)), mask
+            return _constant(None if table is None else table.get((), BOT).frac), mask
+        key = _tuple_getter(slots)
+
+        def extensional(env):
+            value = table.get(key(env))
+            return value if value is None else value.frac
+
+        return extensional, mask
 
     def _atom(self, n: Atom, scope):
         if self._reads_relation(n, scope):
@@ -604,7 +635,28 @@ class _Compiler:
         lf, lm = self.compile(n.left, scope, term=True)
         rf, rm = self.compile(n.right, scope, term=True)
         op = _ARITH[n.op]
-        fn = lambda env: op(lf(env), rf(env))
+        if n.op in "+-":
+
+            def fn(env):
+                a, b = lf(env), rf(env)
+                if a is None or b is None:
+                    return None
+                return op(a, b)
+
+        else:
+            limit = self.limits.max_bits
+            dividing = n.op == "/"
+            overflow = f"'{n.op}' result exceeds {limit} bits"
+
+            def fn(env):
+                a, b = lf(env), rf(env)
+                if a is None or b is None or (dividing and not b):
+                    return None
+                value = op(a, b)
+                if value.numerator.bit_length() > limit or value.denominator.bit_length() > limit:
+                    raise ResourceError(overflow)
+                return value
+
         if not LEAVES.issuperset((type(n.left), type(n.right))):
             fn = self._memo(fn, lm | rm, scope)
         return fn, lm | rm
@@ -634,12 +686,12 @@ class _Compiler:
         limit = self.limits.max_summands
         overflow = f"{'summation' if kind == 'sum' else 'aggregate'} exceeds {limit} summands"
         counting, additive = kind == "count", kind in ("sum", "avg")
-        better = operator.gt if kind == "max" else operator.lt
+        better = _gt if kind == "max" else _lt
 
         def fold(env):
             count = 0
             acc = Fraction(0)
-            best: Optional[ExtRational] = None
+            best = _MISSING
             for combo in bindings(env):
                 env[lo:hi] = combo
                 if not guard(env):
@@ -648,34 +700,35 @@ class _Compiler:
                 if count > limit:
                     raise ResourceError(overflow)
                 if additive:
-                    value = body(env).frac
+                    value = body(env)
                     if value is None:
-                        return BOT
+                        return None
                     acc += value
                 elif not counting:
                     value = body(env)
-                    if best is None or better(value, best):
+                    if best is _MISSING or better(value, best):
                         best = value
             if kind == "sum":
-                return ExtRational(acc)
+                return acc
             if counting:
-                return rational(count)
+                return Fraction(count)
             if kind == "avg":
-                return BOT if count == 0 else ExtRational(acc / count)
-            return BOT if best is None else best
+                return None if count == 0 else acc / count
+            return None if best is _MISSING else best
 
         return self._memo(fold, mask, scope), mask
 
     def _ifp(self, n: Ifp, scope):
         run, mask = self.fixpoint(n.name, n.vars, n.body, scope)
-        table = self._memo(lambda env: run(env).entries, mask, scope)
+        table = self._memo(lambda env: run(env)[0], mask, scope)
         slots, am = self._slots(scope, n.applied)
         applied = _tuple_getter(slots)
-        return (lambda env: table(env).get(applied(env), BOT)), mask | am
+        return (lambda env: table(env).get(applied(env))), mask | am
 
     def fixpoint(self, name: str, vars_: tuple, body: Node, scope: _Scope):
         """Closure running the fixed point of ``body`` over ``name(vars_)``
-        to stabilization, and the bitmask of the slots the run reads."""
+        to stabilization, and the bitmask of the slots the run reads.  The
+        closure returns the defined entries, unboxed, and the rounds."""
         cell = _Cell(len(vars_))
         if self.arities.setdefault(name, cell.arity) != cell.arity:
             self.covered = False
@@ -686,10 +739,10 @@ class _Compiler:
         universe, k = self.universe, hi - lo
         cells, limit = len(universe) ** k, self.limits.max_fixpoint_cells
 
-        def run(env) -> FixpointTable:
+        def run(env) -> tuple[dict, int]:
             if cells > limit:
                 raise ResourceError(f"fixed-point table needs {cells} cells, budget is {limit}")
-            table: dict[tuple, ExtRational] = {}
+            table: dict[tuple, Fraction] = {}
             cell.table = table
             keys = list(product(universe, repeat=k))
             rank = {key: i for i, key in enumerate(keys)}
@@ -698,12 +751,12 @@ class _Compiler:
             pending = keys
             rounds = 0
             while True:
-                additions: dict[tuple, ExtRational] = {}
+                additions: dict[tuple, Fraction] = {}
                 for key in pending:
                     env[lo:hi] = key
                     cell.reads = reads = set()
                     value = step(env)
-                    if not value.is_bot:
+                    if value is not None:
                         additions[key] = value
                     else:
                         for entry in reads:
@@ -726,7 +779,7 @@ class _Compiler:
                     if key not in table
                 }
                 pending = sorted(woken, key=rank.__getitem__)
-            return FixpointTable(table, rounds)
+            return table, rounds
 
         return run, mask & ~_span(lo, hi)
 
@@ -776,7 +829,10 @@ def evaluate(
     if not compiler.covered:
         vocabulary_of(e)  # raises on misuse
         return False if syntactic_kind(e) == "formula" else BOT
-    return fn(slots)
+    value = fn(slots)
+    if value is None:
+        return BOT
+    return value if type(value) is bool else ExtRational(value)
 
 
 def ifp_iterate(
@@ -799,4 +855,5 @@ def ifp_iterate(
     if not compiler.covered:
         vocabulary_of(Ifp(name, vars_, body, vars_))  # raises on misuse
         raise UsageError("fixed-point body uses symbols the structure does not interpret")
-    return run(slots)
+    table, rounds = run(slots)
+    return FixpointTable({key: ExtRational(value) for key, value in table.items()}, rounds)

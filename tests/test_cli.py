@@ -28,13 +28,13 @@ TWO_NODE = str(DATA / "two_node.fnn.json")
 GRAPH = str(DATA / "graph.json")
 
 
-def wsq(*args, stdin=None):
+def wsq(*args, stdin=None, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "wsq", *args],
         capture_output=True,
         text=True,
         input=stdin,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -168,6 +168,14 @@ class TestExitCodes:
         ):
             assert main(argv) == 4
             assert capsys.readouterr() == ("", f"error: result too long to print (over {limit} digits)\n")
+
+    def test_number_beyond_the_bit_budget_is_four(self, tmp_path):
+        # 2^(2^40) is out of reach: round 20 of the squaring passes 2^20 bits
+        path = tmp_path / "path40.json"
+        save_fnn(path_net(40), str(path))
+        result = wsq("eval", str(path), "builtin:squaring", "--bind", "x=n40", timeout=20)
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == f"error: '*' result exceeds {2**20} bits\n"
 
     def test_structure_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -522,13 +530,14 @@ class TestBudgets:
     """Each ``EvalLimits`` field is one ``wsq eval`` flag and one REPL ``:set`` key."""
 
     def test_fields(self):
-        assert [f.name for f in fields(EvalLimits)] == ["max_fixpoint_cells", "max_summands"]
-        assert EvalLimits() == EvalLimits(max_fixpoint_cells=10**6, max_summands=10**6)
+        assert [f.name for f in fields(EvalLimits)] == ["max_fixpoint_cells", "max_summands", "max_bits"]
+        assert EvalLimits() == EvalLimits(max_fixpoint_cells=10**6, max_summands=10**6, max_bits=2**20)
 
     def test_eval_flags(self, capsys, monkeypatch):
         with pytest.raises(SystemExit):
             main(["eval", "--help"])
         assert sorted(set(re.findall(r"--max-[a-z-]+", capsys.readouterr().out))) == [
+            "--max-bits",
             "--max-fixpoint-cells",
             "--max-summands",
         ]
@@ -536,12 +545,12 @@ class TestBudgets:
         # cli imports evaluate when the command runs, so patch it at its source
         monkeypatch.setattr("wsq.evaluator.evaluate", lambda query, structure, env, limits: seen.append(limits) or True)
         assert main(["eval", GRAPH, "1"]) == 0
-        assert main(["eval", GRAPH, "1", "--max-fixpoint-cells", "7", "--max-summands", "8"]) == 0
-        assert seen == [EvalLimits(), EvalLimits(max_fixpoint_cells=7, max_summands=8)]
+        assert main(["eval", GRAPH, "1", "--max-fixpoint-cells", "7", "--max-summands", "8", "--max-bits", "9"]) == 0
+        assert seen == [EvalLimits(), EvalLimits(max_fixpoint_cells=7, max_summands=8, max_bits=9)]
 
     def test_repl_keys(self):
         out = io.StringIO()
-        repl = Repl(io.StringIO(":help\n:set max-fixpoint-cells 7\n:set max-summands 8\n"), out)
+        repl = Repl(io.StringIO(":help\n:set max-fixpoint-cells 7\n:set max-summands 8\n:set max-bits 9\n"), out)
         assert repl.run() == 0
-        assert "  :set max-fixpoint-cells N | max-summands N" in out.getvalue().splitlines()
-        assert repl.limits == EvalLimits(max_fixpoint_cells=7, max_summands=8)
+        assert "  :set max-fixpoint-cells N | max-summands N | max-bits N" in out.getvalue().splitlines()
+        assert repl.limits == EvalLimits(max_fixpoint_cells=7, max_summands=8, max_bits=9)

@@ -161,6 +161,21 @@ class TestTermSemantics:
     def test_empty_sum(self, two_triangle_graph):
         assert evaluate(parse("sum {x : not x = x} 1"), two_triangle_graph) == rational(0)
 
+    def test_values_leave_the_engine_boxed(self, two_triangle_graph):
+        # the engine computes on bare Fractions and None; callers get bool,
+        # ExtRational or BOT
+        s = two_triangle_graph
+        for text in ("1 + 1", "7", "wt(x, y)", "sum {y : wt(x, y) != bot} wt(x, y)", "max {y : y = y} wt(x, y)"):
+            value = evaluate(parse(text), s, {"x": "b", "y": "c"})
+            assert type(value) is ExtRational and type(value.frac) is Fraction, text
+        for text in ("1/0", "wt(x, x)", "min {y : y = y} wt(x, y)", "ifp (F(z) <- F(z)) (x)"):
+            assert evaluate(parse(text), s, {"x": "b"}) is BOT, text
+        for text in ("wt(x, y) != bot", "1 <= 0", "exists y wt(x, y) = 2"):
+            assert type(evaluate(parse(text), s, {"x": "b", "y": "c"})) is bool, text
+        table = ifp_iterate("F", ("x",), parse("sum {y : wt(x, y) != bot} wt(x, y)"), s)
+        assert table.entries and all(type(v) is ExtRational for v in table.entries.values())
+        assert table.entries[("b",)] == rational(5)
+
 
 class TestEvalTemplates:
     def test_eval_matches_forward_on_clamp(self):
@@ -529,6 +544,38 @@ class TestResourceGuards:
         limits = EvalLimits(max_fixpoint_cells=2)
         with pytest.raises(ResourceError, match="cells"):
             evaluate(parse("ifp (F(x, y) <- 1) (x, x)"), two_triangle_graph, {"x": "a"}, limits)
+
+    @pytest.mark.parametrize(
+        "query, bits, value",
+        [
+            ("255 * 1", 8, rational(255)),
+            ("256 * 1", 8, None),
+            ("1 / 255", 8, rational(1, 255)),
+            ("1 / 256", 8, None),
+            ("256 / 0", 8, BOT),
+            ("256 + 256 - 1", 8, rational(511)),
+        ],
+    )
+    def test_bit_budget(self, two_triangle_graph, query, bits, value):
+        # products and quotients are checked, numerator and denominator;
+        # sums add at most one bit and are not
+        limits = EvalLimits(max_bits=bits)
+        if value is None:
+            with pytest.raises(ResourceError) as exc:
+                evaluate(parse(query), two_triangle_graph, limits=limits)
+            assert str(exc.value) == f"'{query.split()[1]}' result exceeds {bits} bits"
+        else:
+            assert evaluate(parse(query), two_triangle_graph, limits=limits) == value
+
+    def test_bit_budget_stops_iterated_squaring(self):
+        # 2^(2^d) on a path of length d: round 20 builds 2^20 + 1 bits
+        with pytest.raises(ResourceError) as exc:
+            evaluate(make_squaring(), path_net(40).structure, {"x": "n40"})
+        assert str(exc.value) == f"'*' result exceeds {2**20} bits"
+        limits = EvalLimits(max_bits=2**10)
+        assert evaluate(make_squaring(), path_net(9).structure, {"x": "n9"}, limits) == rational(2 ** 2**9)
+        with pytest.raises(ResourceError):
+            evaluate(make_squaring(), path_net(10).structure, {"x": "n10"}, limits)
 
 
 class TestInvariants:
@@ -940,6 +987,20 @@ def _total_structure(rng):
     )
 
 
+def _count_arithmetic(monkeypatch, *ops):
+    """Counts of the evaluator's applications of ``ops`` to defined
+    operands, for the closures compiled from here on."""
+    counts = dict.fromkeys(ops, 0)
+    for op in ops:
+
+        def counting(a, b, op=op, apply=_ARITH[op]):
+            counts[op] += 1
+            return apply(a, b)
+
+        monkeypatch.setitem(_ARITH, op, counting)
+    return counts
+
+
 class TestHoisting:
     """Compound terms that ignore an enclosing loop's variable are memoised."""
 
@@ -975,19 +1036,7 @@ class TestHoisting:
     def test_invariant_quotient_runs_once_per_binding(self, monkeypatch):
         # under loops over x, y, z the quotient reads x and z only: it runs
         # once per (x, z), while the leaf-op-leaf f(z) - 1 is not memoised
-        counts = {"/": 0, "-": 0}
-        divide, subtract = ExtRational.__truediv__, ExtRational.__sub__
-
-        def counting_divide(a, b):
-            counts["/"] += 1
-            return divide(a, b)
-
-        def counting_subtract(a, b):
-            counts["-"] += 1
-            return subtract(a, b)
-
-        monkeypatch.setattr(ExtRational, "__truediv__", counting_divide)
-        monkeypatch.setattr(ExtRational, "__sub__", counting_subtract)
+        counts = _count_arithmetic(monkeypatch, "/", "-")
         s = WeightedStructure.build(
             ["a", "b", "c"],
             weights={
@@ -1000,9 +1049,56 @@ class TestHoisting:
         body = Arith("+", Arith("*", WeightAtom("w", ("y", "z")), quotient), Arith("-", f("z"), One()))
         q = Sum(("x",), ElemEq("x", "x"), Sum(("y",), ElemEq("y", "y"), Sum(("z",), ElemEq("z", "z"), body)))
         expected = normalize(ref_evaluate(q, s))
-        counts.update({"/": 0, "-": 0})
         assert normalize(evaluate(q, s)) == expected
         assert counts == {"/": 9, "-": 27}
+
+    def test_bot_valued_quotient_runs_once_per_binding(self, monkeypatch):
+        # f(x) / (f(x) - f(x)) is bot and reads x only: under the loop over
+        # y the memo must tell its stored bot from a missing entry, so the
+        # subtraction runs once per x and not once per (x, y)
+        counts = _count_arithmetic(monkeypatch, "-")
+        s = WeightedStructure.build(["a", "b", "c"], weights={"f": (1, {("a",): 1, ("b",): 2, ("c",): 3})})
+        f = lambda v: WeightAtom("f", (v,))
+        quotient = Arith("/", f("x"), Arith("-", f("x"), f("x")))
+        below = Cond(Leq(f("y"), quotient), One(), Zero())
+        q = Sum(("x",), ElemEq("x", "x"), Sum(("y",), ElemEq("y", "y"), below))
+        assert normalize(ref_evaluate(q, s)) == ("term", Fraction(0))
+        assert normalize(evaluate(q, s)) == ("term", Fraction(0))
+        assert counts == {"-": 3}
+
+
+class TestExtrema:
+    """max and min order bot below every rational, as the reference does."""
+
+    def test_partly_bot_bodies_agree_with_reference(self):
+        rng = random.Random(62)
+        w = lambda *args: WeightAtom("w", args)
+        f = lambda v: WeightAtom("f", (v,))
+        bodies = [
+            lambda: w("x", "y"),
+            lambda: w("y", "x"),
+            lambda: Arith("/", One(), f("y")),
+            lambda: Arith("*", f("x"), Arith("-", f("y"), w("y", "y"))),
+            lambda: Cond(Leq(f("y"), Zero()), BotConst(), f("y")),
+            lambda: random_expression(rng, 2, "term", ("x", "y")),
+        ]
+        guards = [ElemEq("y", "y"), RelAtom("e", ("x", "y")), Compare("!=", w("x", "y"), BotConst())]
+        seen = {"all bot": 0, "mixed": 0, "none bot": 0}
+        for _ in range(300):
+            s = random_structure(rng, drop_prob=0.0, density=0.6)
+            guard, body = rng.choice(guards), rng.choice(bodies)()
+            q = Aggregate(rng.choice(("max", "min")), ("y",), guard, body)
+            if rng.random() < 0.3:
+                # nested under a loop over x, the aggregate is one memoised node
+                q = Sum(("x",), ElemEq("x", "x"), Arith("+", q, One()))
+            env = {"x": rng.choice(s.universe)}
+            assert normalize(evaluate(q, s, env)) == normalize(ref_evaluate(q, s, env)), to_text(q)
+            for x in s.universe:
+                chosen = [y for y in s.universe if ref_evaluate(guard, s, {"x": x, "y": y})]
+                bots = [ref_evaluate(body, s, {"x": x, "y": y}) is None for y in chosen]
+                if chosen:
+                    seen["all bot" if all(bots) else "mixed" if any(bots) else "none bot"] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 def _wide_integration_structure(width):
@@ -1076,14 +1172,7 @@ class TestSharedSubterms:
     def test_shared_quotient_runs_once_per_binding_across_sibling_binders(self, monkeypatch):
         # the quotient reads x only and sits under two sibling binders of
         # y: one closure and one memo serve both, so it runs once per x
-        divisions = [0]
-        divide = ExtRational.__truediv__
-
-        def counting_divide(a, b):
-            divisions[0] += 1
-            return divide(a, b)
-
-        monkeypatch.setattr(ExtRational, "__truediv__", counting_divide)
+        counts = _count_arithmetic(monkeypatch, "/")
         s = WeightedStructure.build(["a", "b", "c"], weights={"f": (1, {("a",): 1, ("b",): 2, ("c",): 3})})
         f = lambda v: WeightAtom("f", (v,))
         quotient = Arith("/", f("x"), Arith("+", f("x"), One()))
@@ -1094,9 +1183,8 @@ class TestSharedSubterms:
         )
         q = Sum(("x",), ElemEq("x", "x"), siblings)
         expected = normalize(ref_evaluate(q, s))
-        divisions[0] = 0
         assert normalize(evaluate(q, s)) == expected
-        assert divisions[0] == 3
+        assert counts == {"/": 3}
 
 
 class TestSparseEnumeration:
