@@ -51,12 +51,7 @@ class ResourceError(WsqError):
 
 @dataclass
 class EvalLimits:
-    """Budgets that turn oversized evaluations into resource errors.
-
-    ``max_bits`` bounds the bit length of the numerator and of the
-    denominator of every product and quotient an evaluation computes.
-    """
+    """Budgets that turn oversized evaluations into resource errors."""
 
     max_fixpoint_cells: int = 10**6
     max_summands: int = 10**6
-    max_bits: int = 2**20

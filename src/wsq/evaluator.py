@@ -14,9 +14,9 @@ round's table, and an entry, once defined, never changes.  That makes
 the iteration inflationary and forces stabilization within ``|A|**k``
 rounds; both properties are checked on every run, not only under test.
 Resource budgets (fixed-point table cells, summands per summation node,
-bits in the numerator and denominator of every product and quotient)
-convert runaway evaluations into :class:`ResourceError` rather than
-wrong answers.
+and ``_MAX_BITS`` bits in the numerator and in the denominator of every
+arithmetic result and every sum or average an aggregate builds) convert
+runaway evaluations into :class:`ResourceError` rather than wrong answers.
 
 Each call compiles the expression once: a single pass turns the tree
 into closures over the structure, settling there the kind of every
@@ -166,6 +166,11 @@ _ORDER = {"<": _lt, "<=": _le, ">": _gt, ">=": _ge, "=": operator.eq, "!=": oper
 
 # the arithmetic the closures apply to two defined operands
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# bound on the bit length of the numerator and of the denominator of
+# every value arithmetic and the additive folds compute; iterated squaring
+# passes it at round 20 instead of building 2^(2^d)
+_MAX_BITS = 2**20
 
 # "no value yet" in memo tables and max/min, where None is a value (bot)
 _MISSING = object()
@@ -635,27 +640,18 @@ class _Compiler:
         lf, lm = self.compile(n.left, scope, term=True)
         rf, rm = self.compile(n.right, scope, term=True)
         op = _ARITH[n.op]
-        if n.op in "+-":
+        limit = _MAX_BITS
+        dividing = n.op == "/"
+        overflow = f"'{n.op}' result exceeds {limit} bits"
 
-            def fn(env):
-                a, b = lf(env), rf(env)
-                if a is None or b is None:
-                    return None
-                return op(a, b)
-
-        else:
-            limit = self.limits.max_bits
-            dividing = n.op == "/"
-            overflow = f"'{n.op}' result exceeds {limit} bits"
-
-            def fn(env):
-                a, b = lf(env), rf(env)
-                if a is None or b is None or (dividing and not b):
-                    return None
-                value = op(a, b)
-                if value.numerator.bit_length() > limit or value.denominator.bit_length() > limit:
-                    raise ResourceError(overflow)
-                return value
+        def fn(env):
+            a, b = lf(env), rf(env)
+            if a is None or b is None or (dividing and not b):
+                return None
+            value = op(a, b)
+            if value.numerator.bit_length() > limit or value.denominator.bit_length() > limit:
+                raise ResourceError(overflow)
+            return value
 
         if not LEAVES.issuperset((type(n.left), type(n.right))):
             fn = self._memo(fn, lm | rm, scope)
@@ -685,6 +681,8 @@ class _Compiler:
         mask &= ~_span(lo, hi)
         limit = self.limits.max_summands
         overflow = f"{'summation' if kind == 'sum' else 'aggregate'} exceeds {limit} summands"
+        bits = _MAX_BITS
+        too_long = f"'{kind}' result exceeds {bits} bits"
         counting, additive = kind == "count", kind in ("sum", "avg")
         better = _gt if kind == "max" else _lt
 
@@ -704,6 +702,8 @@ class _Compiler:
                     if value is None:
                         return None
                     acc += value
+                    if acc.numerator.bit_length() > bits or acc.denominator.bit_length() > bits:
+                        raise ResourceError(too_long)
                 elif not counting:
                     value = body(env)
                     if best is _MISSING or better(value, best):
@@ -713,7 +713,12 @@ class _Compiler:
             if counting:
                 return Fraction(count)
             if kind == "avg":
-                return None if count == 0 else acc / count
+                if count == 0:
+                    return None
+                acc /= count
+                if acc.denominator.bit_length() > bits:
+                    raise ResourceError(too_long)
+                return acc
             return None if best is _MISSING else best
 
         return self._memo(fold, mask, scope), mask

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-__all__ = ["ExtRational", "BOT", "ZERO", "ONE", "rational", "as_rational", "arith", "compare", "sum_all"]
+__all__ = ["ExtRational", "BOT", "rational", "as_rational", "arith", "compare", "sum_all"]
 
 _NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]+)?|[0-9]+/0*[1-9][0-9]*)$")
 _COUNT_RE = re.compile(r"[0-9]+")
@@ -177,8 +177,6 @@ class ExtRational:
 
 
 BOT = ExtRational(None)
-ZERO = ExtRational(Fraction(0))
-ONE = ExtRational(Fraction(1))
 
 
 def rational(numerator: int | Fraction, denominator: int = 1) -> ExtRational:

@@ -530,14 +530,13 @@ class TestBudgets:
     """Each ``EvalLimits`` field is one ``wsq eval`` flag and one REPL ``:set`` key."""
 
     def test_fields(self):
-        assert [f.name for f in fields(EvalLimits)] == ["max_fixpoint_cells", "max_summands", "max_bits"]
-        assert EvalLimits() == EvalLimits(max_fixpoint_cells=10**6, max_summands=10**6, max_bits=2**20)
+        assert [f.name for f in fields(EvalLimits)] == ["max_fixpoint_cells", "max_summands"]
+        assert EvalLimits() == EvalLimits(max_fixpoint_cells=10**6, max_summands=10**6)
 
     def test_eval_flags(self, capsys, monkeypatch):
         with pytest.raises(SystemExit):
             main(["eval", "--help"])
         assert sorted(set(re.findall(r"--max-[a-z-]+", capsys.readouterr().out))) == [
-            "--max-bits",
             "--max-fixpoint-cells",
             "--max-summands",
         ]
@@ -545,12 +544,12 @@ class TestBudgets:
         # cli imports evaluate when the command runs, so patch it at its source
         monkeypatch.setattr("wsq.evaluator.evaluate", lambda query, structure, env, limits: seen.append(limits) or True)
         assert main(["eval", GRAPH, "1"]) == 0
-        assert main(["eval", GRAPH, "1", "--max-fixpoint-cells", "7", "--max-summands", "8", "--max-bits", "9"]) == 0
-        assert seen == [EvalLimits(), EvalLimits(max_fixpoint_cells=7, max_summands=8, max_bits=9)]
+        assert main(["eval", GRAPH, "1", "--max-fixpoint-cells", "7", "--max-summands", "8"]) == 0
+        assert seen == [EvalLimits(), EvalLimits(max_fixpoint_cells=7, max_summands=8)]
 
     def test_repl_keys(self):
         out = io.StringIO()
-        repl = Repl(io.StringIO(":help\n:set max-fixpoint-cells 7\n:set max-summands 8\n:set max-bits 9\n"), out)
+        repl = Repl(io.StringIO(":help\n:set max-fixpoint-cells 7\n:set max-summands 8\n"), out)
         assert repl.run() == 0
-        assert "  :set max-fixpoint-cells N | max-summands N | max-bits N" in out.getvalue().splitlines()
-        assert repl.limits == EvalLimits(max_fixpoint_cells=7, max_summands=8, max_bits=9)
+        assert "  :set max-fixpoint-cells N | max-summands N" in out.getvalue().splitlines()
+        assert repl.limits == EvalLimits(max_fixpoint_cells=7, max_summands=8)

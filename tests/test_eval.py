@@ -546,36 +546,41 @@ class TestResourceGuards:
             evaluate(parse("ifp (F(x, y) <- 1) (x, x)"), two_triangle_graph, {"x": "a"}, limits)
 
     @pytest.mark.parametrize(
-        "query, bits, value",
+        "query, value",
         [
-            ("255 * 1", 8, rational(255)),
-            ("256 * 1", 8, None),
-            ("1 / 255", 8, rational(1, 255)),
-            ("1 / 256", 8, None),
-            ("256 / 0", 8, BOT),
-            ("256 + 256 - 1", 8, rational(511)),
+            ("255 * 1", rational(255)),
+            ("256 * 1", "'*' result exceeds 8 bits"),
+            ("1 / 255", rational(1, 255)),
+            ("1 / 256", "'/' result exceeds 8 bits"),
+            ("256 / 0", BOT),
+            ("128 + 127", rational(255)),
+            ("128 + 128", "'+' result exceeds 8 bits"),
+            ("1 / 251 - 1 / 241", "'-' result exceeds 8 bits"),
+            ("sum {x, y : wt(x, y) != bot} (wt(x, y) / 255)", rational(14, 255)),
+            ("sum {x, y : wt(x, y) != bot} (1 / (wt(x, y) + 250))", "'sum' result exceeds 8 bits"),
+            ("avg {x, y : wt(x, y) != bot} (wt(x, y) / 255)", "'avg' result exceeds 8 bits"),
         ],
     )
-    def test_bit_budget(self, two_triangle_graph, query, bits, value):
-        # products and quotients are checked, numerator and denominator;
-        # sums add at most one bit and are not
-        limits = EvalLimits(max_bits=bits)
-        if value is None:
+    def test_bit_budget(self, two_triangle_graph, monkeypatch, query, value):
+        # every arithmetic result and every running sum is checked, numerator
+        # and denominator: a sum of fractions can double the denominator
+        monkeypatch.setattr(wsq.evaluator, "_MAX_BITS", 8)
+        if isinstance(value, str):
             with pytest.raises(ResourceError) as exc:
-                evaluate(parse(query), two_triangle_graph, limits=limits)
-            assert str(exc.value) == f"'{query.split()[1]}' result exceeds {bits} bits"
+                evaluate(parse(query), two_triangle_graph)
+            assert str(exc.value) == value
         else:
-            assert evaluate(parse(query), two_triangle_graph, limits=limits) == value
+            assert evaluate(parse(query), two_triangle_graph) == value
 
-    def test_bit_budget_stops_iterated_squaring(self):
+    def test_bit_budget_stops_iterated_squaring(self, monkeypatch):
         # 2^(2^d) on a path of length d: round 20 builds 2^20 + 1 bits
         with pytest.raises(ResourceError) as exc:
             evaluate(make_squaring(), path_net(40).structure, {"x": "n40"})
         assert str(exc.value) == f"'*' result exceeds {2**20} bits"
-        limits = EvalLimits(max_bits=2**10)
-        assert evaluate(make_squaring(), path_net(9).structure, {"x": "n9"}, limits) == rational(2 ** 2**9)
+        monkeypatch.setattr(wsq.evaluator, "_MAX_BITS", 2**10)
+        assert evaluate(make_squaring(), path_net(9).structure, {"x": "n9"}) == rational(2 ** 2**9)
         with pytest.raises(ResourceError):
-            evaluate(make_squaring(), path_net(10).structure, {"x": "n10"}, limits)
+            evaluate(make_squaring(), path_net(10).structure, {"x": "n10"})
 
 
 class TestInvariants:
