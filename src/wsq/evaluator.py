@@ -236,28 +236,20 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     the position is bound outside the binder, else the number of the
     bound slot it holds (repeated slots repeat the number).  The index
     maps the values at the outside positions to the distinct values
-    of the bound slots, sorted in universe order.  A tuple binding a slot
-    to a value outside the universe, or of another length than the
-    pattern (both only in an unvalidated structure), is left out, as full
-    enumeration never binds one.
+    of the bound slots, sorted in universe order.
     """
     index = indexes.get(signature)
     if index is not None:
         return index
     roles = signature[1]
-    width = len(roles)
     first = [roles.index(r) for r in range(max(roles) + 1)]
     repeats = [(i, first[role]) for i, role in enumerate(roles) if role >= 0 and i != first[role]]
     outside = _tuple_getter([i for i, role in enumerate(roles) if role < 0])
     drawn = _tuple_getter(first)
-    members = frozenset(universe)
     groups: dict[tuple, set] = {}
     for t in table:
-        if len(t) != width or repeats and not all(t[i] == t[j] for i, j in repeats):
-            continue
-        sub = drawn(t)
-        if members.issuperset(sub):
-            groups.setdefault(outside(t), set()).add(sub)
+        if not repeats or all(t[i] == t[j] for i, j in repeats):
+            groups.setdefault(outside(t), set()).add(drawn(t))
     rank = {elem: i for i, elem in enumerate(universe)}
     if len(first) == 1:
         order = lambda sub: rank[sub[0]]

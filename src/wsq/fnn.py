@@ -27,11 +27,11 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import LoadError, ResourceError, UsageError
 from .numerics import BOT, ExtRational, as_rational, rational
-from .structures import WeightedStructure, read_json, validate_structure, weight_value
+from .structures import WeightedStructure, read_json, universe_problems, weight_value
 
 __all__ = [
     "WT",
@@ -174,7 +174,7 @@ def _derive(s: WeightedStructure) -> tuple[list[str], tuple]:
     """The network-condition violations of ``s`` and, valid only when there
     are none, its graph data: in- and out-neighbours (in universe order), a
     topological order, and the inputs and outputs ranked by their orders."""
-    out = validate_structure(s)
+    out = universe_problems(s.universe)
     voc = s.vocabulary
     for name, arity in ((WT, 2), (BIAS, 1)):
         if voc.weights.get(name) != arity:
@@ -225,9 +225,9 @@ class FnnStructure:
     """Validated view of a network structure with derived graph data.
 
     Construction validates the network conditions and keeps the data the
-    validation derived: edges, neighbour tuples, a topological ``order``
-    of the nodes, the input/output orders, and node depths (length of the
-    longest path from an input).
+    validation derived: neighbour tuples, a topological ``order`` of the
+    nodes, the input/output orders, and node depths (length of the longest
+    path from an input).  ``edges`` is the structure's read-only ``wt``.
     """
 
     def __init__(self, structure: WeightedStructure):
@@ -235,7 +235,7 @@ class FnnStructure:
         if problems:
             raise UsageError("not a valid FNN: " + "; ".join(problems))
         self.structure = structure
-        self.edges: dict[tuple[str, str], ExtRational] = dict(structure.weights[WT])
+        self.edges: Mapping[tuple[str, str], ExtRational] = structure.weights[WT]
         self.in_neighbors, self.out_neighbors, self.order, self.input_nodes, self.output_nodes = graph
         self.depths: dict[str, int] = {}
         for v in self.order:
@@ -367,13 +367,8 @@ def pad(net: FnnStructure, edge: tuple[str, str], k: int) -> FnnStructure:
         bias[(r,)] = rational(0)
 
     s = net.structure
-    padded = WeightedStructure(
-        s.universe + tuple(relays),
-        s.vocabulary,
-        s.relations,
-        {**s.weights, WT: wt, BIAS: bias},
-    )
-    return FnnStructure(padded)
+    weights = {**s.weights, WT: wt, BIAS: bias}
+    return FnnStructure(WeightedStructure(s.universe + tuple(relays), s.vocabulary, s.relations, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A weighted structure interprets relation symbols as tuple sets over a
 finite universe and weight-function symbols as partial maps from tuples
 to exact rationals; tuples absent from a weight table denote ``bot``.
-Structures are plain immutable values: they hold no lazy state or
-cache, so they are safe to share between threads.
+Tables are checked once, where they are built, and are read-only; with
+no lazy state or cache, structures are safe to share between threads.
 
 The JSON file format is documented on :func:`structure_from_json`.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import LoadError, UsageError
@@ -36,29 +37,28 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 class Vocabulary:
     """Named symbols, each a relation or a weight function with an arity.
 
-    Names are unique across both kinds; arity 0 is allowed (0-ary weight
-    functions act as named constants).
+    Names are unique across both kinds; an arity is an int, not a bool,
+    and may be 0 (0-ary weight functions act as named constants).
     """
 
-    relations: dict[str, int] = field(default_factory=dict)
-    weights: dict[str, int] = field(default_factory=dict)
+    relations: Mapping[str, int] = field(default_factory=dict)
+    weights: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         clash = set(self.relations) & set(self.weights)
         if clash:
             raise UsageError(f"symbol names used as both relation and weight: {sorted(clash)}")
         for name, arity in list(self.relations.items()) + list(self.weights.items()):
-            if not isinstance(arity, int) or arity < 0:
+            if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
                 raise UsageError(f"bad arity for symbol {name!r}: {arity!r}")
+        object.__setattr__(self, "relations", MappingProxyType(dict(self.relations)))
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     def merged(self, other: "Vocabulary") -> "Vocabulary":
         clash = (set(self.relations) | set(self.weights)) & (set(other.relations) | set(other.weights))
         if clash:
             raise UsageError(f"expansion clashes with existing symbols: {sorted(clash)}")
-        return Vocabulary(
-            relations={**self.relations, **other.relations},
-            weights={**self.weights, **other.weights},
-        )
+        return Vocabulary({**self.relations, **other.relations}, {**self.weights, **other.weights})
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,25 @@ class WeightedStructure:
     """A finite universe with relation tables and sparse weight tables.
 
     ``relations`` maps each relation symbol to a frozenset of tuples;
-    ``weights`` maps each weight symbol to a dict from tuples to defined
+    ``weights`` maps each weight symbol to a map from tuples to defined
     values (``bot`` is represented by absence).  The universe is an
-    ordered tuple of distinct names; the order is used only for
-    deterministic iteration and has no semantic weight.
+    ordered tuple of distinct names, in an order used only for
+    iteration.  All maps are read-only views, and a structure is not
+    hashable.  The constructor checks no tables: it is meant for tables
+    taken from a checked structure.
     """
 
     universe: tuple[str, ...]
     vocabulary: Vocabulary
-    relations: dict[str, frozenset]
-    weights: dict[str, dict]
+    relations: Mapping[str, frozenset]
+    weights: Mapping[str, Mapping[tuple, ExtRational]]
+    __hash__ = None
+
+    def __post_init__(self):
+        tables = self.weights.items()
+        views = {name: t if type(t) is MappingProxyType else MappingProxyType(t) for name, t in tables}
+        object.__setattr__(self, "relations", MappingProxyType(dict(self.relations)))
+        object.__setattr__(self, "weights", MappingProxyType(views))
 
     @classmethod
     def build(
@@ -88,13 +97,17 @@ class WeightedStructure:
 
         Weight values may be ints, Fractions, or ExtRationals, not bools;
         ``bot`` entries are dropped (absence means ``bot``).  A repeated
-        universe element is a :class:`UsageError`.
+        element, a bad arity, or a tuple of the wrong length or with an
+        element outside the universe is a :class:`UsageError`.
         """
         universe = tuple(universe)
         if len(set(universe)) != len(universe):
             repeated = next(x for i, x in enumerate(universe) if x in universe[:i])
             raise UsageError(f"universe: duplicate element {repeated!r}")
-        return cls(universe, *_tables(relations, weights))
+        vocab, rels, wts, problems = _tables(universe, relations, weights)
+        if problems:
+            raise UsageError(problems[0])
+        return cls(universe, vocab, rels, wts)
 
     # -- lookups ---------------------------------------------------------
 
@@ -128,16 +141,18 @@ class WeightedStructure:
         """Interpret additional symbols over the same universe.
 
         New names must be disjoint from the current vocabulary; all
-        existing interpretations are preserved unchanged.
+        existing interpretations are preserved; new tables are checked.
         """
-        vocab, rels, wts = _tables(relations, weights)
-        rels, wts = {**self.relations, **rels}, {**self.weights, **wts}
-        return WeightedStructure(self.universe, self.vocabulary.merged(vocab), rels, wts)
+        new = WeightedStructure.build(self.universe, relations, weights)
+        rels, wts = {**self.relations, **new.relations}, {**self.weights, **new.weights}
+        return WeightedStructure(self.universe, self.vocabulary.merged(new.vocabulary), rels, wts)
 
 
-def _tables(relations, weights) -> tuple[Vocabulary, dict, dict]:
-    """The vocabulary and tables of :meth:`WeightedStructure.build`'s arguments."""
+def _tables(universe, relations, weights) -> tuple[Vocabulary, dict, dict, list[str]]:
+    """The vocabulary, tables and table problems of ``build``'s arguments."""
     relations, weights = relations or {}, weights or {}
+    arities = [{name: arity for name, (arity, _) in symbols.items()} for symbols in (relations, weights)]
+    vocab = Vocabulary(*arities)
     rel_tables = {name: frozenset(tuple(t) for t in tuples) for name, (_, tuples) in relations.items()}
     wt_tables: dict[str, dict] = {}
     for name, (_, table) in weights.items():
@@ -148,48 +163,47 @@ def _tables(relations, weights) -> tuple[Vocabulary, dict, dict]:
                 raise UsageError(f"weight values must be rationals, got {type(v).__name__}")
             if not value.is_bot:
                 coerced[tuple(t)] = value
-    arities = [{name: arity for name, (arity, _) in symbols.items()} for symbols in (relations, weights)]
-    return Vocabulary(*arities), rel_tables, wt_tables
+    return vocab, rel_tables, wt_tables, _table_problems(universe, vocab, rel_tables, wt_tables)
+
+
+def _table_problems(universe, vocab: Vocabulary, rels: Mapping, wts: Mapping) -> list[str]:
+    """Per kind: symbols only interpreted or only declared in ``vocab``,
+    tuples of the wrong length or off ``universe``, undefined weights."""
+    members = frozenset(universe)
+    out: list[str] = []
+    for kind, tables, arities in (("relation", rels, vocab.relations), ("weight", wts, vocab.weights)):
+        if set(tables) != set(arities):
+            out.append(f"vocabulary: interpreted {kind}s do not match declared {kind} symbols")
+        for name, arity in arities.items():
+            table = tables.get(name, {})
+            for t in table:
+                if len(t) != arity:
+                    out.append(f"{kind} {name}: arity mismatch in tuple {t!r}")
+                elif not members.issuperset(t):
+                    out.append(f"{kind} {name}: tuple {t!r} has non-universe components")
+            if kind == "weight":
+                bad = [t for t, v in table.items() if not isinstance(v, ExtRational) or v.is_bot]
+                out += [f"weight {name}: stored value for {t!r} must be a defined rational" for t in bad]
+    return out
+
+
+def universe_problems(universe: Sequence[str]) -> list[str]:
+    """The problems of a universe: empty, badly named or repeated elements."""
+    out = [] if universe else ["universe: must be nonempty"]
+    seen = set()
+    for name in universe:
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            out.append(f"universe: element name {name!r} must match [A-Za-z0-9_]+")
+        if name in seen:
+            out.append(f"universe: duplicate element {name!r}")
+        seen.add(name)
+    return out
 
 
 def validate_structure(s: WeightedStructure) -> list[str]:
-    """Check all structure invariants; returns a list of violation messages.
-
-    An empty list means the structure is well-formed.
-    """
-    violations: list[str] = []
-    if not s.universe:
-        violations.append("universe: must be nonempty")
-    seen = set()
-    for name in s.universe:
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            violations.append(f"universe: element name {name!r} must match [A-Za-z0-9_]+")
-        if name in seen:
-            violations.append(f"universe: duplicate element {name!r}")
-        seen.add(name)
-
-    if set(s.relations) != set(s.vocabulary.relations):
-        violations.append("vocabulary: interpreted relations do not match declared relation symbols")
-    if set(s.weights) != set(s.vocabulary.weights):
-        violations.append("vocabulary: interpreted weights do not match declared weight symbols")
-
-    for name, tuples in s.relations.items():
-        arity = s.vocabulary.relations.get(name)
-        for t in tuples:
-            if arity is not None and len(t) != arity:
-                violations.append(f"relation {name}: arity mismatch in tuple {t!r}")
-            elif any(comp not in seen for comp in t):
-                violations.append(f"relation {name}: tuple {t!r} has non-universe components")
-    for name, table in s.weights.items():
-        arity = s.vocabulary.weights.get(name)
-        for t, v in table.items():
-            if arity is not None and len(t) != arity:
-                violations.append(f"weight {name}: arity mismatch in tuple {t!r}")
-            elif any(comp not in seen for comp in t):
-                violations.append(f"weight {name}: tuple {t!r} has non-universe components")
-            if not isinstance(v, ExtRational) or v.is_bot:
-                violations.append(f"weight {name}: stored value for {t!r} must be a defined rational")
-    return violations
+    """The violations of the structure invariants; empty if ``s`` is well-formed."""
+    tables = _table_problems(s.universe, s.vocabulary, s.relations, s.weights)
+    return universe_problems(s.universe) + tables
 
 
 # -- JSON file format ------------------------------------------------------
@@ -312,15 +326,14 @@ def structure_from_json(doc: dict) -> WeightedStructure:
             table[t] = value
         weights[name] = (arity, table)
 
+    problems = universe_problems(universe)
     try:
-        # validate_structure below reports a repeated element with the rest
-        s = WeightedStructure(tuple(universe), *_tables(relations, weights))
+        vocab, rels, wts, table_problems = _tables(universe, relations, weights)
     except UsageError as exc:
         raise LoadError(str(exc)) from exc
-    problems = validate_structure(s)
-    if problems:
-        raise LoadError("invalid structure: " + "; ".join(problems))
-    return s
+    if problems + table_problems:
+        raise LoadError("invalid structure: " + "; ".join(problems + table_problems))
+    return WeightedStructure(tuple(universe), vocab, rels, wts)
 
 
 def read_json(path: str):

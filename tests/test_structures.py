@@ -2,6 +2,8 @@
 
 import json
 import sys
+from operator import delitem, setitem
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +322,129 @@ class TestMalformedJson:
         ):
             with pytest.raises(LoadError):
                 structure_from_json(doc)
+
+
+class TestBuildChecksTables:
+    """build and expand check every table they add, as the loader does."""
+
+    @pytest.mark.parametrize(
+        "relations, weights, message",
+        [
+            ({"e": (1, [("zz",)])}, None, r"relation e: tuple \('zz',\) has non-universe components"),
+            ({"e": (2, [("a",)])}, None, r"relation e: arity mismatch in tuple \('a',\)"),
+            (None, {"f": (1, {("zz",): 1})}, r"weight f: tuple \('zz',\) has non-universe components"),
+            (None, {"f": (1, {("a", "a"): 1})}, r"weight f: arity mismatch in tuple \('a', 'a'\)"),
+        ],
+        ids=["relation_outside", "relation_length", "weight_outside", "weight_length"],
+    )
+    def test_rejects_a_bad_tuple(self, relations, weights, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            WeightedStructure.build(["a"], relations, weights)
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            WeightedStructure.build(["a"]).expand(relations, weights)
+
+    def test_a_rejected_tuple_is_one_the_loader_rejects(self):
+        # before, build accepted it and structure_to_json wrote a file
+        # that the loader refused
+        doc = {"universe": ["a"], "relations": {"e": {"arity": 1, "tuples": [["zz"]]}}}
+        with pytest.raises(LoadError, match=r"^invalid structure: relation e: tuple \('zz',\) has non-universe"):
+            structure_from_json(doc)
+        with pytest.raises(UsageError, match=r"^relation e: tuple \('zz',\) has non-universe components$"):
+            WeightedStructure.build(["a"], relations={"e": (1, [("zz",)])})
+
+    @pytest.mark.parametrize("arity", [True, False])
+    def test_rejects_a_bool_arity(self, arity):
+        # before, build accepted True and structure_to_json wrote "arity": true
+        with pytest.raises(UsageError, match=f"^bad arity for symbol 'e': {arity}$"):
+            WeightedStructure.build(["a"], relations={"e": (arity, [("a",)])})
+        with pytest.raises(UsageError, match=f"^bad arity for symbol 'e': {arity}$"):
+            Vocabulary(weights={"e": arity})
+
+    def test_an_int_arity_round_trips(self, tmp_path):
+        s = WeightedStructure.build(["a"], relations={"e": (1, [("a",)])}, weights={"c": (0, {(): 2})})
+        doc = structure_to_json(s)
+        assert doc["relations"]["e"]["arity"] == 1 and type(doc["relations"]["e"]["arity"]) is int
+        path = tmp_path / "s.json"
+        save_structure(s, str(path))
+        assert '"arity": 1' in path.read_text()
+        assert load_structure(str(path)) == s
+
+
+def _made_by(how: str):
+    """A structure made the way ``how`` names, with a weight table ``wt``."""
+    from wsq.fnn import fnn_from_json, pad, with_input, without_edge
+
+    doc = {
+        "nodes": [{"name": "u"}, {"name": "v", "bias": "1"}],
+        "edges": [{"from": "u", "to": "v", "weight": "3"}],
+        "input_order": ["u"],
+        "output_order": ["v"],
+    }
+    graph = WeightedStructure.build(["a", "b"], weights={"wt": (2, {("a", "b"): 3})})
+    return {
+        "build": lambda: graph,
+        "expand": lambda: graph.expand(relations={"mark": (1, [("a",)])}),
+        "structure_from_json": lambda: structure_from_json(structure_to_json(graph)),
+        "fnn_from_json": lambda: fnn_from_json(doc).structure,
+        "with_input": lambda: with_input(fnn_from_json(doc), [1]),
+        "pad": lambda: pad(fnn_from_json(doc), ("u", "v"), 2).structure,
+        "without_edge": lambda: without_edge(fnn_from_json(doc).structure, ("u", "v")),
+    }[how]()
+
+
+MAKERS = ["build", "expand", "structure_from_json", "fnn_from_json", "with_input", "pad", "without_edge"]
+
+
+class TestReadOnly:
+    """Every structure wsq hands out has read-only tables."""
+
+    @pytest.mark.parametrize("how", MAKERS)
+    def test_tables_refuse_writes(self, how):
+        s = _made_by(how)
+        writes = [
+            lambda: setitem(s.weights, "g", {}),
+            lambda: delitem(s.weights, "wt"),
+            lambda: setitem(s.weights["wt"], ("a",), "junk"),
+            lambda: delitem(s.weights["wt"], ("u", "v")),
+            lambda: setitem(s.relations, "r", frozenset()),
+            lambda: setitem(s.vocabulary.weights, "wt", 3),
+            lambda: setitem(s.vocabulary.relations, "r", 1),
+        ]
+        before = structure_to_json(s)
+        for write in writes:
+            with pytest.raises(TypeError):
+                write()
+        assert structure_to_json(s) == before
+
+    @pytest.mark.parametrize("how", MAKERS)
+    def test_structures_are_not_hashable(self, how):
+        with pytest.raises(TypeError, match="^unhashable type: 'WeightedStructure'$"):
+            hash(_made_by(how))
+
+    def test_network_edges_are_the_read_only_table(self):
+        from wsq.fnn import load_fnn
+
+        net = load_fnn(str(Path(__file__).parent / "data" / "two_node.fnn.json"))
+        assert net.edges is net.structure.weights["wt"]
+        with pytest.raises(TypeError):
+            net.edges[("u", "v")] = rational(5)
+
+    def test_a_junk_weight_cannot_be_written(self):
+        # before, the write went through and f(x) + 1 ended in AttributeError
+        from wsq.evaluator import evaluate
+        from wsq.syntax import parse
+
+        s = WeightedStructure.build(["a"], weights={"f": (1, {("a",): 2})})
+        with pytest.raises(TypeError):
+            s.weights["f"][("a",)] = "junk"
+        assert evaluate(parse("f(x) + 1"), s, {"x": "a"}) == rational(3)
+
+    def test_a_vocabulary_write_cannot_change_an_answer(self):
+        # before, declaring wt as a 3-ary symbol made the query answer bot
+        from wsq.evaluator import evaluate
+        from wsq.syntax import parse
+
+        graph = WeightedStructure.build(["a", "b"], weights={"wt": (2, {("a", "b"): 3})})
+        with pytest.raises(TypeError):
+            graph.vocabulary.weights["wt"] = 3
+        assert evaluate(parse("sum {x, y : wt(x, y) != bot} wt(x, y)"), graph) == rational(3)
