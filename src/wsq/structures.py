@@ -37,8 +37,8 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 class Vocabulary:
     """Named symbols, each a relation or a weight function with an arity.
 
-    Names are unique across both kinds; an arity is an int, not a bool,
-    and may be 0 (0-ary weight functions act as named constants).
+    Names are unique across both kinds, both maps are read-only, and an
+    arity is an int (not a bool) of 0 or more; 0-ary weights are constants.
     """
 
     relations: Mapping[str, int] = field(default_factory=dict)
@@ -81,8 +81,7 @@ class WeightedStructure:
     __hash__ = None
 
     def __post_init__(self):
-        tables = self.weights.items()
-        views = {name: t if type(t) is MappingProxyType else MappingProxyType(t) for name, t in tables}
+        views = {k: MappingProxyType(t) if isinstance(t, dict) else t for k, t in self.weights.items()}
         object.__setattr__(self, "relations", MappingProxyType(dict(self.relations)))
         object.__setattr__(self, "weights", MappingProxyType(views))
 
@@ -143,9 +142,11 @@ class WeightedStructure:
         New names must be disjoint from the current vocabulary; all
         existing interpretations are preserved; new tables are checked.
         """
-        new = WeightedStructure.build(self.universe, relations, weights)
-        rels, wts = {**self.relations, **new.relations}, {**self.weights, **new.weights}
-        return WeightedStructure(self.universe, self.vocabulary.merged(new.vocabulary), rels, wts)
+        vocab, rels, wts, problems = _tables(self.universe, relations, weights)
+        if problems:
+            raise UsageError(problems[0])
+        rels, wts = {**self.relations, **rels}, {**self.weights, **wts}
+        return WeightedStructure(self.universe, self.vocabulary.merged(vocab), rels, wts)
 
 
 def _tables(universe, relations, weights) -> tuple[Vocabulary, dict, dict, list[str]]:
@@ -202,8 +203,7 @@ def universe_problems(universe: Sequence[str]) -> list[str]:
 
 def validate_structure(s: WeightedStructure) -> list[str]:
     """The violations of the structure invariants; empty if ``s`` is well-formed."""
-    tables = _table_problems(s.universe, s.vocabulary, s.relations, s.weights)
-    return universe_problems(s.universe) + tables
+    return universe_problems(s.universe) + _table_problems(s.universe, s.vocabulary, s.relations, s.weights)
 
 
 # -- JSON file format ------------------------------------------------------
