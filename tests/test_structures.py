@@ -353,20 +353,17 @@ class TestBuildChecksTables:
             WeightedStructure.build(["a"], relations={"e": (1, [("zz",)])})
 
     @pytest.mark.parametrize("arity", [True, False])
-    def test_rejects_a_bool_arity(self, arity):
-        # before, build accepted True and structure_to_json wrote "arity": true
+    def test_rejects_a_bool_arity(self, tmp_path, arity):
+        # before, build accepted True and save_structure wrote "arity": true,
+        # which the loader rejects; the int arity saves and loads back
         with pytest.raises(UsageError, match=f"^bad arity for symbol 'e': {arity}$"):
-            WeightedStructure.build(["a"], relations={"e": (arity, [("a",)])})
+            WeightedStructure.build(["a"], relations={"e": (arity, [("a",) * arity])})
         with pytest.raises(UsageError, match=f"^bad arity for symbol 'e': {arity}$"):
             Vocabulary(weights={"e": arity})
-
-    def test_an_int_arity_round_trips(self, tmp_path):
-        s = WeightedStructure.build(["a"], relations={"e": (1, [("a",)])}, weights={"c": (0, {(): 2})})
-        doc = structure_to_json(s)
-        assert doc["relations"]["e"]["arity"] == 1 and type(doc["relations"]["e"]["arity"]) is int
+        s = WeightedStructure.build(["a"], relations={"e": (int(arity), [("a",) * arity])})
         path = tmp_path / "s.json"
         save_structure(s, str(path))
-        assert '"arity": 1' in path.read_text()
+        assert f'"arity": {int(arity)}' in path.read_text()
         assert load_structure(str(path)) == s
 
 
