@@ -168,8 +168,8 @@ def _tables(universe, relations, weights) -> tuple[Vocabulary, dict, dict, list[
 
 
 def _table_problems(universe, vocab: Vocabulary, rels: Mapping, wts: Mapping) -> list[str]:
-    """Per kind: symbols only interpreted or only declared in ``vocab``,
-    tuples of the wrong length or off ``universe``, undefined weights."""
+    """The problems of the tables, per kind: symbols not both declared and
+    interpreted, tuples of the wrong length or off ``universe``, undefined weights."""
     members = frozenset(universe)
     out: list[str] = []
     for kind, tables, arities in (("relation", rels, vocab.relations), ("weight", wts, vocab.weights)):
