@@ -177,11 +177,15 @@ def _table_problems(universe, vocab: Vocabulary, rels: Mapping, wts: Mapping) ->
             out.append(f"vocabulary: interpreted {kind}s do not match declared {kind} symbols")
         for name, arity in arities.items():
             table = tables.get(name, {})
-            for t in table:
-                if len(t) != arity:
-                    out.append(f"{kind} {name}: arity mismatch in tuple {t!r}")
-                elif not members.issuperset(t):
-                    out.append(f"{kind} {name}: tuple {t!r} has non-universe components")
+            off = [t for t in table if len(t) != arity or not members.issuperset(t)]
+            if off and kind == "relation":
+                off.sort(key=repr)  # a frozenset iterates in hash order, which changes between processes
+            out += [
+                f"{kind} {name}: arity mismatch in tuple {t!r}"
+                if len(t) != arity
+                else f"{kind} {name}: tuple {t!r} has non-universe components"
+                for t in off
+            ]
             if kind == "weight":
                 bad = [t for t, v in table.items() if not isinstance(v, ExtRational) or v.is_bot]
                 out += [f"weight {name}: stored value for {t!r} must be a defined rational" for t in bad]

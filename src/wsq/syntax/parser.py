@@ -1,10 +1,17 @@
 """Concrete syntax for queries: a one-pattern scanner and a precedence-climbing parser.
 
-The scanner is one ``finditer`` over one compiled pattern, which also
-matches blanks, newlines and any character outside the syntax.  Binary
-operators are parsed by precedence climbing (Pratt, *Top down operator
-precedence*, POPL 1973) over the ``PRECEDENCE`` table, which the printer
-reads too, so the two cannot disagree on how tightly an operator binds.
+The scanner splits the text once on one compiled token pattern.  The
+pieces alternate between gaps, which must hold only blanks and newlines,
+and tokens, so a run of blanks costs no match of its own.  The scan gives
+three parallel lists, each token's type, text and character offset, and
+makes no object and no position per token.  Positions are lazy: one parse
+finds the offsets of the newlines once (none for one-line text), and an
+offset becomes a 1-based ``(line, column)`` by bisection only where a
+node is first built or a :class:`ParseError` is raised.  :func:`tokenize`
+builds its ``Token`` list from the same scan.  Binary operators are
+parsed by precedence climbing (Pratt, *Top down operator precedence*,
+POPL 1973) over the ``PRECEDENCE`` table, which the printer reads too,
+so the two cannot disagree on how tightly an operator binds.
 
 The grammar (binding weakest to tightest)::
 
@@ -34,7 +41,7 @@ sum plus one); ``else`` extends over a full term.  Numbers are exact
 rational literals: ``7``, ``0.25``, ``3/4`` (a zero denominator such as
 ``1/0`` is division, which evaluates to ``bot``).  A literal longer
 than Python's integer conversion accepts is a ``ParseError`` at its
-position.
+first occurrence.
 
 One call of :func:`parse` returns one node object per structurally
 equal subterm: the parser hash-conses every node it builds, so printed
@@ -48,8 +55,10 @@ hand, not the shared node's span.  Nothing is shared between calls.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from ..errors import ParseError
@@ -106,17 +115,17 @@ COMPARISON = PRECEDENCE["<="]
 UNARY = 8
 PRIMARY = 9
 
+# Two-character operators come first, so that ``<=`` is not read as ``<``.
+_OPERATORS = "<= <- != >= < > = + - * / ( ) { } : ,".split()
+# The one token pattern; ``split`` on its group alternates gaps and tokens.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<number>[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op><=|<-|!=|>=|[<>=+\-*/(){}:,])
-    | (?P<blank>[ \t\r]+)
-    | (?P<newline>\n)
-    | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r"([0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?|[A-Za-z_][A-Za-z0-9_]*|"
+    + "|".join(map(re.escape, _OPERATORS))
+    + ")"
 )
+_BLANKS = " \t\r\n"
+# The type of every token text but numbers and identifiers is the text itself.
+_FIXED_TYPES = {text: text for text in (*KEYWORDS, *_OPERATORS)}
 
 
 class Token(NamedTuple):
@@ -126,30 +135,42 @@ class Token(NamedTuple):
     column: int
 
 
+def _scan(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The types, texts and offsets of the tokens of ``text``, ending in
+    ``eof``, and the offsets of its newlines; raises at the first character
+    outside the syntax."""
+    pieces = _TOKEN_RE.split(text)
+    starts = list(accumulate(map(len, pieces), initial=0))
+    newlines: list[int] = []
+    at = text.find("\n")
+    while at >= 0:
+        newlines.append(at)
+        at = text.find("\n", at + 1)
+    if "".join(pieces[0::2]).strip(_BLANKS):
+        for gap, start in zip(pieces[0::2], starts[0::2]):
+            rest = gap.lstrip(_BLANKS)
+            if rest:
+                at = start + len(gap) - len(rest)
+                raise ParseError(f"unexpected character {rest[0]!r}", *_position(newlines, at))
+    texts = pieces[1::2]
+    types = {t: _FIXED_TYPES.get(t) or ("number" if t[0].isdigit() else "ident") for t in set(texts)}
+    kinds = list(map(types.__getitem__, texts))
+    offsets = starts[1::2]
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(len(text))
+    return kinds, texts, offsets, newlines
+
+
+def _position(newlines: list[int], at: int) -> Span:
+    """The 1-based ``(line, column)`` of offset ``at``."""
+    line = bisect_right(newlines, at)
+    return line + 1, at - (newlines[line - 1] if line else -1)
+
+
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line = 1
-    line_start = 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "blank":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        raw = m.group()
-        col = m.start() - line_start + 1
-        if kind == "ident":
-            tokens.append(Token(raw if raw in KEYWORDS else "ident", raw, line, col))
-        elif kind == "op":
-            tokens.append(Token(raw, raw, line, col))
-        elif kind == "number":
-            tokens.append(Token("number", raw, line, col))
-        else:
-            raise ParseError(f"unexpected character {raw!r}", line, col)
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    kinds, texts, offsets, newlines = _scan(text)
+    return [Token(k, t, *_position(newlines, at)) for k, t, at in zip(kinds, texts, offsets)]
 
 
 @dataclass(frozen=True)
@@ -163,18 +184,24 @@ _CONNECTIVES = {"implies": Implies, "or": Or, "and": And}
 
 
 class _Parser:
-    """One parse.  Every operator and primary returns its node with the
-    span of this occurrence, which a kind error names even when the node
-    is shared with an earlier occurrence."""
+    """One parse over the scanned token lists.  Every operator and primary
+    returns its node with the offset of this occurrence, which a kind error
+    names even when the node is shared with an earlier occurrence."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.kinds, self.texts, self.offsets, self.newlines = _scan(text)
         self.i = 0
         # the parse's node objects, keyed by type and fields, children by id
         self.nodes: dict[tuple, Node] = {}
+        # the node key of each literal text seen, so each is converted once
+        self.literals: dict[str, tuple] = {}
 
-    def node(self, key: tuple, span: Span, *fields) -> Node:
-        """The one node ``key[0](*fields)`` of this parse, built with ``span`` if new.
+    def problem(self, message: str, at: int) -> ParseError:
+        return ParseError(message, *_position(self.newlines, at))
+
+    def node(self, key: tuple, at: int, *fields) -> Node:
+        """The one node ``key[0](*fields)`` of this parse, built with the
+        span of offset ``at`` if new.
 
         ``key`` is the type and then the fields, each child node by its
         ``id``: a child is one of this parse's nodes already, so equal
@@ -182,49 +209,43 @@ class _Parser:
         """
         node = self.nodes.get(key)
         if node is None:
-            node = self.nodes[key] = key[0](*fields, span=span)
+            node = self.nodes[key] = key[0](*fields, span=_position(self.newlines, at))
         return node
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, ttype: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.type != ttype:
-            found = "end of input" if tok.type == "eof" else repr(tok.text)
-            raise ParseError(f"expected {what}, found {found}", tok.line, tok.column)
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        """The text of the next token, which must be of type ``kind``."""
+        i = self.i
+        if self.kinds[i] != kind:
+            found = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
+            raise self.problem(f"expected {what}, found {found}", self.offsets[i])
+        self.i = i + 1
+        return self.texts[i]
 
     def error(self, message: str):
-        tok = self.peek()
-        if tok.type == "eof":
-            raise ParseError(f"{message} at end of input", tok.line, tok.column)
-        raise ParseError(f"{message}, found {tok.text!r}", tok.line, tok.column)
+        i = self.i
+        if self.kinds[i] == "eof":
+            raise self.problem(f"{message} at end of input", self.offsets[i])
+        raise self.problem(f"{message}, found {self.texts[i]!r}", self.offsets[i])
 
     # -- kinds -----------------------------------------------------------------
 
-    def as_formula(self, node, span: Span) -> Formula:
+    def as_formula(self, node, at: int) -> Formula:
         if isinstance(node, Formula):
             return node
         if isinstance(node, Atom):
-            return self.node((RelAtom, node.name, node.args), span, node.name, node.args)
+            return self.node((RelAtom, node.name, node.args), at, node.name, node.args)
         if isinstance(node, _Var):
-            raise ParseError(f"variable {node.name!r} used where a formula is required", *span)
-        raise ParseError("term used where a formula is required", *span)
+            raise self.problem(f"variable {node.name!r} used where a formula is required", at)
+        raise self.problem("term used where a formula is required", at)
 
-    def as_term(self, node, span: Span) -> Term:
+    def as_term(self, node, at: int) -> Term:
         if isinstance(node, Term):
             return node
         if isinstance(node, Atom):
-            return self.node((WeightAtom, node.name, node.args), span, node.name, node.args)
+            return self.node((WeightAtom, node.name, node.args), at, node.name, node.args)
         if isinstance(node, _Var):
-            raise ParseError(f"variable {node.name!r} used where a term is required", *span)
-        raise ParseError("formula used where a term is required", *span)
+            raise self.problem(f"variable {node.name!r} used where a term is required", at)
+        raise self.problem("formula used where a term is required", at)
 
     def formula(self, floor: int = 0) -> Formula:
         return self.as_formula(*self.parse_expr(floor))
@@ -234,33 +255,32 @@ class _Parser:
 
     # -- operators ---------------------------------------------------------
 
-    def binary(self, tok: Token, left: tuple, right: tuple) -> Expr:
-        """The node for ``left tok right``; each operand, a (node, span)
-        pair, is forced to the kind the operator takes."""
-        op, span = tok.type, (tok.line, tok.column)
+    def binary(self, op: str, at: int, left: tuple, right: tuple) -> Expr:
+        """The node for ``left op right``, with ``op`` at offset ``at``; each
+        operand, a (node, offset) pair, is forced to the kind ``op`` takes."""
         if op in _CONNECTIVES:
             cls = _CONNECTIVES[op]
             lf, rf = self.as_formula(*left), self.as_formula(*right)
-            return self.node((cls, id(lf), id(rf)), span, lf, rf)
+            return self.node((cls, id(lf), id(rf)), at, lf, rf)
         if PRECEDENCE[op] != COMPARISON:
             lt, rt = self.as_term(*left), self.as_term(*right)
-            return self.node((Arith, op, id(lt), id(rt)), span, op, lt, rt)
+            return self.node((Arith, op, id(lt), id(rt)), at, op, lt, rt)
         if op in ("=", "!="):
             lv, rv = isinstance(left[0], _Var), isinstance(right[0], _Var)
             if lv and rv:
                 names = left[0].name, right[0].name
-                eq = self.node((ElemEq, *names), span, *names)
-                return eq if op == "=" else self.node((Not, id(eq)), span, eq)
+                eq = self.node((ElemEq, *names), at, *names)
+                return eq if op == "=" else self.node((Not, id(eq)), at, eq)
             if lv or rv:
-                raise ParseError("cannot compare an element variable with a term", *span)
+                raise self.problem("cannot compare an element variable with a term", at)
         lt, rt = self.as_term(*left), self.as_term(*right)
         if op == "<=":
-            return self.node((Leq, id(lt), id(rt)), span, lt, rt)
-        return self.node((Compare, op, id(lt), id(rt)), span, op, lt, rt)
+            return self.node((Leq, id(lt), id(rt)), at, lt, rt)
+        return self.node((Compare, op, id(lt), id(rt)), at, op, lt, rt)
 
     def parse_expr(self, floor: int = 0) -> tuple:
         """Parse an expression whose operators bind at least as tightly as
-        ``floor``; returns its node and the span of its head token.
+        ``floor``; returns its node and the offset of its head token.
 
         ``ceiling`` is the tightest operator that may still continue it: after
         a binary operator none tighter, after a comparison (which does not
@@ -268,53 +288,56 @@ class _Parser:
         at its own ceiling, as ``b < c`` does in ``a and b < c < d``, and
         what it leaves must not attach to the whole expression.
         """
-        tok = self.peek()
-        span = (tok.line, tok.column)
+        kinds, offsets = self.kinds, self.offsets
+        i = self.i
+        kind, at = kinds[i], offsets[i]
         ceiling = PRIMARY
-        if tok.type == "-":
-            self.advance()
-            zero = self.node((Zero,), span)
+        if kind == "-":
+            self.i = i + 1
+            zero = self.node((Zero,), at)
             operand = self.term(UNARY)
-            left = self.node((Arith, "-", id(zero), id(operand)), span, "-", zero, operand)
-        elif tok.type in ("not", "exists", "forall") and floor <= PREFIX:
-            self.advance()
-            if tok.type == "not":
+            left = self.node((Arith, "-", id(zero), id(operand)), at, "-", zero, operand)
+        elif kind in ("not", "exists", "forall") and floor <= PREFIX:
+            self.i = i + 1
+            if kind == "not":
                 body = self.formula(PREFIX)
-                left = self.node((Not, id(body)), span, body)
+                left = self.node((Not, id(body)), at, body)
             else:
                 var = self.expect("ident", "a variable name")
                 body = self.formula(PREFIX)
-                cls = Exists if tok.type == "exists" else Forall
-                left = self.node((cls, var.text, id(body)), span, var.text, body)
+                cls = Exists if kind == "exists" else Forall
+                left = self.node((cls, var, id(body)), at, var, body)
             ceiling = PREFIX - 1
         else:
-            left, span = self.parse_primary()
+            left, at = self.parse_primary()
         while True:
-            tok = self.peek()
-            prec = PRECEDENCE.get(tok.type)
+            i = self.i
+            kind = kinds[i]
+            prec = PRECEDENCE.get(kind)
             if prec is None or not floor <= prec <= ceiling:
-                return left, span
-            self.advance()
-            right = self.parse_expr(prec if tok.type == "implies" else prec + 1)
-            left, span = self.binary(tok, (left, span), right), (tok.line, tok.column)
+                return left, at
+            self.i = i + 1
+            right = self.parse_expr(prec if kind == "implies" else prec + 1)
+            left, at = self.binary(kind, offsets[i], (left, at), right), offsets[i]
             ceiling = prec - 1 if prec == COMPARISON else prec
 
     # -- primaries -----------------------------------------------------------
 
     def parse_varlist(self, *, allow_empty: bool, allow_duplicates: bool = False) -> tuple[str, ...]:
-        names: list[str] = []
-        if self.peek().type != "ident":
+        kinds = self.kinds
+        if kinds[self.i] != "ident":
             if allow_empty:
                 return ()
             self.error("expected a variable name")
+        names: list[str] = []
         while True:
-            tok = self.expect("ident", "a variable name")
-            if not allow_duplicates and tok.text in names:
-                raise ParseError(f"duplicate variable {tok.text!r} in binder", tok.line, tok.column)
-            names.append(tok.text)
-            if self.peek().type != ",":
+            name = self.expect("ident", "a variable name")
+            if not allow_duplicates and name in names:
+                raise self.problem(f"duplicate variable {name!r} in binder", self.offsets[self.i - 1])
+            names.append(name)
+            if kinds[self.i] != ",":
                 return tuple(names)
-            self.advance()
+            self.i += 1
 
     def parse_binder_braces(self) -> tuple[tuple[str, ...], Formula]:
         self.expect("{", "'{'")
@@ -325,60 +348,57 @@ class _Parser:
         return names, guard
 
     def parse_primary(self) -> tuple:
-        tok = self.peek()
-        span = (tok.line, tok.column)
+        kinds, texts = self.kinds, self.texts
+        i = self.i
+        kind, at = kinds[i], self.offsets[i]
+        self.i = i + 1
 
-        if tok.type == "number":
-            self.advance()
-            try:
-                value = Fraction(tok.text)
-            except ValueError:
-                # Python refuses to convert integers of more than a set number of digits
-                raise ParseError(f"number literal too long ({len(tok.text)} characters)", *span) from None
-            if value == 0:
-                return self.node((Zero,), span), span
-            if value == 1:
-                return self.node((One,), span), span
-            return self.node((Literal, value), span, value), span
+        if kind == "ident":
+            name = texts[i]
+            if kinds[i + 1] != "(":
+                return _Var(name), at
+            self.i = i + 2
+            args = self.parse_varlist(allow_empty=True, allow_duplicates=True)
+            self.expect(")", "')'")
+            return self.node((Atom, name, args), at, name, args), at
 
-        if tok.type == "bot":
-            self.advance()
-            return self.node((BotConst,), span), span
+        if kind == "number":
+            text = texts[i]
+            key = self.literals.get(text)
+            if key is None:
+                try:
+                    value = Fraction(text)
+                except ValueError:
+                    # Python refuses to convert integers of more than a set number of digits
+                    raise self.problem(f"number literal too long ({len(text)} characters)", at) from None
+                key = (Zero,) if value == 0 else (One,) if value == 1 else (Literal, value)
+                self.literals[text] = key
+            return self.node(key, at, *key[1:]), at
 
-        if tok.type == "ident":
-            self.advance()
-            if self.peek().type == "(":
-                self.advance()
-                args = self.parse_varlist(allow_empty=True, allow_duplicates=True)
-                self.expect(")", "')'")
-                return self.node((Atom, tok.text, args), span, tok.text, args), span
-            return _Var(tok.text), span
+        if kind == "bot":
+            return self.node((BotConst,), at), at
 
-        if tok.type == "sum":
-            self.advance()
+        if kind == "sum":
             names, guard = self.parse_binder_braces()
             body = self.term(UNARY)
-            return self.node((Sum, names, id(guard), id(body)), span, names, guard, body), span
+            return self.node((Sum, names, id(guard), id(body)), at, names, guard, body), at
 
-        if tok.type in ("count", "avg", "min", "max"):
-            self.advance()
+        if kind in ("count", "avg", "min", "max"):
             names, guard = self.parse_binder_braces()
-            body = None if tok.type == "count" else self.term(UNARY)
-            key = (Aggregate, tok.type, names, id(guard), id(body))
-            return self.node(key, span, tok.type, names, guard, body), span
+            body = None if kind == "count" else self.term(UNARY)
+            key = (Aggregate, kind, names, id(guard), id(body))
+            return self.node(key, at, kind, names, guard, body), at
 
-        if tok.type == "if":
-            self.advance()
+        if kind == "if":
             test = self.formula()
             self.expect("then", "'then'")
             then = self.term(PRECEDENCE["+"])
             self.expect("else", "'else'")
             otherwise = self.term(PRECEDENCE["+"])
             key = (Cond, id(test), id(then), id(otherwise))
-            return self.node(key, span, test, then, otherwise), span
+            return self.node(key, at, test, then, otherwise), at
 
-        if tok.type == "ifp":
-            self.advance()
+        if kind == "ifp":
             self.expect("(", "'('")
             name = self.expect("ident", "a weight symbol name")
             self.expect("(", "'('")
@@ -391,19 +411,16 @@ class _Parser:
             applied = self.parse_varlist(allow_empty=True, allow_duplicates=True)
             self.expect(")", "')'")
             if len(applied) != len(bound):
-                raise ParseError(
-                    f"fixed point binds {len(bound)} variables but is applied to {len(applied)}",
-                    *span,
-                )
-            key = (Ifp, name.text, bound, id(body), applied)
-            return self.node(key, span, name.text, bound, body, applied), span
+                raise self.problem(f"fixed point binds {len(bound)} variables but is applied to {len(applied)}", at)
+            key = (Ifp, name, bound, id(body), applied)
+            return self.node(key, at, name, bound, body, applied), at
 
-        if tok.type == "(":
-            self.advance()
+        if kind == "(":
             inner = self.parse_expr()
             self.expect(")", "')'")
             return inner
 
+        self.i = i
         self.error("expected an expression")
 
 
@@ -413,11 +430,11 @@ def parse(text: str) -> Expr:
     The result is a formula, a term, or (only when the root is a bare
     ``ident(...)`` atom) a generic atom resolved at evaluation time.
     """
-    parser = _Parser(tokenize(text))
-    node, span = parser.parse_expr()
-    tok = parser.peek()
-    if tok.type != "eof":
-        raise ParseError(f"unexpected {tok.text!r} after the expression", tok.line, tok.column)
+    parser = _Parser(text)
+    node, at = parser.parse_expr()
+    i = parser.i
+    if parser.kinds[i] != "eof":
+        raise parser.problem(f"unexpected {parser.texts[i]!r} after the expression", parser.offsets[i])
     if isinstance(node, _Var):
-        raise ParseError(f"a bare variable ({node.name!r}) is not a query", *span)
+        raise parser.problem(f"a bare variable ({node.name!r}) is not a query", at)
     return node

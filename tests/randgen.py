@@ -329,7 +329,7 @@ def random_fnn(rng: random.Random, max_depth: int = 4, max_width: int = 4, mag: 
                 for u in earlier:
                     if rng.random() < 0.3:
                         sources.append(u)
-                for u in set(sources):
+                for u in dict.fromkeys(sources):
                     edges[(u, v)] = rand_fraction(rng, mag)
         earlier.extend(layer)
     biases = {v: rand_fraction(rng, mag) for layer in layers[1:] for v in layer}
@@ -352,7 +352,7 @@ def random_n11(rng: random.Random, max_depth: int = 6, max_width: int = 3, mag: 
             for u in pool:
                 if rng.random() < 0.3:
                     sources.append(u)
-            for u in set(sources):
+            for u in dict.fromkeys(sources):
                 edges[(u, v)] = rand_fraction(rng, mag)
     # everything except the sink needs a way forward
     for i in range(len(layers) - 1):
