@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -590,3 +592,23 @@ class TestMalformedJson:
         for change in ({"nodes": 3}, {"edges": {"u": "v"}}, {"output_order": "v"}):
             with pytest.raises(LoadError):
                 fnn_from_json({**self.BASE, **change})
+
+
+def test_random_networks_do_not_depend_on_the_hash_seed():
+    # one Random seed gives one network in every process, so a failing randomized test reproduces
+    code = (
+        "import json, random\n"
+        "from randgen import random_fnn, random_n11\n"
+        "from wsq.fnn import fnn_to_json\n"
+        "nets = [random_fnn(random.Random(5), max_depth=3), random_n11(random.Random(5))]\n"
+        "print(json.dumps([fnn_to_json(net) for net in nets]))\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, cwd=Path(__file__).parent,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(4)
+    }
+    assert len(outputs) == 1 and outputs.pop().startswith("[{")

@@ -1,6 +1,8 @@
 """Weighted structures: validation, lookups, expansion, file round-trips."""
 
 import json
+import os
+import subprocess
 import sys
 from operator import delitem, setitem
 from pathlib import Path
@@ -365,6 +367,35 @@ class TestBuildChecksTables:
         save_structure(s, str(path))
         assert f'"arity": {int(arity)}' in path.read_text()
         assert load_structure(str(path)) == s
+
+    def test_problems_come_in_one_order_under_every_hash_seed(self):
+        # a relation table is a frozenset, whose order follows the hash seed
+        code = (
+            "from wsq.errors import WsqError\n"
+            "from wsq.structures import WeightedStructure, structure_from_json\n"
+            "doc = {'universe': ['a', 'b'], 'relations': {'e': {'arity': 2, 'tuples': [['b', 'y'], ['a', 'z'], ['z', 'a']]}}}\n"
+            "for make in (\n"
+            "    lambda: WeightedStructure.build(['a', 'b'], relations={'e': (2, [('a', 'zz'), ('a',), ('b', 'yy')])}),\n"
+            "    lambda: structure_from_json(doc),\n"
+            "):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except WsqError as error:\n"
+            "        print(error)\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            ).stdout
+            for seed in range(4)
+        }
+        assert outputs == {
+            "relation e: tuple ('a', 'zz') has non-universe components\n"
+            "invalid structure: relation e: tuple ('a', 'z') has non-universe components; "
+            "relation e: tuple ('b', 'y') has non-universe components; "
+            "relation e: tuple ('z', 'a') has non-universe components\n"
+        }
 
 
 def _made_by(how: str):

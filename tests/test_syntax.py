@@ -46,6 +46,7 @@ from wsq.syntax import (
     parse,
     substitute,
     to_text,
+    tokenize,
     vocabulary_of,
     walk,
 )
@@ -148,6 +149,20 @@ class TestParse:
         message = f"number literal too long ({len(literal)} characters) (line {line}, column {column})"
         assert str(error.value) == message
 
+    def test_an_over_long_literal_fails_at_its_first_occurrence(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited in this interpreter")
+        literal = "9" * (limit + 1)
+        with pytest.raises(ParseError) as error:
+            parse(f"f(x) + {literal} *\n  {literal}")
+        assert (error.value.line, error.value.column) == (1, 8)
+
+    def test_a_repeated_literal_is_one_node(self):
+        e = parse("2.5 * f(x) + 2.5 * (5/2 - f(x))")
+        assert e.left.left is e.right.left is e.right.right.left
+        assert e.left.left.span == (1, 1)
+
     def test_keywords_are_reserved(self):
         with pytest.raises(ParseError):
             parse("sum {if : p(if)} 1")
@@ -202,6 +217,92 @@ class TestParse:
         with pytest.raises(ParseError) as error:
             parse(text)
         assert str(error.value) == message
+
+
+_DIGITS = frozenset("0123456789")
+_WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_KEYWORDS = "not and or implies exists forall sum count avg min max if then else ifp bot".split()
+
+
+def _reference_tokens(text: str) -> list[tuple]:
+    """``tokenize``'s ``(type, text, line, column)`` tuples, read one character
+    at a time; a character outside the syntax ends the list as ``("bad", ...)``."""
+    out, i, line, column = [], 0, 1, 1
+
+    def peek(k):
+        return text[k] if k < len(text) else ""
+
+    while i < len(text):
+        c, j = text[i], i + 1
+        if c == "\n":
+            i, line, column = j, line + 1, 1
+            continue
+        if c in " \t\r":
+            i, column = j, column + 1
+            continue
+        if c in _DIGITS:
+            while peek(j) in _DIGITS:
+                j += 1
+            if peek(j) == "." and peek(j + 1) in _DIGITS:
+                j += 2
+                while peek(j) in _DIGITS:
+                    j += 1
+            elif peek(j) == "/":
+                k = j + 1
+                while peek(k) == "0":
+                    k += 1
+                if peek(k) in _DIGITS:
+                    j = k + 1
+                    while peek(j) in _DIGITS:
+                        j += 1
+            kind = "number"
+        elif c in _WORD:
+            while peek(j) in _WORD:
+                j += 1
+            kind = text[i:j] if text[i:j] in _KEYWORDS else "ident"
+        elif text[i : i + 2] in ("<=", "<-", "!=", ">="):
+            j = i + 2
+            kind = text[i:j]
+        elif c in "<>=+-*/(){}:,":
+            kind = c
+        else:
+            return out + [("bad", c, line, column)]
+        out.append((kind, text[i:j], line, column))
+        i, column = j, column + j - i
+    return out + [("eof", "", line, column)]
+
+
+class TestScanner:
+    """Tokens, spans and character errors on random text with random blanks
+    between its tokens, against the reference reader above."""
+
+    SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", " \t\n  ", "\n\n\t"]
+
+    def test_agrees_with_the_reference_on_respaced_random_text(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            flat = to_text(random_expression(rng, rng.randint(0, 5), rng.choice(["formula", "term"]), ("x", "y")))
+            flat_tokens = _reference_tokens(flat)
+            words = [t[1] for t in flat_tokens[:-1]] + [""]
+            gaps = [rng.choice(self.SEPARATORS) for _ in words]
+            text = "".join(gap + word for gap, word in zip(gaps, words))
+            expected = _reference_tokens(text)
+            assert [tuple(t) for t in tokenize(text)] == expected, text
+            # a node's span is the position of its head token, the same token in both texts
+            index = {(line, column): k for k, (_, _, line, column) in enumerate(flat_tokens)}
+            heads = [expected[index[n.span]][2:] for _, n in walk(parse(flat))]
+            assert [n.span for _, n in walk(parse(text))] == heads, text
+            # a character outside the syntax, planted in a random gap
+            k = rng.randrange(len(gaps))
+            cut = rng.randint(0, len(gaps[k]))
+            gaps[k] = gaps[k][:cut] + rng.choice("@$#.\x0b\u0663\u00e9") + gaps[k][cut:]
+            planted = "".join(gap + word for gap, word in zip(gaps, words))
+            kind, char, line, column = _reference_tokens(planted)[-1]
+            assert kind == "bad"
+            with pytest.raises(ParseError) as error:
+                parse(planted)
+            assert (error.value.line, error.value.column) == (line, column), planted
+            assert str(error.value) == f"unexpected character {char!r} (line {line}, column {column})"
 
 
 def _round_trips(e) -> bool:
