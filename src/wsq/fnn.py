@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .errors import LoadError, ResourceError, UsageError
 from .numerics import BOT, ExtRational, as_rational, rational
-from .structures import WeightedStructure, read_json, universe_problems, weight_value
+from .structures import Vocabulary, WeightedStructure, read_json, universe_problems, weight_reader
 
 __all__ = [
     "WT",
@@ -550,7 +550,8 @@ def fnn_from_json(doc: dict) -> FnnStructure:
     ``le_in``/``le_out`` are materialized as reflexive linear orders on
     the listed nodes.  The compiled structure must satisfy the network
     conditions (bias present exactly off the input nodes, orders covering
-    exactly the input/output sets).
+    exactly the input/output sets).  Each distinct weight text is parsed once
+    per load, and nothing is kept after it.
     """
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise LoadError("network file must be an object with a 'nodes' key")
@@ -561,8 +562,8 @@ def fnn_from_json(doc: dict) -> FnnStructure:
             raise LoadError(f"'{key}' must be a list")
         return entries
 
-    names: list[str] = []
-    known: set[str] = set()
+    read = weight_reader()
+    known: dict[str, None] = {}  # the node names, in file order
     bias: dict = {}
     for entry in listed("nodes"):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
@@ -570,10 +571,9 @@ def fnn_from_json(doc: dict) -> FnnStructure:
         name = entry["name"]
         if name in known:
             raise LoadError(f"duplicate node {name!r}")
-        names.append(name)
-        known.add(name)
+        known[name] = None
         if "bias" in entry:
-            bias[(name,)] = weight_value(entry["bias"], f"bias of {name}")
+            bias[(name,)] = read(entry["bias"], f"bias of {name}")
 
     wt: dict = {}
     for entry in listed("edges"):
@@ -587,7 +587,7 @@ def fnn_from_json(doc: dict) -> FnnStructure:
             raise LoadError(f"edge ({u},{v}) references unknown nodes")
         if (u, v) in wt:
             raise LoadError(f"duplicate edge ({u},{v})")
-        wt[(u, v)] = weight_value(raw, f"weight of ({u},{v})")
+        wt[(u, v)] = read(raw, f"weight of ({u},{v})")
 
     def order_pairs(label):
         order = listed(label)
@@ -596,16 +596,12 @@ def fnn_from_json(doc: dict) -> FnnStructure:
         for name in order:
             if name not in known:
                 raise LoadError(f"'{label}' references unknown node {name!r}")
-        return [(a, b) for i, a in enumerate(order) for b in order[i:]]
+        return frozenset((a, b) for i, a in enumerate(order) for b in order[i:])
 
-    structure = WeightedStructure.build(
-        names,
-        relations={
-            LE_IN: (2, order_pairs("input_order")),
-            LE_OUT: (2, order_pairs("output_order")),
-        },
-        weights={WT: (2, wt), BIAS: (1, bias)},
-    )
+    # every name, endpoint and value is checked above, so the tables need no second check
+    orders = {LE_IN: order_pairs("input_order"), LE_OUT: order_pairs("output_order")}
+    vocabulary = Vocabulary({LE_IN: 2, LE_OUT: 2}, {WT: 2, BIAS: 1})
+    structure = WeightedStructure(tuple(known), vocabulary, orders, {WT: wt, BIAS: bias})
     try:
         return FnnStructure(structure)
     except UsageError as exc:

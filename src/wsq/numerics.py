@@ -60,7 +60,7 @@ class ExtRational:
         if not _NUMBER_RE.match(text):
             raise ValueError(f"not a rational literal: {text!r}")
         try:
-            return cls(Fraction(text))
+            return cls(Fraction(text) if "." in text else Fraction(*map(int, text.split("/"))))
         except ValueError:
             # Python refuses to convert integers of more than a set number of digits
             raise ValueError(f"number too long ({len(text)} characters)") from None

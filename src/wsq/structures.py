@@ -71,7 +71,7 @@ class WeightedStructure:
     ordered tuple of distinct names, in an order used only for
     iteration.  All maps are read-only views, and a structure is not
     hashable.  The constructor checks no tables: it is meant for tables
-    taken from a checked structure.
+    taken from a checked structure or checked as a file is read.
     """
 
     universe: tuple[str, ...]
@@ -103,10 +103,7 @@ class WeightedStructure:
         if len(set(universe)) != len(universe):
             repeated = next(x for i, x in enumerate(universe) if x in universe[:i])
             raise UsageError(f"universe: duplicate element {repeated!r}")
-        vocab, rels, wts, problems = _tables(universe, relations, weights)
-        if problems:
-            raise UsageError(problems[0])
-        return cls(universe, vocab, rels, wts)
+        return cls(universe, *_checked_tables(universe, relations, weights))
 
     # -- lookups ---------------------------------------------------------
 
@@ -142,34 +139,41 @@ class WeightedStructure:
         New names must be disjoint from the current vocabulary; all
         existing interpretations are preserved; new tables are checked.
         """
-        vocab, rels, wts, problems = _tables(self.universe, relations, weights)
-        if problems:
-            raise UsageError(problems[0])
+        vocab, rels, wts = _checked_tables(self.universe, relations, weights)
         rels, wts = {**self.relations, **rels}, {**self.weights, **wts}
         return WeightedStructure(self.universe, self.vocabulary.merged(vocab), rels, wts)
 
 
-def _tables(universe, relations, weights) -> tuple[Vocabulary, dict, dict, list[str]]:
-    """The vocabulary, tables and table problems of ``build``'s arguments."""
-    relations, weights = relations or {}, weights or {}
-    arities = [{name: arity for name, (arity, _) in symbols.items()} for symbols in (relations, weights)]
-    vocab = Vocabulary(*arities)
-    rel_tables = {name: frozenset(tuple(t) for t in tuples) for name, (_, tuples) in relations.items()}
-    wt_tables: dict[str, dict] = {}
-    for name, (_, table) in weights.items():
-        coerced = wt_tables[name] = {}
+def _checked_tables(universe, relations, weights) -> tuple[Vocabulary, dict, dict]:
+    """:func:`_tables` of ``build``'s arguments, values made ExtRationals; raises the first problem."""
+    defined = {}
+    for name, (arity, table) in (weights or {}).items():
+        defined[name] = arity, {}
         for t, v in table.items():
             value = as_rational(v)
             if value is None:
                 raise UsageError(f"weight values must be rationals, got {type(v).__name__}")
             if not value.is_bot:
-                coerced[tuple(t)] = value
+                defined[name][1][tuple(t)] = value
+    vocab, rels, wts, problems = _tables(universe, relations, defined)
+    if problems:
+        raise UsageError(problems[0])
+    return vocab, rels, wts
+
+
+def _tables(universe, relations, weights: dict) -> tuple[Vocabulary, dict, dict, list[str]]:
+    """The vocabulary, tables and table problems; weight tables must hold tuples and defined ExtRationals."""
+    relations = relations or {}
+    arities = [{name: arity for name, (arity, _) in symbols.items()} for symbols in (relations, weights)]
+    vocab = Vocabulary(*arities)
+    rel_tables = {name: frozenset(tuple(t) for t in tuples) for name, (_, tuples) in relations.items()}
+    wt_tables = {name: table for name, (_, table) in weights.items()}
     return vocab, rel_tables, wt_tables, _table_problems(universe, vocab, rel_tables, wt_tables)
 
 
 def _table_problems(universe, vocab: Vocabulary, rels: Mapping, wts: Mapping) -> list[str]:
     """The problems of the tables, per kind: symbols not both declared and
-    interpreted, tuples of the wrong length or off ``universe``, undefined weights."""
+    interpreted, and tuples of the wrong length or off ``universe``."""
     members = frozenset(universe)
     out: list[str] = []
     for kind, tables, arities in (("relation", rels, vocab.relations), ("weight", wts, vocab.weights)):
@@ -186,9 +190,6 @@ def _table_problems(universe, vocab: Vocabulary, rels: Mapping, wts: Mapping) ->
                 else f"{kind} {name}: tuple {t!r} has non-universe components"
                 for t in off
             ]
-            if kind == "weight":
-                bad = [t for t, v in table.items() if not isinstance(v, ExtRational) or v.is_bot]
-                out += [f"weight {name}: stored value for {t!r} must be a defined rational" for t in bad]
     return out
 
 
@@ -207,7 +208,11 @@ def universe_problems(universe: Sequence[str]) -> list[str]:
 
 def validate_structure(s: WeightedStructure) -> list[str]:
     """The violations of the structure invariants; empty if ``s`` is well-formed."""
-    return universe_problems(s.universe) + _table_problems(s.universe, s.vocabulary, s.relations, s.weights)
+    out = universe_problems(s.universe) + _table_problems(s.universe, s.vocabulary, s.relations, s.weights)
+    for name, table in s.weights.items():
+        bad = [t for t, v in table.items() if not isinstance(v, ExtRational) or v.is_bot]
+        out += [f"weight {name}: stored value for {t!r} must be a defined rational" for t in bad]
+    return out
 
 
 # -- JSON file format ------------------------------------------------------
@@ -254,14 +259,11 @@ def _arity(raw, where: str) -> int:
     return raw
 
 
-def _tuples(rows, arity: int, where: str) -> list[tuple]:
-    """Tuples read from a JSON list of lists of ``arity`` element names."""
+def _tuples(rows, where: str) -> list[tuple]:
+    """Tuples read from a JSON list of lists of element names, of any length."""
     if not isinstance(rows, list) or not all(isinstance(t, (list, tuple)) for t in rows):
         raise LoadError(f"{where}: tuples must be lists of element names")
     tuples = [tuple(t) for t in rows]
-    for t in tuples:
-        if len(t) != arity:
-            raise LoadError(f"{where}: tuple {list(t)} does not match arity {arity}")
     if not all(isinstance(x, str) for t in tuples for x in t):
         raise LoadError(f"{where}: tuple components must be element names")
     return tuples
@@ -280,6 +282,20 @@ def weight_value(raw, where: str) -> ExtRational:
     return value
 
 
+def weight_reader():
+    """:func:`weight_value` for one load: each distinct text is parsed once, and only values that parsed are kept."""
+    parsed: dict[str, ExtRational] = {}
+
+    def read(raw, where: str) -> ExtRational:
+        if type(raw) is not str:  # True == 1 == 1.0 and they hash alike, so only a text is looked up
+            return weight_value(raw, where)
+        if raw not in parsed:
+            parsed[raw] = weight_value(raw, where)
+        return parsed[raw]
+
+    return read
+
+
 def structure_from_json(doc: dict) -> WeightedStructure:
     """Load a structure from its JSON dict form.
 
@@ -292,7 +308,8 @@ def structure_from_json(doc: dict) -> WeightedStructure:
 
     Weight values are strings ``"p/q"``, ``"d.ddd"`` or ``"int"`` (raw JSON
     integers are accepted too); ``bot`` is expressed by omitting the tuple.
-    A tuple listed twice with different values is a load error.
+    A tuple listed twice with different values is a load error.  Each
+    distinct weight text is parsed once per load, and nothing is kept after it.
     """
     if not isinstance(doc, dict) or "universe" not in doc:
         raise LoadError("structure file must be an object with a 'universe' key")
@@ -307,8 +324,9 @@ def structure_from_json(doc: dict) -> WeightedStructure:
             rows = spec.get("tuples", [])
         except (TypeError, KeyError) as exc:
             raise LoadError(f"relation {name!r}: malformed entry") from exc
-        relations[name] = (arity, _tuples(rows, arity, f"relation {name!r}"))
+        relations[name] = (arity, _tuples(rows, f"relation {name!r}"))
 
+    read = weight_reader()
     weights = {}
     for name, spec in _section(doc, "weights"):
         try:
@@ -323,8 +341,8 @@ def structure_from_json(doc: dict) -> WeightedStructure:
             raise LoadError(f"weight {name!r}: malformed value entry") from exc
         table: dict = {}
         where = f"weight {name!r}"
-        for t, raw in zip(_tuples(rows, arity, where), raws):
-            value = weight_value(raw, where)
+        for t, raw in zip(_tuples(rows, where), raws):
+            value = read(raw, where)
             if t in table and table[t] != value:
                 raise LoadError(f"{where}: tuple {list(t)} listed twice with different values")
             table[t] = value

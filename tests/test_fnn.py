@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from randgen import build_fnn, path_net, random_n11, random_n211
+from randgen import build_fnn, path_net, random_fnn, random_n11, random_n211
 from wsq.errors import LoadError, ResourceError, UsageError
 from wsq.fnn import (
     FnnStructure,
@@ -592,6 +592,56 @@ class TestMalformedJson:
         for change in ({"nodes": 3}, {"edges": {"u": "v"}}, {"output_order": "v"}):
             with pytest.raises(LoadError):
                 fnn_from_json({**self.BASE, **change})
+
+
+class TestWeightTexts:
+    """A network load parses each distinct weight text once and keeps nothing after it."""
+
+    @staticmethod
+    def doc(*biases, weights=("1", "1")) -> dict:
+        """u feeds v and w, whose biases are ``biases``."""
+        return {
+            "nodes": [{"name": "u"}, {"name": "v", "bias": biases[0]}, {"name": "w", "bias": biases[1]}],
+            "edges": [{"from": "u", "to": "v", "weight": weights[0]}, {"from": "u", "to": "w", "weight": weights[1]}],
+            "input_order": ["u"],
+            "output_order": ["v", "w"],
+        }
+
+    def test_a_text_an_int_a_bool_and_a_float_that_equal_one(self):
+        net = fnn_from_json(self.doc("1", 1, weights=(1, "1")))
+        assert [net.bias("v"), net.bias("w"), *net.edges.values()] == [rational(1)] * 4
+        # True == 1 == 1.0 and they hash alike, so neither may be answered from the texts read before
+        for raw in (True, 1.0):
+            with pytest.raises(LoadError, match=f"^bias of w: value must be a string or integer, got {raw}$"):
+                fnn_from_json(self.doc("1", raw))
+            with pytest.raises(LoadError, match=rf"^weight of \(u,w\): value must be a string or integer, got {raw}$"):
+                fnn_from_json(self.doc("1", "1", weights=("1", raw)))
+
+    def test_a_bad_text_fails_where_it_first_occurs(self):
+        with pytest.raises(LoadError, match=r"^bias of v: not a rational literal: 'x'$"):
+            fnn_from_json(self.doc("x", "x", weights=("x", "x")))
+        with pytest.raises(LoadError, match=r"^weight of \(u,v\): not a rational literal: 'x'$"):
+            fnn_from_json(self.doc("1", "1", weights=("x", "x")))
+
+    def test_each_distinct_text_is_parsed_once_per_load(self, parse_calls):
+        doc = fnn_to_json(random_fnn(random.Random(5), max_depth=4, max_width=4, mag=2))
+        values = [e["weight"] for e in doc["edges"]] + [n["bias"] for n in doc["nodes"] if "bias" in n]
+        assert len(values) > 2 * len(set(values))
+        parse_calls.clear()
+        fnn_from_json(doc)
+        assert sorted(parse_calls) == sorted(set(values))
+        # nothing is kept between loads: the next load parses every text again
+        fnn_from_json(doc)
+        assert sorted(parse_calls) == sorted(list(set(values)) * 2)
+
+    def test_random_networks_round_trip(self):
+        rng = random.Random(19)
+        for i in range(200):
+            doc = fnn_to_json(random_fnn(rng, max_depth=3) if i % 2 else random_n11(rng))
+            net = fnn_from_json(doc)
+            assert json.dumps(fnn_to_json(net)) == json.dumps(doc)
+            assert all(net.edges[(e["from"], e["to"])] == Fraction(e["weight"]) for e in doc["edges"])
+            assert all(net.bias(n["name"]) == Fraction(n["bias"]) for n in doc["nodes"] if "bias" in n)
 
 
 def test_random_networks_do_not_depend_on_the_hash_seed():

@@ -159,6 +159,37 @@ class TestText:
         with pytest.raises(ValueError):
             ExtRational.parse(bad)
 
+    def test_parse_agrees_with_fraction(self):
+        # parse converts the digits with int, so its values and its digit limit must be those of Fraction(text)
+        import random
+        import sys
+
+        rng = random.Random(3)
+        limit = sys.get_int_max_str_digits()
+
+        def digits(n):
+            return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
+
+        texts = []
+        for sign in ("", "-", "+"):
+            for n in (limit - 1, limit, limit + 1):
+                texts += [sign + digits(n), f"{sign}7/{digits(n)}", f"{sign}{digits(n)}/7", f"{sign}0{digits(n)}"]
+                texts += [f"{sign}1.{digits(n)}", f"{sign}{digits(n)}.5", f"{sign}{digits(limit)}.{digits(limit)}"]
+            for _ in range(300):
+                whole, rest = digits(rng.randint(1, 12)), digits(rng.randint(1, 12))
+                texts += [sign + whole, f"{sign}{whole}.{rest}", f"{sign}{whole}/{rest}"]
+                texts += [f"{sign}0.0{rest}", f"{sign}00{whole}"]
+        for text in texts:
+            try:
+                expected = Fraction(text)
+            except ValueError:
+                expected = f"number too long ({len(text)} characters)"
+            try:
+                got = ExtRational.parse(f" {text}\n").frac
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, text[:40]
+
     @given(x=extended)
     def test_round_trip(self, x):
         assert ExtRational.parse(str(x)) == x

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from operator import delitem, setitem
 from pathlib import Path
 
 import pytest
 
 from wsq.errors import LoadError, UsageError
-from wsq.numerics import BOT, rational
+from wsq.numerics import BOT, ExtRational, rational
 from wsq.structures import (
     Vocabulary,
     WeightedStructure,
@@ -246,7 +247,7 @@ class TestJson:
             )
 
     def test_arity_mismatch_rejected(self):
-        with pytest.raises(LoadError, match="does not match arity"):
+        with pytest.raises(LoadError, match=r"^invalid structure: relation e: arity mismatch in tuple \('a',\)$"):
             structure_from_json(
                 {"universe": ["a"], "relations": {"e": {"arity": 2, "tuples": [["a"]]}}}
             )
@@ -324,6 +325,86 @@ class TestMalformedJson:
         ):
             with pytest.raises(LoadError):
                 structure_from_json(doc)
+
+
+def _unary_doc(*values) -> dict:
+    """A structure document whose unary weight ``f`` gives ``values`` to e0, e1, ..."""
+    universe = [f"e{i}" for i in range(len(values))]
+    entries = [{"tuple": [x], "value": v} for x, v in zip(universe, values)]
+    return {"universe": universe, "weights": {"f": {"arity": 1, "values": entries}}}
+
+
+class TestWeightTexts:
+    """A load parses each distinct weight text once and keeps nothing after it."""
+
+    def test_a_text_an_int_a_bool_and_a_float_that_equal_one(self):
+        s = structure_from_json(_unary_doc("1", 1, "1", 1))
+        assert [s.weight("f", (x,)) for x in s.universe] == [rational(1)] * 4
+        # True == 1 == 1.0 and they hash alike, so neither may be answered from the texts read before
+        for raw in (True, 1.0):
+            with pytest.raises(LoadError, match=f"^weight 'f': value must be a string or integer, got {raw}$"):
+                structure_from_json(_unary_doc("1", 1, "1", raw))
+
+    def test_a_bad_text_fails_where_it_first_occurs(self):
+        doc = _unary_doc("2", "1/0", "2", "1/0")
+        doc["weights"]["g"] = {"arity": 1, "values": [{"tuple": ["e0"], "value": "1/0"}]}
+        with pytest.raises(LoadError, match=r"^weight 'f': not a rational literal: '1/0'$"):
+            structure_from_json(doc)
+        doc["weights"] = {"g": doc["weights"]["g"], "f": doc["weights"]["f"]}
+        with pytest.raises(LoadError, match=r"^weight 'g': not a rational literal: '1/0'$"):
+            structure_from_json(doc)
+
+    def test_two_texts_of_one_value_for_one_tuple(self):
+        doc = _unary_doc("1/2", "0.5")
+        doc["weights"]["f"]["values"][1]["tuple"] = ["e0"]
+        s = structure_from_json(doc)
+        assert s.weight("f", ("e0",)) == rational(1, 2) and s.weight("f", ("e1",)) is BOT
+        doc["weights"]["f"]["values"][1]["value"] = "0.6"
+        with pytest.raises(LoadError, match=r"^weight 'f': tuple \['e0'\] listed twice with different values$"):
+            structure_from_json(doc)
+
+    def test_each_distinct_text_is_parsed_once_per_load(self, parse_calls):
+        s = WeightedStructure.build(
+            [f"v{i}" for i in range(6)],
+            weights={
+                "wt": (2, {(f"v{i}", f"v{j}"): Fraction(i * j % 5, 3) for i in range(6) for j in range(6)}),
+                "f": (1, {(f"v{i}",): Fraction(i % 3, 3) for i in range(6)}),
+            },
+        )
+        doc = structure_to_json(s)
+        values = [e["value"] for w in doc["weights"].values() for e in w["values"]]
+        assert len(values) == 42 and len(set(values)) == 5
+        parse_calls.clear()
+        assert structure_from_json(doc) == s
+        assert sorted(parse_calls) == sorted(set(values))
+        # nothing is kept between loads: the next load parses every text again
+        assert structure_from_json(doc) == s
+        assert sorted(parse_calls) == sorted(list(set(values)) * 2)
+
+
+class TestLoaderRoundTrip:
+    """Loading keeps every value of random structures, however its text is written."""
+
+    def test_random_structures(self):
+        import random
+
+        from randgen import random_full_structure, random_structure
+
+        rng = random.Random(19)
+        for i in range(200):
+            s = random_structure(rng) if i % 2 else random_full_structure(rng)
+            doc = structure_to_json(s)
+            assert json.dumps(structure_to_json(structure_from_json(doc))) == json.dumps(doc)
+            for w in doc["weights"].values():
+                for e in w["values"]:
+                    text, x = e["value"], Fraction(e["value"])
+                    unreduced = f"{2 * x.numerator}/{2 * x.denominator}"
+                    e["value"] = rng.choice([text, f" {text}\t", f"+{x}" if x >= 0 else text, unreduced])
+            loaded = structure_from_json(doc)
+            assert loaded == s
+            for name, w in doc["weights"].items():
+                for e in w["values"]:
+                    assert loaded.weight(name, tuple(e["tuple"])) == ExtRational.parse(e["value"])
 
 
 class TestBuildChecksTables:
