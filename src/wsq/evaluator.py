@@ -47,20 +47,30 @@ at two arities.  Every misuse leaves such a use, so only an uncovered
 expression is walked again with ``vocabulary_of``, to raise the misuse
 error; an uncovered expression without misuse takes the default.
 
-Sums, aggregates and quantifiers draw their bindings from one routine.
-When a top-level conjunct of the guard (for ``forall``, of the
-antecedent of an implication body) is an extensional ``R(..)`` or
-``w(..) != bot`` whose bound variables, by first mention, are the
-leading ones of the binder in binder order (``e(x, y)`` or ``e(x, z)``
-under ``{x, y}``, not ``e(y, x)``), and no conjunct before it can raise,
-the candidates come from that table's support, looked up by the values
-of the outer variables it mentions; otherwise they are all of
-``product(universe, repeat=k)``.  The full guard is still tested on
-every candidate, and candidates come in the order of the product, so
-the first undefined summand and the first summand over budget are the
-same as under full enumeration.  A support index is built on first use
-and shared by every binder of the call that reads the same symbol with
-the same pattern of bound and repeated positions.
+Sums, aggregates and quantifiers draw their bindings from one routine,
+out of the top-level conjuncts of the guard (for ``forall``, of the
+antecedent of an implication body) that are an extensional ``R(..)`` or
+``w(..) != bot`` and come before the first conjunct that can raise
+(one with arithmetic, a summation, an aggregate or a fixed point).  The
+usable conjunct that names the most bound variables among those whose
+bound variables, by first mention, lead the binder in binder order
+(``e(x, y)`` or ``e(x, z)`` under ``{x, y}``, not ``e(y, x)``) draws
+them together from its table's support.  Each later variable, in
+binder order, is drawn from the intersection of the supports of the
+usable conjuncts that name it last, looked up by the values of the
+earlier and outer variables they mention: under ``{x, y, z}`` the
+triangle guard ``e(x, y) and e(y, z) and e(z, x)`` draws ``(x, y)``
+from ``e`` and ``z`` from the successors of ``y`` that are predecessors
+of ``x``.  A variable no such
+conjunct names runs over the universe, and a guard with none at all
+over ``product(universe, repeat=k)``.  The full guard is still tested
+on every candidate, and candidates come in the order of the product,
+since every list is in universe order, so the first undefined summand
+and the first summand over budget are the same as under full
+enumeration.  A support index, and the set form a later conjunct is
+tested against, is built on first use and shared by every binder of
+the call that reads the same symbol with the same pattern of drawn,
+looked-up and repeated positions; a binder that never runs builds none.
 
 A fixed point tracks dependencies: while the body runs for a tuple, the
 lookups of its symbol record the entries they found missing.  A tuple
@@ -210,8 +220,8 @@ def _constant(value) -> Compiled:
 # the closures of the fixed constants; a literal carries its value
 _CONSTANT = {Zero: _constant(Fraction(0)), One: _constant(Fraction(1)), BotConst: _constant(None)}
 
-# nodes whose evaluation can raise a ResourceError (their budgets)
-_BUDGETED = (Sum, Aggregate, Ifp)
+# nodes whose evaluation can raise a ResourceError (bit bound and budgets)
+_RAISING = (Arith, Sum, Aggregate, Ifp)
 
 
 def _conjuncts(f: Node) -> list[Node]:
@@ -233,10 +243,10 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     into ``indexes`` on first use.
 
     ``signature`` is the symbol and, per argument position, ``-1`` if
-    the position is bound outside the binder, else the number of the
-    bound slot it holds (repeated slots repeat the number).  The index
-    maps the values at the outside positions to the distinct values
-    of the bound slots, sorted in universe order.
+    the position is looked up (bound outside the binder or drawn before),
+    else the number of the drawn slot it holds (repeated slots repeat
+    the number).  The index maps the values at the looked-up positions
+    to the distinct values of the drawn slots, sorted in universe order.
     """
     index = indexes.get(signature)
     if index is not None:
@@ -257,6 +267,21 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
         order = lambda sub: [rank[elem] for elem in sub]
     index = indexes[signature] = {key: sorted(subs, key=order) for key, subs in groups.items()}
     return index
+
+
+def _level(lo: int, hi: int, candidates: Callable[[list], Iterable[tuple]], inner: Optional[Callable]):
+    """Bindings that extend a prefix by each candidate value of the slots
+    ``lo .. hi-1`` and then by ``inner``'s bindings of the later slots, if
+    any; the slots are written before ``inner`` looks up its candidates."""
+    if inner is None:
+        return lambda env, prefix: [prefix + sub for sub in candidates(env)]
+
+    def level(env, prefix):
+        for sub in candidates(env):
+            env[lo:hi] = sub
+            yield from inner(env, prefix + sub)
+
+    return level
 
 
 class _Cell:
@@ -300,7 +325,9 @@ class _Compiler:
     :meth:`compile` returns a node's closure together with the bitmask of
     the slots it reads, which are its free variables.  The root scope
     binds the caller's assignment; a name read out of scope goes into
-    ``unbound``.  ``indexes`` holds the support indexes built so far.
+    ``unbound``.  ``indexes`` and ``filters`` hold the support indexes
+    built so far, as sorted lists and as sets, and ``units`` the universe
+    as 1-tuples once a binder runs a slot over it.
     ``covered`` turns false at the first uncovered use (see the module
     docstring); ``arities`` holds each fixed-point symbol's arity.
     """
@@ -314,7 +341,9 @@ class _Compiler:
         self.size = self.root.top
         self.unbound: set[str] = set()
         self.indexes: dict[tuple, dict] = {}
-        self.budgeted: dict[int, bool] = {}
+        self.filters: dict[tuple, dict] = {}
+        self.units: Optional[list] = None
+        self.raising: dict[int, bool] = {}
         self.covered = True
         self.arities: dict[str, int] = {}
 
@@ -401,19 +430,52 @@ class _Compiler:
         """Candidate values of the slots ``lo .. hi-1`` under ``guard``.
 
         The candidates include every binding that satisfies ``guard`` and
-        come in the order of ``product(universe, repeat=hi-lo)``.  They
-        are drawn from the support of one extensional conjunct of the
-        guard when there is a usable one (see the module docstring).
+        come in the order of ``product(universe, repeat=hi-lo)``.  The
+        leading slots are drawn together from the support of one guard
+        conjunct, and each later slot from the intersection of the
+        supports of the conjuncts that name it last (see the module
+        docstring); a slot no usable conjunct names runs over the universe.
         """
         universe, k = self.universe, hi - lo
-        chosen = self._support_conjunct(scope, lo, hi, guard) if guard is not None else None
-        if chosen is None:
+        head, mid, tails = self._support_conjuncts(scope, lo, hi, guard)
+        if head is None and not any(tails):
             return lambda env: product(universe, repeat=k)
-        return self._drawn(chosen, lo, hi)
+        if mid == hi:
+            return self._support(head, lo, hi)
+        bindings = None
+        for slot in reversed(range(mid, hi)):
+            bindings = _level(slot, slot + 1, self._candidates(tails[slot - mid], slot), bindings)
+        if head is not None:
+            bindings = _level(lo, mid, self._support(head, lo, mid), bindings)
+        return lambda env: bindings(env, ())
 
-    def _drawn(self, chosen: tuple, lo: int, hi: int) -> Bindings:
-        """Bindings of the slots ``lo .. hi-1`` drawn from the support of
-        the ``chosen`` conjunct, which names the bound slots in slot order."""
+    def _candidates(self, conjs: list, slot: int) -> Callable[[list], list]:
+        """The values, as 1-tuples in universe order, that ``slot`` takes
+        in the supports of all of ``conjs`` under the earlier slots."""
+        if not conjs:
+            if self.units is None:
+                self.units = [(elem,) for elem in self.universe]
+            units = self.units
+            return lambda env: units
+        first = self._support(conjs[0], slot, slot + 1)
+        if len(conjs) == 1:
+            return first
+        filters = [self._support(c, slot, slot + 1, self.filters) for c in conjs[1:]]
+
+        def candidates(env):
+            out = first(env)
+            for support in filters:
+                found = support(env)
+                out = [sub for sub in out if sub in found]
+            return out
+
+        return candidates
+
+    def _support(self, chosen: tuple, lo: int, hi: int, filters: Optional[dict] = None):
+        """Lookup of the support of the ``chosen`` conjunct, which names the
+        slots ``lo .. hi-1`` in slot order, by the values of its other slots:
+        the sorted list of their value tuples, or, given ``filters`` (the
+        sets built so far), the set of them."""
         name, table, slots = chosen
         bound, roles, found = [], [], []
         for slot in slots:
@@ -430,45 +492,48 @@ class _Compiler:
         indexes, universe = self.indexes, self.universe  # not self: no cycle with the compiler
         box: list = [None]
 
-        def lookup(env) -> list:
+        def lookup(env):
             index = box[0]
             if index is None:
                 index = box[0] = _support_index(indexes, signature, table, universe)
+                if filters is not None:
+                    if signature not in filters:
+                        filters[signature] = {k: set(subs) for k, subs in index.items()}
+                    index = box[0] = filters[signature]
             return index.get(key(env), ())
 
-        rest = hi - lo - len(found)
-        if not rest:
-            return lookup
-        # the unmentioned slots come last, so the product order holds
-        return lambda env: (
-            sub + tail for sub in lookup(env) for tail in product(universe, repeat=rest)
-        )
+        return lookup
 
-    def _support_conjunct(self, scope: _Scope, lo: int, hi: int, guard: Node):
-        """``(symbol, table, argument slots)`` of the guard conjunct whose
-        support drives the enumeration, or ``None`` if no conjunct is usable.
+    def _support_conjuncts(self, scope: _Scope, lo: int, hi: int, guard: Optional[Node]):
+        """The guard conjuncts, as ``(symbol, table, argument slots)``, that
+        the bindings of the slots ``lo .. hi-1`` are drawn from: the head,
+        or ``None``; the slot ``mid`` after the ones it draws; and per slot
+        from ``mid`` on, the list of conjuncts that name it last.
 
-        Usable conjuncts are extensional ``R(..)`` and ``w(..) != bot``
-        whose bound slots, by first mention, are the leading ones in slot
-        order (otherwise their support order is not the product's), up to
-        the first conjunct whose evaluation can raise: skipping a binding
-        must not skip an error.  The one mentioning the most bound slots
-        wins, the earliest among equals.
+        Usable conjuncts are extensional ``R(..)`` and ``w(..) != bot`` up
+        to the first conjunct whose evaluation can raise: skipping a
+        binding must not skip an error.  The head is the one that names
+        the most bound slots, the earliest among equals, among those whose
+        bound slots by first mention are the leading ones in slot order
+        (otherwise their support order is not the product's).
         """
-        best, best_count = None, 0
-        for conj in _conjuncts(guard):
+        head, mid, named = None, lo, []
+        for conj in _conjuncts(guard) if guard is not None else ():
             found = self._support_of(conj, scope)
             if found is None:
-                if self._budgeted(conj):
+                if self._raises(conj):
                     break
                 continue
             slots = self._slots(scope, found[2])[0]
             mentioned = list(dict.fromkeys(slot for slot in slots if lo <= slot < hi))
-            if mentioned != list(range(lo, lo + len(mentioned))):
+            if not mentioned:
                 continue
-            if len(mentioned) > best_count:
-                best, best_count = (found[0], found[1], slots), len(mentioned)
-        return best
+            chosen = (found[0], found[1], slots)
+            named.append((max(mentioned), chosen))
+            if mentioned == list(range(lo, lo + len(mentioned))) and lo + len(mentioned) > mid:
+                head, mid = chosen, lo + len(mentioned)
+        tails = [[chosen for last, chosen in named if last == slot] for slot in range(mid, hi)]
+        return head, mid, tails
 
     def _support_of(self, n: Node, scope: _Scope):
         """``(symbol, table, args)`` if ``n`` holds only on the support of an
@@ -495,13 +560,13 @@ class _Compiler:
         weight table or a fixed point's."""
         return n.name not in scope.cells and n.name in self.structure.vocabulary.relations
 
-    def _budgeted(self, n: Node) -> bool:
-        """Whether ``n`` contains a summation, aggregate or fixed point,
-        whose budgets can raise :class:`ResourceError`."""
-        known = self.budgeted.get(id(n))
+    def _raises(self, n: Node) -> bool:
+        """Whether ``n`` contains arithmetic, a summation, aggregate or fixed
+        point, whose bit bound or budgets can raise :class:`ResourceError`."""
+        known = self.raising.get(id(n))
         if known is None:
-            known = type(n) in _BUDGETED or any(self._budgeted(c) for c in children(n))
-            self.budgeted[id(n)] = known
+            known = type(n) in _RAISING or any(self._raises(c) for c in children(n))
+            self.raising[id(n)] = known
         return known
 
     # -- formulas -----------------------------------------------------

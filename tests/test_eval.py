@@ -862,10 +862,11 @@ class TestCompiledEvaluation:
             assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env))
 
 
-def _guard(rng, bound, outer, ifp):
+def _guard(rng, bound, outer, ifp, extra=(0, 2)):
     """A conjunction mixing the conjuncts sparse enumeration draws from
     (relation atoms, ``w(..) != bot``, with repeated and outer variables)
-    with ones it must only test (intensional and arbitrary formulas)."""
+    with ones it must only test (intensional and arbitrary formulas);
+    ``extra`` bounds the number of conjuncts after the first."""
     names = bound + outer
 
     def arg():
@@ -892,18 +893,23 @@ def _guard(rng, bound, outer, ifp):
         return random_expression(rng, 1, "formula", names, 1 if ifp else 0)
 
     out = conjunct()
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(*extra)):
         out = And(out, conjunct()) if rng.random() < 0.6 else And(conjunct(), out)
     return out
 
 
-def _guarded_binder(rng, outer, ifp=False):
+def _guarded_binder(rng, outer, ifp=False, wide=False):
     """A sum, aggregate or quantifier (under a conditional) over a random
-    guard; its body may read the fixed-point symbol when ``ifp``."""
-    bound = ("b1",) if rng.random() < 0.6 else ("b1", "b2")
+    guard; its body may read the fixed-point symbol when ``ifp``.  A
+    binder binds one or two variables under one to three conjuncts, or
+    when ``wide``, two or three variables under two to four."""
+    if wide:
+        bound = ("b1", "b2", "b3") if rng.random() < 0.7 else ("b1", "b2")
+    else:
+        bound = ("b1",) if rng.random() < 0.6 else ("b1", "b2")
     names = bound + outer
     body = random_expression(rng, 1, "term", names, 1 if ifp else 0)
-    guard = _guard(rng, bound, outer, ifp)
+    guard = _guard(rng, bound, outer, ifp, (1, 3) if wide else (0, 2))
     roll = rng.random()
     if roll < 0.35:
         return Sum(bound, guard, body)
@@ -911,11 +917,10 @@ def _guarded_binder(rng, outer, ifp=False):
         kind = rng.choice(("count", "avg", "min", "max"))
         return Aggregate(kind, bound, guard, None if kind == "count" else body)
     test = random_expression(rng, 1, "formula", names, 1 if ifp else 0)
-    if rng.random() < 0.5:
-        formula = Exists("b1", guard if len(bound) == 1 else Exists("b2", guard))
-    else:
-        formula = Forall("b1", Implies(guard, test) if len(bound) == 1 else Exists("b2", Implies(guard, test)))
-    return Cond(formula, One(), Zero())
+    quantifier, inner = (Exists, guard) if rng.random() < 0.5 else (Forall, Implies(guard, test))
+    for var in reversed(bound[1:]):
+        inner = Exists(var, inner)
+    return Cond(quantifier("b1", inner), One(), Zero())
 
 
 def _invariant_term(rng, names):
@@ -1192,6 +1197,17 @@ class TestSharedSubterms:
         assert counts == {"/": 3}
 
 
+def _two_triangles():
+    """The directed 3-cycles a-b-c and a-b-d, an edge c -> d on neither,
+    and ``p`` on a and c."""
+    edges = [("a", "b"), ("b", "c"), ("c", "a"), ("b", "d"), ("d", "a"), ("c", "d")]
+    return WeightedStructure.build(
+        ["a", "b", "c", "d"],
+        relations={"p": (1, [("a",), ("c",)])},
+        weights={"wt": (2, {t: 1 for t in edges})},
+    )
+
+
 class TestSparseEnumeration:
     """Bindings drawn from a guard conjunct's support give the same
     answers, budgets and rounds as enumerating the whole product."""
@@ -1222,16 +1238,20 @@ class TestSparseEnumeration:
         # The summand is undefined at one binding only (the hole).  Under a
         # budget of half the bindings the sum is bot if the hole comes in
         # the first half and over budget otherwise, so any order other
-        # than the product's changes some outcome.  w lists its tuples
-        # against the universe order; e names the bound variables out of
-        # binder order, so that sum enumerates the full product
+        # than the product's changes some outcome.  w and e list their
+        # tuples against the universe order; e(y, x) draws y for each x,
+        # and the triangle draws (x, y) from e(x, y) and z from e(y, z)
+        # filtered by e(z, x)
         universe = [f"u{i}" for i in range(4)]
         everywhere = [(y, x) for x in universe for y in reversed(universe)]
+        triples = list(product(reversed(universe), repeat=3))
         column = parse("sum {y : w(y, x) != bot} f(y, x)")
         pairs = parse("sum {x, y : e(y, x)} f(y, x)")
+        triangles = parse("sum {x, y, z : e(x, y) and e(y, z) and e(z, x)} g(x, y, z)")
         for q, env, holes in (
             (column, {"x": "u0"}, [(y, "u0") for y in universe]),
             (pairs, {}, [(y, x) for x in universe for y in universe]),
+            (triangles, {}, list(product(universe, repeat=3))),
         ):
             for position, hole in enumerate(holes):
                 s = WeightedStructure.build(
@@ -1239,6 +1259,7 @@ class TestSparseEnumeration:
                     relations={"e": (2, everywhere)},
                     weights={
                         "f": (2, {t: 1 for t in everywhere if t != hole}),
+                        "g": (3, {t: 1 for t in triples if t != hole}),
                         "w": (2, {t: 1 for t in everywhere}),
                     },
                 )
@@ -1261,6 +1282,24 @@ class TestSparseEnumeration:
             evaluate(q, s, limits=EvalLimits(max_summands=2))
         assert evaluate(q, s, limits=EvalLimits(max_summands=3)) == rational(1)
 
+    def test_no_skipped_binding_hides_an_arithmetic_error(self):
+        # w(a) * w(a) exceeds the bit bound: a conjunct after the
+        # arithmetic must not skip x = a (or y = a) where e fails, for the
+        # leading variable or a later one; one before it may
+        s = WeightedStructure.build(
+            ["a", "b"],
+            relations={"e": (1, [("b",)])},
+            weights={"w": (1, {("a",): 2 ** (2**19 + 5), ("b",): 1})},
+        )
+        for text in (
+            "sum {x : w(x) * w(x) > 0 and e(x)} 1",
+            "sum {x : w(x) * w(x) > 0 and (e(x) or e(x))} 1",
+            "sum {x, y : e(x) and w(y) * w(y) > 0 and e(y)} 1",
+        ):
+            with pytest.raises(ResourceError, match="'[*]' result exceeds 1048576 bits"):
+                evaluate(parse(text), s)
+        assert evaluate(parse("sum {x, y : e(x) and e(y) and w(y) * w(y) > 0} 1"), s) == rational(1)
+
     def test_build_rejects_the_tuples_the_index_would_skip(self):
         # the support index reads checked tables only: a tuple outside the
         # universe or of the wrong length never gets past build
@@ -1276,7 +1315,8 @@ class TestSparseEnumeration:
 
     def test_out_of_order_conjunct_loses_to_a_drawable_one(self, monkeypatch):
         # e(y, x) mentions as many bound variables as e(x, y) and comes
-        # first, but only e(x, y) names them in binder order
+        # first, but only e(x, y) names them in binder order; alone, it
+        # draws y for each x
         built = []
         original = wsq.evaluator._support_index
 
@@ -1296,7 +1336,7 @@ class TestSparseEnumeration:
             assert built == [("e", (0, 1))]
         built.clear()
         assert evaluate(parse("sum {x, y : e(y, x)} 1"), s) == rational(3)
-        assert built == []
+        assert built == [("e", (0, -1))]
 
     def test_support_index_keeps_repeated_positions_equal(self):
         table = {("a", "a", "c"), ("d", "b", "c"), ("b", "b", "c"), ("b", "b", "d")}
@@ -1325,6 +1365,69 @@ class TestSparseEnumeration:
         untaken = parse("if 0 <= 1 then 1 else sum {y : wt(y, x) != bot} 1")
         assert evaluate(untaken, s, {"x": "o"}) == rational(1)
         assert built == []
+        # the flat triangle count draws (x, y) from wt, and z from wt
+        # keyed by y, filtered by wt keyed by x
+        assert evaluate(make_basic("triangles_count"), _two_triangles()) == rational(6)
+        assert built == [("wt", (0, 1)), ("wt", (-1, 0)), ("wt", (0, -1))]
+
+    def test_later_slots_draw_only_their_intersection(self, monkeypatch):
+        # with every usable conjunct naming a slot, the candidates are
+        # exactly the bindings that satisfy the guard
+        drawn = [0]
+        original = _Compiler._bindings
+
+        def counting(self, *args):
+            bindings = original(self, *args)
+
+            def counted(env):
+                for combo in bindings(env):
+                    drawn[0] += 1
+                    yield combo
+
+            return counted
+
+        monkeypatch.setattr(_Compiler, "_bindings", counting)
+        s = _two_triangles()
+        for text, answer in (
+            ("sum {x, y : wt(y, x) != bot} 1", 6),
+            ("sum {x, y, z : wt(x, y) != bot and wt(y, z) != bot and wt(z, x) != bot} 1", 6),
+            ("count {x, y, z : wt(z, x) != bot and wt(y, z) != bot and wt(x, y) != bot and p(z)}", 3),
+            ("sum {x, y, z : p(x) and wt(z, y) != bot and wt(y, x) != bot} 1", 4),
+        ):
+            drawn[0] = 0
+            q = parse(text)
+            assert evaluate(q, s) == rational(answer)
+            assert normalize(ref_evaluate(q, s)) == ("term", answer)
+            assert drawn[0] == answer, text
+
+    def test_agrees_with_reference_on_wide_guards(self, monkeypatch):
+        # two- and three-variable binders under two to four conjuncts in
+        # every argument order, with repeated and outer variables, also in
+        # fixed-point bodies, where conjuncts may read the intensional symbol
+        seen = {"drawn later": 0, "intersected": 0}
+        original = _Compiler._candidates
+
+        def spy(self, conjs, slot):
+            if conjs:
+                seen["drawn later"] += 1
+            if len(conjs) > 1:
+                seen["intersected"] += 1
+            return original(self, conjs, slot)
+
+        monkeypatch.setattr(_Compiler, "_candidates", spy)
+        rng = random.Random(64)
+        for case in range(450):
+            s = random_structure(rng, drop_prob=0.05)
+            env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
+            if case % 3:
+                e = _guarded_binder(rng, ("x", "y"), wide=True)
+                if rng.random() < 0.3:
+                    e = Sum(("x",), RelAtom("p", ("x",)), e)
+            else:
+                binder = _guarded_binder(rng, ("v0", "x"), ifp=True, wide=True)
+                e = Ifp("F", ("v0",), Arith("+", binder, WeightAtom("F", ("v0",))), ("y",))
+            assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env)), to_text(e)
+        assert min(seen.values()) >= 30, seen
 
 
 class TestTrackedFixpoint:
