@@ -50,27 +50,24 @@ error; an uncovered expression without misuse takes the default.
 Sums, aggregates and quantifiers draw their bindings from one routine,
 out of the top-level conjuncts of the guard (for ``forall``, of the
 antecedent of an implication body) that are an extensional ``R(..)`` or
-``w(..) != bot`` and come before the first conjunct that can raise
-(one with arithmetic, a summation, an aggregate or a fixed point).  The
-usable conjunct that names the most bound variables among those whose
-bound variables, by first mention, lead the binder in binder order
-(``e(x, y)`` or ``e(x, z)`` under ``{x, y}``, not ``e(y, x)``) draws
-them together from its table's support.  Each later variable, in
-binder order, is drawn from the intersection of the supports of the
-usable conjuncts that name it last, looked up by the values of the
-earlier and outer variables they mention: under ``{x, y, z}`` the
-triangle guard ``e(x, y) and e(y, z) and e(z, x)`` draws ``(x, y)``
-from ``e`` and ``z`` from the successors of ``y`` that are predecessors
-of ``x``.  A variable no such
-conjunct names runs over the universe, and a guard with none at all
-over ``product(universe, repeat=k)``.  The full guard is still tested
-on every candidate, and candidates come in the order of the product,
-since every list is in universe order, so the first undefined summand
-and the first summand over budget are the same as under full
-enumeration.  A support index, and the set form a later conjunct is
-tested against, is built on first use and shared by every binder of
-the call that reads the same symbol with the same pattern of drawn,
-looked-up and repeated positions; a binder that never runs builds none.
+``w(..) != bot`` and come before the first conjunct that can raise (one
+with arithmetic, a summation, an aggregate or a fixed point).  The one
+naming the most bound variables among those whose bound variables, by
+first mention, lead the binder (``e(x, y)`` or ``e(x, z)`` under
+``{x, y}``, not ``e(y, x)``) draws them together from its support.
+Each later variable, in binder order, is drawn from the intersection of
+the supports of the usable conjuncts that name it last, looked up by
+the earlier and outer variables: the triangle guard ``e(x, y) and
+e(y, z) and e(z, x)`` draws ``(x, y)`` from ``e`` and ``z`` from the
+successors of ``y`` that are predecessors of ``x``.  A variable no such
+conjunct names runs over the universe.  The full guard is still tested
+on every candidate, and since every list is in universe order the
+candidates come in the order of ``product(universe, repeat=k)``, so the
+first undefined summand and the first summand over budget are the same
+as under full enumeration.  A support index, as sorted lists or as sets,
+is built on first use and shared by every binder of the call that reads
+the same symbol with the same pattern of drawn, looked-up and repeated
+positions; a binder that never runs builds none.
 
 A fixed point tracks dependencies: while the body runs for a tuple, the
 lookups of its symbol record the entries they found missing.  A tuple
