@@ -60,11 +60,16 @@ the supports of the usable conjuncts that name it last, looked up by
 the earlier and outer variables: the triangle guard ``e(x, y) and
 e(y, z) and e(z, x)`` draws ``(x, y)`` from ``e`` and ``z`` from the
 successors of ``y`` that are predecessors of ``x``.  A variable no such
-conjunct names runs over the universe.  The full guard is still tested
-on every candidate, and since every list is in universe order the
-candidates come in the order of ``product(universe, repeat=k)``, so the
-first undefined summand and the first summand over budget are the same
-as under full enumeration.  A support index, as sorted lists or as sets,
+conjunct names runs over the universe.  Every candidate satisfies the
+conjuncts it was drawn from, so a binder tests only the residual: the
+other top-level conjuncts, in their order (the flat triangle count
+tests none).  A drawn conjunct cannot raise, reads no fixed point and
+holds no memo, so skipping its test changes no value and no error.
+Every conjunct is still compiled, so the whole guard decides coverage,
+unbound names and the memo key.  Since every list is in universe order the candidates
+come in the order of ``product(universe, repeat=k)``, so the first
+undefined summand and the first summand over budget are the same as
+under full enumeration.  A support index, as sorted lists or as sets,
 is built on first use and shared by every binder of the call that reads
 the same symbol with the same pattern of drawn, looked-up and repeated
 positions; a binder that never runs builds none.
@@ -266,6 +271,11 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     return index
 
 
+def _both(left: Compiled, right: Compiled) -> Compiled:
+    """The conjunction of two formula closures, ``left`` tested first."""
+    return lambda env: left(env) and right(env)
+
+
 def _level(lo: int, hi: int, candidates: Callable[[list], Iterable[tuple]], inner: Optional[Callable]):
     """Bindings that extend a prefix by each candidate value of the slots
     ``lo .. hi-1`` and then by ``inner``'s bindings of the later slots, if
@@ -423,18 +433,20 @@ class _Compiler:
 
     # -- binding enumeration ------------------------------------------
 
-    def _bindings(self, scope: _Scope, lo: int, hi: int, guard: Optional[Node]) -> Bindings:
-        """Candidate values of the slots ``lo .. hi-1`` under ``guard``.
+    def _bindings(self, lo: int, hi: int, draw: tuple) -> Bindings:
+        """Candidate values of the slots ``lo .. hi-1`` under the ``draw``
+        of :meth:`_support_conjuncts`.
 
-        The candidates include every binding that satisfies ``guard`` and
-        come in the order of ``product(universe, repeat=hi-lo)``.  The
+        The candidates are the bindings that satisfy every drawn conjunct
+        and come in the order of ``product(universe, repeat=hi-lo)``.  The
         leading slots are drawn together from the support of one guard
         conjunct, and each later slot from the intersection of the
         supports of the conjuncts that name it last (see the module
         docstring); a slot no usable conjunct names runs over the universe.
+        The binder tests only the residual, the guard's other conjuncts.
         """
         universe, k = self.universe, hi - lo
-        head, mid, tails = self._support_conjuncts(scope, lo, hi, guard)
+        head, mid, tails = draw
         if head is None and not any(tails):
             return lambda env: product(universe, repeat=k)
         if mid == hi:
@@ -445,6 +457,23 @@ class _Compiler:
         if head is not None:
             bindings = _level(lo, mid, self._support(head, lo, mid), bindings)
         return lambda env: bindings(env, ())
+
+    def _residual(self, conjuncts: list, scope: _Scope) -> tuple[Optional[Compiled], int]:
+        """The closure testing the residual ones of ``conjuncts``, as
+        :meth:`_support_conjuncts` lists them, in their order (``None`` if
+        there are none), and the bitmask of the slots the guard reads.
+        Every conjunct is compiled, so the whole guard decides coverage,
+        unbound names and the memo key."""
+        tests, mask = [], 0
+        for conj, residual in conjuncts:
+            fn, m = self.compile(conj, scope)
+            mask |= m
+            if residual:
+                tests.append(fn)
+        test = None
+        for fn in reversed(tests):
+            test = fn if test is None else _both(fn, test)
+        return test, mask
 
     def _candidates(self, conjs: list, slot: int) -> Callable[[list], list]:
         """The values, as 1-tuples in universe order, that ``slot`` takes
@@ -502,20 +531,25 @@ class _Compiler:
         return lookup
 
     def _support_conjuncts(self, scope: _Scope, lo: int, hi: int, guard: Optional[Node]):
-        """The guard conjuncts, as ``(symbol, table, argument slots)``, that
-        the bindings of the slots ``lo .. hi-1`` are drawn from: the head,
-        or ``None``; the slot ``mid`` after the ones it draws; and per slot
-        from ``mid`` on, the list of conjuncts that name it last.
+        """How the guard's bindings of the slots ``lo .. hi-1`` are drawn,
+        and the guard's top-level conjuncts in their order, each paired
+        with whether it is residual: not enforced by the draw.
 
-        Usable conjuncts are extensional ``R(..)`` and ``w(..) != bot`` up
-        to the first conjunct whose evaluation can raise: skipping a
-        binding must not skip an error.  The head is the one that names
-        the most bound slots, the earliest among equals, among those whose
-        bound slots by first mention are the leading ones in slot order
-        (otherwise their support order is not the product's).
+        The draw is the head, or ``None``; the slot ``mid`` after the
+        ones it draws; and per slot from ``mid`` on, the list of
+        conjuncts that name it last, each as ``(symbol, table, argument
+        slots)``.  Usable conjuncts are extensional ``R(..)`` and
+        ``w(..) != bot`` up to the first conjunct whose evaluation can
+        raise: skipping a binding must not skip an error.  The head is
+        the one that names the most bound slots, the earliest among
+        equals, among those whose bound slots by first mention are the
+        leading ones in slot order (otherwise their support order is not
+        the product's).  A usable conjunct that is neither the head nor
+        in a list is residual.
         """
-        head, mid, named = None, lo, []
-        for conj in _conjuncts(guard) if guard is not None else ():
+        conjs = _conjuncts(guard) if guard is not None else []
+        head, first, mid, named = None, None, lo, []
+        for i, conj in enumerate(conjs):
             found = self._support_of(conj, scope)
             if found is None:
                 if self._raises(conj):
@@ -526,11 +560,12 @@ class _Compiler:
             if not mentioned:
                 continue
             chosen = (found[0], found[1], slots)
-            named.append((max(mentioned), chosen))
+            named.append((max(mentioned), chosen, i))
             if mentioned == list(range(lo, lo + len(mentioned))) and lo + len(mentioned) > mid:
-                head, mid = chosen, lo + len(mentioned)
-        tails = [[chosen for last, chosen in named if last == slot] for slot in range(mid, hi)]
-        return head, mid, tails
+                head, first, mid = chosen, i, lo + len(mentioned)
+        tails = [[chosen for last, chosen, _ in named if last == slot] for slot in range(mid, hi)]
+        drawn = {i for last, _, i in named if last >= mid or i == first}
+        return (head, mid, tails), [(conj, i not in drawn) for i, conj in enumerate(conjs)]
 
     def _support_of(self, n: Node, scope: _Scope):
         """``(symbol, table, args)`` if ``n`` holds only on the support of an
@@ -610,7 +645,7 @@ class _Compiler:
 
     def _and(self, n: And, scope):
         (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
-        return (lambda env: lf(env) and rf(env)), lm | rm
+        return _both(lf, rf), lm | rm
 
     def _or(self, n: Or, scope):
         (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
@@ -623,23 +658,28 @@ class _Compiler:
     def _quantifier(self, n, scope):
         inner, lo, hi = self._bind(scope, (n.var,))
         if type(n) is Exists:
-            guard = n.body
-        else:
+            guard, then = n.body, None
+        elif type(n.body) is Implies:
             # forall x (a -> b) holds wherever a fails
-            guard = n.body.left if type(n.body) is Implies else None
-        bindings = self._bindings(inner, lo, hi, guard)
-        body, mask = self.compile(n.body, inner)
-        mask &= ~(1 << lo)
-        if type(n) is Exists:
+            guard, then = n.body.left, n.body.right
+        else:
+            guard, then = None, n.body
+        draw, conjuncts = self._support_conjuncts(inner, lo, hi, guard)
+        bindings = self._bindings(lo, hi, draw)
+        test, mask = self._residual(conjuncts, inner)
+        if then is None:
 
             def quantify(env):
                 for (elem,) in bindings(env):
                     env[lo] = elem
-                    if body(env):
+                    if test is None or test(env):
                         return True
                 return False
 
         else:
+            consequent, then_mask = self.compile(then, inner)
+            mask |= then_mask
+            body = consequent if test is None else (lambda env: not test(env) or consequent(env))
 
             def quantify(env):
                 for (elem,) in bindings(env):
@@ -648,6 +688,7 @@ class _Compiler:
                         return False
                 return True
 
+        mask &= ~(1 << lo)
         return self._memo(quantify, mask, scope), mask
 
     # -- terms ----------------------------------------------------------
@@ -726,8 +767,9 @@ class _Compiler:
         bindings that satisfy the guard, with running accumulators."""
         kind = "sum" if type(n) is Sum else n.kind
         inner, lo, hi = self._bind(scope, n.vars)
-        bindings = self._bindings(inner, lo, hi, n.guard)
-        guard, mask = self.compile(n.guard, inner)
+        draw, conjuncts = self._support_conjuncts(inner, lo, hi, n.guard)
+        bindings = self._bindings(lo, hi, draw)
+        test, mask = self._residual(conjuncts, inner)
         body = None
         if n.body is not None:
             body, bm = self.compile(n.body, inner, term=True)
@@ -746,7 +788,7 @@ class _Compiler:
             best = _MISSING
             for combo in bindings(env):
                 env[lo:hi] = combo
-                if not guard(env):
+                if test is not None and not test(env):
                     continue
                 count += 1
                 if count > limit:

@@ -1418,6 +1418,89 @@ class TestSparseEnumeration:
             assert normalize(evaluate(e, s, env)) == normalize(ref_evaluate(e, s, env)), to_text(e)
         assert min(seen.values()) >= 30, seen
 
+    def test_agrees_with_reference_on_defined_weights(self):
+        # every weight is defined, so most answers are defined nonzero
+        # values, while the relations, half of all tuples, keep the guards
+        # sparse
+        outcomes = {"bot": 0, "zero": 0, "nonzero": 0}
+        rng = random.Random(65)
+        for case in range(300):
+            s = random_full_structure(rng)
+            env = {"x": rng.choice(s.universe), "y": rng.choice(s.universe)}
+            e = _guarded_binder(rng, ("x", "y"), wide=case % 2 == 1)
+            if rng.random() < 0.3:
+                e = Sum(("x",), RelAtom("p", ("x",)), e)
+            got = normalize(evaluate(e, s, env))
+            assert got == normalize(ref_evaluate(e, s, env)), to_text(e)
+            value = got[1]
+            outcomes["bot" if value is None else "zero" if value == 0 else "nonzero"] += 1
+        assert outcomes["nonzero"] >= 120, outcomes
+
+    def test_binders_test_only_the_residual(self, monkeypatch, two_triangle_graph):
+        # counts the runs of each formula closure, nested ones too: a
+        # binder runs only the guard conjuncts its draw does not enforce
+        runs: dict[str, int] = {}
+        original = _Compiler.compile
+
+        def counting(self, n, scope, term=False):
+            fn, mask = original(self, n, scope, term)
+            if term is not False:
+                return fn, mask
+            text = to_text(n)
+
+            def counted(env):
+                runs[text] = runs.get(text, 0) + 1
+                return fn(env)
+
+            return counted, mask
+
+        monkeypatch.setattr(_Compiler, "compile", counting)
+        s = two_triangle_graph.expand(
+            relations={"e": (2, [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d")]), "p": (1, [("a",), ("c",)])},
+            weights={"w": (1, {("a",): 1, ("b",): -1, ("c",): 2})},
+        )
+        for text, answer, expected in (
+            ("count {x, y, z : wt(x, y) != bot and wt(y, z) != bot and wt(z, x) != bot}", 6, {}),
+            ("sum {x, y : e(x, y) and w(x) > 0} 1", 2, {"w(x) > 0": 4}),
+            # e(y, x) is usable but not drawn: e(x, y) draws both variables
+            ("sum {x, y : e(x, y) and e(y, x)} 1", 2, {"e(y, x)": 4}),
+            # p(x) follows arithmetic, so the draw runs over the universe
+            ("sum {x : w(x) * 2 > 0 and p(x)} 1", 2, {"w(x) * 2 > 0": 4, "p(x)": 2}),
+            ("avg {x : p(x) and not e(x, x) and wt(x, x) = bot} w(x)", Fraction(3, 2), {"not e(x, x)": 2, "e(x, x)": 2, "wt(x, x) = bot": 2}),
+            ("forall x (p(x) implies w(x) > 0)", True, {"w(x) > 0": 2}),
+            ("forall x (p(x) and wt(x, x) = bot implies w(x) > 0)", True, {"wt(x, x) = bot": 2, "w(x) > 0": 2}),
+            ("exists x (p(x) and w(x) < 0)", False, {"w(x) < 0": 2}),
+            ("exists y e(x, y)", True, {}),
+        ):
+            q = parse(text)
+            env = {"x": "b"}
+            runs.clear()
+            got = evaluate(q, s, env)
+            assert runs == expected, text
+            assert got == (answer if type(answer) is bool else rational(answer)), text
+            assert normalize(got) == normalize(ref_evaluate(q, s, env)), text
+
+    def test_coverage_is_decided_by_the_whole_guard(self, two_triangle_graph):
+        # the misuse, the uncovered symbol or the free variable sits only
+        # in a drawn conjunct, whose test the binder skips
+        binary = two_triangle_graph.expand(relations={"e": (2, [("a", "b"), ("b", "c")]), "p": (1, [("a",)])})
+        unary = two_triangle_graph.expand(relations={"e": (1, [("a",), ("b",)]), "p": (1, [("a",)])})
+        for s in (binary, unary):
+            with pytest.raises(UsageError, match="^symbol 'e' used with arities 2 and 1$"):
+                evaluate(parse("count {x, y : wt(x, y) != bot and e(x, y) and e(y)}"), s)
+            with pytest.raises(UsageError, match="^unbound variables: u$"):
+                evaluate(parse("sum {x : e(x, u)} 1"), s)
+            with pytest.raises(UsageError, match="^unbound variables: u$"):
+                evaluate(parse("exists x e(x, u)"), s)
+        for text in ("sum {x : e(x)} 1", "count {x : p(x) and e(x)}"):
+            assert evaluate(parse(text), binary) is BOT
+        assert evaluate(parse("exists x e(x)"), binary) is False
+        assert evaluate(parse("forall x (e(x) implies p(x))"), binary) is False
+        # the memo key of an inner binder reads the outer variable that
+        # only its drawn conjunct names
+        for text, answer in (("sum {x : p(x) or not p(x)} count {y : e(x, y)}", 2), ("count {x : exists y e(x, y)}", 2)):
+            assert evaluate(parse(text), binary) == rational(answer)
+
 
 class TestTrackedFixpoint:
     """Tuples are recomputed only after an entry they read is defined."""
