@@ -464,15 +464,12 @@ class _Compiler:
         there are none), and the bitmask of the slots the guard reads.
         Every conjunct is compiled, so the whole guard decides coverage,
         unbound names and the memo key."""
-        tests, mask = [], 0
+        test, mask = None, 0
         for conj, residual in conjuncts:
             fn, m = self.compile(conj, scope)
             mask |= m
             if residual:
-                tests.append(fn)
-        test = None
-        for fn in reversed(tests):
-            test = fn if test is None else _both(fn, test)
+                test = fn if test is None else _both(test, fn)
         return test, mask
 
     def _candidates(self, conjs: list, slot: int) -> Callable[[list], list]:
@@ -548,6 +545,7 @@ class _Compiler:
         in a list is residual.
         """
         conjs = _conjuncts(guard) if guard is not None else []
+        residual = [True] * len(conjs)
         head, first, mid, named = None, None, lo, []
         for i, conj in enumerate(conjs):
             found = self._support_of(conj, scope)
@@ -555,17 +553,22 @@ class _Compiler:
                 if self._raises(conj):
                     break
                 continue
-            slots = self._slots(scope, found[2])[0]
-            mentioned = list(dict.fromkeys(slot for slot in slots if lo <= slot < hi))
+            slots = [self._slot(scope, a) for a in found[2]]
+            mentioned = []  # the bound slots, by first mention
+            for slot in slots:
+                if lo <= slot < hi and slot not in mentioned:
+                    mentioned.append(slot)
             if not mentioned:
                 continue
             chosen = (found[0], found[1], slots)
             named.append((max(mentioned), chosen, i))
             if mentioned == list(range(lo, lo + len(mentioned))) and lo + len(mentioned) > mid:
                 head, first, mid = chosen, i, lo + len(mentioned)
+        for last, _, i in named:
+            if last >= mid or i == first:
+                residual[i] = False
         tails = [[chosen for last, chosen, _ in named if last == slot] for slot in range(mid, hi)]
-        drawn = {i for last, _, i in named if last >= mid or i == first}
-        return (head, mid, tails), [(conj, i not in drawn) for i, conj in enumerate(conjs)]
+        return (head, mid, tails), list(zip(conjs, residual))
 
     def _support_of(self, n: Node, scope: _Scope):
         """``(symbol, table, args)`` if ``n`` holds only on the support of an

@@ -1259,6 +1259,35 @@ class TestSparseEnumeration:
                     with pytest.raises(ResourceError, match="summands"):
                         evaluate(q, s, env, limits)
 
+    def test_each_candidate_comes_at_its_product_position(self):
+        # The summand is undefined at one binding only (the hole), the
+        # k-th in product order.  A budget of k summands reaches the hole
+        # and answers bot; a budget of k - 1 stops just before it.  So
+        # any other order, also one that keeps the earlier variables'
+        # blocks, moves some hole across the bound.  e(y, x) draws y
+        # alone from one conjunct, the triangle draws z from two
+        universe = [f"u{i}" for i in range(3)]
+        everywhere = [(y, x) for x in universe for y in reversed(universe)]
+        triples = list(product(reversed(universe), repeat=3))
+        pairs = parse("sum {x, y : e(y, x)} f(y, x)")
+        triangles = parse("sum {x, y, z : e(x, y) and e(y, z) and e(z, x)} g(x, y, z)")
+        for q, holes in (
+            (pairs, [(y, x) for x in universe for y in universe]),
+            (triangles, list(product(universe, repeat=3))),
+        ):
+            for k, hole in enumerate(holes, 1):
+                s = WeightedStructure.build(
+                    universe,
+                    relations={"e": (2, everywhere)},
+                    weights={
+                        "f": (2, {t: 1 for t in everywhere if t != hole}),
+                        "g": (3, {t: 1 for t in triples if t != hole}),
+                    },
+                )
+                assert evaluate(q, s, limits=EvalLimits(max_summands=k)) is BOT
+                with pytest.raises(ResourceError, match="summands"):
+                    evaluate(q, s, limits=EvalLimits(max_summands=k - 1))
+
     def test_no_skipped_binding_hides_a_budget_error(self):
         # the count precedes the relation conjunct, so its budget is
         # charged on every binding of x, also on b where p(x) fails
