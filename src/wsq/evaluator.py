@@ -66,13 +66,13 @@ other top-level conjuncts, in their order (the flat triangle count
 tests none).  A drawn conjunct cannot raise, reads no fixed point and
 holds no memo, so skipping its test changes no value and no error.
 Every conjunct is still compiled, so the whole guard decides coverage,
-unbound names and the memo key.  Since every list is in universe order the candidates
-come in the order of ``product(universe, repeat=k)``, so the first
-undefined summand and the first summand over budget are the same as
-under full enumeration.  A support index, as sorted lists or as sets,
-is built on first use and shared by every binder of the call that reads
-the same symbol with the same pattern of drawn, looked-up and repeated
-positions; a binder that never runs builds none.
+unbound names and the memo key.  Since every list is in universe order,
+the candidates come in the order of ``product(universe, repeat=k)``, so
+the first undefined summand and the first summand over budget are the
+same as under full enumeration.  A support index, as sorted lists or
+as sets, is built on first use and shared by every binder of the call
+that reads the same symbol with the same pattern of drawn, looked-up
+and repeated positions; a binder that never runs builds none.
 
 A fixed point tracks dependencies: while the body runs for a tuple, the
 lookups of its symbol record the entries they found missing.  A tuple
