@@ -176,6 +176,18 @@ def _ge(a, b) -> bool:
 
 _ORDER = {"<": _lt, "<=": _le, ">": _gt, ">=": _ge, "=": operator.eq, "!=": operator.ne}
 
+# ``t op 0`` as a test of the sign of t's numerator (a Fraction's
+# denominator is positive), given t's closure; bot is below 0
+_SIGN = {
+    "<": lambda t: lambda env: (v := t(env)) is None or v.numerator < 0,
+    "<=": lambda t: lambda env: (v := t(env)) is None or v.numerator <= 0,
+    ">": lambda t: lambda env: (v := t(env)) is not None and v.numerator > 0,
+    ">=": lambda t: lambda env: (v := t(env)) is not None and v.numerator >= 0,
+}
+
+# ``0 op t`` is ``t op' 0``
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 # the arithmetic the closures apply to two defined operands
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -186,6 +198,9 @@ _MAX_BITS = 2**20
 
 # "no value yet" in memo tables and max/min, where None is a value (bot)
 _MISSING = object()
+
+# the value of 0, of an empty sum and of 0 times a defined value
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -220,7 +235,7 @@ def _constant(value) -> Compiled:
 
 
 # the closures of the fixed constants; a literal carries its value
-_CONSTANT = {Zero: _constant(Fraction(0)), One: _constant(Fraction(1)), BotConst: _constant(None)}
+_CONSTANT = {Zero: _constant(_ZERO), One: _constant(Fraction(1)), BotConst: _constant(None)}
 
 # nodes whose evaluation can raise a ResourceError (bit bound and budgets)
 _RAISING = (Arith, Sum, Aggregate, Ifp)
@@ -240,7 +255,7 @@ def _conjuncts(f: Node) -> list[Node]:
     return out
 
 
-def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> dict:
+def _support_index(indexes: dict, signature: tuple, table, rank: dict) -> dict:
     """The support index of one symbol under one argument pattern, built
     into ``indexes`` on first use.
 
@@ -248,7 +263,8 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     the position is looked up (bound outside the binder or drawn before),
     else the number of the drawn slot it holds (repeated slots repeat
     the number).  The index maps the values at the looked-up positions
-    to the distinct values of the drawn slots, sorted in universe order.
+    to the distinct values of the drawn slots, sorted in universe order,
+    which ``rank`` gives: each element's position in the universe.
     """
     index = indexes.get(signature)
     if index is not None:
@@ -262,7 +278,6 @@ def _support_index(indexes: dict, signature: tuple, table, universe: tuple) -> d
     for t in table:
         if not repeats or all(t[i] == t[j] for i, j in repeats):
             groups.setdefault(outside(t), set()).add(drawn(t))
-    rank = {elem: i for i, elem in enumerate(universe)}
     if len(first) == 1:
         order = lambda sub: rank[sub[0]]
     else:
@@ -332,9 +347,10 @@ class _Compiler:
     :meth:`compile` returns a node's closure together with the bitmask of
     the slots it reads, which are its free variables.  The root scope
     binds the caller's assignment; a name read out of scope goes into
-    ``unbound``.  ``indexes`` and ``filters`` hold the support indexes
-    built so far, as sorted lists and as sets, and ``units`` the universe
-    as 1-tuples once a binder runs a slot over it.
+    ``unbound``.  ``rank`` gives each element's position in the universe;
+    ``indexes`` and ``filters`` hold the support indexes built so far, as
+    sorted lists and as sets, and ``units`` the universe as 1-tuples once
+    a binder runs a slot over it.
     ``covered`` turns false at the first uncovered use (see the module
     docstring); ``arities`` holds each fixed-point symbol's arity.
     """
@@ -342,6 +358,7 @@ class _Compiler:
     def __init__(self, structure: WeightedStructure, limits: EvalLimits, env: Optional[Mapping]):
         self.structure = structure
         self.universe = structure.universe
+        self.rank = {elem: i for i, elem in enumerate(self.universe)}
         self.limits = limits
         self.env = dict(env or {})
         self.root = _Scope(None, tuple(self.env), {})
@@ -377,9 +394,8 @@ class _Compiler:
         """The slot list holding the caller's assignment."""
         if self.unbound:
             raise UsageError(f"unbound variables: {', '.join(sorted(self.unbound))}")
-        universe = set(self.universe)
         for var, val in self.env.items():
-            if val not in universe:
+            if val not in self.rank:
                 raise UsageError(f"assignment {var}={val!r} is not a universe element")
         return [*self.env.values()] + [None] * (self.size - self.root.top)
 
@@ -512,13 +528,13 @@ class _Compiler:
                 found.append(slot)
         signature = (name, tuple(roles))
         key = _tuple_getter(bound)
-        indexes, universe = self.indexes, self.universe  # not self: no cycle with the compiler
+        indexes, rank = self.indexes, self.rank  # not self: no cycle with the compiler
         box: list = [None]
 
         def lookup(env):
             index = box[0]
             if index is None:
-                index = box[0] = _support_index(indexes, signature, table, universe)
+                index = box[0] = _support_index(indexes, signature, table, rank)
                 if filters is not None:
                     if signature not in filters:
                         filters[signature] = {k: set(subs) for k, subs in index.items()}
@@ -635,6 +651,9 @@ class _Compiler:
                 fn = lambda env: t(env) is None
             else:
                 fn = lambda env: t(env) is not None
+        elif op in _FLIP and (type(left) is Zero or type(right) is Zero):
+            # comparing with 0 is a sign test
+            fn = _SIGN[_FLIP[op]](rf) if type(left) is Zero else _SIGN[op](lf)
         else:
             test = _ORDER[op]
             fn = lambda env: test(lf(env), rf(env))
@@ -706,6 +725,16 @@ class _Compiler:
         if cell is not None:
             if cell.arity != len(slots):
                 self.covered = False
+            if len(slots) == 1:
+                (a,) = slots
+
+                def intensional(env):
+                    value = cell.table.get((env[a],))
+                    if value is None:
+                        cell.reads.add((env[a],))
+                    return value
+
+                return intensional, mask
             key = _tuple_getter(slots)
 
             def intensional(env):
@@ -721,6 +750,14 @@ class _Compiler:
         table = self.structure.weights.get(n.name)
         if table is None or not slots:
             return _constant(None if table is None else table.get((), BOT).frac), mask
+        if len(slots) == 1:
+            (a,) = slots
+
+            def extensional(env):
+                value = table.get((env[a],))
+                return value if value is None else value.frac
+
+            return extensional, mask
         key = _tuple_getter(slots)
 
         def extensional(env):
@@ -742,14 +779,21 @@ class _Compiler:
         dividing = n.op == "/"
         overflow = f"'{n.op}' result exceeds {limit} bits"
 
-        def fn(env):
-            a, b = lf(env), rf(env)
-            if a is None or b is None or (dividing and not b):
-                return None
-            value = op(a, b)
-            if value.numerator.bit_length() > limit or value.denominator.bit_length() > limit:
-                raise ResourceError(overflow)
-            return value
+        if n.op == "*" and (type(n.left) is Zero or type(n.right) is Zero):
+            # 0 times a defined value is 0; the other operand still runs, so
+            # its fixed-point reads are recorded and its errors raised
+            t = rf if type(n.left) is Zero else lf
+            fn = lambda env: None if t(env) is None else _ZERO
+        else:
+
+            def fn(env):
+                a, b = lf(env), rf(env)
+                if a is None or b is None or (dividing and not b):
+                    return None
+                value = op(a, b)
+                if value.numerator.bit_length() > limit or value.denominator.bit_length() > limit:
+                    raise ResourceError(overflow)
+                return value
 
         if not LEAVES.issuperset((type(n.left), type(n.right))):
             fn = self._memo(fn, lm | rm, scope)
@@ -787,7 +831,7 @@ class _Compiler:
 
         def fold(env):
             count = 0
-            acc = Fraction(0)
+            acc = _ZERO
             best = _MISSING
             for combo in bindings(env):
                 env[lo:hi] = combo
@@ -800,7 +844,7 @@ class _Compiler:
                     value = body(env)
                     if value is None:
                         return None
-                    acc += value
+                    acc = value if count == 1 else acc + value
                     if acc.numerator.bit_length() > bits or acc.denominator.bit_length() > bits:
                         raise ResourceError(too_long)
                 elif not counting:

@@ -42,7 +42,9 @@ class ExtRational:
     ``hash(rational(1)) == hash(1)``, and ``bot == bot``.
     """
 
-    _frac: Optional[Fraction]
+    # underlying Fraction, or None for bot: a public field, so a read is a
+    # slot read and an assignment raises FrozenInstanceError
+    frac: Optional[Fraction]
 
     # -- construction -------------------------------------------------
 
@@ -69,12 +71,7 @@ class ExtRational:
 
     @property
     def is_bot(self) -> bool:
-        return self._frac is None
-
-    @property
-    def frac(self) -> Optional[Fraction]:
-        """Underlying :class:`Fraction`, or ``None`` for ``bot``."""
-        return self._frac
+        return self.frac is None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -90,7 +87,7 @@ class ExtRational:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented  # type: ignore[return-value]
-        a, b = self._frac, rhs._frac
+        a, b = self.frac, rhs.frac
         if a is None or b is None:
             return BOT
         if op == "+":
@@ -126,7 +123,7 @@ class ExtRational:
         return self._coerce(other)._binop(self, "/")
 
     def __neg__(self) -> "ExtRational":
-        return BOT if self._frac is None else ExtRational(-self._frac)
+        return BOT if self.frac is None else ExtRational(-self.frac)
 
     # -- total order (bot below everything, bot == bot) -----------------
 
@@ -134,17 +131,17 @@ class ExtRational:
         rhs = self._coerce(other)  # type: ignore[arg-type]
         if rhs is NotImplemented:
             return NotImplemented
-        return self._frac == rhs._frac
+        return self.frac == rhs.frac
 
     def __hash__(self) -> int:
         # a defined value hashes like its Fraction, so equal numbers hash equal
-        return hash(self._frac)
+        return hash(self.frac)
 
     def _cmp(self, other: RationalLike) -> int:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             raise TypeError(f"cannot compare ExtRational with {type(other).__name__}")
-        a, b = self._frac, rhs._frac
+        a, b = self.frac, rhs.frac
         if a is None:
             return 0 if b is None else -1
         if b is None:
@@ -166,11 +163,11 @@ class ExtRational:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        if self._frac is None:
+        if self.frac is None:
             return "bot"
-        if self._frac.denominator == 1:
-            return str(self._frac.numerator)
-        return f"{self._frac.numerator}/{self._frac.denominator}"
+        if self.frac.denominator == 1:
+            return str(self.frac.numerator)
+        return f"{self.frac.numerator}/{self.frac.denominator}"
 
     def __repr__(self) -> str:
         return f"ExtRational('{self}')"
@@ -229,7 +226,7 @@ def sum_all(items: Iterable[ExtRational]) -> ExtRational:
     """Exact sum of a finite sequence; 0 when empty, ``bot`` if any item is."""
     total = Fraction(0)
     for item in items:
-        if item._frac is None:
+        if item.frac is None:
             return BOT
-        total += item._frac
+        total += item.frac
     return ExtRational(total)

@@ -1338,10 +1338,10 @@ class TestSparseEnumeration:
         built = []
         original = wsq.evaluator._support_index
 
-        def spy(indexes, signature, table, universe):
+        def spy(indexes, signature, table, rank):
             if signature not in indexes:
                 built.append(signature)
-            return original(indexes, signature, table, universe)
+            return original(indexes, signature, table, rank)
 
         monkeypatch.setattr(wsq.evaluator, "_support_index", spy)
         s = WeightedStructure.build(
@@ -1359,17 +1359,18 @@ class TestSparseEnumeration:
     def test_support_index_keeps_repeated_positions_equal(self):
         table = {("a", "a", "c"), ("d", "b", "c"), ("b", "b", "c"), ("b", "b", "d")}
         # e(y, y, x) with y bound and x outer
-        index = wsq.evaluator._support_index({}, ("e", (0, 0, -1)), table, ("b", "a", "c", "d"))
+        rank = {elem: i for i, elem in enumerate(("b", "a", "c", "d"))}
+        index = wsq.evaluator._support_index({}, ("e", (0, 0, -1)), table, rank)
         assert index == {("c",): [("b",), ("a",)], ("d",): [("b",)]}
 
     def test_index_built_lazily_and_shared(self, monkeypatch, two_triangle_graph):
         built = []
         original = wsq.evaluator._support_index
 
-        def spy(indexes, signature, table, universe):
+        def spy(indexes, signature, table, rank):
             if signature not in indexes:
                 built.append(signature)
-            return original(indexes, signature, table, universe)
+            return original(indexes, signature, table, rank)
 
         monkeypatch.setattr(wsq.evaluator, "_support_index", spy)
         net = clamp_net()
