@@ -32,12 +32,20 @@ memo table (below); a summation so shared is one node for
 Values are unboxed inside the engine: a term's closure returns a bare
 :class:`~fractions.Fraction`, or ``None`` for ``bot``, and a fixed
 point's live table holds Fractions.  Constants, literals and weights are
-unboxed where they are read; arithmetic tests for ``None`` inline (a
-zero divisor gives ``None``), and the comparisons, ``max`` and ``min``
-order ``None`` below every rational, as :class:`ExtRational` does.
-Values are boxed into :class:`ExtRational` only where they leave the
-engine: in the result of :func:`evaluate` and in the entries of the
-:class:`FixpointTable` that :func:`ifp_iterate` returns.
+unboxed where they are read (a weight's ``frac`` is a slot); arithmetic
+tests for ``None`` inline (a zero divisor gives ``None``), and the
+comparisons, ``max`` and ``min`` order ``None`` below every rational, as
+:class:`ExtRational` does.  A zero operand is settled at compile time:
+``<``, ``<=``, ``>`` or ``>=`` with ``0`` on either side is a sign test
+of the other side's numerator, ``bot`` below 0, and ``0 * t`` or
+``t * 0`` runs ``t`` and gives ``None`` if it is ``None``, else 0, so
+``t``'s fixed-point reads are recorded and its errors raised; either
+keeps the memo decision of its node.  A ``sum`` or ``avg`` takes its
+first summand as the accumulator, and the bit bound is checked on every
+accumulator value, the first included.  Values are boxed into
+:class:`ExtRational` only where they leave the engine: in the result of
+:func:`evaluate` and in the entries of the :class:`FixpointTable` that
+:func:`ifp_iterate` returns.
 
 The same pass decides coverage where it reads the tables: a use is
 uncovered when the structure lacks its symbol at that kind and arity, a

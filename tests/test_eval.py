@@ -677,6 +677,23 @@ class TestInvariants:
         assert evaluate(make_eval_node(), with_input(padded, r)) == forward(net, r)[0]
 
 
+def _reference_iteration(var, body, s, env):
+    """The entries and rounds of the fixed point of ``body`` over ``F(var)``,
+    iterated naively round by round outside the evaluator."""
+    current, rounds = {}, 0
+    while True:
+        shadowed = with_weight_override(s, "F", 1, dict(current))
+        after = dict(current)
+        for elem in s.universe:
+            if (elem,) not in current:
+                value = ref_evaluate(body, shadowed, {**env, var: elem})
+                if value is not None:
+                    after[(elem,)] = rational(value)
+        if after == current:
+            return current, rounds
+        current, rounds = after, rounds + 1
+
+
 def _nested_binders(rng, levels, scope, ifp_depth=0):
     """A term whose binders nest ``levels`` deep along one chain.
 
@@ -812,20 +829,7 @@ class TestCompiledEvaluation:
             body = _nested_binders(rng, rng.randint(1, 2), ("v0", "x"), ifp_depth=1)
             env = {"x": rng.choice(s.universe)}
             table = ifp_iterate("F", ("v0",), body, s, env)
-            current, rounds = {}, 0
-            while True:
-                shadowed = with_weight_override(s, "F", 1, dict(current))
-                after = dict(current)
-                for elem in s.universe:
-                    if (elem,) not in current:
-                        value = ref_evaluate(body, shadowed, {**env, "v0": elem})
-                        if value is not None:
-                            after[(elem,)] = rational(value)
-                if after == current:
-                    break
-                current, rounds = after, rounds + 1
-            assert table.entries == current
-            assert table.rounds == rounds
+            assert (table.entries, table.rounds) == _reference_iteration("v0", body, s, env)
 
     def test_threads_share_one_ast_and_structure(self):
         net = random_fnn(random.Random(35), max_depth=4, max_width=4, mag=20)
@@ -1580,20 +1584,7 @@ class TestTrackedFixpoint:
                 body = Cond(RelAtom("p", ("v0",)), One(), body)
             env = {"x": rng.choice(s.universe)}
             table = ifp_iterate("F", ("v0",), body, s, env)
-            current, rounds = {}, 0
-            while True:
-                shadowed = with_weight_override(s, "F", 1, dict(current))
-                after = dict(current)
-                for elem in s.universe:
-                    if (elem,) not in current:
-                        value = ref_evaluate(body, shadowed, {**env, "v0": elem})
-                        if value is not None:
-                            after[(elem,)] = rational(value)
-                if after == current:
-                    break
-                current, rounds = after, rounds + 1
-            assert table.entries == current
-            assert table.rounds == rounds
+            assert (table.entries, table.rounds) == _reference_iteration("v0", body, s, env)
 
     def test_eval_node_body_registers_no_memo(self, monkeypatch):
         # memo tables never live inside a fixed-point body, not even for a
@@ -1619,3 +1610,102 @@ class TestTrackedFixpoint:
         )
         assert evaluate(replaying, path_net(3).structure, {"x": "n3"}) == rational(2)
         assert registered == []
+
+
+def _signed_weights():
+    """f(a) = -1/2, f(b) = 0, f(c) = 3 and f(d) = bot."""
+    return WeightedStructure.build(
+        ["a", "b", "c", "d"], weights={"f": (1, {("a",): Fraction(-1, 2), ("b",): 0, ("c",): 3})}
+    )
+
+
+class TestZeroOperands:
+    """A comparison or a product with a 0 operand is settled at compile
+    time, with the meaning the general rules give it."""
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize("zero_left", [True, False], ids=["zero_left", "zero_right"])
+    def test_order_against_zero_agrees_with_reference(self, op, zero_left):
+        s = _signed_weights()
+
+        def against_zero(t):
+            return f"0 {op} {t}" if zero_left else f"{t} {op} 0"
+
+        # bare, inside a binder, and memoised inside a binder that ignores x
+        for text in (
+            against_zero("f(x)"),
+            f"count {{y : {against_zero('f(y)')}}}",
+            f"count {{y : {against_zero('(f(x) + f(x))')}}}",
+        ):
+            q = parse(text)
+            for elem in s.universe:
+                got = evaluate(q, s, {"x": elem})
+                assert normalize(got) == normalize(ref_evaluate(q, s, {"x": elem})), (text, elem)
+
+    @pytest.mark.parametrize("text", ["0 * f(x)", "f(x) * 0"])
+    def test_product_with_zero_is_zero_or_bot(self, text):
+        s = _signed_weights()
+        q = parse(text)
+        for elem, expected in [("a", rational(0)), ("b", rational(0)), ("c", rational(0)), ("d", BOT)]:
+            assert evaluate(q, s, {"x": elem}) == expected, elem
+            assert normalize(ref_evaluate(q, s, {"x": elem})) == normalize(expected)
+
+    @pytest.mark.parametrize(
+        "text", ["0 * (f(x) * f(x))", "(f(x) * f(x)) * 0", "sum {x : f(x) != bot} (0 * (f(x) * f(x)))"]
+    )
+    def test_product_with_zero_still_runs_its_operand(self, monkeypatch, text):
+        # 16 * 16 needs 9 bits: the operand raises although 0 times it fits
+        monkeypatch.setattr(wsq.evaluator, "_MAX_BITS", 8)
+        s = WeightedStructure.build(["a"], weights={"f": (1, {("a",): 16})})
+        with pytest.raises(ResourceError) as exc:
+            evaluate(parse(text), s, {"x": "a"})
+        assert str(exc.value) == "'*' result exceeds 8 bits"
+
+    @pytest.mark.parametrize("product", ["0 * F(y)", "F(y) * 0"])
+    def test_fixpoint_read_only_under_a_zero_product(self, product):
+        # F(y) adds nothing to the value, but a node stays undefined until
+        # its predecessors are defined, so each layer takes one round
+        body = parse(
+            "if not exists y wt(y, x) != bot then 1 "
+            f"else 1 + sum {{y : wt(y, x) != bot}} ({product})"
+        )
+        q = Ifp("F", ("x",), body, ("x",))
+        for s, layers in ((path_net(4).structure, 5), (clamp_net().structure, 3)):
+            table = ifp_iterate("F", ("x",), body, s)
+            assert (table.entries, table.rounds) == _reference_iteration("x", body, s, {})
+            assert table.entries == {(elem,): rational(1) for elem in s.universe}
+            assert table.rounds == layers
+            for elem in s.universe:
+                assert normalize(evaluate(q, s, {"x": elem})) == normalize(ref_evaluate(q, s, {"x": elem}))
+
+
+class TestFoldAccumulator:
+    """An additive fold starts from its first summand and checks the bits
+    of every value it holds."""
+
+    def test_empty_sum_is_zero(self):
+        s = _signed_weights()
+        # only d has f undefined, so the last guard holds nowhere
+        for text in (
+            "sum {x : not x = x} f(x)",
+            "sum {x : f(x) > 3} f(x)",
+            "sum {x, y : f(x) = bot and f(y) = bot and not x = y} f(x)",
+        ):
+            assert evaluate(parse(text), s) == rational(0), text
+
+    @pytest.mark.parametrize("kind", ["sum", "avg"])
+    def test_one_summand_is_the_result(self, kind):
+        s = _signed_weights()
+        q = parse(f"{kind} {{y : y = x}} f(y)")
+        for elem, value in [("a", Fraction(-1, 2)), ("b", Fraction(0)), ("c", Fraction(3))]:
+            result = evaluate(q, s, {"x": elem})
+            assert type(result.frac) is Fraction and result.frac == value, elem
+        assert evaluate(q, s, {"x": "d"}) is BOT
+
+    @pytest.mark.parametrize("kind", ["sum", "avg"])
+    def test_one_over_long_summand_raises(self, kind):
+        # a numerator of 2^20 + 1 bits, read from the structure, not computed
+        s = WeightedStructure.build(["a", "b"], weights={"f": (1, {("a",): 2 ** 2**20})})
+        with pytest.raises(ResourceError) as exc:
+            evaluate(parse(f"{kind} {{x : f(x) != bot}} f(x)"), s)
+        assert str(exc.value) == f"'{kind}' result exceeds 1048576 bits"

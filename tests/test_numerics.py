@@ -1,5 +1,7 @@
 """Exact extended-rational arithmetic: absorption, order, exactness."""
 
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -121,6 +123,29 @@ class TestEquality:
         assert (a == a.frac) and hash(a) == hash(a.frac)
         assert (rational(n) == n) and hash(rational(n)) == hash(n)
         assert (a == n) == (a.frac == n)
+
+
+class TestPayload:
+    """``frac`` is a frozen public field, not a property."""
+
+    def test_assigning_frac_raises_frozen_instance_error(self):
+        half = rational(1, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            half.frac = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            BOT.frac = Fraction(3)
+        assert half.frac == Fraction(1, 2) and BOT.frac is None
+        assert [f.name for f in dataclasses.fields(ExtRational)] == ["frac"]
+
+    def test_repr_hash_and_pickling_unchanged(self):
+        assert repr(rational(-7, 3)) == "ExtRational('-7/3')" and repr(BOT) == "ExtRational('bot')"
+        assert hash(rational(-7, 3)) == hash(Fraction(-7, 3)) and hash(BOT) == hash(None)
+        for value in (rational(-7, 3), rational(4), BOT):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(value, protocol=protocol))
+                assert type(back) is ExtRational and back == value
+                assert repr(back) == repr(value) and hash(back) == hash(value)
+                assert back.frac == value.frac and type(back.frac) is type(value.frac)
 
 
 class TestSumAll:
