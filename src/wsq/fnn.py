@@ -18,7 +18,9 @@ the oracle for integration and the zero test.
 
 Validation derives the graph data once (neighbour lists, a topological
 order, the input/output orders ranked and checked by each member's number
-of predecessors), and :class:`FnnStructure` keeps them.
+of predecessors), and :class:`FnnStructure` keeps them.  The network
+oracles compute on bare ``Fraction``s (``None`` for bot) and box only
+their results; :func:`forward` reads the kept graph and builds no structure.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .errors import LoadError, ResourceError, UsageError
 from .numerics import BOT, ExtRational, as_rational, rational
@@ -64,14 +66,6 @@ LE_OUT = "le_out"
 INP = "inp"
 
 DEFAULT_MAX_PWL_PIECES = 10**6
-
-
-def _relu(x: ExtRational) -> ExtRational:
-    # undefined stays undefined so an ungrounded in-neighbour poisons its
-    # consumers, mirroring the evaluation templates
-    if x.frac is None:
-        return BOT
-    return x if x.frac > 0 else rational(0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +164,19 @@ def _linear_order(pairs: frozenset, members: Sequence[str], label: str) -> tuple
     return order, out
 
 
+def _graph(s: WeightedStructure, given: Container[str] = ()) -> tuple[dict, dict, list[str]]:
+    """In- and out-neighbours in universe order, without the edges into
+    ``given`` nodes, and :func:`_topological`'s order of the nodes of ``s``."""
+    rank = {v: i for i, v in enumerate(s.universe)}
+    ins: dict[str, list[str]] = {v: [] for v in s.universe}
+    outs: dict[str, list[str]] = {v: [] for v in s.universe}
+    for u, v in sorted(s.weights[WT], key=lambda e: (rank[e[0]], rank[e[1]])):
+        if v not in given:
+            ins[v].append(u)
+            outs[u].append(v)
+    return ins, outs, _topological(s.universe, outs)
+
+
 def _derive(s: WeightedStructure) -> tuple[list[str], tuple]:
     """The network-condition violations of ``s`` and, valid only when there
     are none, its graph data: in- and out-neighbours (in universe order), a
@@ -185,13 +192,7 @@ def _derive(s: WeightedStructure) -> tuple[list[str], tuple]:
     if out:
         return out, ()
 
-    rank = {v: i for i, v in enumerate(s.universe)}
-    ins: dict[str, list[str]] = {v: [] for v in s.universe}
-    outs: dict[str, list[str]] = {v: [] for v in s.universe}
-    for u, v in sorted(s.weights[WT], key=lambda e: (rank[e[0]], rank[e[1]])):
-        ins[v].append(u)
-        outs[u].append(v)
-    order = _topological(s.universe, outs)
+    ins, outs, order = _graph(s)
     if len(order) < len(s.universe):
         out.append(f"acyclic: weight graph has a cycle through {_cycle(s.universe, outs, order)}")
         return out, ()
@@ -258,6 +259,16 @@ class FnnStructure:
         return self.structure.weights[BIAS].get((v,), BOT)
 
 
+def _inputs(net: FnnStructure, values: Sequence) -> dict[str, ExtRational]:
+    """``values`` checked as an input vector of ``net``, keyed by input node."""
+    values = [as_rational(v) for v in values]
+    if any(v is None or v.is_bot for v in values):
+        raise UsageError("network inputs must be defined rationals")
+    if len(values) != net.input_dim:
+        raise UsageError(f"expected {net.input_dim} input values, got {len(values)}")
+    return dict(zip(net.input_nodes, values))
+
+
 def with_input(net: FnnStructure, values: Sequence) -> WeightedStructure:
     """Expand a network by the unary ``inp`` function carrying an input vector.
 
@@ -265,13 +276,29 @@ def with_input(net: FnnStructure, values: Sequence) -> WeightedStructure:
     other nodes are left undefined.  Values are ints, Fractions or defined
     ExtRationals, not bools.
     """
-    values = [as_rational(v) for v in values]
-    if any(v is None or v.is_bot for v in values):
-        raise UsageError("network inputs must be defined rationals")
-    if len(values) != net.input_dim:
-        raise UsageError(f"expected {net.input_dim} input values, got {len(values)}")
-    table = {(u,): r for u, r in zip(net.input_nodes, values)}
+    table = {(u,): r for u, r in _inputs(net, values).items()}
     return net.structure.expand(weights={INP: (1, table)})
+
+
+def _values(s: WeightedStructure, order: Sequence[str], ins: Mapping, given: Mapping) -> dict[str, ExtRational]:
+    """Raw node values on ``Fraction | None``: ``given``'s, or bias plus the weighted
+    sum of rectified in-neighbour values; a missing bias or an undefined
+    in-neighbour makes a node undefined.  Boxed only on return."""
+    wt, bias = s.weights[WT], s.weights[BIAS]
+    values: dict[str, Fraction | None] = {v: r.frac for v, r in given.items()}
+    for v in order:
+        if v in given:
+            continue
+        total = bias[(v,)].frac if (v,) in bias else None
+        for u in ins[v]:
+            x = values[u]
+            if total is None or x is None:
+                total = None
+                break
+            if x > 0:
+                total += wt[(u, v)].frac * x
+        values[v] = total
+    return {v: BOT if x is None else ExtRational(x) for v, x in values.items()}
 
 
 def node_values(s: WeightedStructure) -> dict[str, ExtRational]:
@@ -288,35 +315,18 @@ def node_values(s: WeightedStructure) -> dict[str, ExtRational]:
     for name in (WT, BIAS, INP):
         if name not in s.vocabulary.weights:
             raise UsageError(f"structure does not interpret weight symbol {name!r}")
-    inp = s.weights[INP]
-    bias = s.weights[BIAS]
     # a node with a defined inp entry reports it and reads no in-neighbour
-    preds: dict[str, list[tuple[str, ExtRational]]] = {v: [] for v in s.universe}
-    succs: dict[str, list[str]] = {v: [] for v in s.universe}
-    for (u, v), w in s.weights[WT].items():
-        if (v,) not in inp:
-            preds[v].append((u, w))
-            succs[u].append(v)
-
-    order = _topological(s.universe, succs)
+    given = {v: r for (v,), r in s.weights[INP].items()}
+    ins, outs, order = _graph(s, given)
     if len(order) < len(s.universe):
-        raise UsageError(f"weight graph has a cycle through {_cycle(s.universe, succs, order)}")
-    values: dict[str, ExtRational] = {}
-    for v in order:
-        if (v,) in inp:
-            result = inp[(v,)]
-        else:
-            result = bias.get((v,), BOT)
-            for u, w in preds[v]:
-                result = result + w * _relu(values[u])
-        values[v] = result
+        raise UsageError(f"weight graph has a cycle through {_cycle(s.universe, outs, order)}")
+    values = _values(s, order, ins, given)
     return {v: values[v] for v in s.universe}
 
 
 def forward(net: FnnStructure, values: Sequence) -> list[ExtRational]:
     """Evaluate the network function exactly; outputs follow ``le_out``."""
-    expanded = with_input(net, values)
-    table = node_values(expanded)
+    table = _values(net.structure, net.order, net.in_neighbors, _inputs(net, values))
     return [table[v] for v in net.output_nodes]
 
 

@@ -95,14 +95,14 @@ class WeightedStructure:
         """Construct from ``{name: (arity, tuples)}`` and ``{name: (arity, {tuple: value})}``.
 
         Weight values may be ints, Fractions, or ExtRationals, not bools;
-        ``bot`` entries are dropped (absence means ``bot``).  A repeated
-        element, a bad arity, or a tuple of the wrong length or with an
-        element outside the universe is a :class:`UsageError`.
+        ``bot`` entries are dropped (absence means ``bot``).  A universe
+        :func:`universe_problems` rejects, a bad arity, or a tuple of the wrong
+        length or with an element outside the universe is a :class:`UsageError`.
         """
         universe = tuple(universe)
-        if len(set(universe)) != len(universe):
-            repeated = next(x for i, x in enumerate(universe) if x in universe[:i])
-            raise UsageError(f"universe: duplicate element {repeated!r}")
+        problems = universe_problems(universe)
+        if problems:
+            raise UsageError(problems[0])
         return cls(universe, *_checked_tables(universe, relations, weights))
 
     # -- lookups ---------------------------------------------------------
