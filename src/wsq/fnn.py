@@ -307,14 +307,14 @@ def node_values(s: WeightedStructure) -> dict[str, ExtRational]:
     Follows the evaluation recursion directly on the weight graph: a
     node with a defined ``inp`` entry reports it, every other node
     reports bias plus the weighted sum of rectified in-neighbour values.
-    Works on any acyclic structure interpreting ``wt``, ``bias`` and
-    ``inp`` (for example a network with an edge deleted), with ``bot``
+    Works on any acyclic structure interpreting ``wt(2)``, ``bias(1)`` and
+    ``inp(1)`` (for example a network with an edge deleted), with ``bot``
     propagating where the recursion is not grounded.  Nodes are computed
     in topological order without recursion, so depth costs no stack.
     """
-    for name in (WT, BIAS, INP):
-        if name not in s.vocabulary.weights:
-            raise UsageError(f"structure does not interpret weight symbol {name!r}")
+    for name, arity in ((WT, 2), (BIAS, 1), (INP, 1)):
+        if s.vocabulary.weights.get(name) != arity:
+            raise UsageError(f"structure does not interpret weight symbol {name}({arity})")
     # a node with a defined inp entry reports it and reads no in-neighbour
     given = {v: r for (v,), r in s.weights[INP].items()}
     ins, outs, order = _graph(s, given)

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -269,7 +270,68 @@ class TestForward:
             node_values(s)
 
 
+class TestUndefinedness:
+    """An undefined in-neighbour or a missing bias leaves a node undefined,
+    whatever the weight of the edge and the sign of the other in-neighbours."""
+
+    @staticmethod
+    def net():
+        # inputs n, a; c1 reads a through weight 0, c2 reads n then a, d reads n
+        return build_fnn(
+            ["n", "a", "c1", "c2", "d"],
+            {("a", "c1"): Fraction(0), ("n", "c2"): Fraction(1), ("a", "c2"): Fraction(1), ("n", "d"): Fraction(4)},
+            {"c1": Fraction(1), "c2": Fraction(1), "d": Fraction(2)},
+        )
+
+    def test_forward_on_zero_weights_and_negative_in_neighbours(self):
+        net = self.net()
+        assert forward(net, [-2, 3]) == [rational(1), rational(4), rational(2)]
+        assert node_values(with_input(net, [-2, 3])) == {"n": -2, "a": 3, "c1": 1, "c2": 4, "d": 2}
+
+    def test_bot_in_neighbour_poisons_through_zero_weight_and_after_a_negative(self):
+        s = self.net().structure.expand(weights={"inp": (1, {("n",): -2})})
+        values = node_values(s)
+        assert [values[v] for v in ("a", "c1", "c2")] == [BOT, BOT, BOT]
+        assert values["d"] == rational(2)
+
+    def test_missing_bias_is_bot_under_negative_in_neighbours(self):
+        s = self.net().structure.expand(weights={"inp": (1, {("n",): -2, ("a",): -3})})
+        bias = {t: b for t, b in s.weights["bias"].items() if t != ("d",)}
+        s = WeightedStructure(s.universe, s.vocabulary, s.relations, {**s.weights, "bias": bias})
+        assert node_values(s) == {"n": -2, "a": -3, "c1": 1, "c2": 1, "d": BOT}
+
+    def test_forward_builds_no_structure(self, monkeypatch):
+        import wsq.fnn
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward must not build a structure")
+
+        net = clamp_net()
+        for name in ("with_input", "node_values"):
+            monkeypatch.setattr(wsq.fnn, name, refuse)
+        monkeypatch.setattr(WeightedStructure, "expand", refuse)
+        assert forward(net, [Fraction(1, 2)]) == [rational(1, 2)]
+        with pytest.raises(AssertionError, match="must not build"):
+            with_input(net, [1])
+        with pytest.raises(UsageError, match="^expected 1 input values, got 2$"):
+            forward(net, [1, 2])
+
+
 class TestNodeValuesIterative:
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({"wt": (2, {("a", "b"): 1}), "bias": (1, {("b",): 1})}, "inp(1)"),
+            ({"wt": (2, {("a", "b"): 1}), "bias": (1, {("b",): 1}), "inp": (2, {("a", "a"): 3})}, "inp(1)"),
+            ({"wt": (3, {("a", "b", "b"): 1}), "bias": (1, {("b",): 1}), "inp": (1, {("a",): 3})}, "wt(2)"),
+        ],
+    )
+    def test_symbols_of_the_wrong_arity_are_refused(self, weights, message):
+        # a binary inp or a ternary wt is not read as a network with input
+        with pytest.raises(UsageError, match=rf"^structure does not interpret weight symbol {re.escape(message)}$"):
+            node_values(WeightedStructure.build(["a", "b"], weights=weights))
+
+
     def test_deep_padding_leaves_recursion_limit(self, monkeypatch):
         # 3 000 relays: far deeper than the interpreter's recursion limit
         net = clamp_net()
@@ -377,6 +439,44 @@ class TestPwl:
                 assert forward(net, [x]) == [rational(p.at(x))]
             total += len(xs)
         assert total >= 1000
+
+    def test_forward_matches_pwl_on_random_nets(self):
+        # forward's oracle gate: 240 one-input networks, among them the zero
+        # networks of test_c09 and networks whose two hidden nodes share a
+        # kink, each sampled at random points, at every breakpoint and
+        # between consecutive samples
+        rng = random.Random(2418)
+        kinks = 0
+        for index in range(240):
+            w, b = Fraction(rng.randint(1, 5)), Fraction(-rng.randint(1, 3))
+            if index % 8 == 0:
+                net = build_fnn(
+                    ["u", "h1", "h2", "o"],
+                    {("u", "h1"): w, ("u", "h2"): w, ("h1", "o"): Fraction(1), ("h2", "o"): Fraction(-1)},
+                    {"h1": Fraction(0), "h2": Fraction(0), "o": Fraction(0)},
+                )
+            elif index % 8 == 1:
+                # h2's pre-activation is 2 * h1's, so both kink at -b / w > 0
+                net = build_fnn(
+                    ["u", "h1", "h2", "o"],
+                    {("u", "h1"): w, ("u", "h2"): 2 * w, ("h1", "o"): Fraction(1), ("h2", "o"): Fraction(1)},
+                    {"h1": b, "h2": 2 * b, "o": Fraction(-1)},
+                )
+            else:
+                net = random_n11(rng, max_depth=6)
+            p = to_pwl(net)
+            xs = {Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(8)}
+            xs.update(p.breakpoints)
+            ordered = sorted(xs)
+            xs.update((a + c) / 2 for a, c in zip(ordered, ordered[1:]))
+            for x in xs:
+                assert forward(net, [x]) == [rational(p.at(x))]
+            if index % 8 == 0:
+                assert p.is_zero
+            elif index % 8 == 1:
+                assert p.breakpoints == (-b / w,)
+            kinks += len(p.breakpoints)
+        assert kinks >= 400
 
     def test_dimension_checked(self):
         multi = build_fnn(

@@ -142,6 +142,32 @@ class TestBuildValues:
         with pytest.raises(UsageError, match="^universe: duplicate element 'a'$"):
             WeightedStructure.build(["a", "b", "a"], weights={"f": (1, {("a",): 3})})
 
+    @pytest.mark.parametrize(
+        "universe, message",
+        [
+            (["a b", "c"], "universe: element name 'a b' must match [A-Za-z0-9_]+"),
+            ([], "universe: must be nonempty"),
+            (["a", 1], "universe: element name 1 must match [A-Za-z0-9_]+"),
+        ],
+    )
+    def test_rejects_a_universe_validation_rejects(self, universe, message):
+        # build raises validate_structure's first problem, so a built structure saves and loads
+        with pytest.raises(UsageError) as info:
+            WeightedStructure.build(universe)
+        assert str(info.value) == message
+        assert validate_structure(WeightedStructure(tuple(universe), Vocabulary(), {}, {}))[0] == message
+
+    def test_a_built_structure_saves_and_loads(self, tmp_path):
+        s = WeightedStructure.build(
+            ["n0", "N_1", "7"],
+            relations={"e": (2, [("n0", "N_1"), ("7", "7")])},
+            weights={"f": (1, {("N_1",): Fraction(-3, 4)}), "c": (0, {(): 5})},
+        )
+        assert validate_structure(s) == []
+        path = tmp_path / "s.json"
+        save_structure(s, str(path))
+        assert load_structure(str(path)) == s
+
     def test_the_loader_lists_a_repeated_element_with_the_rest(self):
         doc = {"universe": ["a", "a", "b c"]}
         message = "invalid structure: universe: duplicate element 'a'; universe: element name 'b c' must match"
