@@ -269,6 +269,19 @@ class TestForward:
         with pytest.raises(UsageError, match="cycle"):
             node_values(s)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({"wt": (2, {("a", "b"): 1}), "bias": (1, {("b",): 1})}, "inp(1)"),
+            ({"wt": (2, {("a", "b"): 1}), "bias": (1, {("b",): 1}), "inp": (2, {("a", "a"): 3})}, "inp(1)"),
+            ({"wt": (3, {("a", "b", "b"): 1}), "bias": (1, {("b",): 1}), "inp": (1, {("a",): 3})}, "wt(2)"),
+        ],
+    )
+    def test_symbols_of_the_wrong_arity_are_refused(self, weights, message):
+        # a binary inp or a ternary wt is not read as a network with input
+        with pytest.raises(UsageError, match=rf"^structure does not interpret weight symbol {re.escape(message)}$"):
+            node_values(WeightedStructure.build(["a", "b"], weights=weights))
+
 
 class TestUndefinedness:
     """An undefined in-neighbour or a missing bias leaves a node undefined,
@@ -318,20 +331,6 @@ class TestUndefinedness:
 
 
 class TestNodeValuesIterative:
-    @pytest.mark.parametrize(
-        "weights, message",
-        [
-            ({"wt": (2, {("a", "b"): 1}), "bias": (1, {("b",): 1})}, "inp(1)"),
-            ({"wt": (2, {("a", "b"): 1}), "bias": (1, {("b",): 1}), "inp": (2, {("a", "a"): 3})}, "inp(1)"),
-            ({"wt": (3, {("a", "b", "b"): 1}), "bias": (1, {("b",): 1}), "inp": (1, {("a",): 3})}, "wt(2)"),
-        ],
-    )
-    def test_symbols_of_the_wrong_arity_are_refused(self, weights, message):
-        # a binary inp or a ternary wt is not read as a network with input
-        with pytest.raises(UsageError, match=rf"^structure does not interpret weight symbol {re.escape(message)}$"):
-            node_values(WeightedStructure.build(["a", "b"], weights=weights))
-
-
     def test_deep_padding_leaves_recursion_limit(self, monkeypatch):
         # 3 000 relays: far deeper than the interpreter's recursion limit
         net = clamp_net()
