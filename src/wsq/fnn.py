@@ -19,8 +19,8 @@ the oracle for integration and the zero test.
 Validation derives the graph data once (neighbour lists, a topological
 order, the input/output orders ranked and checked by each member's number
 of predecessors), and :class:`FnnStructure` keeps them.  The network
-oracles compute on bare ``Fraction``s (``None`` for bot) and box only
-their results; :func:`forward` reads the kept graph and builds no structure.
+oracles compute on bare ``Fraction``s (``None`` for bot) and box the node
+values once at the end; :func:`forward` reads the kept graph and builds no structure.
 """
 
 from __future__ import annotations
