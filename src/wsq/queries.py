@@ -433,6 +433,7 @@ def make_integrate_2_1() -> Expr:
     total = pieces[0]
     for piece in pieces[1:]:
         total = Arith("+", total, piece)
+    vars(parts).clear()  # its caches hold its bound methods: leave no reference cycle behind
     return total
 
 

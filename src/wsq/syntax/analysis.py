@@ -80,7 +80,10 @@ def free_vars(node: Node) -> frozenset:
         done[id(n)] = out
         return out
 
-    return go(node)
+    try:
+        return go(node)
+    finally:
+        del go  # it refers to itself: leave no reference cycle behind
 
 
 @dataclass
@@ -170,7 +173,10 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
         for child in children(n):
             go(child, binders, visited)
 
-    go(node, {}, seen.setdefault(frozenset(), set()))
+    try:
+        go(node, {}, seen.setdefault(frozenset(), set()))
+    finally:
+        del go  # it refers to itself: leave no reference cycle behind
     return out
 
 
@@ -244,5 +250,8 @@ def check_scalar_fragment(node: Node) -> list[Violation]:
         for i, child in enumerate(children(n)):
             go(child, binders, visited, path + (i,))
 
-    go(node, frozenset(), seen.setdefault(frozenset(), set()), ())
+    try:
+        go(node, frozenset(), seen.setdefault(frozenset(), set()), ())
+    finally:
+        del go  # it refers to itself: leave no reference cycle behind
     return violations

@@ -49,7 +49,10 @@ template text comes back as a DAG and the analyses and the compiler,
 which work per node object, do each subterm once.  A shared node keeps
 the span of its first occurrence in the text; ``walk`` still yields
 every position.  Errors raised while parsing name the occurrence at
-hand, not the shared node's span.  Nothing is shared between calls.
+hand, not the shared node's span.  A repeated span of text is parsed
+once: a later occurrence with the same stop rule reuses the node that
+a full parse would rebuild.  Each key of that memo keeps at most four
+spans, so its work per call is bounded.  Nothing is shared between calls.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ PREFIX = 4
 COMPARISON = PRECEDENCE["<="]
 UNARY = 8
 PRIMARY = 9
+_SPAN = 8  # the fewest tokens of a span that ``parse_expr`` remembers
 
 # Two-character operators come first, so that ``<=`` is not read as ``<``.
 _OPERATORS = "<= <- != >= < > = + - * / ( ) { } : ,".split()
@@ -189,8 +193,11 @@ class _Parser:
     names even when the node is shared with an earlier occurrence."""
 
     def __init__(self, text: str):
+        self.text = text
         self.kinds, self.texts, self.offsets, self.newlines = _scan(text)
         self.i = 0
+        self.spans: dict[tuple, list] = {}  # parsed spans, by floor and first characters
+        self.else_end = -1  # the token index where the last ``else`` term ended
         # the parse's node objects, keyed by type and fields, children by id
         self.nodes: dict[tuple, Node] = {}
         # the node key of each literal text seen, so each is converted once
@@ -287,18 +294,31 @@ class _Parser:
         associate) or a prefix form only looser ones.  An operand may stop
         at its own ceiling, as ``b < c`` does in ``a and b < c < d``, and
         what it leaves must not attach to the whole expression.
+
+        A span of ``_SPAN`` tokens or more is remembered with ``low``, the
+        lowest floor of the calls that end with it, all of which stop at a
+        binary operator looser than ``low``.  A later call with this floor
+        on the same text, followed by such an operator or by a token other
+        than ``(`` that is no operator, returns that node unparsed.
         """
-        kinds, offsets = self.kinds, self.offsets
-        i = self.i
-        kind, at = kinds[i], offsets[i]
+        kinds, offsets, text = self.kinds, self.offsets, self.text
+        start = self.i
+        kind, at = kinds[start], offsets[start]
+        key = (floor, text[at : at + 16])
+        for raw, count, node, head, low in self.spans.get(key, ()):
+            end = start + count
+            if text.startswith(raw, at) and offsets[end] - at == len(raw) and kinds[end] != "(":
+                if PRECEDENCE.get(kinds[end], -1) < low:
+                    self.i = end
+                    return node, at + head
         ceiling = PRIMARY
         if kind == "-":
-            self.i = i + 1
+            self.i = start + 1
             zero = self.node((Zero,), at)
             operand = self.term(UNARY)
             left = self.node((Arith, "-", id(zero), id(operand)), at, "-", zero, operand)
         elif kind in ("not", "exists", "forall") and floor <= PREFIX:
-            self.i = i + 1
+            self.i = start + 1
             if kind == "not":
                 body = self.formula(PREFIX)
                 left = self.node((Not, id(body)), at, body)
@@ -315,6 +335,11 @@ class _Parser:
             kind = kinds[i]
             prec = PRECEDENCE.get(kind)
             if prec is None or not floor <= prec <= ceiling:
+                if i - start >= _SPAN and len(seen := self.spans.setdefault(key, [])) < 4:
+                    first = offsets[start]
+                    # an ``else`` term ending here takes ``+`` and ``-`` too
+                    low = min(floor, PRECEDENCE["+"]) if self.else_end == i else floor
+                    seen.append((text[first : offsets[i]], i - start, left, at - first, low))
                 return left, at
             self.i = i + 1
             right = self.parse_expr(prec if kind == "implies" else prec + 1)
@@ -395,6 +420,7 @@ class _Parser:
             then = self.term(PRECEDENCE["+"])
             self.expect("else", "'else'")
             otherwise = self.term(PRECEDENCE["+"])
+            self.else_end = self.i
             key = (Cond, id(test), id(then), id(otherwise))
             return self.node(key, at, test, then, otherwise), at
 

@@ -147,4 +147,7 @@ def desugar(node: Node, *, expand_cond: bool = False) -> Node:
     def _avg(vars_, guard, body):
         return Arith("/", Sum(vars_, guard, body), Sum(vars_, guard, One()))
 
-    return go(node)
+    try:
+        return go(node)
+    finally:
+        del go, rewrite  # they refer to each other: leave no reference cycle behind

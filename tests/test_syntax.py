@@ -1,6 +1,7 @@
 """Parser, printer, binding analysis, fragment checker, desugaring."""
 
 import dataclasses
+import gc
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -562,6 +563,82 @@ class TestParseSharing:
         assert check_scalar_fragment(e) == [Violation("*", (0, 0), (1, 19))]
         # as a tree it breaches at both places
         assert [v.path for v in check_scalar_fragment(_unshared(e))] == [(0, 0), (0, 1)]
+
+
+class TestSpanSharing:
+    """A repeated span of text is parsed once and gives what a full parse gives."""
+
+    def test_a_tighter_operator_after_a_repeat_extends_it(self):
+        # the else term w(x) * w(x) + 1 ends at '<' first and takes '* 3' next
+        a = "if p(x) then 1 else w(x) * w(x) + 1 < 2"
+        b = "if p(x) then 1 else w(x) * w(x) + 1 * 3 < 2"
+        e = parse(f"{a} and {b}")
+        assert (e.left, e.right) == (parse(a), parse(b))
+        assert e.right.left.otherwise.right == parse("1 * 3")
+        # under '2 *', the span ending in an else term still takes '+ 3'
+        a = "2 * if p(x) then 1 else w(x) < 2"
+        b = "2 * if p(x) then 1 else w(x) + 3 < 2"
+        e = parse(f"{a} and {b}")
+        assert (e.left, e.right) == (parse(a), parse(b))
+        assert e.right.left.right.otherwise == parse("w(x) + 3")
+
+    def test_a_repeat_before_a_bracket_is_parsed_again(self):
+        # the '(' would make y an atom, so the repeat must not end there
+        text = "(p(x) and q(x) and x = y) and (p(x) and q(x) and x = y(z))"
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        column = text.rindex("=") + 1
+        assert str(caught.value) == f"cannot compare an element variable with a term (line 1, column {column})"
+
+    def test_a_repeated_comparison_then_a_comparison_is_refused(self):
+        span = "f(x) + g(x) < h(x) + 1"
+        text = f"p(x) and {span} or p(x) and {span} < 2"
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        column = text.rindex("<") + 1
+        assert str(caught.value) == f"unexpected '<' after the expression (line 1, column {column})"
+
+    def test_a_repeated_term_as_formula_names_its_own_position(self):
+        text = "(f(x) + g(x) * h(x) + 1) > 0 and\n(f(x) + g(x) * h(x) + 1)"
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == "term used where a formula is required (line 2, column 21)"
+
+    def test_a_too_long_literal_errs_at_its_first_occurrence(self):
+        span = f"(f(x) + {'9' * 5000} * g(x) + 1)"
+        with pytest.raises(ParseError) as caught:
+            parse(f"{span} + {span}")
+        assert str(caught.value) == "number literal too long (5000 characters) (line 1, column 9)"
+
+    def test_every_builtin_round_trips_as_a_dag(self):
+        from wsq.queries import BUILTINS
+
+        for name, spec in BUILTINS.items():
+            built = spec["make"](**{p: 2 for p in spec.get("required", ())})
+            e = parse(to_text(built))
+            assert e == built, name
+            objects = _objects(e).values()
+            assert len(set(objects)) == len(objects), name
+
+    def test_deep_nesting_parses(self):
+        assert parse("(" * 400 + "1" + ")" * 400) == One()
+        e = parse("sum {x : p(x)} " * 250 + "1")
+        assert sum(1 for _ in walk(e)) == 2 * 250 + 1
+
+    def test_front_end_leaves_no_reference_cycle(self):
+        text = TestParseSharing.INTEGRATION
+        gc.collect()
+        gc.disable()
+        try:
+            e = parse(text)
+            assert gc.collect() == 0
+            for analysis in (free_vars, vocabulary_of, check_scalar_fragment, desugar):
+                analysis(e)
+                assert gc.collect() == 0, analysis.__name__
+            make_integrate_2_1()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestScalarFragment:
