@@ -421,4 +421,7 @@ def substitute(node: Node, mapping: dict[str, str]) -> Node:
         done[id(n)] = out = replace(out, **changed) if changed else out
         return out
 
-    return go(node, dict(mapping), memo.setdefault(frozenset(mapping.items()), {}))
+    try:
+        return go(node, dict(mapping), memo.setdefault(frozenset(mapping.items()), {}))
+    finally:
+        del go  # it refers to itself: leave no reference cycle behind

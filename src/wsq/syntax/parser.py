@@ -50,9 +50,8 @@ which work per node object, do each subterm once.  A shared node keeps
 the span of its first occurrence in the text; ``walk`` still yields
 every position.  Errors raised while parsing name the occurrence at
 hand, not the shared node's span.  A repeated span of text is parsed
-once: a later occurrence with the same stop rule reuses the node that
-a full parse would rebuild.  Each key of that memo keeps at most four
-spans, so its work per call is bounded.  Nothing is shared between calls.
+once: a bounded memo (four spans per key, see ``parse_expr``) returns
+the node a full parse would rebuild.  Nothing is shared between calls.
 """
 
 from __future__ import annotations
@@ -296,17 +295,16 @@ class _Parser:
         what it leaves must not attach to the whole expression.
 
         A span of ``_SPAN`` tokens or more is remembered with ``low``, the
-        lowest floor of the calls that end with it, all of which stop at a
-        binary operator looser than ``low``.  A later call with this floor
-        on the same text, followed by such an operator or by a token other
-        than ``(`` that is no operator, returns that node unparsed.
+        lowest floor of the calls that end with it.  A later call with this
+        floor on the same text reuses it if the next token is neither ``(``
+        nor a binary operator as tight as ``low``: that token stops them all.
         """
         kinds, offsets, text = self.kinds, self.offsets, self.text
         start = self.i
         kind, at = kinds[start], offsets[start]
         key = (floor, text[at : at + 16])
         for raw, count, node, head, low in self.spans.get(key, ()):
-            end = start + count
+            end = start + count  # a token, at worst ``eof``, once the text matches
             if text.startswith(raw, at) and offsets[end] - at == len(raw) and kinds[end] != "(":
                 if PRECEDENCE.get(kinds[end], -1) < low:
                     self.i = end
