@@ -47,11 +47,9 @@ One call of :func:`parse` returns one node object per structurally
 equal subterm: the parser hash-conses every node it builds, so printed
 template text comes back as a DAG and the analyses and the compiler,
 which work per node object, do each subterm once.  A shared node keeps
-the span of its first occurrence in the text; ``walk`` still yields
-every position.  Errors raised while parsing name the occurrence at
-hand, not the shared node's span.  A repeated span of text is parsed
-once: a bounded memo (four spans per key, see ``parse_expr``) returns
-the node a full parse would rebuild.  Nothing is shared between calls.
+its first occurrence's span; ``walk`` still yields every position, and
+errors name the occurrence at hand.  A bounded memo parses a repeated
+span of a long text once (see ``parse_expr``); nothing outlives a call.
 """
 
 from __future__ import annotations
@@ -116,7 +114,6 @@ PREFIX = 4
 COMPARISON = PRECEDENCE["<="]
 UNARY = 8
 PRIMARY = 9
-_SPAN = 8  # the fewest tokens of a span that ``parse_expr`` remembers
 
 # Two-character operators come first, so that ``<=`` is not read as ``<``.
 _OPERATORS = "<= <- != >= < > = + - * / ( ) { } : ,".split()
@@ -195,7 +192,7 @@ class _Parser:
         self.text = text
         self.kinds, self.texts, self.offsets, self.newlines = _scan(text)
         self.i = 0
-        self.spans: dict[tuple, list] = {}  # parsed spans, by floor and first characters
+        self.spans = {} if len(self.kinds) > 256 else None  # parsed spans, by floor and first characters
         self.else_end = -1  # the token index where the last ``else`` term ended
         # the parse's node objects, keyed by type and fields, children by id
         self.nodes: dict[tuple, Node] = {}
@@ -294,21 +291,26 @@ class _Parser:
         at its own ceiling, as ``b < c`` does in ``a and b < c < d``, and
         what it leaves must not attach to the whole expression.
 
-        A span of ``_SPAN`` tokens or more is remembered with ``low``, the
-        lowest floor of the calls that end with it.  A later call with this
-        floor on the same text reuses it if the next token is neither ``(``
-        nor a binary operator as tight as ``low``: that token stops them all.
+        In a text of over 256 tokens each span of 8 tokens or more is kept
+        (four at most under a key) with whether an ``else`` term ends it.  A
+        later call with this floor reuses it if the next token stops every
+        call ending there: neither ``(`` nor an operator as tight as ``floor``
+        or, after ``else``, as ``+``.
         """
-        kinds, offsets, text = self.kinds, self.offsets, self.text
+        kinds, offsets, spans = self.kinds, self.offsets, self.spans
         start = self.i
         kind, at = kinds[start], offsets[start]
-        key = (floor, text[at : at + 16])
-        for raw, count, node, head, low in self.spans.get(key, ()):
-            end = start + count  # a token, at worst ``eof``, once the text matches
-            if text.startswith(raw, at) and offsets[end] - at == len(raw) and kinds[end] != "(":
-                if PRECEDENCE.get(kinds[end], -1) < low:
-                    self.i = end
-                    return node, at + head
+        if spans is not None:
+            text = self.text
+            key = (floor, text[at : at + 16])
+            for first, last, count, node, head, tail in spans.get(key, ()):
+                end = start + count
+                if end < len(kinds) and offsets[end] - at == last - first and kinds[end] != "(":
+                    low = min(floor, PRECEDENCE["+"]) if tail else floor
+                    if PRECEDENCE.get(kinds[end], -1) < low and text.startswith(text[first:last], at):
+                        self.i = end
+                        self.else_end = end if tail else self.else_end
+                        return node, at + head
         ceiling = PRIMARY
         if kind == "-":
             self.i = start + 1
@@ -333,11 +335,9 @@ class _Parser:
             kind = kinds[i]
             prec = PRECEDENCE.get(kind)
             if prec is None or not floor <= prec <= ceiling:
-                if i - start >= _SPAN and len(seen := self.spans.setdefault(key, [])) < 4:
+                if spans is not None and i - start >= 8 and len(seen := spans.setdefault(key, [])) < 4:
                     first = offsets[start]
-                    # an ``else`` term ending here takes ``+`` and ``-`` too
-                    low = min(floor, PRECEDENCE["+"]) if self.else_end == i else floor
-                    seen.append((text[first : offsets[i]], i - start, left, at - first, low))
+                    seen.append((first, offsets[i], i - start, left, at - first, self.else_end == i))
                 return left, at
             self.i = i + 1
             right = self.parse_expr(prec if kind == "implies" else prec + 1)

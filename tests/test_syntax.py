@@ -52,6 +52,7 @@ from wsq.syntax import (
     walk,
 )
 from wsq.syntax.nodes import bound_vars, map_children
+from wsq.syntax.parser import _Parser
 
 
 class TestParse:
@@ -569,26 +570,50 @@ class TestParseSharing:
         assert [v.path for v in check_scalar_fragment(_unshared(e))] == [(0, 0), (0, 1)]
 
 
-class TestSpanSharing:
-    """A repeated span of text is parsed once and gives what a full parse gives."""
+def _long(text: str) -> str:
+    """``text`` in 130 redundant brackets: the same node, from a text long
+    enough (over 256 tokens) that the parser's span memo is on."""
+    return "(" * 130 + text + ")" * 130
 
-    def test_a_tighter_operator_after_a_repeat_extends_it(self):
-        # the else term w(x) * w(x) + 1 ends at '<' first and takes '* 3' next
-        a = "if p(x) then 1 else w(x) * w(x) + 1 < 2"
-        b = "if p(x) then 1 else w(x) * w(x) + 1 * 3 < 2"
-        e = parse(f"{a} and {b}")
+
+class TestSpanSharing:
+    """A repeated span of a long text is parsed once and gives what a full
+    parse gives; a short text, parsed without the memo, is the reference."""
+
+    def test_only_a_long_text_engages_the_memo(self):
+        assert _Parser(_long("1")).spans is not None
+        assert _Parser("(" * 127 + "1" + ")" * 127).spans is None
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # the else term w(x) * w(x) + 1 ends at '<' first and takes '* 3' next
+            ("if p(x) then 1 else w(x) * w(x) + 1 < 2", "if p(x) then 1 else w(x) * w(x) + 1 * 3 < 2"),
+            # under '2 *', the span ending in an else term still takes '+ 3'
+            ("2 * if p(x) then 1 else w(x) < 2", "2 * if p(x) then 1 else w(x) + 3 < 2"),
+            ("f(x) + g(x) * h(x) + 1 < 2", "f(x) + g(x) * h(x) + 1 * 3 < 2"),
+            ("p(x) and q(x) or x = y", "p(x) and q(x) or x = y and r(x)"),
+        ],
+    )
+    def test_a_tighter_operator_after_a_repeat_extends_it(self, a, b):
+        e = parse(_long(f"({a}) implies {b}"))
         assert (e.left, e.right) == (parse(a), parse(b))
-        assert e.right.left.otherwise.right == parse("1 * 3")
-        # under '2 *', the span ending in an else term still takes '+ 3'
-        a = "2 * if p(x) then 1 else w(x) < 2"
-        b = "2 * if p(x) then 1 else w(x) + 3 < 2"
-        e = parse(f"{a} and {b}")
-        assert (e.left, e.right) == (parse(a), parse(b))
-        assert e.right.left.right.otherwise == parse("w(x) + 3")
+
+    def test_a_reused_else_span_inside_a_repeat_still_takes_plus(self):
+        # the second occurrence of the if reuses the first inside the span
+        # '3 * if ...', which the third occurrence reuses before '+ 5'
+        cond = "if p(x) then 1 else w(x)"
+        text = f"2 * {cond} < 2 and 1 + 3 * {cond} < 2 and 1 + 3 * {cond} + 5 < 2"
+        e = parse(_long(text))
+        assert e == parse(text)
+        assert e.right.left.right.right.otherwise == parse("w(x) + 5")
+        nested = f"1 + 2 * if p(x) then 1 else {cond}"
+        text = f"{nested} < 2 and 3 * {nested} < 2 and 3 * {nested} - 5 < 2"
+        assert parse(_long(text)) == parse(text)
 
     def test_a_repeat_before_a_bracket_is_parsed_again(self):
         # the '(' would make y an atom, so the repeat must not end there
-        text = "(p(x) and q(x) and x = y) and (p(x) and q(x) and x = y(z))"
+        text = _long("(p(x) and q(x) and x = y) and (p(x) and q(x) and x = y(z))")
         with pytest.raises(ParseError) as caught:
             parse(text)
         column = text.rindex("=") + 1
@@ -596,14 +621,14 @@ class TestSpanSharing:
 
     def test_a_repeated_comparison_then_a_comparison_is_refused(self):
         span = "f(x) + g(x) < h(x) + 1"
-        text = f"p(x) and {span} or p(x) and {span} < 2"
+        text = f"{_long('p(x)')} and {span} or p(x) and {span} < 2"
         with pytest.raises(ParseError) as caught:
             parse(text)
         column = text.rindex("<") + 1
         assert str(caught.value) == f"unexpected '<' after the expression (line 1, column {column})"
 
     def test_a_repeated_term_as_formula_names_its_own_position(self):
-        text = "(f(x) + g(x) * h(x) + 1) > 0 and\n(f(x) + g(x) * h(x) + 1)"
+        text = _long("(f(x) + g(x) * h(x) + 1) > 0 and\n(f(x) + g(x) * h(x) + 1)")
         with pytest.raises(ParseError) as caught:
             parse(text)
         assert str(caught.value) == "term used where a formula is required (line 2, column 21)"
@@ -611,8 +636,14 @@ class TestSpanSharing:
     def test_a_too_long_literal_errs_at_its_first_occurrence(self):
         span = f"(f(x) + {'9' * 5000} * g(x) + 1)"
         with pytest.raises(ParseError) as caught:
-            parse(f"{span} + {span}")
-        assert str(caught.value) == "number literal too long (5000 characters) (line 1, column 9)"
+            parse(_long(f"{span} + {span}"))
+        assert str(caught.value) == "number literal too long (5000 characters) (line 1, column 139)"
+
+    def test_many_spans_under_one_key_parse(self):
+        text = " + ".join(f"sum {{x : p(x)}} w(x) * {k}" for k in range(300))
+        e = parse(text)
+        assert e.right == parse("sum {x : p(x)} w(x) * 299")
+        assert to_text(e) == text
 
     def test_deep_nesting_parses(self):
         assert parse("(" * 400 + "1" + ")" * 400) == One()
