@@ -14,9 +14,11 @@ is the query even when a file of that name exists.  Exit codes:
 0 success, 1 query error (parse error, misused symbol, bad builtin
 parameter, unreadable query file), 2 structure or file error (a file
 that cannot be read, decoded or parsed included) or bad option value,
-3 unbound variables, 4 resource budget exceeded, expression too deeply
-nested or result too long to print.  Budgets, builtin parameters and
-``--k`` take ASCII digits only.  Each error gets its exit code in :func:`main`.
+3 unbound variables, 4 resource budget exceeded (the bit bound included)
+or expression too deeply nested.  Number text over the bit bound is
+``number too long (N characters)`` under the exit code of its place.
+Budgets, builtin parameters and ``--k`` take ASCII digits only.  Each
+error gets its exit code in :func:`main`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .fnn import (
     validate_fnn,
     with_input,
 )
-from .numerics import ExtRational, parse_count
+from .numerics import ExtRational, number_text, parse_count
 from .structures import WeightedStructure, read_json, structure_from_json
 
 EXIT_OK = 0
@@ -143,27 +145,17 @@ def _parse_bindings(pairs: list[str]) -> dict[str, str]:
     return env
 
 
-def _text(value: ExtRational) -> str:
-    """``str(value)``; a number too long for Python to print is a :class:`ResourceError`."""
-    try:
-        return str(value)
-    except ValueError:
-        # Python refuses to convert integers of more than a set number of digits
-        limit = sys.get_int_max_str_digits()
-        raise ResourceError(f"result too long to print (over {limit} digits)") from None
-
-
 def _render_value(value, as_json: bool) -> str:
     is_formula = isinstance(value, bool)
     if as_json:
         payload = {
-            "value": value if is_formula else _text(value),
+            "value": value if is_formula else str(value),
             "kind": "formula" if is_formula else "term",
         }
         return json.dumps(payload, sort_keys=True)
     if is_formula:
         return "true" if value else "false"
-    return _text(value)
+    return str(value)
 
 
 # the evaluation budgets by option name: --max-summands, :set max-summands
@@ -221,21 +213,17 @@ def _cmd_check(args) -> int:
 
 def _affine_text(slope, intercept) -> str:
     if slope == 0:
-        return _text(ExtRational(intercept))
-    if slope == 1:
-        head = "x"
-    else:
-        head = f"{_text(ExtRational(slope))}*x"
+        return number_text(intercept)
+    head = "x" if slope == 1 else f"{number_text(slope)}*x"
     if intercept == 0:
         return head
     sign = "+" if intercept > 0 else "-"
-    return f"{head} {sign} {_text(ExtRational(abs(intercept)))}"
+    return f"{head} {sign} {number_text(abs(intercept))}"
 
 
 def _print_pwl(p: Pwl) -> None:
-    bps = [_text(ExtRational(x)) for x in p.breakpoints]
+    bps = [number_text(x) for x in p.breakpoints]
     bounds = ["-inf", *bps, "+inf"]
-    # a number too long to print must not leave half a table on stdout
     lines = [f"breakpoints: {', '.join(bps) if bps else 'none'}"]
     for i, (slope, intercept) in enumerate(p.pieces):
         lines.append(f"[{bounds[i]}, {bounds[i + 1]}]: {_affine_text(slope, intercept)}")
@@ -263,12 +251,12 @@ def _cmd_fnn(args) -> int:
     net = _load_fnn(args.file)
     if args.fnn_command == "forward":
         values = forward(net, _parse_inputs(args.input))
-        print(" ".join(_text(v) for v in values))
+        print(" ".join(map(str, values)))
     elif args.fnn_command == "pwl":
         _print_pwl(to_pwl(net, args.max_pwl_pieces))
     elif args.fnn_command == "integrate":
         lo, hi = _rational(args.lo), _rational(args.hi)
-        print(_text(pwl_integral(to_pwl(net, args.max_pwl_pieces), lo, hi)))
+        print(pwl_integral(to_pwl(net, args.max_pwl_pieces), lo, hi))
     elif args.fnn_command == "zero":
         print("true" if to_pwl(net, args.max_pwl_pieces).is_zero else "false")
     elif args.fnn_command == "pad":

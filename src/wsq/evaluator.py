@@ -14,9 +14,9 @@ round's table, and an entry, once defined, never changes.  That makes
 the iteration inflationary and forces stabilization within ``|A|**k``
 rounds; both properties are checked on every run, not only under test.
 Resource budgets (fixed-point table cells, summands per summation node,
-and ``_MAX_BITS`` bits in the numerator and in the denominator of every
-arithmetic result and every sum or average an aggregate builds) convert
-runaway evaluations into :class:`ResourceError` rather than wrong answers.
+and the bit bound ``numerics.MAX_BITS`` on every arithmetic result and
+every sum or average an aggregate builds) convert runaway evaluations
+into :class:`ResourceError` rather than wrong answers.
 
 Each call compiles the expression once: a single pass turns the tree
 into closures over the structure, settling there the kind of every
@@ -32,12 +32,12 @@ memo table (below); a summation so shared is one node for
 Values are unboxed inside the engine: a term's closure returns a bare
 :class:`~fractions.Fraction`, or ``None`` for ``bot``, and a fixed
 point's live table holds Fractions.  Constants, literals and weights are
-unboxed where they are read (a weight's ``frac`` is a slot); arithmetic
-tests for ``None`` inline (a zero divisor gives ``None``), and the
-comparisons, ``max`` and ``min`` order ``None`` below every rational, as
-:class:`ExtRational` does.  A zero operand is settled at compile time:
-``<``, ``<=``, ``>`` or ``>=`` with ``0`` on either side is a sign test
-of the other side's numerator, ``bot`` below 0, and ``0 * t`` or
+unboxed where they are read (a weight's ``frac`` is a slot).  Arithmetic,
+the comparisons, ``max`` and ``min`` call the rules of :mod:`wsq.numerics`
+on ``Fraction | None``, the ones :class:`ExtRational` boxes, and every
+arithmetic result passes its bit check.  A zero operand is settled at
+compile time: ``<``, ``<=``, ``>`` or ``>=`` with ``0`` on either side
+is a sign test of the other side's numerator, ``bot`` below 0, and ``0 * t`` or
 ``t * 0`` runs ``t`` and gives ``None`` if it is ``None``, else 0, so
 ``t``'s fixed-point reads are recorded and its errors raised; either
 keeps the memo decision of its node.  A ``sum`` or ``avg`` takes its
@@ -122,7 +122,8 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import EvalLimits, ResourceError, UsageError
-from .numerics import BOT, ExtRational
+from . import numerics
+from .numerics import ARITH, BOT, ORDER, ExtRational, fits, gt, lt
 from .structures import WeightedStructure
 from .syntax.analysis import vocabulary_of
 from .syntax.nodes import (
@@ -165,25 +166,6 @@ Compiled = Callable[[list], Union[bool, Fraction, None]]
 Bindings = Callable[[list], Iterable[tuple]]
 
 
-# the order on Fraction | None: bot (None) below every rational, equal to itself
-def _lt(a, b) -> bool:
-    return b is not None and (a is None or a < b)
-
-
-def _le(a, b) -> bool:
-    return a is None or (b is not None and a <= b)
-
-
-def _gt(a, b) -> bool:
-    return a is not None and (b is None or a > b)
-
-
-def _ge(a, b) -> bool:
-    return b is None or (a is not None and a >= b)
-
-
-_ORDER = {"<": _lt, "<=": _le, ">": _gt, ">=": _ge, "=": operator.eq, "!=": operator.ne}
-
 # ``t op 0`` as a test of the sign of t's numerator (a Fraction's
 # denominator is positive), given t's closure; bot is below 0
 _SIGN = {
@@ -195,14 +177,6 @@ _SIGN = {
 
 # ``0 op t`` is ``t op' 0``
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-# the arithmetic the closures apply to two defined operands
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-# bound on the bit length of the numerator and of the denominator of
-# every value arithmetic and the additive folds compute; iterated squaring
-# passes it at round 20 instead of building 2^(2^d)
-_MAX_BITS = 2**20
 
 # "no value yet" in memo tables and max/min, where None is a value (bot)
 _MISSING = object()
@@ -663,7 +637,7 @@ class _Compiler:
             # comparing with 0 is a sign test
             fn = _SIGN[_FLIP[op]](rf) if type(left) is Zero else _SIGN[op](lf)
         else:
-            test = _ORDER[op]
+            test = ORDER[op]
             fn = lambda env: test(lf(env), rf(env))
         if not LEAVES.issuperset((type(left), type(right))):
             fn = self._memo(fn, lm | rm, scope)
@@ -782,10 +756,8 @@ class _Compiler:
     def _arith(self, n: Arith, scope):
         lf, lm = self.compile(n.left, scope, term=True)
         rf, rm = self.compile(n.right, scope, term=True)
-        op = _ARITH[n.op]
-        limit = _MAX_BITS
-        dividing = n.op == "/"
-        overflow = f"'{n.op}' result exceeds {limit} bits"
+        op = ARITH[n.op]
+        overflow = f"'{n.op}' result exceeds {numerics.MAX_BITS} bits"
 
         if n.op == "*" and (type(n.left) is Zero or type(n.right) is Zero):
             # 0 times a defined value is 0; the other operand still runs, so
@@ -795,11 +767,8 @@ class _Compiler:
         else:
 
             def fn(env):
-                a, b = lf(env), rf(env)
-                if a is None or b is None or (dividing and not b):
-                    return None
-                value = op(a, b)
-                if value.numerator.bit_length() > limit or value.denominator.bit_length() > limit:
+                value = op(lf(env), rf(env))
+                if not fits(value):
                     raise ResourceError(overflow)
                 return value
 
@@ -832,10 +801,9 @@ class _Compiler:
         mask &= ~_span(lo, hi)
         limit = self.limits.max_summands
         overflow = f"{'summation' if kind == 'sum' else 'aggregate'} exceeds {limit} summands"
-        bits = _MAX_BITS
-        too_long = f"'{kind}' result exceeds {bits} bits"
+        too_long = f"'{kind}' result exceeds {numerics.MAX_BITS} bits"
         counting, additive = kind == "count", kind in ("sum", "avg")
-        better = _gt if kind == "max" else _lt
+        better = gt if kind == "max" else lt
 
         def fold(env):
             count = 0
@@ -853,7 +821,7 @@ class _Compiler:
                     if value is None:
                         return None
                     acc = value if count == 1 else acc + value
-                    if acc.numerator.bit_length() > bits or acc.denominator.bit_length() > bits:
+                    if not fits(acc):
                         raise ResourceError(too_long)
                 elif not counting:
                     value = body(env)
@@ -867,7 +835,7 @@ class _Compiler:
                 if count == 0:
                     return None
                 acc /= count
-                if acc.denominator.bit_length() > bits:
+                if not fits(acc):
                     raise ResourceError(too_long)
                 return acc
             return None if best is _MISSING else best

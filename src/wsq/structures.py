@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import LoadError, UsageError
-from .numerics import BOT, ExtRational, as_rational, rational
+from .numerics import BOT, ExtRational, as_rational, rational, read_number
 
 __all__ = [
     "Vocabulary",
@@ -362,15 +362,14 @@ def read_json(path: str):
     """The JSON document in the file at ``path``.  A file that cannot be
     read, is not UTF-8, is not JSON or nests too deeply for the JSON
     parser raises :class:`LoadError` (``cannot read PATH: ...`` or
-    ``PATH: not valid JSON: ...``), as does an integer too long to convert
-    (``PATH: number too long (N characters)``)."""
+    ``PATH: not valid JSON: ...``), as does an integer over the bit bound
+    (``PATH: number too long (N characters)``, from ``read_number``)."""
 
     def integer(text: str) -> int:
         try:
-            return int(text)
-        except ValueError:
-            # Python refuses to convert integers of more than a set number of digits
-            raise LoadError(f"{path}: number too long ({len(text)} characters)") from None
+            return read_number(text).numerator
+        except ValueError as exc:
+            raise LoadError(f"{path}: {exc}") from None
 
     try:
         with open(path, "r", encoding="utf-8") as fh:

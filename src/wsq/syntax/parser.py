@@ -39,9 +39,9 @@ structure's vocabulary at evaluation time.  Summation and aggregate
 bodies bind tighter than arithmetic (``sum {x : p(x)} f(x) + 1`` is a
 sum plus one); ``else`` extends over a full term.  Numbers are exact
 rational literals: ``7``, ``0.25``, ``3/4`` (a zero denominator such as
-``1/0`` is division, which evaluates to ``bot``).  A literal longer
-than Python's integer conversion accepts is a ``ParseError`` at its
-first occurrence.
+``1/0`` is division, which evaluates to ``bot``).  Literals are read by
+``numerics.read_number``, so one over the bit bound is a ``ParseError``
+``number too long (N characters)`` at its first occurrence.
 
 One call of :func:`parse` returns one node object per structurally
 equal subterm: the parser hash-conses every node it builds, so printed
@@ -57,11 +57,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
 from ..errors import ParseError
+from ..numerics import read_number
 from .nodes import (
     Aggregate,
     And,
@@ -390,10 +390,9 @@ class _Parser:
             key = self.literals.get(text)
             if key is None:
                 try:
-                    value = Fraction(text)
-                except ValueError:
-                    # Python refuses to convert integers of more than a set number of digits
-                    raise self.problem(f"number literal too long ({len(text)} characters)", at) from None
+                    value = read_number(text)
+                except ValueError as exc:
+                    raise self.problem(str(exc), at) from None
                 key = (Zero,) if value == 0 else (One,) if value == 1 else (Literal, value)
                 self.literals[text] = key
             return self.node(key, at, *key[1:]), at

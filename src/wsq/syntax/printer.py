@@ -7,6 +7,7 @@ binds more weakly than its position requires.
 
 from __future__ import annotations
 
+from ..numerics import number_text
 from .nodes import (
     ATOMS,
     Aggregate,
@@ -84,7 +85,7 @@ def _render(node: Node) -> tuple[str, int]:
     if type(node) in ATOMS:
         return _call(node.name, node.args), PRIMARY
     if isinstance(node, Literal):
-        return str(node.value), PRIMARY
+        return number_text(node.value), PRIMARY
     if isinstance(node, Cond):
         # the branches extend over a full term, so arithmetic brackets a conditional
         branch = PRECEDENCE["+"]

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, REPL scripting."""
 
+import decimal
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from randgen import path_net
 from wsq.cli import Repl, main
 from wsq.evaluator import EvalLimits
 from wsq.fnn import save_fnn
+from wsq.numerics import MAX_DIGITS
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -26,6 +28,11 @@ DEEP = b"[" * 100_000
 CANCEL = str(DATA / "cancel.fnn.json")
 TWO_NODE = str(DATA / "two_node.fnn.json")
 GRAPH = str(DATA / "graph.json")
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` without Python's digit limit."""
+    return str(decimal.Decimal(n))
 
 
 def wsq(*args, stdin=None, timeout=120):
@@ -111,21 +118,16 @@ class TestExitCodes:
         assert "error" in result.stderr
 
     def test_literal_beyond_the_digit_limit_is_one(self, capsys):
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            pytest.skip("integer string conversion is unlimited in this interpreter")
-        text = "1 + " + "9" * (limit + 700)
+        # one digit more than 2^MAX_BITS - 1 has
+        text = "1 + " + "9" * (MAX_DIGITS + 1)
         assert main(["eval", GRAPH, text]) == 1
-        message = f"number literal too long ({limit + 700} characters) (line 1, column 5)"
+        message = f"number too long ({MAX_DIGITS + 1} characters) (line 1, column 5)"
         assert capsys.readouterr() == ("", f"error: query error: {message}\n")
 
     @pytest.mark.parametrize("where", ["input", "integrate_bound", "string_weight", "json_integer_weight"])
     def test_number_beyond_the_digit_limit_is_two(self, tmp_path, capsys, where):
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            pytest.skip("integer string conversion is unlimited in this interpreter")
-        digits = "9" * (limit + 700)
-        too_long = f"number too long ({limit + 700} characters)"
+        digits = "9" * (MAX_DIGITS + 1)
+        too_long = f"number too long ({MAX_DIGITS + 1} characters)"
         if where == "input":
             argv, message = ["eval", CLAMP, "builtin:eval_node", "--input", digits], f"bad input value: {too_long}"
         elif where == "integrate_bound":
@@ -141,14 +143,13 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_result_beyond_the_digit_limit_is_four(self, tmp_path, capsys):
-        # 2^(2^14) has 4 933 digits
-        limit = sys.get_int_max_str_digits()
-        if not 0 < limit < 4900:
-            pytest.skip("the results below print in this interpreter")
+    def test_result_past_pythons_digit_limit_prints(self, tmp_path, capsys):
+        # 2^(2^14) has 4 933 digits and half * half 5 800, past the 4 300
+        # Python prints by default; within the bit bound, each prints in full
         path = tmp_path / "path14.json"
         save_fnn(path_net(14), str(path))
-        half = "9" * (limit * 2 // 3)
+        half = "9" * 2900
+        square = _digits((10**2900 - 1) ** 2)
         net = json.loads(Path(TWO_NODE).read_text())
         net["edges"][0]["weight"] = half
         (tmp_path / "big.fnn.json").write_text(json.dumps(net))
@@ -160,14 +161,15 @@ class TestExitCodes:
             "output_order": ["o"],
         }
         (tmp_path / "steep.fnn.json").write_text(json.dumps(net))
-        for argv in (
-            ["eval", str(path), "builtin:squaring", "--bind", "x=n14"],
-            ["eval", GRAPH, f"{half} * {half}", "--json"],
-            ["fnn", "forward", str(tmp_path / "big.fnn.json"), "--input", half],
-            ["fnn", "pwl", str(tmp_path / "steep.fnn.json")],
+        for argv, out in (
+            (["eval", str(path), "builtin:squaring", "--bind", "x=n14"], _digits(2 ** 2**14)),
+            (["eval", GRAPH, f"{half} * {half}", "--json"], json.dumps({"kind": "term", "value": square})),
+            (["fnn", "forward", str(tmp_path / "big.fnn.json"), "--input", half], _digits((10**2900 - 1) ** 2 + 1)),
+            (["fnn", "pwl", str(tmp_path / "steep.fnn.json")], f"breakpoints: 0\n[-inf, 0]: 0\n[0, +inf]: {square}*x"),
         ):
-            assert main(argv) == 4
-            assert capsys.readouterr() == ("", f"error: result too long to print (over {limit} digits)\n")
+            assert main(argv) == 0
+            assert capsys.readouterr() == (out + "\n", "")
+        assert len(_digits(2 ** 2**14)) == 4933
 
     def test_number_beyond_the_bit_budget_is_four(self, tmp_path):
         # 2^(2^40) is out of reach: round 20 of the squaring passes 2^20 bits
@@ -506,16 +508,13 @@ class TestRepl:
         assert lines[2:] == ["4"]
 
     def test_too_long_numbers_keep_the_session(self):
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            pytest.skip("integer string conversion is unlimited in this interpreter")
-        half = "9" * (limit * 2 // 3)
-        script = [f":load {CLAMP}", f":set input {'9' * (limit + 700)}", f"{half} * {half}", "count {x : x = x}"]
+        half = "9" * 2900
+        script = [f":load {CLAMP}", f":set input {'9' * (MAX_DIGITS + 1)}", f"{half} * {half}", "count {x : x = x}"]
         out = io.StringIO()
         assert Repl(io.StringIO("\n".join(script) + "\n"), out).run() == 0
         assert out.getvalue().splitlines()[1:] == [
-            f"error: bad input value: number too long ({limit + 700} characters)",
-            f"error: result too long to print (over {limit} digits)",
+            f"error: bad input value: number too long ({MAX_DIGITS + 1} characters)",
+            _digits((10**2900 - 1) ** 2),
             "4",
         ]
 

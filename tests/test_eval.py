@@ -1,5 +1,6 @@
 """Semantics engine: quantifiers, summation, fixed points, defaults, guards."""
 
+import operator
 import random
 import sys
 import threading
@@ -22,10 +23,11 @@ from randgen import (
 )
 from ref_eval import normalize, ref_evaluate, structure_covers
 import wsq.evaluator
+import wsq.numerics
 from wsq.errors import ResourceError, UsageError
-from wsq.evaluator import _ARITH, _ORDER, EvalLimits, _Compiler, evaluate, ifp_iterate
+from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate
 from wsq.fnn import forward, pwl_integral, to_pwl, with_input
-from wsq.numerics import BOT, ExtRational, arith, rational
+from wsq.numerics import ARITH, BOT, ORDER, ExtRational, arith, compare, rational
 from wsq.queries import (
     make_basic,
     make_eval,
@@ -503,24 +505,73 @@ def _mutate_symbols(rng, e):
 
 
 class TestOperatorTables:
-    """Every operator token of the grammar has a meaning in the evaluator."""
+    """Every operator token of the grammar has one meaning, in the numerics
+    tables, and the evaluator, ``ExtRational`` and ``arith``/``compare``
+    agree on it."""
 
     def test_every_grammar_operator_has_an_evaluator_entry(self):
         arithmetic = {op for op, prec in PRECEDENCE.items() if prec > COMPARISON}
         comparisons = {op for op, prec in PRECEDENCE.items() if prec == COMPARISON}
-        assert arithmetic == set(_ARITH)
-        assert comparisons == set(_ORDER)
+        assert arithmetic == set(ARITH)
+        assert comparisons == set(ORDER)
         assert {op for op, prec in PRECEDENCE.items() if prec < COMPARISON} == {"and", "or", "implies"}
 
     def test_arith_accepts_exactly_the_arithmetic_tokens(self):
         a, b = rational(7, 3), rational(-2, 5)
         for op in [*PRECEDENCE, "**", "//", "%", "", "+-"]:
-            if op in _ARITH:
-                assert arith(op, a, b) == _ARITH[op](a, b)
+            if op in ARITH:
+                assert arith(op, a, b) == ExtRational(ARITH[op](a.frac, b.frac))
                 assert arith(op, a, BOT) is BOT
             else:
                 with pytest.raises(ValueError, match="unknown operator"):
                     arith(op, a, b)
+
+    def test_evaluator_boxes_and_functions_agree(self):
+        # w(x) op w(y), w(x) op 0 and 0 op w(y) for every grammar operator,
+        # over bot, 0, small and large signed rationals: the evaluator,
+        # ExtRational's operator, arith/compare and the reference agree
+        rng = random.Random(26)
+        boxed = {
+            "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+            "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "=": operator.eq, "!=": operator.ne,
+        }
+        three_way = {"<": [-1], "<=": [-1, 0], ">": [1], ">=": [0, 1], "=": [0], "!=": [-1, 1]}
+        assert set(boxed) == set(ARITH) | set(ORDER)
+        zero = rational(0)
+        forms = {
+            "w(x) {} w(y)": lambda a, b: (a, b),
+            "w(x) {} 0": lambda a, b: (a, zero),
+            "0 {} w(y)": lambda a, b: (zero, b),
+        }
+        queries = [(op, parse(form.format(op)), pick) for op in boxed for form, pick in forms.items()]
+
+        def draw():
+            roll, sign = rng.random(), rng.choice((-1, 1))
+            if roll < 0.2:
+                return BOT
+            if roll < 0.35:
+                return zero
+            if roll < 0.7:
+                return rational(sign * rng.randint(1, 9), rng.randint(1, 4))
+            return rational(sign * rng.randint(1, 10**40), rng.randint(1, 10**40))
+
+        for _ in range(150):
+            a, b = draw(), draw()
+            weights = {(k,): v for k, v in (("p", a), ("q", b)) if not v.is_bot}
+            s = WeightedStructure.build(["p", "q"], weights={"w": (1, weights)})
+            for op, q, pick in queries:
+                left, right = pick(a, b)
+                got = evaluate(q, s, {"x": "p", "y": "q"})
+                if op in ARITH:
+                    assert got == boxed[op](left, right) == arith(op, left, right), (op, q, a, b)
+                    assert (got is BOT) == (boxed[op](left, right) is BOT) == (arith(op, left, right) is BOT)
+                else:
+                    assert got == boxed[op](left, right) == (compare(left, right) in three_way[op]), (op, q, a, b)
+                if not left.is_bot:
+                    # a Fraction on the left: ExtRational's reflected operator
+                    assert boxed[op](left.frac, right) == got, (op, q, a, b)
+                assert normalize(got) == normalize(ref_evaluate(q, s, {"x": "p", "y": "q"})), (op, q, a, b)
 
 
 class TestResourceGuards:
@@ -563,21 +614,23 @@ class TestResourceGuards:
     )
     def test_bit_budget(self, two_triangle_graph, monkeypatch, query, value):
         # every arithmetic result and every running sum is checked, numerator
-        # and denominator: a sum of fractions can double the denominator
-        monkeypatch.setattr(wsq.evaluator, "_MAX_BITS", 8)
+        # and denominator: a sum of fractions can double the denominator;
+        # parsed before the bound drops, which a literal 256 would not fit
+        q = parse(query)
+        monkeypatch.setattr(wsq.numerics, "MAX_BITS", 8)
         if isinstance(value, str):
             with pytest.raises(ResourceError) as exc:
-                evaluate(parse(query), two_triangle_graph)
+                evaluate(q, two_triangle_graph)
             assert str(exc.value) == value
         else:
-            assert evaluate(parse(query), two_triangle_graph) == value
+            assert evaluate(q, two_triangle_graph) == value
 
     def test_bit_budget_stops_iterated_squaring(self, monkeypatch):
         # 2^(2^d) on a path of length d: round 20 builds 2^20 + 1 bits
         with pytest.raises(ResourceError) as exc:
             evaluate(make_squaring(), path_net(40).structure, {"x": "n40"})
         assert str(exc.value) == f"'*' result exceeds {2**20} bits"
-        monkeypatch.setattr(wsq.evaluator, "_MAX_BITS", 2**10)
+        monkeypatch.setattr(wsq.numerics, "MAX_BITS", 2**10)
         assert evaluate(make_squaring(), path_net(9).structure, {"x": "n9"}) == rational(2 ** 2**9)
         with pytest.raises(ResourceError):
             evaluate(make_squaring(), path_net(10).structure, {"x": "n10"})
@@ -1007,11 +1060,11 @@ def _count_arithmetic(monkeypatch, *ops):
     counts = dict.fromkeys(ops, 0)
     for op in ops:
 
-        def counting(a, b, op=op, apply=_ARITH[op]):
-            counts[op] += 1
+        def counting(a, b, op=op, apply=ARITH[op]):
+            counts[op] += a is not None and b is not None
             return apply(a, b)
 
-        monkeypatch.setitem(_ARITH, op, counting)
+        monkeypatch.setitem(ARITH, op, counting)
     return counts
 
 
@@ -1655,7 +1708,7 @@ class TestZeroOperands:
     )
     def test_product_with_zero_still_runs_its_operand(self, monkeypatch, text):
         # 16 * 16 needs 9 bits: the operand raises although 0 times it fits
-        monkeypatch.setattr(wsq.evaluator, "_MAX_BITS", 8)
+        monkeypatch.setattr(wsq.numerics, "MAX_BITS", 8)
         s = WeightedStructure.build(["a"], weights={"f": (1, {("a",): 16})})
         with pytest.raises(ResourceError) as exc:
             evaluate(parse(text), s, {"x": "a"})

@@ -1,5 +1,6 @@
 """Networks: validation, forward oracle, padding, piecewise-linear analysis."""
 
+import decimal
 import itertools
 import json
 import os
@@ -593,6 +594,22 @@ class TestFiles:
         again = load_fnn(str(path))
         assert fnn_to_json(again) == fnn_to_json(net)
         assert forward(again, [Fraction(1, 2)]) == forward(net, [Fraction(1, 2)])
+
+    def test_round_trip_past_pythons_digit_limit(self, tmp_path):
+        # a 16 001-bit weight and bias, past the 4 300 digits Python prints by default
+        big = str(decimal.Decimal(2**16000 + 1))
+        doc = {
+            "nodes": [{"name": "u"}, {"name": "v", "bias": f"-{big}/7"}],
+            "edges": [{"from": "u", "to": "v", "weight": big}],
+            "input_order": ["u"],
+            "output_order": ["v"],
+        }
+        net = fnn_from_json(doc)
+        assert net.edges[("u", "v")] == rational(2**16000 + 1)
+        assert fnn_to_json(net) == doc
+        path = tmp_path / "net.json"
+        save_fnn(net, str(path))
+        assert fnn_to_json(load_fnn(str(path))) == doc
 
     def test_loader_rejects_bias_on_input(self):
         from wsq.errors import LoadError

@@ -82,14 +82,72 @@ def _wsq_imports(path: Path, walk=ast.walk) -> list[str]:
 
 @pytest.mark.parametrize("path", SYNTAX, ids=lambda p: p.name)
 def test_syntax_imports_only_syntax_and_errors(path):
-    # the syntax package stays loadable without structures or numerics
-    allowed = ("wsq.syntax", "wsq.errors")
+    # the syntax package stays loadable without structures, networks or the
+    # evaluator; it reads and writes number text through numerics, which
+    # imports nothing of the package
+    allowed = ("wsq.syntax", "wsq.errors", "wsq.numerics")
     outside = [name for name in _wsq_imports(path) if ".".join(name.split(".")[:2]) not in allowed]
     assert outside == []
+    assert _wsq_imports(SRC / "numerics.py") == []
+
+
+# Python's integer digit limit, which numerics alone works around
+_DIGIT_LIMIT = ("get_int_max_str_digits", "set_int_max_str_digits")
+
+
+def _number_rules(source: str) -> list[str]:
+    """Where a module imports ``decimal``, names Python's integer digit
+    limit, or assigns a bit bound (``MAX_BITS`` or ``_MAX_BITS``), by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "decimal" for a in node.names):
+            found.append((node.lineno, "import decimal"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "decimal":
+            found.append((node.lineno, "import decimal"))
+        elif name in _DIGIT_LIMIT:
+            found.append((node.lineno, name))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in (t for top in targets for t in ast.walk(top)):
+                if getattr(target, "id", getattr(target, "attr", None)) in ("MAX_BITS", "_MAX_BITS"):
+                    found.append((node.lineno, "bit bound"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_only_numerics_holds_the_number_rules(path):
+    # the bit bound and number text are numerics' alone; no module sets
+    # Python's digit limit, and numerics does not read it either
+    found = _number_rules(path.read_text(encoding="utf-8"))
+    if path.name == "numerics.py":
+        assert sorted(set(site.split(" (")[0] for site in found)) == ["bit bound", "import decimal"]
+    else:
+        assert found == []
+
+
+def test_the_number_rule_check_sees_each_rule():
+    source = (
+        "import sys, decimal\n"
+        "from decimal import Decimal\n"
+        "from . import numerics\n"
+        "limit = sys.get_int_max_str_digits()\n"
+        "numerics.MAX_BITS = 8\n"
+        "_MAX_BITS: int = 2**20\n"
+        "x = [set_int_max_str_digits]\n"
+    )
+    assert _number_rules(source) == [
+        "import decimal (line 1)",
+        "import decimal (line 2)",
+        "get_int_max_str_digits (line 4)",
+        "bit bound (line 5)",
+        "bit bound (line 6)",
+        "set_int_max_str_digits (line 7)",
+    ]
 
 
 def test_the_layering_check_resolves_relative_imports():
-    assert _wsq_imports(SRC / "syntax" / "parser.py") == ["wsq.errors", "wsq.syntax.nodes"]
+    assert _wsq_imports(SRC / "syntax" / "parser.py") == ["wsq.errors", "wsq.numerics", "wsq.syntax.nodes"]
     assert "wsq.structures" in _wsq_imports(SRC / "evaluator.py")
 
 

@@ -8,13 +8,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wsq.numerics import BOT, ExtRational, arith, compare, rational, sum_all
+from wsq import numerics
+from wsq.numerics import BOT, MAX_BITS, MAX_DIGITS, ExtRational, arith, compare, rational, sum_all
 
 defined = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4).map(
     ExtRational
 )
 extended = st.one_of(st.just(BOT), defined)
 ops = st.sampled_from("+-*/")
+
+
+def _chunked(digits: str) -> int:
+    """``int(digits)`` by chunks of 600 digits, which Python converts whatever its digit limit."""
+    value, body = 0, digits.lstrip("+-")
+    for i in range(0, len(body), 600):
+        chunk = body[i : i + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if digits[:1] == "-" else value
 
 
 class TestArith:
@@ -185,21 +195,20 @@ class TestText:
             ExtRational.parse(bad)
 
     def test_parse_agrees_with_fraction(self):
-        # parse converts the digits with int, so its values and its digit limit must be those of Fraction(text)
+        # parse's values are Fraction(text)'s, and past Python's digit limit
+        # (4 300 by default) those of a conversion by chunks of 600 digits
         import random
-        import sys
 
         rng = random.Random(3)
-        limit = sys.get_int_max_str_digits()
 
         def digits(n):
             return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
 
         texts = []
         for sign in ("", "-", "+"):
-            for n in (limit - 1, limit, limit + 1):
+            for n in (639, 640, 641, 4299, 4300, 4301):
                 texts += [sign + digits(n), f"{sign}7/{digits(n)}", f"{sign}{digits(n)}/7", f"{sign}0{digits(n)}"]
-                texts += [f"{sign}1.{digits(n)}", f"{sign}{digits(n)}.5", f"{sign}{digits(limit)}.{digits(limit)}"]
+                texts += [f"{sign}1.{digits(n)}", f"{sign}{digits(n)}.5", f"{sign}{digits(n)}.{digits(n)}"]
             for _ in range(300):
                 whole, rest = digits(rng.randint(1, 12)), digits(rng.randint(1, 12))
                 texts += [sign + whole, f"{sign}{whole}.{rest}", f"{sign}{whole}/{rest}"]
@@ -208,12 +217,39 @@ class TestText:
             try:
                 expected = Fraction(text)
             except ValueError:
-                expected = f"number too long ({len(text)} characters)"
-            try:
-                got = ExtRational.parse(f" {text}\n").frac
-            except ValueError as exc:
-                got = str(exc)
-            assert got == expected, text[:40]
+                head, _, q = text.partition("/")
+                whole, _, decimals = head.partition(".")
+                expected = Fraction(_chunked(whole + decimals), _chunked(q) if q else 10 ** len(decimals))
+            assert ExtRational.parse(f" {text}\n").frac == expected, text[:40]
+
+    def test_text_past_the_bound_is_too_long(self):
+        # one digit more than 2^MAX_BITS - 1 has, in any integer of the
+        # text, is refused before converting; leading zeros count
+        assert 10 ** (MAX_DIGITS - 1) <= 2**MAX_BITS - 1 < 10**MAX_DIGITS
+        past, most = "9" * (MAX_DIGITS + 1), "9" * MAX_DIGITS
+        for text in (past, "-" + past, f"7/{past}", f"{past}/7", "0" * MAX_DIGITS + "1", f"1.{most}", f"{most}.5"):
+            with pytest.raises(ValueError) as caught:
+                ExtRational.parse(text)
+            assert str(caught.value) == f"number too long ({len(text)} characters)"
+
+    def test_text_over_the_bits_is_too_long(self, monkeypatch):
+        # within the digits, the value itself must fit the bit bound
+        monkeypatch.setattr(numerics, "MAX_BITS", 8)
+        for text in ("255", "-255", "1/255", "255/254", "0.5", "002.55"):
+            assert ExtRational.parse(text) == ExtRational(Fraction(text))
+        for text in ("256", "-256", "1/256", "0.00390625", "25.7", "0.257"):
+            with pytest.raises(ValueError) as caught:
+                ExtRational.parse(text)
+            assert str(caught.value) == f"number too long ({len(text)} characters)"
+
+    def test_long_text_within_the_digits_reads(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_DIGITS", 5000)
+        fits = "9" * 5000
+        assert ExtRational.parse(fits).frac == 10**5000 - 1
+        assert ExtRational.parse(f"0.{fits[1:]}").frac == Fraction(10**4999 - 1, 10**4999)
+        for text in (fits + "9", f"1.{fits}", f"7/{fits}9"):
+            with pytest.raises(ValueError, match=r"^number too long \(\d+ characters\)$"):
+                ExtRational.parse(text)
 
     @given(x=extended)
     def test_round_trip(self, x):
@@ -225,9 +261,16 @@ class TestText:
         assert str(BOT) == "bot"
 
     def test_huge_values_round_trip(self):
-        # iterated squaring produces values of bit length 2**d
+        # iterated squaring produces values of bit length 2**d; 2^16000 has
+        # 4 817 digits, past Python's default digit limit of 4 300
         x = rational(2)
         for _ in range(10):
             x = x * x
         assert x.frac == Fraction(2) ** 1024
         assert ExtRational.parse(str(x)) == x
+        for value in (rational(2**16000 + 1), rational(-(2**16000) - 1, 3), rational(3, 2**16001 - 1)):
+            text = str(value)
+            assert ExtRational.parse(text) == value
+            assert repr(value) == f"ExtRational('{text}')"
+            p, _, q = text.lstrip("-").partition("/")
+            assert (_chunked(p), _chunked(q or "1")) == (abs(value.frac.numerator), value.frac.denominator)

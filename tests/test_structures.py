@@ -1,5 +1,6 @@
 """Weighted structures: validation, lookups, expansion, file round-trips."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -210,6 +211,20 @@ class TestJson:
         path = tmp_path / "s.json"
         save_structure(s, str(path))
         assert load_structure(str(path)) == s
+
+    def test_round_trip_past_pythons_digit_limit(self, tmp_path):
+        # 16 001 bits (4 817 digits), within the bit bound, past the 4 300
+        # digits Python prints by default: written and read back in full
+        big = Fraction(2**16000 + 1, 3)
+        s = WeightedStructure.build(["a"], weights={"f": (1, {("a",): big}), "g": (0, {(): -(2**16000) - 1})})
+        doc = structure_to_json(s)
+        text = doc["weights"]["f"]["values"][0]["value"]
+        assert text == f"{decimal.Decimal(2**16000 + 1)}/3"
+        assert structure_from_json(doc) == s
+        path = tmp_path / "s.json"
+        save_structure(s, str(path))
+        assert load_structure(str(path)) == s
+        assert str(s.weight("g", ())) == str(decimal.Decimal(-(2**16000) - 1))
 
     def test_decimal_and_integer_values(self):
         s = structure_from_json(

@@ -6,13 +6,14 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from randgen import random_expression, random_structure
 from wsq.errors import ParseError, UsageError
 from wsq.evaluator import evaluate
-from wsq.numerics import rational
+from wsq.numerics import MAX_DIGITS, rational
 from wsq.queries import make_eval, make_eval_node, make_integrate_2_1, make_squaring, make_useless
 from wsq.structures import WeightedStructure
 from wsq.syntax import (
@@ -52,6 +53,7 @@ from wsq.syntax import (
     walk,
 )
 from wsq.syntax.nodes import bound_vars, map_children
+from wsq.syntax import parser as parser_module
 from wsq.syntax.parser import _Parser
 
 
@@ -139,26 +141,26 @@ class TestParse:
     @pytest.mark.parametrize("form", ["{}", "0.{}", "1/{}"])
     @pytest.mark.parametrize("before", ["", "2 * (\n  "])
     def test_literal_beyond_the_digit_limit(self, form, before):
-        # Python refuses to convert such an integer; the parser says where it is
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            pytest.skip("integer string conversion is unlimited in this interpreter")
-        literal = form.format("9" * (limit + 700))
+        # one digit more than 2^MAX_BITS - 1 has; the parser says where it is
+        literal = form.format("9" * (MAX_DIGITS + 1))
         text = before + literal + (")" if before else "")
         line, column = (2, 3) if before else (1, 1)
         with pytest.raises(ParseError) as error:
             parse(text)
-        message = f"number literal too long ({len(literal)} characters) (line {line}, column {column})"
+        message = f"number too long ({len(literal)} characters) (line {line}, column {column})"
         assert str(error.value) == message
 
     def test_an_over_long_literal_fails_at_its_first_occurrence(self):
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            pytest.skip("integer string conversion is unlimited in this interpreter")
-        literal = "9" * (limit + 1)
+        literal = "9" * (MAX_DIGITS + 1)
         with pytest.raises(ParseError) as error:
             parse(f"f(x) + {literal} *\n  {literal}")
         assert (error.value.line, error.value.column) == (1, 8)
+
+    def test_a_literal_past_pythons_digit_limit_reads(self):
+        # 5 000 digits, past the 4 300 Python converts by default
+        e = parse(f"f(x) + {'9' * 5000}/7 * 0.{'3' * 5000}")
+        assert e.right.left == Literal(Fraction(10**5000 - 1, 7))
+        assert e.right.right == Literal(Fraction(10**5000 // 3, 10**5000))
 
     def test_a_repeated_literal_is_one_node(self):
         e = parse("2.5 * f(x) + 2.5 * (5/2 - f(x))")
@@ -336,6 +338,14 @@ class TestPrinter:
     def test_round_trip_fixed_corpus(self, text):
         e = parse(text)
         assert parse(to_text(e)) == e
+
+    def test_round_trip_of_a_literal_past_pythons_digit_limit(self):
+        # numerator and denominator each past the 4 300 digits Python prints by default
+        for value in (Fraction(10**5000 + 1, 3), Fraction(7, 10**5000 + 1)):
+            e = Arith("+", One(), Literal(value))
+            text = to_text(e)
+            assert text.startswith("1 + ") and len(text) > 5000
+            assert parse(text) == e
 
     def test_round_trip_random_expressions(self):
         rng = random.Random(100)
@@ -576,9 +586,68 @@ def _long(text: str) -> str:
     return "(" * 130 + text + ")" * 130
 
 
+class _NoMemo(_Parser):
+    """The parser with its span memo off, whatever the text's length."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.spans = None
+
+
+def _positions(text: str):
+    """The node type and span of every position of ``parse(text)``, or its error text."""
+    try:
+        e = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(path, type(n).__name__, n.span) for path, n in walk(e)]
+
+
+# where a random term or formula ``{}`` is repeated: after ``g(x) + ``,
+# ``- `` or an ``else``, and before a looser or a tighter operator; each
+# text ends once without and once with a repeat before ``(``
+_TERM_CONTEXTS = [
+    f"{outer}{inner}{{}}{after} < 2"
+    for outer, inner, after in product(
+        ["", "g(x) + ", "- ", "1 + 3 * ", "2 * "], ["", "if p(x) then 1 else "], ["", " + 5", " * 3", " - 1"]
+    )
+]
+_FORMULA_CONTEXTS = [
+    f"{outer}{bra}{{}}{after}{ket}"
+    for outer, (bra, ket), after in product(
+        ["", "p(x) and ", "not ", "p(x) or ", "exists z ", "p(x) implies "],
+        [("", ""), ("(", ")")],
+        ["", " and q(x)", " or q(x)", " implies q(x)", " and x = y"],
+    )
+]
+_BEFORE_A_BRACKET = {
+    "term": ["{} (z) < 2", "2 * if p(x) then 1 else {}(z) < 2"],
+    "formula": ["{}(z)", "p(x) and ({} and x = y(z))"],
+}
+
+
 class TestSpanSharing:
     """A repeated span of a long text is parsed once and gives what a full
     parse gives; a short text, parsed without the memo, is the reference."""
+
+    def test_random_repeats_in_new_contexts_agree_with_a_full_parse(self, monkeypatch):
+        # each text as it is (over 256 tokens, so the memo is on) and in
+        # 130 brackets: node types, spans and errors as with the memo off
+        rng = random.Random(13)
+        texts = []
+        for _ in range(24):
+            kind = rng.choice(["term", "formula"])
+            e = to_text(random_expression(rng, rng.randint(1, 3), kind, ("x", "y")))
+            contexts = _TERM_CONTEXTS if kind == "term" else _FORMULA_CONTEXTS
+            text = " and ".join(c.format(e) for c in rng.sample(contexts, len(contexts)))
+            for last in ("", " and " + rng.choice(_BEFORE_A_BRACKET[kind]).format(e)):
+                texts += [text + last, _long(text + last)]
+        assert all(_Parser(t).spans is not None for t in texts)
+        shared = [_positions(t) for t in texts]
+        monkeypatch.setattr(parser_module, "_Parser", _NoMemo)
+        full = [_positions(t) for t in texts]
+        assert [t[:100] for t, a, b in zip(texts, shared, full) if a != b] == []
+        assert sum(isinstance(outcome, str) for outcome in full) == len(texts) // 2
 
     def test_only_a_long_text_engages_the_memo(self):
         assert _Parser(_long("1")).spans is not None
@@ -634,10 +703,10 @@ class TestSpanSharing:
         assert str(caught.value) == "term used where a formula is required (line 2, column 21)"
 
     def test_a_too_long_literal_errs_at_its_first_occurrence(self):
-        span = f"(f(x) + {'9' * 5000} * g(x) + 1)"
+        span = f"(f(x) + {'9' * (MAX_DIGITS + 1)} * g(x) + 1)"
         with pytest.raises(ParseError) as caught:
             parse(_long(f"{span} + {span}"))
-        assert str(caught.value) == "number literal too long (5000 characters) (line 1, column 139)"
+        assert str(caught.value) == f"number too long ({MAX_DIGITS + 1} characters) (line 1, column 139)"
 
     def test_many_spans_under_one_key_parse(self):
         text = " + ".join(f"sum {{x : p(x)}} w(x) * {k}" for k in range(300))
