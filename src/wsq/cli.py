@@ -73,8 +73,9 @@ def _load_structure_or_fnn(path: str) -> tuple[WeightedStructure, Optional[FnnSt
         raise LoadError(f"{path}: {exc}") from exc
 
 
-def _load_fnn(path: str) -> FnnStructure:
-    structure, net = _load_structure_or_fnn(path)
+def _network(path: str, structure: WeightedStructure, net: Optional[FnnStructure]) -> FnnStructure:
+    """The network view of a file loaded from ``path``, which may be a
+    network file or a structure file."""
     try:
         return net or FnnStructure(structure)
     except UsageError as exc:
@@ -174,9 +175,7 @@ def _cmd_eval(args) -> int:
     structure, net = _load_structure_or_fnn(args.structure)
     query = _resolve_query(args.query)
     if args.input is not None:
-        if net is None:
-            raise UsageError("--input requires a network structure")
-        structure = with_input(net, _parse_inputs(args.input))
+        structure = with_input(_network(args.structure, structure, net), _parse_inputs(args.input))
     env = _parse_bindings(args.bind)
     missing = sorted(free_vars(query) - env.keys())
     if missing:
@@ -248,7 +247,7 @@ def _cmd_fnn(args) -> int:
         print("ok")
         return EXIT_OK
 
-    net = _load_fnn(args.file)
+    net = _network(args.file, *_load_structure_or_fnn(args.file))
     if args.fnn_command == "forward":
         values = forward(net, _parse_inputs(args.input))
         print(" ".join(map(str, values)))
@@ -293,6 +292,7 @@ class Repl:
     def __init__(self, stdin=None, stdout=None):
         self.stdin = stdin or sys.stdin
         self.stdout = stdout or sys.stdout
+        self.path: Optional[str] = None
         self.structure: Optional[WeightedStructure] = None
         self.net: Optional[FnnStructure] = None
         self.inputs: Optional[list[ExtRational]] = None
@@ -344,7 +344,7 @@ class Repl:
 
     def cmd_load(self, path: str) -> None:
         self.structure, self.net = _load_structure_or_fnn(path)
-        self.inputs = None
+        self.path, self.inputs = path, None
         kind = "network" if self.net is not None else "structure"
         self.out(f"loaded {kind} {path} ({len(self.structure.universe)} elements)")
 
@@ -368,8 +368,9 @@ class Repl:
             self.format = value
         elif key == "input":
             values = _parse_inputs(value)
-            if self.net is None:
+            if self.structure is None:
                 raise UsageError("load a network before :set input")
+            self.net = _network(self.path, self.structure, self.net)
             self.inputs = values
         elif key in _BUDGETS:
             try:

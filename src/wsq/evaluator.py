@@ -55,7 +55,8 @@ at two arities.  Every misuse leaves such a use, so only an uncovered
 expression is walked again with ``vocabulary_of``, to raise the misuse
 error; an uncovered expression without misuse takes the default.
 
-Sums, aggregates and quantifiers draw their bindings from one routine,
+Sums, aggregates and quantifiers compile through one routine, and only
+the loop over the bindings is each kind's own.  It draws the bindings
 out of the top-level conjuncts of the guard (for ``forall``, of the
 antecedent of an implication body) that are an extensional ``R(..)`` or
 ``w(..) != bot`` and come before the first conjunct that can raise (one
@@ -74,13 +75,14 @@ other top-level conjuncts, in their order (the flat triangle count
 tests none).  A drawn conjunct cannot raise, reads no fixed point and
 holds no memo, so skipping its test changes no value and no error.
 Every conjunct is still compiled, so the whole guard decides coverage,
-unbound names and the memo key.  Since every list is in universe order,
-the candidates come in the order of ``product(universe, repeat=k)``, so
-the first undefined summand and the first summand over budget are the
-same as under full enumeration.  A support index, as sorted lists or
-as sets, is built on first use and shared by every binder of the call
-that reads the same symbol with the same pattern of drawn, looked-up
-and repeated positions; a binder that never runs builds none.
+unbound names and the memo key.  A support index keeps the drawn values
+in dicts keyed in universe order, which a draw iterates and a filter
+tests.  So the candidates come in the order of
+``product(universe, repeat=k)``, and the first undefined summand and the
+first summand over budget are the same as under full enumeration.  An
+index is built on first use and shared by every binder of the call that
+reads the same symbol with the same pattern of drawn, looked-up and
+repeated positions; a binder that never runs builds none.
 
 A fixed point tracks dependencies: while the body runs for a tuple, the
 lookups of its symbol record the entries they found missing.  A tuple
@@ -97,20 +99,20 @@ per iteration of the loops around it.  Compound terms and comparisons
 (arithmetic, conditionals, ``<=`` and the other comparisons) are hoisted
 out of such loops the same way, except a leaf-op-leaf node such as
 ``wt(x, y) + 1``, whose operation costs about as much as the lookup a
-memo would make.  A memo keeps values only: a run that raises stores
-nothing, so the first error is the one the unmemoised evaluation
-raises.  A fixed point's table is memoised the same way, by the free
-variables of its body other than the bound tuple, and not by the tuple
-it is applied to.  Memo tables never live inside a fixed-point body:
-there the intensional table grows between rounds, and the semi-naive
-tracking needs every missing entry a tuple's computation reads.  The
-cost is that a binder or nested fixed point in such a body that ignores
-the body's tuple, such as ``exists z F(z) != bot`` in a body over
-``F(x)``, is computed again for every tuple rather than once per
-round.  Nothing is cached across calls: closures, support indexes and
-memo tables belong to one call, which keeps evaluation a pure function
-of its inputs and safe to run from several threads on shared structures
-and expressions.
+memo would make; one routine makes both decisions.  A memo keeps values
+only: a run that raises stores nothing, so the first error is the one
+the unmemoised evaluation raises.  A fixed point's table is memoised the
+same way, by the free variables of its body other than the bound tuple,
+and not by the tuple it is applied to.  Memo tables never live inside a
+fixed-point body: there the intensional table grows between rounds, and
+the semi-naive tracking needs every missing entry a tuple's computation
+reads.  The cost is that a binder or nested fixed point in such a body
+that ignores the body's tuple, such as ``exists z F(z) != bot`` in a
+body over ``F(x)``, is computed again for every tuple rather than once
+per round.  Nothing is cached across calls: closures, support indexes
+and memo tables belong to one call, which keeps evaluation a pure
+function of its inputs and safe to run from several threads on shared
+structures and expressions.
 """
 
 from __future__ import annotations
@@ -245,8 +247,8 @@ def _support_index(indexes: dict, signature: tuple, table, rank: dict) -> dict:
     the position is looked up (bound outside the binder or drawn before),
     else the number of the drawn slot it holds (repeated slots repeat
     the number).  The index maps the values at the looked-up positions
-    to the distinct values of the drawn slots, sorted in universe order,
-    which ``rank`` gives: each element's position in the universe.
+    to a dict keyed by the distinct values of the drawn slots in universe
+    order, which ``rank`` gives: each element's position in the universe.
     """
     index = indexes.get(signature)
     if index is not None:
@@ -256,15 +258,16 @@ def _support_index(indexes: dict, signature: tuple, table, rank: dict) -> dict:
     repeats = [(i, first[role]) for i, role in enumerate(roles) if role >= 0 and i != first[role]]
     outside = _tuple_getter([i for i, role in enumerate(roles) if role < 0])
     drawn = _tuple_getter(first)
-    groups: dict[tuple, set] = {}
-    for t in table:
-        if not repeats or all(t[i] == t[j] for i, j in repeats):
-            groups.setdefault(outside(t), set()).add(drawn(t))
     if len(first) == 1:
-        order = lambda sub: rank[sub[0]]
+        (position,) = first
+        order = lambda t: rank[t[position]]
     else:
-        order = lambda sub: [rank[elem] for elem in sub]
-    index = indexes[signature] = {key: sorted(subs, key=order) for key, subs in groups.items()}
+        order = lambda t: [rank[t[i]] for i in first]
+    # in the order of the drawn values, so each dict's keys are sorted
+    index = indexes[signature] = {}
+    for t in sorted(table, key=order):
+        if not repeats or all(t[i] == t[j] for i, j in repeats):
+            index.setdefault(outside(t), {})[drawn(t)] = None
     return index
 
 
@@ -286,6 +289,30 @@ def _level(lo: int, hi: int, candidates: Callable[[list], Iterable[tuple]], inne
             yield from inner(env, prefix + sub)
 
     return level
+
+
+def _quantify(n: Union[Exists, Forall], lo: int, bindings: Bindings, test, body) -> Compiled:
+    """The loop of a quantifier over the bindings of its slot ``lo``."""
+    if type(n) is Exists:
+
+        def exists(env):
+            for (elem,) in bindings(env):
+                env[lo] = elem
+                if test is None or test(env):
+                    return True
+            return False
+
+        return exists
+    check = body if test is None else (lambda env: not test(env) or body(env))
+
+    def forall(env):
+        for (elem,) in bindings(env):
+            env[lo] = elem
+            if not check(env):
+                return False
+        return True
+
+    return forall
 
 
 class _Cell:
@@ -330,9 +357,9 @@ class _Compiler:
     the slots it reads, which are its free variables.  The root scope
     binds the caller's assignment; a name read out of scope goes into
     ``unbound``.  ``rank`` gives each element's position in the universe;
-    ``indexes`` and ``filters`` hold the support indexes built so far, as
-    sorted lists and as sets, and ``units`` the universe as 1-tuples once
-    a binder runs a slot over it.
+    ``indexes`` holds the support indexes built so far, and ``units`` the
+    universe as 1-tuples once a binder runs a slot over it.  Every binder
+    compiles through :meth:`_binder`.
     ``covered`` turns false at the first uncovered use (see the module
     docstring); ``arities`` holds each fixed-point symbol's arity.
     """
@@ -347,7 +374,6 @@ class _Compiler:
         self.size = self.root.top
         self.unbound: set[str] = set()
         self.indexes: dict[tuple, dict] = {}
-        self.filters: dict[tuple, dict] = {}
         self.units: Optional[list] = None
         self.raising: dict[int, bool] = {}
         self.covered = True
@@ -358,14 +384,9 @@ class _Compiler:
         read a relation table, false at a formula position, where it must
         not read a weight or fixed-point table, and ``None`` at the root."""
         if type(n) in LEAVES:
-            if type(n) is Atom and term is not None:
-                text = f"{n.name}({', '.join(n.args)})"
-                if self._reads_relation(n, scope):
-                    if term:
-                        raise UsageError(f"relation atom {text} used as a term")
-                elif not term and (n.name in scope.cells or n.name in self.structure.vocabulary.weights):
-                    raise UsageError(f"weight atom {text} used as a formula")
             # cheaper to compile again than to keep in the cache
+            if type(n) is Atom:
+                return self._atom(n, scope, term)
             return _COMPILE[type(n)](self, n, scope)
         done = scope.shared.get(id(n))
         if done is None:
@@ -405,11 +426,13 @@ class _Compiler:
             self.size = max(self.size, inner.top)
         return inner, scope.top, inner.top
 
-    def _memo(self, fn: Compiled, mask: int, scope: _Scope) -> Compiled:
+    def _memo(self, fn: Compiled, mask: int, scope: _Scope, *parts: Node) -> Compiled:
         """``fn`` memoised by the slots in ``mask`` when an enclosing binder
-        loops over a slot outside ``mask`` and no fixed point encloses the
-        node; otherwise ``fn`` itself."""
-        if scope.cells or not _span(self.root.top, scope.top) & ~mask:
+        loops over a slot outside ``mask``, no fixed point encloses the
+        node and not all its ``parts`` (a compound node's operands) are
+        leaves, whose operation costs about a memo lookup; else ``fn``."""
+        leaves = parts and LEAVES.issuperset(map(type, parts))
+        if leaves or scope.cells or not _span(self.root.top, scope.top) & ~mask:
             return fn
         memo: dict = {}
         slots = []
@@ -470,7 +493,7 @@ class _Compiler:
                 test = fn if test is None else _both(test, fn)
         return test, mask
 
-    def _candidates(self, conjs: list, slot: int) -> Callable[[list], list]:
+    def _candidates(self, conjs: list, slot: int) -> Bindings:
         """The values, as 1-tuples in universe order, that ``slot`` takes
         in the supports of all of ``conjs`` under the earlier slots."""
         if not conjs:
@@ -481,7 +504,7 @@ class _Compiler:
         first = self._support(conjs[0], slot, slot + 1)
         if len(conjs) == 1:
             return first
-        filters = [self._support(c, slot, slot + 1, self.filters) for c in conjs[1:]]
+        filters = [self._support(c, slot, slot + 1) for c in conjs[1:]]
 
         def candidates(env):
             out = first(env)
@@ -492,11 +515,10 @@ class _Compiler:
 
         return candidates
 
-    def _support(self, chosen: tuple, lo: int, hi: int, filters: Optional[dict] = None):
+    def _support(self, chosen: tuple, lo: int, hi: int):
         """Lookup of the support of the ``chosen`` conjunct, which names the
         slots ``lo .. hi-1`` in slot order, by the values of its other slots:
-        the sorted list of their value tuples, or, given ``filters`` (the
-        sets built so far), the set of them."""
+        their value tuples as the keys of a dict, in universe order."""
         name, table, slots = chosen
         bound, roles, found = [], [], []
         for slot in slots:
@@ -517,10 +539,6 @@ class _Compiler:
             index = box[0]
             if index is None:
                 index = box[0] = _support_index(indexes, signature, table, rank)
-                if filters is not None:
-                    if signature not in filters:
-                        filters[signature] = {k: set(subs) for k, subs in index.items()}
-                    index = box[0] = filters[signature]
             return index.get(key(env), ())
 
         return lookup
@@ -639,9 +657,7 @@ class _Compiler:
         else:
             test = ORDER[op]
             fn = lambda env: test(lf(env), rf(env))
-        if not LEAVES.issuperset((type(left), type(right))):
-            fn = self._memo(fn, lm | rm, scope)
-        return fn, lm | rm
+        return self._memo(fn, lm | rm, scope, left, right), lm | rm
 
     def _not(self, n: Not, scope):
         body, mask = self.compile(n.body, scope)
@@ -658,42 +674,6 @@ class _Compiler:
     def _implies(self, n: Implies, scope):
         (lf, lm), (rf, rm) = self.compile(n.left, scope), self.compile(n.right, scope)
         return (lambda env: not lf(env) or rf(env)), lm | rm
-
-    def _quantifier(self, n, scope):
-        inner, lo, hi = self._bind(scope, (n.var,))
-        if type(n) is Exists:
-            guard, then = n.body, None
-        elif type(n.body) is Implies:
-            # forall x (a -> b) holds wherever a fails
-            guard, then = n.body.left, n.body.right
-        else:
-            guard, then = None, n.body
-        draw, conjuncts = self._support_conjuncts(inner, lo, hi, guard)
-        bindings = self._bindings(lo, hi, draw)
-        test, mask = self._residual(conjuncts, inner)
-        if then is None:
-
-            def quantify(env):
-                for (elem,) in bindings(env):
-                    env[lo] = elem
-                    if test is None or test(env):
-                        return True
-                return False
-
-        else:
-            consequent, then_mask = self.compile(then, inner)
-            mask |= then_mask
-            body = consequent if test is None else (lambda env: not test(env) or consequent(env))
-
-            def quantify(env):
-                for (elem,) in bindings(env):
-                    env[lo] = elem
-                    if not body(env):
-                        return False
-                return True
-
-        mask &= ~(1 << lo)
-        return self._memo(quantify, mask, scope), mask
 
     # -- terms ----------------------------------------------------------
 
@@ -748,9 +728,15 @@ class _Compiler:
 
         return extensional, mask
 
-    def _atom(self, n: Atom, scope):
+    def _atom(self, n: Atom, scope, term: Optional[bool]):
+        """A generic atom as a relation or weight atom; ``term`` as for :meth:`compile`."""
+        text = f"{n.name}({', '.join(n.args)})"
         if self._reads_relation(n, scope):
+            if term:
+                raise UsageError(f"relation atom {text} used as a term")
             return self._rel_atom(n, scope)
+        if term is False and (n.name in scope.cells or n.name in self.structure.vocabulary.weights):
+            raise UsageError(f"weight atom {text} used as a formula")
         return self._weight_atom(n, scope)
 
     def _arith(self, n: Arith, scope):
@@ -772,9 +758,7 @@ class _Compiler:
                     raise ResourceError(overflow)
                 return value
 
-        if not LEAVES.issuperset((type(n.left), type(n.right))):
-            fn = self._memo(fn, lm | rm, scope)
-        return fn, lm | rm
+        return self._memo(fn, lm | rm, scope, n.left, n.right), lm | rm
 
     def _cond(self, n: Cond, scope):
         test, tm = self.compile(n.test, scope)
@@ -782,23 +766,39 @@ class _Compiler:
         other, om = self.compile(n.otherwise, scope, term=True)
         mask = tm | thm | om
         fn = lambda env: then(env) if test(env) else other(env)
-        if not LEAVES.issuperset((type(n.test), type(n.then), type(n.otherwise))):
-            fn = self._memo(fn, mask, scope)
-        return fn, mask
+        return self._memo(fn, mask, scope, n.test, n.then, n.otherwise), mask
 
-    def _fold(self, n: Union[Sum, Aggregate], scope):
-        """A summation, as kind ``sum``, or an aggregate: one pass over the
-        bindings that satisfy the guard, with running accumulators."""
-        kind = "sum" if type(n) is Sum else n.kind
-        inner, lo, hi = self._bind(scope, n.vars)
-        draw, conjuncts = self._support_conjuncts(inner, lo, hi, n.guard)
+    def _binder(self, n: Union[Exists, Forall, Sum, Aggregate], scope):
+        """A quantifier, summation or aggregate.  Every kind draws its
+        bindings, tests its guard's residual, compiles its body and is
+        memoised the same way; only the loop over the bindings is its own."""
+        folding = type(n) in (Sum, Aggregate)
+        if folding:
+            vars_, guard, body = n.vars, n.guard, n.body
+        elif type(n) is Exists:
+            vars_, guard, body = (n.var,), n.body, None
+        elif type(n.body) is Implies:
+            # forall x (a -> b) holds wherever a fails
+            vars_, guard, body = (n.var,), n.body.left, n.body.right
+        else:
+            vars_, guard, body = (n.var,), None, n.body
+        inner, lo, hi = self._bind(scope, vars_)
+        draw, conjuncts = self._support_conjuncts(inner, lo, hi, guard)
         bindings = self._bindings(lo, hi, draw)
         test, mask = self._residual(conjuncts, inner)
-        body = None
-        if n.body is not None:
-            body, bm = self.compile(n.body, inner, term=True)
-            mask |= bm
+        if body is not None:
+            body, body_mask = self.compile(body, inner, term=folding)
+            mask |= body_mask
         mask &= ~_span(lo, hi)
+        loop = (self._fold if folding else _quantify)(n, lo, bindings, test, body)
+        return self._memo(loop, mask, scope), mask
+
+    def _fold(self, n: Union[Sum, Aggregate], lo: int, bindings: Bindings, test, body) -> Compiled:
+        """The loop of a summation, as kind ``sum``, or an aggregate, whose
+        slots start at ``lo``: one pass over the bindings that pass
+        ``test``, with running accumulators."""
+        hi = lo + len(n.vars)
+        kind = "sum" if type(n) is Sum else n.kind
         limit = self.limits.max_summands
         overflow = f"{'summation' if kind == 'sum' else 'aggregate'} exceeds {limit} summands"
         too_long = f"'{kind}' result exceeds {numerics.MAX_BITS} bits"
@@ -840,7 +840,7 @@ class _Compiler:
                 return acc
             return None if best is _MISSING else best
 
-        return self._memo(fold, mask, scope), mask
+        return fold
 
     def _ifp(self, n: Ifp, scope):
         run, mask = self.fixpoint(n.name, n.vars, n.body, scope)
@@ -917,18 +917,17 @@ _COMPILE = {
     And: _Compiler._and,
     Or: _Compiler._or,
     Implies: _Compiler._implies,
-    Exists: _Compiler._quantifier,
-    Forall: _Compiler._quantifier,
+    Exists: _Compiler._binder,
+    Forall: _Compiler._binder,
     Zero: _Compiler._constant_term,
     One: _Compiler._constant_term,
     Literal: _Compiler._constant_term,
     BotConst: _Compiler._constant_term,
     WeightAtom: _Compiler._weight_atom,
-    Atom: _Compiler._atom,
     Arith: _Compiler._arith,
     Cond: _Compiler._cond,
-    Sum: _Compiler._fold,
-    Aggregate: _Compiler._fold,
+    Sum: _Compiler._binder,
+    Aggregate: _Compiler._binder,
     Ifp: _Compiler._ifp,
 }
 

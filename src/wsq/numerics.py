@@ -31,7 +31,10 @@ from typing import Callable, Iterable, Optional
 
 __all__ = ["ExtRational", "BOT", "rational", "as_rational", "arith", "compare", "sum_all"]
 
-_NUMBER_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]+)?|[0-9]+/0*[1-9][0-9]*)$")
+# unsigned number text: digits, ``d.ddd`` or ``p/q`` with a nonzero ``q``;
+# the query scanner reads its number tokens with it too
+NUMBER_TEXT = r"[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?"
+_NUMBER_RE = re.compile(rf"[+-]?{NUMBER_TEXT}")
 _COUNT_RE = re.compile(r"[0-9]+")
 
 
@@ -183,7 +186,7 @@ class ExtRational:
         text = text.strip()
         if text == "bot":
             return BOT
-        if not _NUMBER_RE.match(text):
+        if not _NUMBER_RE.fullmatch(text):
             raise ValueError(f"not a rational literal: {text!r}")
         return cls(read_number(text))
 

@@ -66,8 +66,6 @@ def _relu(t: Term) -> Cond:
 
 
 def _int_literal(i: int) -> Term:
-    if i == 0:
-        return Zero()
     if i == 1:
         return One()
     return Literal(Fraction(i))
@@ -154,7 +152,13 @@ def _eval_term(depth: int, var: str, edge_guard: Callable[[str, str], Expr]) -> 
     if depth == 0:
         return WeightAtom(INP, (var,))
     inner = f"y{depth}"
-    prev = _eval_term(depth - 1, inner, edge_guard)
+    return _node_value(var, inner, _eval_term(depth - 1, inner, edge_guard), edge_guard)
+
+
+def _node_value(var: str, inner: str, prev: Term, edge_guard: Callable[[str, str], Expr]) -> Term:
+    """The value of node ``var``: its input if defined, else its bias plus
+    the weighted sum of the rectified values ``prev`` of its in-neighbours
+    ``inner``, the sources of the edges that ``edge_guard`` admits."""
     summand = Arith("*", WeightAtom(WT, (inner, var)), _relu(prev))
     return Cond(
         Compare("!=", WeightAtom(INP, (var,)), BotConst()),
@@ -198,19 +202,7 @@ def make_eval_node(closed: bool = True) -> Expr:
     single-output network is the network value; ``closed=False`` returns
     the open per-node term in ``x``.
     """
-    body = Cond(
-        Compare("!=", WeightAtom(INP, ("x",)), BotConst()),
-        WeightAtom(INP, ("x",)),
-        Arith(
-            "+",
-            WeightAtom(BIAS, ("x",)),
-            Sum(
-                ("y",),
-                _edge("y", "x"),
-                Arith("*", WeightAtom(WT, ("y", "x")), _relu(WeightAtom("F", ("y",)))),
-            ),
-        ),
-    )
+    body = _node_value("x", "y", WeightAtom("F", ("y",)), _edge)
     node_term = Ifp("F", ("x",), body, ("x",))
     if not closed:
         return node_term

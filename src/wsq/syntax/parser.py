@@ -61,7 +61,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from ..errors import ParseError
-from ..numerics import read_number
+from ..numerics import NUMBER_TEXT, read_number
 from .nodes import (
     Aggregate,
     And,
@@ -119,7 +119,7 @@ PRIMARY = 9
 _OPERATORS = "<= <- != >= < > = + - * / ( ) { } : ,".split()
 # The one token pattern; ``split`` on its group alternates gaps and tokens.
 _TOKEN_RE = re.compile(
-    r"([0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?|[A-Za-z_][A-Za-z0-9_]*|"
+    f"({NUMBER_TEXT}|[A-Za-z_][A-Za-z0-9_]*|"
     + "|".join(map(re.escape, _OPERATORS))
     + ")"
 )

@@ -49,6 +49,23 @@ def golden(name: str) -> str:
     return (GOLDEN / name).read_text()
 
 
+# what FnnStructure says of graph.json, which has no network vocabulary
+NOT_A_NETWORK = (
+    "not a valid FNN: vocabulary: weight symbol bias(1) required; "
+    "vocabulary: relation symbol le_in(2) required; vocabulary: relation symbol le_out(2) required"
+)
+
+
+def _structure_file_of(network_file: str, tmp_path) -> str:
+    """The network of ``network_file`` saved as a structure file."""
+    from wsq.fnn import fnn_from_json
+    from wsq.structures import read_json, save_structure
+
+    path = str(tmp_path / "net.structure.json")
+    save_structure(fnn_from_json(read_json(network_file)).structure, path)
+    return path
+
+
 class TestEval:
     def test_eval_node_builtin_with_input(self):
         result = wsq("eval", CLAMP, "builtin:eval_node", "--input", "5")
@@ -106,6 +123,18 @@ class TestEval:
             "--input", "-1", "--bind", "x0=h2", "--bind", "y0=o",
         )
         assert (result.returncode, result.stdout) == (0, "true\n")
+
+
+    def test_input_on_a_network_written_as_a_structure_file(self, tmp_path, capsys):
+        path = _structure_file_of(CLAMP, tmp_path)
+        assert main(["eval", CLAMP, "builtin:eval_node", "--input", "3"]) == 0
+        from_network = capsys.readouterr()
+        assert main(["eval", path, "builtin:eval_node", "--input", "3"]) == 0
+        assert capsys.readouterr() == from_network == ("1\n", "")
+
+    def test_input_on_a_structure_that_is_no_network_is_two(self, capsys):
+        assert main(["eval", GRAPH, "builtin:eval_node", "--input", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {GRAPH}: {NOT_A_NETWORK}\n")
 
 
 class TestExitCodes:
@@ -183,6 +212,22 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text('{"universe": []}')
         assert wsq("eval", str(bad), "1").returncode == 2
+
+    def test_binding_without_an_element_is_two(self, capsys):
+        assert main(["eval", GRAPH, "e(x,y)", "--bind", "x"]) == 2
+        assert capsys.readouterr() == ("", "error: bindings are VAR=ELEMENT, got 'x'\n")
+
+    def test_symbol_both_relation_and_weight_in_a_file_is_two(self, tmp_path, capsys):
+        doc = {
+            "universe": ["a"],
+            "relations": {"e": {"arity": 1, "tuples": [["a"]]}},
+            "weights": {"e": {"arity": 1, "values": [{"tuple": ["a"], "value": "1"}]}},
+        }
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), "1"]) == 2
+        message = f"error: {path}: symbol names used as both relation and weight: ['e']\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_unreadable_structure_is_two(self):
         assert wsq("eval", "/nonexistent.json", "1").returncode == 2
@@ -420,6 +465,20 @@ class TestFnn:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --max-pwl-pieces 1" in capsys.readouterr().err
 
+    def test_pad_edge_without_a_comma_is_two(self, tmp_path, capsys):
+        args = ["fnn", "pad", TWO_NODE, "--edge", "a", "--k", "2", "--out", str(tmp_path / "x.json")]
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", "error: --edge takes FROM,TO\n")
+
+    def test_pwl_prints_a_negative_intercept(self, tmp_path, capsys):
+        doc = json.loads(Path(TWO_NODE).read_text())
+        doc["nodes"][1]["bias"] = "-3"
+        doc["edges"][0]["weight"] = "1"
+        path = tmp_path / "shifted.fnn.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fnn", "pwl", str(path)]) == 0
+        assert capsys.readouterr().out == "breakpoints: 0\n[-inf, 0]: -3\n[0, +inf]: x - 3\n"
+
     def test_pad_to_unwritable_path_is_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         args = ["fnn", "pad", TWO_NODE, "--edge", "u,v", "--k", "2", "--out", str(out)]
@@ -515,6 +574,46 @@ class TestRepl:
         assert out.getvalue().splitlines()[1:] == [
             f"error: bad input value: number too long ({MAX_DIGITS + 1} characters)",
             _digits((10**2900 - 1) ** 2),
+            "4",
+        ]
+
+    def test_input_via_set_on_a_network_written_as_a_structure_file(self, tmp_path):
+        path = _structure_file_of(CLAMP, tmp_path)
+        script = "\n".join([":set input 3", f":load {path}", ":set input 3", "builtin:eval_node"])
+        out = io.StringIO()
+        assert Repl(io.StringIO(script + "\n"), out).run() == 0
+        assert out.getvalue().splitlines() == [
+            "error: load a network before :set input",
+            f"loaded structure {path} (4 elements)",
+            "ok",
+            "1",
+        ]
+
+    def test_input_via_set_on_a_structure_that_is_no_network(self):
+        script = "\n".join([f":load {GRAPH}", ":set input 3", "count {x : x = x}"])
+        out = io.StringIO()
+        assert Repl(io.StringIO(script + "\n"), out).run() == 0
+        assert out.getvalue().splitlines()[1:] == [f"error: {GRAPH}: {NOT_A_NETWORK}", "4"]
+
+    def test_misused_commands_keep_the_session(self):
+        script = [
+            ":bogus",
+            ":let = 1",
+            ":set format xml",
+            "count {x : x = x}",
+            f":load {GRAPH}",
+            " + ".join(["1"] * 3000),
+            "count {x : x = x}",
+        ]
+        out = io.StringIO()
+        assert Repl(io.StringIO("\n".join(script) + "\n"), out).run() == 0
+        assert out.getvalue().splitlines() == [
+            "unknown command ':bogus'; :help lists commands",
+            "error: :let NAME = QUERY",
+            "error: format is plain or json",
+            "error: no structure loaded (:load PATH)",
+            f"loaded structure {GRAPH} (4 elements)",
+            "error: expression too deeply nested",
             "4",
         ]
 

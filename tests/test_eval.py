@@ -1090,7 +1090,7 @@ class TestHoisting:
             limits = EvalLimits(max_summands=rng.choice((2, 4, 10**6)))
             got = outcome(e, s, env, limits)
             with monkeypatch.context() as m:
-                m.setattr(_Compiler, "_memo", lambda self, fn, mask, scope: fn)
+                m.setattr(_Compiler, "_memo", lambda self, fn, mask, scope, *parts: fn)
                 assert got == outcome(e, s, env, limits)
             if isinstance(got, str):
                 seen["error"] += 1
@@ -1418,7 +1418,10 @@ class TestSparseEnumeration:
         # e(y, y, x) with y bound and x outer
         rank = {elem: i for i, elem in enumerate(("b", "a", "c", "d"))}
         index = wsq.evaluator._support_index({}, ("e", (0, 0, -1)), table, rank)
-        assert index == {("c",): [("b",), ("a",)], ("d",): [("b",)]}
+        assert index.keys() == {("c",), ("d",)}
+        # the drawn values, in universe order
+        assert list(index[("c",)]) == [("b",), ("a",)]
+        assert list(index[("d",)]) == [("b",)]
 
     def test_index_built_lazily_and_shared(self, monkeypatch, two_triangle_graph):
         built = []
@@ -1645,8 +1648,8 @@ class TestTrackedFixpoint:
         registered = []
         original = _Compiler._memo
 
-        def spy(self, fn, mask, scope):
-            out = original(self, fn, mask, scope)
+        def spy(self, fn, mask, scope, *parts):
+            out = original(self, fn, mask, scope, *parts)
             if out is not fn and scope.cells:
                 registered.append(mask)
             return out

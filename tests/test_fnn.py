@@ -73,6 +73,11 @@ class TestValidate:
         broken = type(s)(s.universe, s.vocabulary, s.relations, {**s.weights, "bias": bias})
         assert any("bias iff input" in v for v in validate_fnn(broken))
 
+    def test_non_input_without_bias_rejected(self):
+        s = two_node().structure
+        broken = type(s)(s.universe, s.vocabulary, s.relations, {**s.weights, "bias": {}})
+        assert validate_fnn(broken) == ["bias iff input: non-input node v must have a bias"]
+
     def test_order_on_wrong_nodes_rejected(self):
         s = two_node().structure
         rel = {**s.relations, "le_in": frozenset({("u", "u"), ("v", "v")})}

@@ -2,7 +2,8 @@
 private name nothing refers to, or stores an attribute nothing reads.
 The network side of the package and a ``wsq fnn`` process never load the
 query side (syntax, evaluator, query templates), and the lazy package
-gives the same public names as the eager one did.
+gives the same public names as the eager one did, and every syntax node
+type has a compile route in the evaluator.
 
 No linter ships with the toolchain, so these are small ``ast`` checks.
 Package ``__init__.py`` files are skipped by the import check: they
@@ -339,3 +340,14 @@ class TestPublicSurface:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "same\n", "")
+
+
+class TestCompileRoutes:
+    def test_every_node_type_has_one_compile_route(self):
+        # a generic atom is settled by the compiler's leaf branch; every
+        # other node type compiles through its entry in the dispatch table
+        from wsq import evaluator
+        from wsq.syntax import nodes
+
+        assert nodes.Atom not in evaluator._COMPILE
+        assert {*evaluator._COMPILE, nodes.Atom} == set(nodes._CHILD_FIELDS)

@@ -40,6 +40,10 @@ class TestArith:
     def test_zero_over_zero(self):
         assert arith("/", rational(0), rational(0)) is BOT
 
+    def test_negation(self):
+        assert -rational(2, 3) == rational(-2, 3)
+        assert -BOT is BOT
+
     def test_unknown_operator_rejected(self):
         with pytest.raises(ValueError):
             arith("%", rational(1), rational(1))

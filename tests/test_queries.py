@@ -306,6 +306,58 @@ class TestTemplateDesugaring:
         assert evaluate(desugar(term), with_bounds) == evaluate(term, with_bounds)
 
 
+# the first 16 hex digits of the SHA-256 of each template's repr, as the
+# templates were built before they shared one node-value construction
+TEMPLATE_REPR_SHA256 = {
+    "edges_count": "fe4f62bc79e8c10f",
+    "triangles_count": "05c168b576e2fef0",
+    "min_wt_triangle": "2eb221204a420873",
+    "weights_count": "7b296868ec083e01",
+    "eval d=0": "aec5b22d3209d554",
+    "eval d=0 i=1": "e4b15188007d2aa4",
+    "eval d=0 i=2": "69a234efdbb973b4",
+    "eval d=1": "42953da61c0aee7d",
+    "eval d=1 i=1": "c85a6c69ae3bae65",
+    "eval d=1 i=2": "c7b1cb8b25d3a1a1",
+    "eval d=2": "c17ea39d356a1deb",
+    "eval d=2 i=1": "affa3b5e59f80958",
+    "eval d=2 i=2": "160f8b7457bfdb89",
+    "eval d=3": "04e1b6576bfb6955",
+    "eval d=3 i=1": "a3241b2c3e75047f",
+    "eval d=3 i=2": "3ffdc849b20e8d2c",
+    "eval d=4": "cd8f373e64108351",
+    "eval d=4 i=1": "601d8516f7e1aff2",
+    "eval d=4 i=2": "7cf7c5b3ee62b07c",
+    "eval_node closed=True": "c4ce37305bb1b65a",
+    "eval_node closed=False": "cd2c19c70e6d7aa6",
+    "useless d=0": "0830b5441abbf0be",
+    "useless d=1": "5ff7b262b08f6ae6",
+    "useless d=2": "3684082885e6c8ac",
+    "useless d=3": "060bc2ebe4260807",
+    "useless d=4": "18daf1be1c64f071",
+    "integrate_2_1": "60fce5e362d49a5c",
+    "squaring": "d1f1df3ef12996a3",
+}
+
+
+def _templates():
+    """Every builtin template, under each parameter value pinned above."""
+    for name, spec in BUILTINS.items():
+        if name == "eval":
+            for d in range(5):
+                yield f"eval d={d}", make_eval(d)
+                for i in (1, 2):
+                    yield f"eval d={d} i={i}", make_eval(d, i)
+        elif name == "useless":
+            for d in range(5):
+                yield f"useless d={d}", make_useless(d)
+        elif name == "eval_node":
+            for closed in (True, False):
+                yield f"eval_node closed={closed}", make_eval_node(closed)
+        else:
+            yield name, spec["make"]()
+
+
 class TestBuiltinRegistry:
     def test_parameter_parsing(self):
         e = builtin_query("eval d=2 i=1")
@@ -322,6 +374,10 @@ class TestBuiltinRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(UsageError, match="parameters"):
             builtin_query("squaring d=2")
+
+    def test_templates_keep_their_trees(self):
+        got = {label: hashlib.sha256(repr(e).encode()).hexdigest()[:16] for label, e in _templates()}
+        assert got == TEMPLATE_REPR_SHA256
 
     def test_every_builtin_generates(self):
         for name, spec in BUILTINS.items():

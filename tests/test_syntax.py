@@ -13,7 +13,7 @@ import pytest
 from randgen import random_expression, random_structure
 from wsq.errors import ParseError, UsageError
 from wsq.evaluator import evaluate
-from wsq.numerics import MAX_DIGITS, rational
+from wsq.numerics import MAX_DIGITS, ExtRational, rational
 from wsq.queries import make_eval, make_eval_node, make_integrate_2_1, make_squaring, make_useless
 from wsq.structures import WeightedStructure
 from wsq.syntax import (
@@ -54,7 +54,7 @@ from wsq.syntax import (
 )
 from wsq.syntax.nodes import bound_vars, map_children
 from wsq.syntax import parser as parser_module
-from wsq.syntax.parser import _Parser
+from wsq.syntax.parser import _Parser, _scan
 
 
 class TestParse:
@@ -199,6 +199,7 @@ class TestParse:
             # the second f(x) + 1 is the first's node object, but the error names it
             ("f(x) + 1 + (f(x) + 1 and p())", "term used where a formula is required (line 1, column 18)"),
             ("1 + 2 * (2 and p())", "term used where a formula is required (line 1, column 10)"),
+            ("1 + (p(x) and q(x))", "formula used where a term is required (line 1, column 11)"),
             (
                 "if p() then 1 else 2 and q()",
                 "term used where a formula is required (line 1, column 1)",
@@ -307,6 +308,20 @@ class TestScanner:
                 parse(planted)
             assert (error.value.line, error.value.column) == (line, column), planted
             assert str(error.value) == f"unexpected character {char!r} (line {line}, column {column})"
+
+    @pytest.mark.parametrize("text", ["0", "007", "1.5", "1.", ".5", "3/0", "3/04", "3/00", "1e3"])
+    def test_number_tokens_are_the_texts_a_rational_reads(self, text):
+        try:
+            kinds = _scan(text)[0]
+        except ParseError:
+            kinds = None
+        try:
+            ExtRational.parse(text)
+        except ValueError:
+            read = False
+        else:
+            read = True
+        assert (kinds == ["number", "eof"]) == read
 
 
 def _round_trips(e) -> bool:
@@ -755,6 +770,7 @@ class TestScalarFragment:
         e = parse("ifp (F(x) <- 1 / F(x)) (x)")
         violations = check_scalar_fragment(e)
         assert [v.op for v in violations] == ["/"]
+        assert violations[0].describe() == "division by an intensional subterm at line 1, column 16"
 
     def test_one_sided_multiplication_allowed(self):
         e = parse("ifp (F(x) <- wt(x, x) * F(x)) (x)")
