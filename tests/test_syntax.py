@@ -309,6 +309,44 @@ class TestScanner:
             assert (error.value.line, error.value.column) == (line, column), planted
             assert str(error.value) == f"unexpected character {char!r} (line {line}, column {column})"
 
+    def test_agrees_with_the_reference_on_long_respaced_text(self):
+        # a random text, respaced, twice over in 130 brackets: the memo is
+        # on, the second copy reuses spans of the first, and the scan
+        # resumes after each of them
+        rng = random.Random(28)
+        for _ in range(150):
+            kind = rng.choice(["formula", "term"])
+            flat = to_text(random_expression(rng, rng.randint(1, 5), kind, ("x", "y")))
+            words = [t[1] for t in _reference_tokens(flat)[:-1]]
+            gaps = [rng.choice(self.SEPARATORS) for _ in words]
+            join = " and " if kind == "formula" else " + "
+
+            def twice(first, second):
+                return _long(f"({first}){join}({second})")
+
+            copy = "".join(gap + word for gap, word in zip(gaps, words))
+            text = twice(copy, copy)
+            expected = _reference_tokens(text)
+            assert [tuple(t) for t in tokenize(text)] == expected, text
+            e = parse(text)
+            assert e == parse(f"({flat}){join}({flat})")
+            # the same tokens as in the printed text twice over, so a node's
+            # span is the position of the same token in both
+            index = {(line, column): k for k, (_, _, line, column) in enumerate(_reference_tokens(twice(flat, flat)))}
+            heads = [expected[index[n.span]][2:] for _, n in walk(parse(twice(flat, flat)))]
+            assert [n.span for _, n in walk(e)] == heads, text
+            # a character outside the syntax, planted in a random gap of one copy
+            k = rng.randrange(len(gaps))
+            cut = rng.randint(0, len(gaps[k]))
+            planted = gaps[:k] + [gaps[k][:cut] + rng.choice("@$#.\x0b\u0663\u00e9") + gaps[k][cut:]] + gaps[k + 1 :]
+            planted = "".join(gap + word for gap, word in zip(planted, words))
+            text = twice(copy, planted) if rng.random() < 0.7 else twice(planted, copy)
+            kind, char, line, column = _reference_tokens(text)[-1]
+            assert kind == "bad"
+            with pytest.raises(ParseError) as error:
+                parse(text)
+            assert str(error.value) == f"unexpected character {char!r} (line {line}, column {column})", text
+
     @pytest.mark.parametrize("text", ["0", "007", "1.5", "1.", ".5", "3/0", "3/04", "3/00", "1e3"])
     def test_number_tokens_are_the_texts_a_rational_reads(self, text):
         try:
@@ -752,6 +790,73 @@ class TestSpanSharing:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestErrorOrder:
+    """A character outside the syntax is reported before any parse error,
+    wherever the parse stops and whatever spans it reused before it."""
+
+    @pytest.mark.parametrize("wrap", [str, _long], ids=["short", "long"])
+    @pytest.mark.parametrize("text", ["1 + ) @", "sum {x : } $", "p(x) and and #", "(1 +\n) ٣"])
+    def test_a_character_error_wins_over_an_earlier_parse_error(self, text, wrap):
+        text = wrap(text)
+        kind, char, line, column = _reference_tokens(text)[-1]
+        assert kind == "bad"
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == f"unexpected character {char!r} (line {line}, column {column})"
+
+    SPAN = "(f(x) + g(x) * h(x) + 1)"
+
+    @pytest.mark.parametrize(
+        "after",
+        [" @", "@", " + 1 $", ") + 1 )) #", " 2 @", "\n  (p \xe9"],
+        ids=["blank", "abutting", "later", "after-a-parse-error", "after-a-stray-token", "next-line"],
+    )
+    def test_a_character_after_a_reused_span_is_reported(self, after):
+        text = _long(f"{self.SPAN} + {self.SPAN} + {self.SPAN}{after}")
+        kind, char, line, column = _reference_tokens(text)[-1]
+        assert kind == "bad"
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == f"unexpected character {char!r} (line {line}, column {column})"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 + @ + #", _long("1 + @ + #"), _long(f"{SPAN} + {SPAN} @ + #"), "(" * 600 + "1 + @ #" + ")" * 600],
+        ids=["short", "long", "after-a-reused-span", "too-deep"],
+    )
+    def test_the_first_character_outside_the_syntax_is_reported(self, text):
+        kind, char, line, column = _reference_tokens(text)[-1]
+        assert (kind, char) == ("bad", "@")
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == f"unexpected character '@' (line {line}, column {column})"
+
+
+class TestReuseBoundary:
+    """A repeated span followed by a character that would extend its last
+    token is not the same tokens there, so it is parsed again."""
+
+    @pytest.mark.parametrize(
+        "span, runs_on",
+        [
+            ("f(x) + g(x) * h(x) + 1", ["2 < 2", ".5 < 2", "/2 < 2", "/02 < 2", "0 < 2", "x < 2"]),
+            ("f(x) + g(x) * h(x) + 1/0", ["5 < 2", "0 < 2", ".5 < 2", "2 + 1 < 2"]),
+            ("p(x) and q(x) and x = y", ["z", "_1", "1", "2 = y"]),
+            ("p(x) and q(x) and bot < 1", ["2", ".5", "/3", "0"]),
+        ],
+    )
+    def test_a_token_that_runs_on_agrees_with_a_full_parse(self, span, runs_on, monkeypatch):
+        texts = []
+        for tail in runs_on:
+            texts.append(_long(f"({span}) and ({span}{tail})"))
+            texts.append(_long(f"({span}) + ({span}{tail})"))
+            texts.append(_long(f"({span}) and ({span}) and {span}{tail}"))
+        shared = [_positions(t) for t in texts]
+        monkeypatch.setattr(parser_module, "_Parser", _NoMemo)
+        full = [_positions(t) for t in texts]
+        assert [t for t, a, b in zip(texts, shared, full) if a != b] == []
 
 
 class TestScalarFragment:
