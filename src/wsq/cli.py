@@ -30,7 +30,7 @@ import sys
 from dataclasses import fields
 from typing import Optional
 
-from .errors import EvalLimits, LoadError, ParseError, ResourceError, UsageError, WsqError
+from .errors import TOO_DEEP, EvalLimits, LoadError, ParseError, ResourceError, UsageError, WsqError
 from .fnn import (
     DEFAULT_MAX_PWL_PIECES,
     FnnStructure,
@@ -324,7 +324,7 @@ class Repl:
             except WsqError as exc:
                 self.out(f"error: {exc}")
             except RecursionError:
-                self.out("error: expression too deeply nested")
+                self.out(f"error: {TOO_DEEP}")
 
     def dispatch(self, line: str) -> None:
         if line == ":help":
@@ -466,7 +466,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
     except RecursionError:
-        print("error: expression too deeply nested", file=sys.stderr)
+        print(f"error: {TOO_DEEP}", file=sys.stderr)
         return EXIT_RESOURCE
 
 

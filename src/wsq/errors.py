@@ -49,6 +49,10 @@ class ResourceError(WsqError):
     """
 
 
+# The ResourceError text for an expression nested past the Python stack.
+TOO_DEEP = "expression too deeply nested"
+
+
 @dataclass
 class EvalLimits:
     """Budgets that turn oversized evaluations into resource errors."""

@@ -123,7 +123,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import EvalLimits, ResourceError, UsageError
+from .errors import TOO_DEEP, EvalLimits, ResourceError, UsageError
 from . import numerics
 from .numerics import ARITH, BOT, ORDER, ExtRational, fits, gt, lt
 from .structures import WeightedStructure
@@ -944,15 +944,19 @@ def evaluate(
     terms.  A generic root atom resolves against the structure's
     vocabulary; if it resolves to neither kind the term default ``bot``
     applies.  Below the root a generic atom that reads a relation must
-    stand for a formula, and one that reads a weight for a term.
+    stand for a formula, and one that reads a weight for a term.  An
+    expression nested past the Python stack raises :class:`ResourceError`.
     """
     compiler = _Compiler(structure, limits or EvalLimits(), env)
-    fn, _ = compiler.compile(e, compiler.root, term=None)
-    slots = compiler.environment()
-    if not compiler.covered:
-        vocabulary_of(e)  # raises on misuse
-        return False if syntactic_kind(e) == "formula" else BOT
-    value = fn(slots)
+    try:
+        fn, _ = compiler.compile(e, compiler.root, term=None)
+        slots = compiler.environment()
+        if not compiler.covered:
+            vocabulary_of(e)  # raises on misuse
+            return False if syntactic_kind(e) == "formula" else BOT
+        value = fn(slots)
+    except RecursionError:
+        raise ResourceError(TOO_DEEP) from None
     if value is None:
         return BOT
     return value if type(value) is bool else ExtRational(value)

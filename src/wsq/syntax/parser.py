@@ -1,14 +1,19 @@
 """Concrete syntax for queries: a one-pattern scanner and a precedence-climbing parser.
 
-The scanner splits the text once on one compiled token pattern.  The
-pieces alternate between gaps, which must hold only blanks and newlines,
-and tokens, so a run of blanks costs no match of its own.  The scan gives
-three parallel lists, each token's type, text and character offset, and
-makes no object and no position per token.  Positions are lazy: one parse
+The scanner is a cursor that the parser pulls tokens from: each token
+is one match of one compiled token pattern, blanks included, appended
+to three parallel lists, each token's type, text and character offset,
+so the parser indexes tokens and makes no object per token.  A text is
+scanned only as far as the parser reads it; a span the memo reuses
+(see ``parse_expr``) is matched against the text of its first
+occurrence instead, and the scan resumes after it.  On a
+:class:`ParseError` the rest of the text is scanned, so a character
+outside the syntax is reported before any parse error, as if the whole
+text had been scanned first.  Positions are lazy: one parse
 finds the offsets of the newlines once (none for one-line text), and an
 offset becomes a 1-based ``(line, column)`` by bisection only where a
 node is first built or a :class:`ParseError` is raised.  :func:`tokenize`
-builds its ``Token`` list from the same scan.  Binary operators are
+runs the same cursor to the end of the text.  Binary operators are
 parsed by precedence climbing (Pratt, *Top down operator precedence*,
 POPL 1973) over the ``PRECEDENCE`` table, which the printer reads too,
 so the two cannot disagree on how tightly an operator binds.
@@ -57,10 +62,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
-from ..errors import ParseError
+from ..errors import TOO_DEEP, ParseError, ResourceError
 from ..numerics import NUMBER_TEXT, read_number
 from .nodes import (
     Aggregate,
@@ -117,15 +121,24 @@ PRIMARY = 9
 
 # Two-character operators come first, so that ``<=`` is not read as ``<``.
 _OPERATORS = "<= <- != >= < > = + - * / ( ) { } : ,".split()
-# The one token pattern; ``split`` on its group alternates gaps and tokens.
+# The one token pattern: blanks, then a number, a word or an operator
+# (groups 1 to 3), the end of the text (4) or any other character (5).
 _TOKEN_RE = re.compile(
-    f"({NUMBER_TEXT}|[A-Za-z_][A-Za-z0-9_]*|"
-    + "|".join(map(re.escape, _OPERATORS))
-    + ")"
+    rf"[ \t\r\n]*(?:({NUMBER_TEXT})|([A-Za-z_][A-Za-z0-9_]*)|("
+    + "|".join(re.escape(op) for op in _OPERATORS if len(op) == 2)
+    + "|["
+    + re.escape("".join(op for op in _OPERATORS if len(op) == 1))
+    + r"])|(\Z)|(.))",
+    re.DOTALL,
 )
-_BLANKS = " \t\r\n"
-# The type of every token text but numbers and identifiers is the text itself.
-_FIXED_TYPES = {text: text for text in (*KEYWORDS, *_OPERATORS)}
+# The type of every token text but numbers and identifiers is the text
+# itself, and the empty text ends the input; the others go by their group.
+_FIXED_TYPES = {text: text for text in (*KEYWORDS, *_OPERATORS)} | {"": "eof"}
+_GROUP_TYPES = (None, "number", "ident")
+# The last character of a span and the next one, when the next may run
+# on the span's last token: a word character after a word, a number or
+# ``bot`` (``yz``, ``12``), or ``.`` or ``/`` after one (``1.5``, ``1/2``).
+_RUNS_ON = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./]")
 
 
 class Token(NamedTuple):
@@ -135,31 +148,69 @@ class Token(NamedTuple):
     column: int
 
 
+class _Cursor:
+    """The tokens of one text, scanned only as far as they are read.
+
+    ``kinds``, ``texts`` and ``offsets`` hold each scanned token's type,
+    text and character offset; :meth:`pull` scans the next token onto
+    them with one match of the token pattern, and the last is ``eof``
+    once the scan reaches the end.  Scanning raises at a character
+    outside the syntax.  ``newlines`` holds the offsets of the text's
+    newlines, for positions.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.offsets: list[int] = []
+        self.newlines: list[int] = []
+        at = text.find("\n")
+        while at >= 0:
+            self.newlines.append(at)
+            at = text.find("\n", at + 1)
+        self.resume(0)
+
+    def resume(self, at: int) -> None:
+        """Scan on from offset ``at``, a token boundary."""
+        self.scan = _TOKEN_RE.scanner(self.text, at).match
+
+    def pull(self, rest: bool = False) -> None:
+        """Scan the next token onto the lists, or with ``rest`` every token
+        to ``eof``."""
+        kinds, texts, offsets, scan = self.kinds, self.texts, self.offsets, self.scan
+        while m := scan():
+            group = m.lastindex
+            token = m[group]
+            if group == 5:
+                raise ParseError(f"unexpected character {token!r}", *_position(self.newlines, m.start(5)))
+            kinds.append(_FIXED_TYPES.get(token) or _GROUP_TYPES[group])
+            texts.append(token)
+            offsets.append(m.start(group))
+            if not rest or group == 4:
+                return
+
+    def keep(self, count: int) -> None:
+        """Keep the first ``count`` tokens scanned and scan on after them."""
+        del self.kinds[count:], self.texts[count:], self.offsets[count:]
+        self.resume(self.offsets[-1] + len(self.texts[-1]))
+
+    def run_out(self) -> None:
+        """Scan the rest of the text, raising at a character outside the
+        syntax; the scan restarts after the last token kept, so a character
+        error raised before is raised again."""
+        if self.kinds[-1] != "eof":
+            self.keep(len(self.kinds))
+            self.pull(rest=True)
+
+
 def _scan(text: str) -> tuple[list[str], list[str], list[int], list[int]]:
     """The types, texts and offsets of the tokens of ``text``, ending in
     ``eof``, and the offsets of its newlines; raises at the first character
     outside the syntax."""
-    pieces = _TOKEN_RE.split(text)
-    starts = list(accumulate(map(len, pieces), initial=0))
-    newlines: list[int] = []
-    at = text.find("\n")
-    while at >= 0:
-        newlines.append(at)
-        at = text.find("\n", at + 1)
-    if "".join(pieces[0::2]).strip(_BLANKS):
-        for gap, start in zip(pieces[0::2], starts[0::2]):
-            rest = gap.lstrip(_BLANKS)
-            if rest:
-                at = start + len(gap) - len(rest)
-                raise ParseError(f"unexpected character {rest[0]!r}", *_position(newlines, at))
-    texts = pieces[1::2]
-    types = {t: _FIXED_TYPES.get(t) or ("number" if t[0].isdigit() else "ident") for t in set(texts)}
-    kinds = list(map(types.__getitem__, texts))
-    offsets = starts[1::2]
-    kinds.append("eof")
-    texts.append("")
-    offsets.append(len(text))
-    return kinds, texts, offsets, newlines
+    cursor = _Cursor(text)
+    cursor.pull(rest=True)
+    return cursor.kinds, cursor.texts, cursor.offsets, cursor.newlines
 
 
 def _position(newlines: list[int], at: int) -> Span:
@@ -183,16 +234,18 @@ class _Var:
 _CONNECTIVES = {"implies": Implies, "or": Or, "and": And}
 
 
-class _Parser:
-    """One parse over the scanned token lists.  Every operator and primary
-    returns its node with the offset of this occurrence, which a kind error
-    names even when the node is shared with an earlier occurrence."""
+class _Parser(_Cursor):
+    """One parse, pulling tokens from its cursor: ``i`` indexes the current
+    token, and a step onto the end of the scanned lists pulls the next
+    one.  Every operator and primary returns its node with the offset of
+    this occurrence, which a kind error names even when the node is
+    shared with an earlier occurrence."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.kinds, self.texts, self.offsets, self.newlines = _scan(text)
+        super().__init__(text)
         self.i = 0
-        self.spans = {} if len(self.kinds) > 256 else None  # parsed spans, by floor and first characters
+        self.spans = {} if len(text) > 256 else None  # parsed spans, by floor and first characters
+        self.pull(rest=self.spans is None)  # without the memo the parse reads every token
         self.else_end = -1  # the token index where the last ``else`` term ended
         # the parse's node objects, keyed by type and fields, children by id
         self.nodes: dict[tuple, Node] = {}
@@ -221,8 +274,10 @@ class _Parser:
         if self.kinds[i] != kind:
             found = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
             raise self.problem(f"expected {what}, found {found}", self.offsets[i])
-        self.i = i + 1
-        return self.texts[i]
+        self.i = i = i + 1
+        if i == len(self.kinds):
+            self.pull()
+        return self.texts[i - 1]
 
     def error(self, message: str):
         i = self.i
@@ -291,11 +346,15 @@ class _Parser:
         at its own ceiling, as ``b < c`` does in ``a and b < c < d``, and
         what it leaves must not attach to the whole expression.
 
-        In a text of over 256 tokens each span of 8 tokens or more is kept
-        (four at most under a key) with whether an ``else`` term ends it.  A
-        later call with this floor reuses it if the next token stops every
-        call ending there: neither ``(`` nor an operator as tight as ``floor``
-        or, after ``else``, as ``+``.
+        In a text of over 256 characters each span of 4 scanned tokens or
+        more is kept (four at most under a key) as its offsets, with whether
+        an ``else`` term ends it; a reuse saves the span's scan as well as
+        its parse, so spans that short pay.  A later call with this floor reuses it
+        where the text repeats the span and the next character does not
+        run on its last token, if the next token, scanned from the span's
+        end, stops every call ending there: neither ``(`` nor an operator
+        as tight as ``floor`` or, after ``else``, as ``+``.  Otherwise that
+        token is forgotten and the span is parsed.
         """
         kinds, offsets, spans = self.kinds, self.offsets, self.spans
         start = self.i
@@ -303,22 +362,30 @@ class _Parser:
         if spans is not None:
             text = self.text
             key = (floor, text[at : at + 16])
-            for first, last, count, node, head, tail in spans.get(key, ()):
-                end = start + count
-                if end < len(kinds) and offsets[end] - at == last - first and kinds[end] != "(":
+            for first, last, node, head, tail in spans.get(key, ()):
+                end = at + last - first
+                if text.startswith(text[first:last], at) and not _RUNS_ON.match(text, end - 1):
+                    j = len(kinds)
+                    self.resume(end)  # the span's text is not scanned again
+                    self.pull()
                     low = min(floor, PRECEDENCE["+"]) if tail else floor
-                    if PRECEDENCE.get(kinds[end], -1) < low and text.startswith(text[first:last], at):
-                        self.i = end
-                        self.else_end = end if tail else self.else_end
+                    if kinds[j] != "(" and PRECEDENCE.get(kinds[j], -1) < low:
+                        self.i = j
+                        self.else_end = j if tail else self.else_end
                         return node, at + head
+                    self.keep(j)
         ceiling = PRIMARY
         if kind == "-":
             self.i = start + 1
+            if start + 1 == len(kinds):
+                self.pull()
             zero = self.node((Zero,), at)
             operand = self.term(UNARY)
             left = self.node((Arith, "-", id(zero), id(operand)), at, "-", zero, operand)
         elif kind in ("not", "exists", "forall") and floor <= PREFIX:
             self.i = start + 1
+            if start + 1 == len(kinds):
+                self.pull()
             if kind == "not":
                 body = self.formula(PREFIX)
                 left = self.node((Not, id(body)), at, body)
@@ -335,11 +402,13 @@ class _Parser:
             kind = kinds[i]
             prec = PRECEDENCE.get(kind)
             if prec is None or not floor <= prec <= ceiling:
-                if spans is not None and i - start >= 8 and len(seen := spans.setdefault(key, [])) < 4:
+                if spans is not None and i - start >= 4 and len(seen := spans.setdefault(key, [])) < 4:
                     first = offsets[start]
-                    seen.append((first, offsets[i], i - start, left, at - first, self.else_end == i))
+                    seen.append((first, offsets[i], left, at - first, self.else_end == i))
                 return left, at
             self.i = i + 1
+            if i + 1 == len(kinds):
+                self.pull()
             right = self.parse_expr(prec if kind == "implies" else prec + 1)
             left, at = self.binary(kind, offsets[i], (left, at), right), offsets[i]
             ceiling = prec - 1 if prec == COMPARISON else prec
@@ -361,6 +430,8 @@ class _Parser:
             if kinds[self.i] != ",":
                 return tuple(names)
             self.i += 1
+            if self.i == len(kinds):
+                self.pull()
 
     def parse_binder_braces(self) -> tuple[tuple[str, ...], Formula]:
         self.expect("{", "'{'")
@@ -375,12 +446,16 @@ class _Parser:
         i = self.i
         kind, at = kinds[i], self.offsets[i]
         self.i = i + 1
+        if i + 1 == len(kinds):
+            self.pull()
 
         if kind == "ident":
             name = texts[i]
             if kinds[i + 1] != "(":
                 return _Var(name), at
             self.i = i + 2
+            if i + 2 == len(kinds):
+                self.pull()
             args = self.parse_varlist(allow_empty=True, allow_duplicates=True)
             self.expect(")", "')'")
             return self.node((Atom, name, args), at, name, args), at
@@ -446,6 +521,15 @@ class _Parser:
         self.i = i
         self.error("expected an expression")
 
+    def query(self) -> Expr:
+        node, at = self.parse_expr()
+        i = self.i
+        if self.kinds[i] != "eof":
+            raise self.problem(f"unexpected {self.texts[i]!r} after the expression", self.offsets[i])
+        if isinstance(node, _Var):
+            raise self.problem(f"a bare variable ({node.name!r}) is not a query", at)
+        return node
+
 
 def parse(text: str) -> Expr:
     """Parse query text into an AST; raises :class:`ParseError` with a position.
@@ -454,10 +538,11 @@ def parse(text: str) -> Expr:
     ``ident(...)`` atom) a generic atom resolved at evaluation time.
     """
     parser = _Parser(text)
-    node, at = parser.parse_expr()
-    i = parser.i
-    if parser.kinds[i] != "eof":
-        raise parser.problem(f"unexpected {parser.texts[i]!r} after the expression", parser.offsets[i])
-    if isinstance(node, _Var):
-        raise parser.problem(f"a bare variable ({node.name!r}) is not a query", at)
-    return node
+    try:
+        return parser.query()
+    except ParseError:
+        parser.run_out()  # a character outside the syntax is reported first
+        raise
+    except RecursionError:
+        parser.run_out()
+        raise ResourceError(TOO_DEEP) from None

@@ -625,6 +625,13 @@ class TestResourceGuards:
         else:
             assert evaluate(q, two_triangle_graph) == value
 
+    @pytest.mark.parametrize("terms", [600, 3000])
+    def test_a_chain_past_the_stack_is_a_resource_error(self, two_triangle_graph, terms):
+        # the parser reads the chain in a loop; the compiler recurses on it
+        with pytest.raises(ResourceError) as exc:
+            evaluate(parse(" + ".join(["1"] * terms)), two_triangle_graph)
+        assert str(exc.value) == "expression too deeply nested"
+
     def test_bit_budget_stops_iterated_squaring(self, monkeypatch):
         # 2^(2^d) on a path of length d: round 20 builds 2^20 + 1 bits
         with pytest.raises(ResourceError) as exc:

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from randgen import random_expression, random_structure
-from wsq.errors import ParseError, UsageError
+from wsq.errors import ParseError, ResourceError, UsageError
 from wsq.evaluator import evaluate
 from wsq.numerics import MAX_DIGITS, ExtRational, rational
 from wsq.queries import make_eval, make_eval_node, make_integrate_2_1, make_squaring, make_useless
@@ -767,10 +767,24 @@ class TestSpanSharing:
         assert e.right == parse("sum {x : p(x)} w(x) * 299")
         assert to_text(e) == text
 
+    def test_a_parse_scans_a_third_of_the_integration_template(self):
+        # a reused span is matched against the text, not scanned again
+        text = TestParseSharing.INTEGRATION
+        parser = _Parser(text)
+        parser.query()
+        assert len(tokenize(text)) == 21454
+        assert len(parser.kinds) <= 21454 // 3
+
     def test_deep_nesting_parses(self):
         assert parse("(" * 400 + "1" + ")" * 400) == One()
         e = parse("sum {x : p(x)} " * 250 + "1")
         assert sum(1 for _ in walk(e)) == 2 * 250 + 1
+
+    @pytest.mark.parametrize("text", ["(" * 600 + "1" + ")" * 600, "not " * 600 + "p()", "sum {x : p(x)} " * 600 + "1"])
+    def test_nesting_past_the_stack_is_a_resource_error(self, text):
+        with pytest.raises(ResourceError) as caught:
+            parse(text)
+        assert str(caught.value) == "expression too deeply nested"
 
     def test_front_end_leaves_no_reference_cycle(self):
         text = TestParseSharing.INTEGRATION
