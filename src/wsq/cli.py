@@ -30,7 +30,7 @@ import sys
 from dataclasses import fields
 from typing import Optional
 
-from .errors import TOO_DEEP, EvalLimits, LoadError, ParseError, ResourceError, UsageError, WsqError
+from .errors import EvalLimits, LoadError, ParseError, ResourceError, UsageError, WsqError
 from .fnn import (
     DEFAULT_MAX_PWL_PIECES,
     FnnStructure,
@@ -323,24 +323,19 @@ class Repl:
                 self.dispatch(line)
             except WsqError as exc:
                 self.out(f"error: {exc}")
-            except RecursionError:
-                self.out(f"error: {TOO_DEEP}")
 
     def dispatch(self, line: str) -> None:
-        if line == ":help":
-            self.out(_REPL_HELP)
-        elif line.startswith(":load"):
-            self.cmd_load(line[len(":load") :].strip())
-        elif line.startswith(":let"):
-            self.cmd_let(line[len(":let") :].strip())
-        elif line.startswith(":check"):
-            self.cmd_check(line[len(":check") :].strip())
-        elif line.startswith(":set"):
-            self.cmd_set(line[len(":set") :].strip())
-        elif line.startswith(":"):
-            self.out(f"unknown command {line.split()[0]!r}; :help lists commands")
-        else:
+        if not line.startswith(":"):
             self.cmd_eval(line)
+            return
+        word = line.split()[0]
+        commands = {":load": self.cmd_load, ":let": self.cmd_let, ":check": self.cmd_check, ":set": self.cmd_set}
+        if word == ":help":
+            self.out(_REPL_HELP)
+        elif word in commands:
+            commands[word](line[len(word) :].strip())
+        else:
+            self.out(f"unknown command {word!r}; :help lists commands")
 
     def cmd_load(self, path: str) -> None:
         self.structure, self.net = _load_structure_or_fnn(path)
@@ -465,9 +460,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LoadError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURE
-    except RecursionError:
-        print(f"error: {TOO_DEEP}", file=sys.stderr)
-        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -3,12 +3,14 @@
 Semantic undefinedness is a *value* (``wsq.numerics.BOT``), never an
 exception.  Exceptions are reserved for misuse of the API, malformed input
 files, and exceeded resource budgets (:class:`EvalLimits`, kept here so the
-command line reads its fields without loading the evaluator).
+command line reads its fields without loading the evaluator), the Python
+stack included (:func:`depth_guard`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 
 class WsqError(Exception):
@@ -51,6 +53,21 @@ class ResourceError(WsqError):
 
 # The ResourceError text for an expression nested past the Python stack.
 TOO_DEEP = "expression too deeply nested"
+
+
+def depth_guard(fn):
+    """``fn`` with a ``RecursionError`` that escapes it raised as
+    ``ResourceError(TOO_DEEP)``; every public pass over an expression
+    wears it, the one rule for input nested past the Python stack."""
+
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise ResourceError(TOO_DEEP) from None
+
+    return guarded
 
 
 @dataclass

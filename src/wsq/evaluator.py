@@ -123,7 +123,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import TOO_DEEP, EvalLimits, ResourceError, UsageError
+from .errors import EvalLimits, ResourceError, UsageError, depth_guard
 from . import numerics
 from .numerics import ARITH, BOT, ORDER, ExtRational, fits, gt, lt
 from .structures import WeightedStructure
@@ -341,6 +341,9 @@ class _Scope:
     __slots__ = ("slots", "top", "cells", "inner", "shared")
 
     def __init__(self, outer: Optional[_Scope], vars_: tuple, cells: dict):
+        for i, var in enumerate(vars_):
+            if var in vars_[:i]:
+                raise UsageError(f"duplicate variable {var!r} in binder")
         lo = outer.top if outer else 0
         self.slots = dict(outer.slots if outer else {})
         self.slots.update(zip(vars_, range(lo, lo + len(vars_))))
@@ -641,6 +644,8 @@ class _Compiler:
 
     def _compare(self, n: Union[Leq, Compare], scope):
         op = "<=" if type(n) is Leq else n.op
+        if op not in ORDER:
+            raise UsageError(f"unknown comparison operator {op!r}")
         left, right = n.left, n.right
         lf, lm = self.compile(left, scope, term=True)
         rf, rm = self.compile(right, scope, term=True)
@@ -740,9 +745,11 @@ class _Compiler:
         return self._weight_atom(n, scope)
 
     def _arith(self, n: Arith, scope):
+        op = ARITH.get(n.op)
+        if op is None:
+            raise UsageError(f"unknown arithmetic operator {n.op!r}")
         lf, lm = self.compile(n.left, scope, term=True)
         rf, rm = self.compile(n.right, scope, term=True)
-        op = ARITH[n.op]
         overflow = f"'{n.op}' result exceeds {numerics.MAX_BITS} bits"
 
         if n.op == "*" and (type(n.left) is Zero or type(n.right) is Zero):
@@ -773,6 +780,11 @@ class _Compiler:
         bindings, tests its guard's residual, compiles its body and is
         memoised the same way; only the loop over the bindings is its own."""
         folding = type(n) in (Sum, Aggregate)
+        if type(n) is Aggregate:
+            if n.kind not in ("count", "avg", "min", "max"):
+                raise UsageError(f"unknown aggregate {n.kind!r}")
+            if (n.body is None) != (n.kind == "count"):
+                raise UsageError(f"'{n.kind}' {'takes no' if n.kind == 'count' else 'needs a'} body")
         if folding:
             vars_, guard, body = n.vars, n.guard, n.body
         elif type(n) is Exists:
@@ -843,6 +855,8 @@ class _Compiler:
         return fold
 
     def _ifp(self, n: Ifp, scope):
+        if len(n.applied) != len(n.vars):
+            raise UsageError(f"fixed point binds {len(n.vars)} variables but is applied to {len(n.applied)}")
         run, mask = self.fixpoint(n.name, n.vars, n.body, scope)
         table = self._memo(lambda env: run(env)[0], mask, scope)
         slots, am = self._slots(scope, n.applied)
@@ -932,6 +946,7 @@ _COMPILE = {
 }
 
 
+@depth_guard
 def evaluate(
     e: Node,
     structure: WeightedStructure,
@@ -945,23 +960,22 @@ def evaluate(
     vocabulary; if it resolves to neither kind the term default ``bot``
     applies.  Below the root a generic atom that reads a relation must
     stand for a formula, and one that reads a weight for a term.  An
-    expression nested past the Python stack raises :class:`ResourceError`.
+    expression nested past the Python stack raises :class:`ResourceError`
+    through :func:`wsq.errors.depth_guard`.
     """
     compiler = _Compiler(structure, limits or EvalLimits(), env)
-    try:
-        fn, _ = compiler.compile(e, compiler.root, term=None)
-        slots = compiler.environment()
-        if not compiler.covered:
-            vocabulary_of(e)  # raises on misuse
-            return False if syntactic_kind(e) == "formula" else BOT
-        value = fn(slots)
-    except RecursionError:
-        raise ResourceError(TOO_DEEP) from None
+    fn, _ = compiler.compile(e, compiler.root, term=None)
+    slots = compiler.environment()
+    if not compiler.covered:
+        vocabulary_of(e)  # raises on misuse
+        return False if syntactic_kind(e) == "formula" else BOT
+    value = fn(slots)
     if value is None:
         return BOT
     return value if type(value) is bool else ExtRational(value)
 
 
+@depth_guard
 def ifp_iterate(
     name: str,
     vars_: Sequence[str],

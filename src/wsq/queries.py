@@ -147,12 +147,14 @@ def _eval_term(depth: int, var: str, edge_guard: Callable[[str, str], Expr]) -> 
     Level j binds its summation variable as ``y{j}``, so nesting never
     captures.  A node deeper than the bound evaluates to bot: the base
     case reads ``inp``, which is undefined off the input nodes, and the
-    rectifier template propagates that undefinedness upward.
+    rectifier template propagates that undefinedness upward.  The levels
+    are built from the inputs up in a loop, so any depth builds.
     """
-    if depth == 0:
-        return WeightAtom(INP, (var,))
-    inner = f"y{depth}"
-    return _node_value(var, inner, _eval_term(depth - 1, inner, edge_guard), edge_guard)
+    term = WeightAtom(INP, (var if depth == 0 else "y1",))
+    for level in range(1, depth + 1):
+        outer = var if level == depth else f"y{level + 1}"
+        term = _node_value(outer, f"y{level}", term, edge_guard)
+    return term
 
 
 def _node_value(var: str, inner: str, prev: Term, edge_guard: Callable[[str, str], Expr]) -> Term:

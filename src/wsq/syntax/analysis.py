@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import UsageError
+from ..errors import UsageError, depth_guard
 from .nodes import (
     ATOMS,
     LEAVES,
@@ -51,39 +51,36 @@ __all__ = [
 ]
 
 
+@depth_guard
 def free_vars(node: Node) -> frozenset:
     """The exact set of free variables of an expression.
 
     A node object shared by several parents is visited once, so the cost
     follows the number of distinct node objects, not the tree size.
     """
-    done: dict[int, frozenset] = {}
+    return _free_vars(node, {})
 
-    def go(n: Node) -> frozenset:
-        kind = type(n)
-        if kind in ATOMS:
-            return frozenset(n.args)
-        if kind is ElemEq:
-            return frozenset((n.left, n.right))
-        out = done.get(id(n))
-        if out is not None:
-            return out
-        out = frozenset()
-        for child in children(n):
-            sub = go(child)
-            out = out | sub if out else sub  # no copy of the first non-empty set
-        bound = bound_vars(n)
-        if bound:
-            out = out.difference(bound)
-        if kind is Ifp:
-            out = out.union(n.applied)
-        done[id(n)] = out
+
+def _free_vars(n: Node, done: dict[int, frozenset]) -> frozenset:
+    kind = type(n)
+    if kind in ATOMS:
+        return frozenset(n.args)
+    if kind is ElemEq:
+        return frozenset((n.left, n.right))
+    out = done.get(id(n))
+    if out is not None:
         return out
-
-    try:
-        return go(node)
-    finally:
-        del go  # it refers to itself: leave no reference cycle behind
+    out = frozenset()
+    for child in children(n):
+        sub = _free_vars(child, done)
+        out = out | sub if out else sub  # no copy of the first non-empty set
+    bound = bound_vars(n)
+    if bound:
+        out = out.difference(bound)
+    if kind is Ifp:
+        out = out.union(n.applied)
+    done[id(n)] = out
+    return out
 
 
 @dataclass
@@ -101,6 +98,7 @@ class ExprVocabulary:
     intensional: dict[str, int] = field(default_factory=dict)
 
 
+@depth_guard
 def vocabulary_of(node: Node) -> ExprVocabulary:
     """Collect the symbols of an expression; errors on inconsistent use.
 
@@ -113,71 +111,61 @@ def vocabulary_of(node: Node) -> ExprVocabulary:
     out = ExprVocabulary()
     # inner nodes visited so far, per set of enclosing fixed-point binders
     seen: dict[frozenset, set[int]] = {}
-
-    def record(bucket: str, name: str, arity: int) -> None:
-        rel = out.relations.get(name)
-        wt = out.weights.get(name)
-        gen = out.generic.get(name)
-        for known in (rel, wt, gen):
-            if known is not None and known != arity:
-                raise UsageError(f"symbol {name!r} used with arities {known} and {arity}")
-        if bucket == "generic":
-            # a generic occurrence is compatible with either known kind
-            if rel is None and wt is None and gen is None:
-                out.generic[name] = arity
-            return
-        if bucket == "relation":
-            if wt is not None:
-                raise UsageError(f"symbol {name!r} used as both relation and weight function")
-            out.relations[name] = arity
-        else:
-            if rel is not None:
-                raise UsageError(f"symbol {name!r} used as both relation and weight function")
-            out.weights[name] = arity
-        out.generic.pop(name, None)
-
-    def go(n: Node, binders: dict[str, int], visited: set[int]) -> None:
-        kind = type(n)
-        if kind is RelAtom:
-            if n.name in binders:
-                raise UsageError(
-                    f"symbol {n.name!r} is bound as a weight function here but used as a relation"
-                )
-            record("relation", n.name, len(n.args))
-            return
-        if kind is WeightAtom or kind is Atom:
-            if n.name in binders:
-                if len(n.args) != binders[n.name]:
-                    raise UsageError(
-                        f"symbol {n.name!r} bound with arity {binders[n.name]} "
-                        f"but used with arity {len(n.args)}"
-                    )
-                out.intensional[n.name] = binders[n.name]
-                return
-            record("weight" if kind is WeightAtom else "generic", n.name, len(n.args))
-            return
-        if kind in LEAVES or id(n) in visited:
-            return
-        visited.add(id(n))
-        if kind is Ifp:
-            arity = len(n.vars)
-            prev = out.intensional.get(n.name)
-            if prev is not None and prev != arity:
-                raise UsageError(
-                    f"intensional symbol {n.name!r} bound with arities {prev} and {arity}"
-                )
-            out.intensional[n.name] = arity
-            inner = {**binders, n.name: arity}
-            go(n.body, inner, seen.setdefault(frozenset(inner.items()), set()))
-            return
-        for child in children(n):
-            go(child, binders, visited)
-
-    try:
-        go(node, {}, seen.setdefault(frozenset(), set()))
-    finally:
-        del go  # it refers to itself: leave no reference cycle behind
+    _vocabulary(node, {}, seen.setdefault(frozenset(), set()), seen, out)
     return out
+
+
+def _record(out: ExprVocabulary, bucket: str, name: str, arity: int) -> None:
+    rel, wt, gen = out.relations.get(name), out.weights.get(name), out.generic.get(name)
+    for known in (rel, wt, gen):
+        if known is not None and known != arity:
+            raise UsageError(f"symbol {name!r} used with arities {known} and {arity}")
+    if bucket == "generic":
+        # a generic occurrence is compatible with either known kind
+        if rel is None and wt is None and gen is None:
+            out.generic[name] = arity
+        return
+    if bucket == "relation":
+        if wt is not None:
+            raise UsageError(f"symbol {name!r} used as both relation and weight function")
+        out.relations[name] = arity
+    else:
+        if rel is not None:
+            raise UsageError(f"symbol {name!r} used as both relation and weight function")
+        out.weights[name] = arity
+    out.generic.pop(name, None)
+
+
+def _vocabulary(n: Node, binders: dict[str, int], visited: set[int], seen: dict, out: ExprVocabulary) -> None:
+    kind = type(n)
+    if kind is RelAtom:
+        if n.name in binders:
+            raise UsageError(f"symbol {n.name!r} is bound as a weight function here but used as a relation")
+        _record(out, "relation", n.name, len(n.args))
+        return
+    if kind is WeightAtom or kind is Atom:
+        if n.name in binders:
+            if len(n.args) != binders[n.name]:
+                arity = binders[n.name]
+                raise UsageError(f"symbol {n.name!r} bound with arity {arity} but used with arity {len(n.args)}")
+            out.intensional[n.name] = binders[n.name]
+            return
+        _record(out, "weight" if kind is WeightAtom else "generic", n.name, len(n.args))
+        return
+    if kind in LEAVES or id(n) in visited:
+        return
+    visited.add(id(n))
+    if kind is Ifp:
+        arity = len(n.vars)
+        prev = out.intensional.get(n.name)
+        if prev is not None and prev != arity:
+            raise UsageError(f"intensional symbol {n.name!r} bound with arities {prev} and {arity}")
+        out.intensional[n.name] = arity
+        inner = {**binders, n.name: arity}
+        _vocabulary(n.body, inner, seen.setdefault(frozenset(inner.items()), set()), seen, out)
+        return
+    for child in children(n):
+        _vocabulary(child, binders, visited, seen, out)
 
 
 @dataclass(frozen=True)
@@ -222,6 +210,7 @@ def _contains_intensional(node: Node, binders: frozenset, memo: dict[frozenset, 
     return out
 
 
+@depth_guard
 def check_scalar_fragment(node: Node) -> list[Violation]:
     """All scalar-restriction breaches; an empty list means the term qualifies.
 
@@ -231,27 +220,25 @@ def check_scalar_fragment(node: Node) -> list[Violation]:
     """
     violations: list[Violation] = []
     seen: dict[frozenset, set[int]] = {}
-    memo: dict[frozenset, dict[int, bool]] = {}
-
-    def go(n: Node, binders: frozenset, visited: set[int], path: tuple[int, ...]) -> None:
-        kind = type(n)
-        if kind in LEAVES or id(n) in visited:
-            return
-        visited.add(id(n))
-        if kind is Arith and n.op == "*":
-            if all(_contains_intensional(side, binders, memo) for side in (n.left, n.right)):
-                violations.append(Violation("*", path, n.span))
-        elif kind is Arith and n.op == "/":
-            if _contains_intensional(n.right, binders, memo):
-                violations.append(Violation("/", path, n.span))
-        elif kind is Ifp:
-            binders = binders | {n.name}
-            visited = seen.setdefault(binders, set())
-        for i, child in enumerate(children(n)):
-            go(child, binders, visited, path + (i,))
-
-    try:
-        go(node, frozenset(), seen.setdefault(frozenset(), set()), ())
-    finally:
-        del go  # it refers to itself: leave no reference cycle behind
+    _breaches(node, frozenset(), seen.setdefault(frozenset(), set()), (), seen, {}, violations)
     return violations
+
+
+def _breaches(
+    n: Node, binders: frozenset, visited: set[int], path: tuple[int, ...], seen: dict, memo: dict, violations: list
+) -> None:
+    kind = type(n)
+    if kind in LEAVES or id(n) in visited:
+        return
+    visited.add(id(n))
+    if kind is Arith and n.op == "*":
+        if all(_contains_intensional(side, binders, memo) for side in (n.left, n.right)):
+            violations.append(Violation("*", path, n.span))
+    elif kind is Arith and n.op == "/":
+        if _contains_intensional(n.right, binders, memo):
+            violations.append(Violation("/", path, n.span))
+    elif kind is Ifp:
+        binders = binders | {n.name}
+        visited = seen.setdefault(binders, set())
+    for i, child in enumerate(children(n)):
+        _breaches(child, binders, visited, path + (i,), seen, memo, violations)

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from ..errors import depth_guard
+
 __all__ = [
     "Span",
     "Node",
@@ -321,11 +323,14 @@ def walk(node: Node, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ..
     point at a subterm of a generated (position-free) expression.  A
     subtree shared between several parents is yielded once per path that
     reaches it, on purpose: every path is a distinct position, and the
-    tree-size census counts positions.
+    tree-size census counts positions.  The nodes to come wait on a list,
+    not on the Python stack, so no depth is too deep.
     """
-    yield path, node
-    for i, child in enumerate(children(node)):
-        yield from walk(child, path + (i,))
+    stack = [(path, node)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack += reversed([(path + (i,), child) for i, child in enumerate(children(node))])
 
 
 def syntactic_kind(node: Node) -> str:
@@ -375,6 +380,7 @@ def fresh_var(base: str, used: set[str]) -> str:
     return candidate
 
 
+@depth_guard
 def substitute(node: Node, mapping: dict[str, str]) -> Node:
     """Rename free variable occurrences, avoiding capture.
 
@@ -389,39 +395,37 @@ def substitute(node: Node, mapping: dict[str, str]) -> Node:
         return node
     used = all_var_names(node) | set(mapping.values()) | set(mapping)
     memo: dict[frozenset, dict[int, Node]] = {}  # rewritten node objects per renaming
+    return _substitute(node, dict(mapping), memo.setdefault(frozenset(mapping.items()), {}), memo, used)
 
-    def rename(names: tuple[str, ...], m: dict[str, str]) -> tuple[str, ...]:
-        return tuple(m.get(v, v) for v in names)
 
-    def go(n: Node, m: dict[str, str], done: dict[int, Node]) -> Node:
-        if not m:
-            return n
-        out = done.get(id(n))
-        if out is not None:
-            return out
-        kind, fields = type(n), {}
-        if kind is ElemEq:
-            fields["left"], fields["right"] = rename((n.left, n.right), m)
-        elif kind in ATOMS:
-            fields["args"] = rename(n.args, m)
-        elif kind is Ifp:
-            fields["applied"] = rename(n.applied, m)
-        inner, done_inner = m, done
-        bound = bound_vars(n)
-        if bound:
-            inner = {k: v for k, v in m.items() if k not in bound}
-            targets = set(inner.values())
-            inner.update((v, fresh_var(v, used)) for v in bound if v in targets)
-            if inner != m:
-                done_inner = memo.setdefault(frozenset(inner.items()), {})
-            name, renamed = _BINDER_FIELD[kind], rename(bound, inner)
-            fields[name] = renamed[0] if name == "var" else renamed
-        out = map_children(n, lambda c: go(c, inner, done_inner))
-        changed = {k: v for k, v in fields.items() if v != getattr(n, k)}
-        done[id(n)] = out = replace(out, **changed) if changed else out
+def _rename(names: tuple[str, ...], m: dict[str, str]) -> tuple[str, ...]:
+    return tuple(m.get(v, v) for v in names)
+
+
+def _substitute(n: Node, m: dict[str, str], done: dict[int, Node], memo: dict, used: set[str]) -> Node:
+    if not m:
+        return n
+    out = done.get(id(n))
+    if out is not None:
         return out
-
-    try:
-        return go(node, dict(mapping), memo.setdefault(frozenset(mapping.items()), {}))
-    finally:
-        del go  # it refers to itself: leave no reference cycle behind
+    kind, fields = type(n), {}
+    if kind is ElemEq:
+        fields["left"], fields["right"] = _rename((n.left, n.right), m)
+    elif kind in ATOMS:
+        fields["args"] = _rename(n.args, m)
+    elif kind is Ifp:
+        fields["applied"] = _rename(n.applied, m)
+    inner, done_inner = m, done
+    bound = bound_vars(n)
+    if bound:
+        inner = {k: v for k, v in m.items() if k not in bound}
+        targets = set(inner.values())
+        inner.update((v, fresh_var(v, used)) for v in bound if v in targets)
+        if inner != m:
+            done_inner = memo.setdefault(frozenset(inner.items()), {})
+        name, renamed = _BINDER_FIELD[kind], _rename(bound, inner)
+        fields[name] = renamed[0] if name == "var" else renamed
+    out = map_children(n, lambda c: _substitute(c, inner, done_inner, memo, used))
+    changed = {k: v for k, v in fields.items() if v != getattr(n, k)}
+    done[id(n)] = out = replace(out, **changed) if changed else out
+    return out

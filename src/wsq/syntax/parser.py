@@ -64,7 +64,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..errors import TOO_DEEP, ParseError, ResourceError
+from ..errors import ParseError, depth_guard
 from ..numerics import NUMBER_TEXT, read_number
 from .nodes import (
     Aggregate,
@@ -531,18 +531,17 @@ class _Parser(_Cursor):
         return node
 
 
+@depth_guard
 def parse(text: str) -> Expr:
     """Parse query text into an AST; raises :class:`ParseError` with a position.
 
     The result is a formula, a term, or (only when the root is a bare
     ``ident(...)`` atom) a generic atom resolved at evaluation time.
+    Text nested past the Python stack raises :class:`ResourceError`
+    through :func:`wsq.errors.depth_guard`.
     """
     parser = _Parser(text)
     try:
         return parser.query()
-    except ParseError:
-        parser.run_out()  # a character outside the syntax is reported first
-        raise
-    except RecursionError:
-        parser.run_out()
-        raise ResourceError(TOO_DEEP) from None
+    finally:
+        parser.run_out()  # a no-op after a whole parse; after a failed one a character outside the syntax wins

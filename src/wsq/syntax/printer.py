@@ -7,6 +7,7 @@ binds more weakly than its position requires.
 
 from __future__ import annotations
 
+from ..errors import depth_guard
 from ..numerics import number_text
 from .nodes import (
     ATOMS,
@@ -40,7 +41,7 @@ def _call(name: str, args: tuple[str, ...]) -> str:
 
 
 def _braces(vars_: tuple[str, ...], guard: Node) -> str:
-    return "{" + ", ".join(vars_) + " : " + to_text(guard) + "}"
+    return "{" + ", ".join(vars_) + " : " + _render(guard)[0] + "}"
 
 
 def _fmt(node: Node, ctx: int) -> str:
@@ -89,10 +90,7 @@ def _render(node: Node) -> tuple[str, int]:
     if isinstance(node, Cond):
         # the branches extend over a full term, so arithmetic brackets a conditional
         branch = PRECEDENCE["+"]
-        text = (
-            f"if {to_text(node.test)} then {_fmt(node.then, branch)} "
-            f"else {_fmt(node.otherwise, branch)}"
-        )
+        text = f"if {_render(node.test)[0]} then {_fmt(node.then, branch)} else {_fmt(node.otherwise, branch)}"
         return text, COMPARISON
     if isinstance(node, Sum):
         return f"sum {_braces(node.vars, node.guard)} {_fmt(node.body, UNARY)}", PRIMARY
@@ -103,10 +101,11 @@ def _render(node: Node) -> tuple[str, int]:
         return f"{head} {_fmt(node.body, UNARY)}", PRIMARY
     if isinstance(node, Ifp):
         head = _call(node.name, node.vars)
-        return f"ifp ({head} <- {to_text(node.body)}) ({', '.join(node.applied)})", PRIMARY
+        return f"ifp ({head} <- {_render(node.body)[0]}) ({', '.join(node.applied)})", PRIMARY
     raise TypeError(f"cannot print node of type {type(node).__name__}")
 
 
+@depth_guard
 def to_text(node: Node) -> str:
     """Concrete syntax for an AST; ``parse(to_text(e)) == e``."""
     return _render(node)[0]

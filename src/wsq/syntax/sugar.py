@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import depth_guard
 from .nodes import (
     Aggregate,
     And,
@@ -72,6 +73,7 @@ def literal_term(value: Fraction) -> Node:
     return Arith("/", num, _nat_term(d))
 
 
+@depth_guard
 def desugar(node: Node, *, expand_cond: bool = False) -> Node:
     """Rewrite an expression into the core grammar.
 
@@ -83,71 +85,65 @@ def desugar(node: Node, *, expand_cond: bool = False) -> Node:
     including the renamed copy of a min/max scope.  Rebuilt nodes keep
     their ``span``.
     """
-    used = all_var_names(node)
-    done: dict[int, Node] = {}
+    return _desugar(node, {}, all_var_names(node), expand_cond)
 
-    def go(n: Node) -> Node:
-        out = done.get(id(n))
-        if out is None:
-            out = done[id(n)] = rewrite(n)
-        return out
 
-    def rewrite(n: Node) -> Node:
-        if isinstance(n, Compare):
-            left, right = go(n.left), go(n.right)
-            if n.op == ">=":
-                return Leq(right, left)
-            if n.op == "<":
-                return Not(Leq(right, left))
-            if n.op == ">":
-                return Not(Leq(left, right))
-            eq = And(Leq(left, right), Leq(right, left))
-            return eq if n.op == "=" else Not(eq)
+def _desugar(n: Node, done: dict[int, Node], used: set[str], expand_cond: bool) -> Node:
+    out = done.get(id(n))
+    if out is None:
+        out = done[id(n)] = _rewrite(n, done, used, expand_cond)
+    return out
 
-        if isinstance(n, BotConst):
-            return Arith("/", One(), Zero())
-        if isinstance(n, Literal):
-            return literal_term(n.value)
 
-        if isinstance(n, Aggregate):
-            guard = go(n.guard)
-            if n.kind == "count":
-                return Sum(n.vars, guard, One())
-            body = go(n.body)
-            if n.kind == "avg":
-                return _avg(n.vars, guard, body)
-            renames = {v: fresh_var(v, used) for v in n.vars}
-            guard_copy = substitute(guard, renames)
-            body_copy = substitute(body, renames)
-            if n.kind == "max":
-                cmp = Leq(body_copy, body)
-            else:
-                cmp = Leq(body, body_copy)
-            selector = Implies(guard_copy, cmp)
-            for v in reversed([renames[v] for v in n.vars]):
-                selector = Forall(v, selector)
-            return _avg(n.vars, And(guard, selector), body)
+def _rewrite(n: Node, done: dict[int, Node], used: set[str], expand_cond: bool) -> Node:
+    def go(child: Node) -> Node:
+        return _desugar(child, done, used, expand_cond)
 
-        if isinstance(n, Cond) and expand_cond:
-            test, then, other = go(n.test), go(n.then), go(n.otherwise)
-            v = fresh_var("c", used)
-            picked = Arith(
-                "/",
-                Sum((v,), test, One()),
-                Sum((v,), ElemEq(v, v), One()),
-            )
-            return Arith(
-                "+",
-                Arith("*", picked, then),
-                Arith("*", Arith("-", One(), picked), other),
-            )
+    if isinstance(n, Compare):
+        left, right = go(n.left), go(n.right)
+        if n.op == "<=":
+            return Leq(left, right)
+        if n.op == ">=":
+            return Leq(right, left)
+        if n.op == "<":
+            return Not(Leq(right, left))
+        if n.op == ">":
+            return Not(Leq(left, right))
+        eq = And(Leq(left, right), Leq(right, left))
+        return eq if n.op == "=" else Not(eq)
 
-        return map_children(n, go)
+    if isinstance(n, BotConst):
+        return Arith("/", One(), Zero())
+    if isinstance(n, Literal):
+        return literal_term(n.value)
 
-    def _avg(vars_, guard, body):
-        return Arith("/", Sum(vars_, guard, body), Sum(vars_, guard, One()))
+    if isinstance(n, Aggregate):
+        guard = go(n.guard)
+        if n.kind == "count":
+            return Sum(n.vars, guard, One())
+        body = go(n.body)
+        if n.kind == "avg":
+            return _avg(n.vars, guard, body)
+        renames = {v: fresh_var(v, used) for v in n.vars}
+        guard_copy = substitute(guard, renames)
+        body_copy = substitute(body, renames)
+        if n.kind == "max":
+            cmp = Leq(body_copy, body)
+        else:
+            cmp = Leq(body, body_copy)
+        selector = Implies(guard_copy, cmp)
+        for v in reversed([renames[v] for v in n.vars]):
+            selector = Forall(v, selector)
+        return _avg(n.vars, And(guard, selector), body)
 
-    try:
-        return go(node)
-    finally:
-        del go, rewrite  # they refer to each other: leave no reference cycle behind
+    if isinstance(n, Cond) and expand_cond:
+        test, then, other = go(n.test), go(n.then), go(n.otherwise)
+        v = fresh_var("c", used)
+        picked = Arith("/", Sum((v,), test, One()), Sum((v,), ElemEq(v, v), One()))
+        return Arith("+", Arith("*", picked, then), Arith("*", Arith("-", One(), picked), other))
+
+    return map_children(n, go)
+
+
+def _avg(vars_, guard, body):
+    return Arith("/", Sum(vars_, guard, body), Sum(vars_, guard, One()))

@@ -347,8 +347,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["eval", "check"])
     @pytest.mark.parametrize(
         "query",
-        ["(" * 2000 + "1" + ")" * 2000, " + ".join(["1"] * 3000), "builtin:eval d=400"],
-        ids=["parentheses", "chain", "deep_template"],
+        ["(" * 2000 + "1" + ")" * 2000, " + ".join(["1"] * 3000), "builtin:eval d=400", "builtin:eval d=2000"],
+        ids=["parentheses", "chain", "deep_template", "deeper_template"],
     )
     def test_deep_expression_is_four(self, command, query):
         args = ("eval", CLAMP, query, "--input", "5") if command == "eval" else ("check", query)
@@ -601,9 +601,13 @@ class TestRepl:
             ":let = 1",
             ":set format xml",
             "count {x : x = x}",
+            f":load{GRAPH}",
             f":load {GRAPH}",
+            ":letx = 1",
+            ":setformat json",
             " + ".join(["1"] * 3000),
             "count {x : x = x}",
+            "x",
         ]
         out = io.StringIO()
         assert Repl(io.StringIO("\n".join(script) + "\n"), out).run() == 0
@@ -612,9 +616,13 @@ class TestRepl:
             "error: :let NAME = QUERY",
             "error: format is plain or json",
             "error: no structure loaded (:load PATH)",
+            f"unknown command ':load{GRAPH}'; :help lists commands",
             f"loaded structure {GRAPH} (4 elements)",
+            "unknown command ':letx'; :help lists commands",
+            "unknown command ':setformat'; :help lists commands",
             "error: expression too deeply nested",
             "4",
+            "error: a bare variable ('x') is not a query (line 1, column 1)",
         ]
 
     def test_unbound_variables_are_reported_once(self):

@@ -1,5 +1,7 @@
 """Semantics engine: quantifiers, summation, fixed points, defaults, guards."""
 
+import functools
+import itertools
 import operator
 import random
 import sys
@@ -37,7 +39,18 @@ from wsq.queries import (
     make_useless,
 )
 from wsq.structures import WeightedStructure
-from wsq.syntax import children, desugar, parse, to_text, vocabulary_of
+from wsq.syntax import (
+    ExprVocabulary,
+    check_scalar_fragment,
+    children,
+    desugar,
+    free_vars,
+    parse,
+    substitute,
+    to_text,
+    vocabulary_of,
+    walk,
+)
 from wsq.syntax.nodes import (
     Aggregate,
     And,
@@ -446,6 +459,28 @@ class TestUsageErrors:
             with pytest.raises(UsageError, match=message):
                 run(q, s, env)
 
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            (Arith("^", One(), One()), "unknown arithmetic operator '^'"),
+            (Compare("~", One(), One()), "unknown comparison operator '~'"),
+            (Aggregate("avg", ("x",), ElemEq("x", "x"), None), "'avg' needs a body"),
+            (Aggregate("median", ("x",), ElemEq("x", "x"), One()), "unknown aggregate 'median'"),
+            (Aggregate("count", ("x",), ElemEq("x", "x"), One()), "'count' takes no body"),
+            (Ifp("F", ("x",), One(), ("x", "x")), "fixed point binds 1 variables but is applied to 2"),
+            (Sum(("x", "x"), ElemEq("x", "x"), One()), "duplicate variable 'x' in binder"),
+        ],
+        ids=["arith_op", "compare_op", "avg_without_body", "unknown_aggregate", "count_with_body", "ifp_arity", "duplicate_var"],
+    )
+    def test_a_node_the_parser_never_builds_is_refused(self, two_triangle_graph, node, message):
+        # in a branch that never runs, so compiling refuses it; the last two
+        # messages are the parser's
+        taken = Leq(Zero(), One())
+        q = Or(taken, node) if isinstance(node, Compare) else Cond(taken, One(), node)
+        with pytest.raises(UsageError) as exc:
+            evaluate(q, two_triangle_graph, {"x": "a"})
+        assert str(exc.value) == message
+
     def test_coverage_agrees_with_vocabulary_of_and_reference(self):
         rng = random.Random(25)
         outcomes = {"misuse": 0, "default": 0, "value": 0}
@@ -631,6 +666,41 @@ class TestResourceGuards:
         with pytest.raises(ResourceError) as exc:
             evaluate(parse(" + ".join(["1"] * terms)), two_triangle_graph)
         assert str(exc.value) == "expression too deeply nested"
+
+    DEEP = {
+        "chain": lambda: functools.reduce(lambda t, _: Arith("+", t, One()), range(2999), One()),
+        "nots": lambda: functools.reduce(lambda f, _: Not(f), range(3000), RelAtom("e", ("x", "x"))),
+        "eval_2000": lambda: make_eval(2000, 1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_every_pass_answers_or_refuses_deep_input(self, two_triangle_graph, shape):
+        e = self.DEEP[shape]()  # the builders loop, so any depth builds
+        passes = {
+            "free_vars": lambda: free_vars(e),
+            "vocabulary_of": lambda: vocabulary_of(e),
+            "check_scalar_fragment": lambda: check_scalar_fragment(e),
+            "to_text": lambda: to_text(e),
+            "desugar": lambda: desugar(e),
+            "substitute": lambda: substitute(e, {"x": "y"}),
+            "evaluate": lambda: evaluate(e, two_triangle_graph, {"x": "a"}),
+            "ifp_iterate": lambda: ifp_iterate("F", ("x",), e, two_triangle_graph),
+            # the template has about 3**2000 positions: its first ones
+            "walk": lambda: list(itertools.islice(walk(e), 1000)),
+        }
+        for name, run in passes.items():
+            try:
+                run()
+            except ResourceError as exc:
+                assert str(exc) == "expression too deeply nested", name
+        if shape != "eval_2000":
+            assert sum(1 for _ in walk(e)) == (5999 if shape == "chain" else 3001)
+
+    def test_analyses_answer_on_a_chain_the_stack_holds(self):
+        e = parse(" + ".join(["1"] * 600))
+        assert free_vars(e) == frozenset()
+        assert vocabulary_of(e) == ExprVocabulary()
+        assert check_scalar_fragment(e) == []
 
     def test_bit_budget_stops_iterated_squaring(self, monkeypatch):
         # 2^(2^d) on a path of length d: round 20 builds 2^20 + 1 bits

@@ -147,6 +147,66 @@ def test_the_number_rule_check_sees_each_rule():
     ]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _stack_rules(source: str) -> list[str]:
+    """Where a module names ``RecursionError`` or deletes a nested function
+    by name, by the top-level definition that holds it."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", f"line {top.lineno}")
+        inner = [n for f in ast.walk(top) if isinstance(f, _FUNCTIONS) for n in ast.walk(f) if n is not f]
+        nested = {n.name for n in inner if isinstance(n, _FUNCTIONS[:2])}
+        for node in ast.walk(top):
+            if getattr(node, "id", getattr(node, "attr", None)) == "RecursionError":
+                found.append(f"RecursionError in {where}")
+            elif isinstance(node, ast.Delete):
+                names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                found += [f"del {name} in {where}" for name in names if name in nested]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_only_errors_holds_the_stack_rule(path):
+    # errors.depth_guard alone turns a RecursionError into a resource error;
+    # read_json's clause is about JSON nesting in a file (exit 2). A pass
+    # recurses through module-level helpers, so no closure needs deleting.
+    expected = {"errors.py": ["RecursionError in depth_guard"], "structures.py": ["RecursionError in read_json"]}
+    assert _stack_rules(path.read_text(encoding="utf-8")) == expected.get(path.name, [])
+
+
+def test_the_stack_rule_check_sees_each_rule():
+    source = (
+        "import builtins\n"
+        "def f(e):\n"
+        "    def go(n):\n"
+        "        return go(n)\n"
+        "    try:\n"
+        "        return go(e)\n"
+        "    except RecursionError:\n"
+        "        raise\n"
+        "    finally:\n"
+        "        del go\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        del x\n"
+        "        return builtins.RecursionError\n"
+        "    def n(self):\n"
+        "        def a(): pass\n"
+        "        def b(): pass\n"
+        "        del a, b\n"
+        "del f\n"
+    )
+    assert _stack_rules(source) == [
+        "RecursionError in C",
+        "RecursionError in f",
+        "del a in C",
+        "del b in C",
+        "del go in f",
+    ]
+
+
 def test_the_layering_check_resolves_relative_imports():
     assert _wsq_imports(SRC / "syntax" / "parser.py") == ["wsq.errors", "wsq.numerics", "wsq.syntax.nodes"]
     assert "wsq.structures" in _wsq_imports(SRC / "evaluator.py")

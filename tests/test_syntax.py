@@ -961,6 +961,14 @@ class TestDesugar:
     def test_bot_becomes_one_over_zero(self):
         assert desugar(BotConst()) == Arith("/", One(), Zero())
 
+    def test_sugar_less_or_equal_becomes_core(self):
+        # the parser builds Leq for '<=', the API can build Compare('<=')
+        s = WeightedStructure.build(["a"])
+        for left, right in [(Zero(), Zero()), (Zero(), One()), (One(), Zero())]:
+            e = Compare("<=", left, right)
+            assert desugar(e) == Leq(left, right)
+            assert evaluate(desugar(e), s) == evaluate(e, s) == (left == right or type(left) is Zero)
+
     def test_not_equal_bot_expansion(self):
         expanded = desugar(parse("f(x) != bot"))
         bottom = Arith("/", One(), Zero())
