@@ -85,10 +85,10 @@ def _network(path: str, structure: WeightedStructure, net: Optional[FnnStructure
 def _parse_query(text: str):
     """A ``builtin:`` reference or query text, parsed, with its symbols
     checked for misuse (one name with two arities or two kinds)."""
-    from .queries import builtin_query
     from .syntax import parse, vocabulary_of
 
     if text.startswith("builtin:"):
+        from .queries import builtin_query
         query = builtin_query(text[len("builtin:") :])
     else:
         query = parse(text)

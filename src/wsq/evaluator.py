@@ -103,7 +103,7 @@ memo would make; one routine makes both decisions.  A memo keeps values
 only: a run that raises stores nothing, so the first error is the one
 the unmemoised evaluation raises.  A fixed point's table is memoised the
 same way, by the free variables of its body other than the bound tuple,
-and not by the tuple it is applied to.  Memo tables never live inside a
+and not by the tuple it is read at.  Memo tables never live inside a
 fixed-point body: there the intensional table grows between rounds, and
 the semi-naive tracking needs every missing entry a tuple's computation
 reads.  The cost is that a binder or nested fixed point in such a body
@@ -341,9 +341,6 @@ class _Scope:
     __slots__ = ("slots", "top", "cells", "inner", "shared")
 
     def __init__(self, outer: Optional[_Scope], vars_: tuple, cells: dict):
-        for i, var in enumerate(vars_):
-            if var in vars_[:i]:
-                raise UsageError(f"duplicate variable {var!r} in binder")
         lo = outer.top if outer else 0
         self.slots = dict(outer.slots if outer else {})
         self.slots.update(zip(vars_, range(lo, lo + len(vars_))))
@@ -644,8 +641,6 @@ class _Compiler:
 
     def _compare(self, n: Union[Leq, Compare], scope):
         op = "<=" if type(n) is Leq else n.op
-        if op not in ORDER:
-            raise UsageError(f"unknown comparison operator {op!r}")
         left, right = n.left, n.right
         lf, lm = self.compile(left, scope, term=True)
         rf, rm = self.compile(right, scope, term=True)
@@ -745,9 +740,7 @@ class _Compiler:
         return self._weight_atom(n, scope)
 
     def _arith(self, n: Arith, scope):
-        op = ARITH.get(n.op)
-        if op is None:
-            raise UsageError(f"unknown arithmetic operator {n.op!r}")
+        op = ARITH[n.op]
         lf, lm = self.compile(n.left, scope, term=True)
         rf, rm = self.compile(n.right, scope, term=True)
         overflow = f"'{n.op}' result exceeds {numerics.MAX_BITS} bits"
@@ -780,11 +773,6 @@ class _Compiler:
         bindings, tests its guard's residual, compiles its body and is
         memoised the same way; only the loop over the bindings is its own."""
         folding = type(n) in (Sum, Aggregate)
-        if type(n) is Aggregate:
-            if n.kind not in ("count", "avg", "min", "max"):
-                raise UsageError(f"unknown aggregate {n.kind!r}")
-            if (n.body is None) != (n.kind == "count"):
-                raise UsageError(f"'{n.kind}' {'takes no' if n.kind == 'count' else 'needs a'} body")
         if folding:
             vars_, guard, body = n.vars, n.guard, n.body
         elif type(n) is Exists:
@@ -855,25 +843,23 @@ class _Compiler:
         return fold
 
     def _ifp(self, n: Ifp, scope):
-        if len(n.applied) != len(n.vars):
-            raise UsageError(f"fixed point binds {len(n.vars)} variables but is applied to {len(n.applied)}")
-        run, mask = self.fixpoint(n.name, n.vars, n.body, scope)
+        run, mask = self.fixpoint(n, scope)
         table = self._memo(lambda env: run(env)[0], mask, scope)
         slots, am = self._slots(scope, n.applied)
         applied = _tuple_getter(slots)
         return (lambda env: table(env).get(applied(env))), mask | am
 
-    def fixpoint(self, name: str, vars_: tuple, body: Node, scope: _Scope):
-        """Closure running the fixed point of ``body`` over ``name(vars_)``
-        to stabilization, and the bitmask of the slots the run reads.  The
-        closure returns the defined entries, unboxed, and the rounds."""
-        cell = _Cell(len(vars_))
-        if self.arities.setdefault(name, cell.arity) != cell.arity:
+    def fixpoint(self, n: Ifp, scope: _Scope):
+        """Closure running the fixed point ``n`` to stabilization, and the
+        bitmask of the slots the run reads.  The closure returns the
+        defined entries, unboxed, and the rounds."""
+        cell = _Cell(len(n.vars))
+        if self.arities.setdefault(n.name, cell.arity) != cell.arity:
             self.covered = False
-        inner = _Scope(scope, vars_, {**scope.cells, name: cell})  # never shared: a new cell
+        inner = _Scope(scope, n.vars, {**scope.cells, n.name: cell})  # never shared: a new cell
         lo, hi = scope.top, inner.top
         self.size = max(self.size, hi)
-        step, mask = self.compile(body, inner, term=True)
+        step, mask = self.compile(n.body, inner, term=True)
         universe, k = self.universe, hi - lo
         cells, limit = len(universe) ** k, self.limits.max_fixpoint_cells
 
@@ -987,14 +973,15 @@ def ifp_iterate(
     """Run one fixed-point iteration to stabilization and return its table.
 
     ``body`` may use ``name`` as a weight symbol of arity ``len(vars_)``;
-    every other symbol must be interpreted by the structure.
+    every other symbol must be interpreted by the structure.  The
+    arguments must make a well-formed :class:`Ifp` node.
     """
-    vars_ = tuple(vars_)
+    n = Ifp(name, tuple(vars_), body, tuple(vars_))
     compiler = _Compiler(structure, limits or EvalLimits(), env)
-    run, _ = compiler.fixpoint(name, vars_, body, compiler.root)
+    run, _ = compiler.fixpoint(n, compiler.root)
     slots = compiler.environment()
     if not compiler.covered:
-        vocabulary_of(Ifp(name, vars_, body, vars_))  # raises on misuse
+        vocabulary_of(n)  # raises on misuse
         raise UsageError("fixed-point body uses symbols the structure does not interpret")
     table, rounds = run(slots)
     return FixpointTable({key: ExtRational(value) for key, value in table.items()}, rounds)

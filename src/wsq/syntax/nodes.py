@@ -14,15 +14,23 @@ Nodes are frozen dataclasses compared structurally; the optional source
 tree reproduces an equal tree.  A generic :class:`Atom` stands for an
 ``ident(vars)`` occurrence whose relation-vs-weight kind is only decided
 against a concrete structure at evaluation time.
+
+The constructors hold the grammar the parser accepts and raise a one-line
+:class:`UsageError` for a node that breaks it, so every pass sees only
+well-formed trees: operators are keys of ``numerics.ARITH`` and
+``numerics.ORDER``, only ``count`` has no body, binders bind distinct
+variables, a fixed point is applied to as many as it binds, and each
+child is of the sort (``Formula`` or ``Term``) its field's annotation names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from ..errors import depth_guard
+from ..errors import UsageError, depth_guard
+from ..numerics import ARITH, ORDER
 
 __all__ = [
     "Span",
@@ -51,6 +59,7 @@ __all__ = [
     "Sum",
     "Aggregate",
     "Ifp",
+    "AGGREGATES",
     "ATOMS",
     "LEAVES",
     "children",
@@ -82,6 +91,39 @@ class Term(Node):
 Expr = Node  # a formula, a term, or a generic atom
 
 
+def _refuse(node: Node) -> None:
+    """Raise for the fault an inline check found: a repeated bound variable,
+    or else the first child not of the sort its field's annotation names."""
+    bound = getattr(node, "vars", ())
+    for i, var in enumerate(bound):
+        if var in bound[:i]:
+            raise UsageError(f"duplicate variable {var!r} in binder")
+    for f in fields(node):
+        sort, accepted = _SORTS.get(f.type, ("", object))
+        value = getattr(node, f.name)
+        if not isinstance(value, accepted):
+            raise UsageError(f"{type(node).__name__}.{f.name} must be a {sort}, not {type(value).__name__}")
+
+
+def _distinct(names: tuple[str, ...]) -> bool:
+    return len(set(names)) == len(names)
+
+
+def _formulas(node) -> None:
+    if not (isinstance(node.left, _FORMULA) and isinstance(node.right, _FORMULA)):
+        _refuse(node)
+
+
+def _terms(node) -> None:
+    if not (isinstance(node.left, _TERM) and isinstance(node.right, _TERM)):
+        _refuse(node)
+
+
+def _formula_body(node) -> None:
+    if not isinstance(node.body, _FORMULA):
+        _refuse(node)
+
+
 # -- formulas ---------------------------------------------------------------
 
 
@@ -103,8 +145,10 @@ class RelAtom(Formula):
 class Leq(Formula):
     """Core comparison of two terms under the total order with bot lowest."""
 
-    left: "Term"
-    right: "Term"
+    left: Term
+    right: Term
+
+    __post_init__ = _terms
 
 
 @dataclass(frozen=True)
@@ -112,13 +156,20 @@ class Compare(Formula):
     """Sugar comparison: one of ``< > >= = !=`` between terms."""
 
     op: str
-    left: "Term"
-    right: "Term"
+    left: Term
+    right: Term
+
+    def __post_init__(self):
+        if self.op not in ORDER:
+            raise UsageError(f"unknown comparison operator {self.op!r}")
+        _terms(self)
 
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
+
+    __post_init__ = _formula_body
 
 
 @dataclass(frozen=True)
@@ -126,11 +177,15 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    __post_init__ = _formulas
+
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
+
+    __post_init__ = _formulas
 
 
 @dataclass(frozen=True)
@@ -138,17 +193,23 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
+    __post_init__ = _formulas
+
 
 @dataclass(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula
 
+    __post_init__ = _formula_body
+
 
 @dataclass(frozen=True)
 class Forall(Formula):
     var: str
     body: Formula
+
+    __post_init__ = _formula_body
 
 
 # -- terms ------------------------------------------------------------------
@@ -200,12 +261,21 @@ class Arith(Term):
     left: Term
     right: Term
 
+    def __post_init__(self):
+        if self.op not in ARITH:
+            raise UsageError(f"unknown arithmetic operator {self.op!r}")
+        _terms(self)
+
 
 @dataclass(frozen=True)
 class Cond(Term):
     test: Formula
     then: Term
     otherwise: Term
+
+    def __post_init__(self):
+        if not (isinstance(self.test, _FORMULA) and isinstance(self.then, _TERM) and isinstance(self.otherwise, _TERM)):
+            _refuse(self)
 
 
 @dataclass(frozen=True)
@@ -216,6 +286,10 @@ class Sum(Term):
     guard: Formula
     body: Term
 
+    def __post_init__(self):
+        if not (isinstance(self.guard, _FORMULA) and isinstance(self.body, _TERM) and _distinct(self.vars)):
+            _refuse(self)
+
 
 @dataclass(frozen=True)
 class Aggregate(Term):
@@ -225,6 +299,14 @@ class Aggregate(Term):
     vars: tuple[str, ...]
     guard: Formula
     body: Optional[Term]
+
+    def __post_init__(self):
+        if self.kind not in AGGREGATES:
+            raise UsageError(f"unknown aggregate {self.kind!r}")
+        if (self.body is None) != (self.kind == "count"):
+            raise UsageError("'count' takes no body" if self.body is not None else f"'{self.kind}' needs a body")
+        if not (isinstance(self.guard, _FORMULA) and isinstance(self.body, _OPTIONAL_TERM) and _distinct(self.vars)):
+            _refuse(self)
 
 
 @dataclass(frozen=True)
@@ -240,45 +322,34 @@ class Ifp(Term):
     body: Term
     applied: tuple[str, ...]
 
+    def __post_init__(self):
+        if len(self.applied) != len(self.vars):
+            raise UsageError(f"fixed point binds {len(self.vars)} variables but is applied to {len(self.applied)}")
+        if not (isinstance(self.body, _TERM) and _distinct(self.vars)):
+            _refuse(self)
+
 
 # -- structural helpers -------------------------------------------------------
 
+# a field's annotation as a sort's name and the node types it takes: a generic
+# atom stands for either sort (the compiler resolves it per site)
+_FORMULA, _TERM, _OPTIONAL_TERM = (Formula, Atom), (Term, Atom), (Term, Atom, type(None))
+_SORTS = {"Formula": ("formula", _FORMULA), "Term": ("term", _TERM), "Optional[Term]": ("term", _OPTIONAL_TERM)}
+
+# each node type's children: the fields its annotations give a sort, in order
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {
-    ElemEq: (),
-    RelAtom: (),
-    Leq: ("left", "right"),
-    Compare: ("left", "right"),
-    Not: ("body",),
-    And: ("left", "right"),
-    Or: ("left", "right"),
-    Implies: ("left", "right"),
-    Exists: ("body",),
-    Forall: ("body",),
-    Zero: (),
-    One: (),
-    Literal: (),
-    BotConst: (),
-    WeightAtom: (),
-    Atom: (),
-    Arith: ("left", "right"),
-    Cond: ("test", "then", "otherwise"),
-    Sum: ("guard", "body"),
-    Aggregate: ("guard", "body"),
-    Ifp: ("body",),
+    kind: tuple(f.name for f in fields(kind) if f.type in _SORTS)
+    for kind in (*Formula.__subclasses__(), *Term.__subclasses__(), Atom)
 }
+# each binder type's field of bound variables
+_BINDER_FIELD = {kind: f.name for kind in _CHILD_FIELDS for f in fields(kind) if f.name in ("var", "vars")}
+
+AGGREGATES = ("count", "avg", "min", "max")
 
 # symbol occurrences: relation, weight and generic atoms
 ATOMS = frozenset((RelAtom, WeightAtom, Atom))
 # node types without children: the atoms, element equality and the constants
-LEAVES = frozenset(kind for kind, fields in _CHILD_FIELDS.items() if not fields)
-
-_BINDER_FIELD: dict[type, str] = {
-    Exists: "var",
-    Forall: "var",
-    Sum: "vars",
-    Aggregate: "vars",
-    Ifp: "vars",
-}
+LEAVES = frozenset(kind for kind, names in _CHILD_FIELDS.items() if not names)
 
 
 def children(node: Node) -> tuple[Node, ...]:

@@ -64,9 +64,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..errors import ParseError, depth_guard
+from ..errors import ParseError, UsageError, depth_guard
 from ..numerics import NUMBER_TEXT, read_number
 from .nodes import (
+    AGGREGATES,
     Aggregate,
     And,
     Arith,
@@ -257,7 +258,7 @@ class _Parser(_Cursor):
 
     def node(self, key: tuple, at: int, *fields) -> Node:
         """The one node ``key[0](*fields)`` of this parse, built with the
-        span of offset ``at`` if new.
+        span of offset ``at`` if new, or a :class:`ParseError` there if refused.
 
         ``key`` is the type and then the fields, each child node by its
         ``id``: a child is one of this parse's nodes already, so equal
@@ -265,7 +266,10 @@ class _Parser(_Cursor):
         """
         node = self.nodes.get(key)
         if node is None:
-            node = self.nodes[key] = key[0](*fields, span=_position(self.newlines, at))
+            try:
+                node = self.nodes[key] = key[0](*fields, span=_position(self.newlines, at))
+            except UsageError as exc:
+                raise self.problem(str(exc), at) from None
         return node
 
     def expect(self, kind: str, what: str) -> str:
@@ -415,23 +419,17 @@ class _Parser(_Cursor):
 
     # -- primaries -----------------------------------------------------------
 
-    def parse_varlist(self, *, allow_empty: bool, allow_duplicates: bool = False) -> tuple[str, ...]:
+    def parse_varlist(self, *, allow_empty: bool) -> tuple[str, ...]:
         kinds = self.kinds
         if kinds[self.i] != "ident":
             if allow_empty:
                 return ()
             self.error("expected a variable name")
-        names: list[str] = []
-        while True:
-            name = self.expect("ident", "a variable name")
-            if not allow_duplicates and name in names:
-                raise self.problem(f"duplicate variable {name!r} in binder", self.offsets[self.i - 1])
-            names.append(name)
-            if kinds[self.i] != ",":
-                return tuple(names)
-            self.i += 1
-            if self.i == len(kinds):
-                self.pull()
+        names = [self.expect("ident", "a variable name")]
+        while kinds[self.i] == ",":
+            self.expect(",", "','")
+            names.append(self.expect("ident", "a variable name"))
+        return tuple(names)
 
     def parse_binder_braces(self) -> tuple[tuple[str, ...], Formula]:
         self.expect("{", "'{'")
@@ -456,7 +454,7 @@ class _Parser(_Cursor):
             self.i = i + 2
             if i + 2 == len(kinds):
                 self.pull()
-            args = self.parse_varlist(allow_empty=True, allow_duplicates=True)
+            args = self.parse_varlist(allow_empty=True)
             self.expect(")", "')'")
             return self.node((Atom, name, args), at, name, args), at
 
@@ -480,7 +478,7 @@ class _Parser(_Cursor):
             body = self.term(UNARY)
             return self.node((Sum, names, id(guard), id(body)), at, names, guard, body), at
 
-        if kind in ("count", "avg", "min", "max"):
+        if kind in AGGREGATES:
             names, guard = self.parse_binder_braces()
             body = None if kind == "count" else self.term(UNARY)
             key = (Aggregate, kind, names, id(guard), id(body))
@@ -506,10 +504,8 @@ class _Parser(_Cursor):
             body = self.term()
             self.expect(")", "')'")
             self.expect("(", "'('")
-            applied = self.parse_varlist(allow_empty=True, allow_duplicates=True)
+            applied = self.parse_varlist(allow_empty=True)
             self.expect(")", "')'")
-            if len(applied) != len(bound):
-                raise self.problem(f"fixed point binds {len(bound)} variables but is applied to {len(applied)}", at)
             key = (Ifp, name, bound, id(body), applied)
             return self.node(key, at, name, bound, body, applied), at
 

@@ -9,6 +9,7 @@ from wsq.syntax.nodes import (
     Aggregate,
     And,
     Arith,
+    Atom,
     BotConst,
     Compare,
     Cond,
@@ -26,6 +27,7 @@ from wsq.syntax.nodes import (
     Sum,
     WeightAtom,
     Zero,
+    map_children,
 )
 
 ELEMENTS = ("a", "b", "c", "d")
@@ -116,16 +118,31 @@ def _tuples(universe, arity):
     return out
 
 
-def random_expression(rng: random.Random, depth: int, kind: str, scope: tuple, ifp_depth: int = 0):
+def random_expression(
+    rng: random.Random, depth: int, kind: str, scope: tuple, ifp_depth: int = 0, generic: float = 0.0
+):
     """A well-formed random formula or term of the given depth budget.
 
     ``scope`` lists variables that may occur free;
     binders extend it.  Fixed points nest at most twice and use the
-    dedicated symbol so relation names never collide with it.
+    dedicated symbol so relation names never collide with it.  With
+    ``generic`` above 0, each relation and weight atom (reads of the
+    fixed-point symbol too) becomes a generic :class:`Atom` with that
+    probability, so generic atoms stand at formula and term positions
+    alike.  Those draws come after the expression's, so ``generic=0``
+    leaves the draws as they were.
     """
     if kind == "formula":
-        return _random_formula(rng, depth, scope, ifp_depth)
-    return _random_term(rng, depth, scope, ifp_depth)
+        e = _random_formula(rng, depth, scope, ifp_depth)
+    else:
+        e = _random_term(rng, depth, scope, ifp_depth)
+    return _generic_atoms(rng, e, generic) if generic else e
+
+
+def _generic_atoms(rng, e, share):
+    if type(e) in (RelAtom, WeightAtom):
+        return Atom(e.name, e.args) if rng.random() < share else e
+    return map_children(e, lambda child: _generic_atoms(rng, child, share))
 
 
 def _var(rng, scope):

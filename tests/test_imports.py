@@ -147,6 +147,49 @@ def test_the_number_rule_check_sees_each_rule():
     ]
 
 
+# the texts of the node constructors' refusals, which only nodes.py holds
+GRAMMAR_MESSAGES = (
+    "unknown arithmetic operator",
+    "unknown comparison operator",
+    "unknown aggregate",
+    "needs a body",
+    "takes no body",
+    "duplicate variable",
+    "is applied to",
+)
+
+
+def _grammar_messages(source: str) -> list[str]:
+    """Where a string in a module, an f-string's parts and docstrings
+    included, holds a grammar message, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [f"{text} (line {node.lineno})" for text in GRAMMAR_MESSAGES if text in node.value]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_only_nodes_holds_the_grammar(path):
+    # the node constructors refuse a malformed tree; the parser reports
+    # their text and no other pass checks a node's shape again
+    found = _grammar_messages(path.read_text(encoding="utf-8"))
+    if path == SRC / "syntax" / "nodes.py":
+        assert sorted(set(site.split(" (")[0] for site in found)) == sorted(GRAMMAR_MESSAGES)
+    else:
+        assert found == []
+
+
+def test_the_grammar_rule_check_sees_a_planted_message():
+    source = (
+        "# duplicate variable, in a comment, is no message\n"
+        "def check(vars_):\n"
+        "    for var in vars_:\n"
+        "        raise UsageError(f\"duplicate variable {var!r} in binder\")\n"
+    )
+    assert _grammar_messages(source) == ["duplicate variable (line 4)"]
+
+
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -244,9 +287,10 @@ def test_the_load_time_walk_skips_function_bodies():
         (["-c", "import wsq"], ("wsq.errors", *QUERY_SIDE, "wsq.fnn")),
         (["-c", "import wsq.fnn"], QUERY_SIDE),
         (["-m", "wsq", "fnn", "validate", str(TESTS / "data" / "clamp.fnn.json")], QUERY_SIDE),
-        (["-m", "wsq", "check", "sum {x : e(x, x)} 1"], ("wsq.evaluator",)),
+        (["-m", "wsq", "check", "sum {x : e(x, x)} 1"], ("wsq.evaluator", "wsq.queries")),
+        (["-m", "wsq", "eval", str(TESTS / "data" / "graph.json"), "sum {x : x = x} 1"], ("wsq.queries",)),
     ],
-    ids=["import wsq", "import wsq.fnn", "fnn validate", "check"],
+    ids=["import wsq", "import wsq.fnn", "fnn validate", "check", "eval"],
 )
 def test_a_process_loads_only_what_it_runs(argv, absent):
     # -X importtime names every module the process imports, on stderr

@@ -52,7 +52,7 @@ from wsq.syntax import (
     vocabulary_of,
     walk,
 )
-from wsq.syntax.nodes import bound_vars, map_children
+from wsq.syntax.nodes import _CHILD_FIELDS, bound_vars, map_children
 from wsq.syntax import parser as parser_module
 from wsq.syntax.parser import _Parser, _scan
 
@@ -130,13 +130,22 @@ class TestParse:
         e = parse("exists x p(x) and q(x)")
         assert isinstance(e, And) and isinstance(e.left, Exists)
 
+    # the node constructor refuses these; the parser reports its text at
+    # the node's first token, once the node's last token is read
     def test_duplicate_binder_rejected(self):
-        with pytest.raises(ParseError, match="duplicate variable"):
-            parse("sum {x, x : p(x)} 1")
+        for text, message in (
+            ("sum {x, x : p(x)} 1", "duplicate variable 'x' in binder (line 1, column 1)"),
+            ("ifp (F(x, x) <- 1) (x, x)", "duplicate variable 'x' in binder (line 1, column 1)"),
+            ("1 +\n  count {y, x, y : p(x)}", "duplicate variable 'y' in binder (line 2, column 3)"),
+        ):
+            with pytest.raises(ParseError) as error:
+                parse(text)
+            assert str(error.value) == message
 
     def test_ifp_arity_mismatch_rejected(self):
-        with pytest.raises(ParseError, match="applied"):
+        with pytest.raises(ParseError) as error:
             parse("ifp (F(x, y) <- 1) (x)")
+        assert str(error.value) == "fixed point binds 2 variables but is applied to 1 (line 1, column 1)"
 
     @pytest.mark.parametrize("form", ["{}", "0.{}", "1/{}"])
     @pytest.mark.parametrize("before", ["", "2 * (\n  "])
@@ -847,6 +856,19 @@ class TestErrorOrder:
             parse(text)
         assert str(caught.value) == f"unexpected character '@' (line {line}, column {column})"
 
+    def test_a_refused_node_is_reported_when_it_is_built(self):
+        # the constructor runs once the node's last token is read, so a
+        # syntax error inside the node comes first, and a character outside
+        # the syntax wins over the refusal as over any parse error
+        for text, message in (
+            ("ifp (F(x, x) <- 1 +) (x)", "expected an expression, found ')' (line 1, column 20)"),
+            ("sum {x, x : p(x)} 1 @", "unexpected character '@' (line 1, column 21)"),
+            (_long("sum {x, x : p(x)} 1"), "duplicate variable 'x' in binder (line 1, column 131)"),
+        ):
+            with pytest.raises(ParseError) as caught:
+                parse(text)
+            assert str(caught.value) == message
+
 
 class TestReuseBoundary:
     """A repeated span followed by a character that would extend its last
@@ -1056,3 +1078,47 @@ class TestSubstitute:
         assert map_children(e, lambda c: c) is e
         assert bound_vars(e) == ("y",) and bound_vars(e.body) == ()
         assert substitute(e, {"y": "z"}) is e
+
+
+# one well-formed node of each type with children, its children generic
+# atoms, which stand for either sort
+_GENERIC = Atom("a", ("x",))
+_WELL_FORMED = [
+    Leq(_GENERIC, _GENERIC),
+    Compare("<", _GENERIC, _GENERIC),
+    Not(_GENERIC),
+    And(_GENERIC, _GENERIC),
+    Or(_GENERIC, _GENERIC),
+    Implies(_GENERIC, _GENERIC),
+    Exists("x", _GENERIC),
+    Forall("x", _GENERIC),
+    Arith("+", _GENERIC, _GENERIC),
+    Cond(_GENERIC, _GENERIC, _GENERIC),
+    Sum(("x", "y"), _GENERIC, _GENERIC),
+    Aggregate("max", ("x", "y"), _GENERIC, _GENERIC),
+    Ifp("F", ("x", "y"), _GENERIC, ("y", "y")),
+]
+
+
+class TestNodeGrammar:
+    def test_every_child_field_refuses_the_other_sort(self):
+        # each constructor's inline check covers every field its annotation
+        # gives a sort, and the refusal names the field
+        assert {type(n) for n in _WELL_FORMED} == {kind for kind, names in _CHILD_FIELDS.items() if names}
+        for node in _WELL_FORMED:
+            for f in dataclasses.fields(node):
+                if f.type not in ("Formula", "Term", "Optional[Term]"):
+                    continue
+                sort, wrong = ("formula", One()) if f.type == "Formula" else ("term", RelAtom("p", ("x",)))
+                for value, found in ((wrong, type(wrong).__name__), ("x", "str")):
+                    with pytest.raises(UsageError) as caught:
+                        dataclasses.replace(node, **{f.name: value})
+                    assert str(caught.value) == f"{type(node).__name__}.{f.name} must be a {sort}, not {found}"
+
+    def test_a_repeated_variable_is_named_before_a_child_of_the_wrong_sort(self):
+        for node in _WELL_FORMED:
+            if hasattr(node, "vars"):
+                applied = {"applied": ("x", "x", "x")} if type(node) is Ifp else {}
+                with pytest.raises(UsageError) as caught:
+                    dataclasses.replace(node, vars=("y", "x", "y"), body=RelAtom("p", ("x",)), **applied)
+                assert str(caught.value) == "duplicate variable 'y' in binder"
