@@ -18,12 +18,20 @@ and the bit bound ``numerics.MAX_BITS`` on every arithmetic result and
 every sum or average an aggregate builds) convert runaway evaluations
 into :class:`ResourceError` rather than wrong answers.
 
-Each call compiles the expression once: a single pass turns the tree
-into closures over the structure, settling there the kind of every
-generic atom, every comparison operator, literal values and the table
-each symbol reads, and computing free variables bottom-up.  Variables
-live in slots numbered by nesting level, the caller's assignment from
-slot 0, so a binder that reuses an outer name needs no save and restore.
+A query is compiled once into a plan (:func:`prepare`): a single pass
+turns the tree into closures against a vocabulary, each symbol's kind
+and arity, and the names of the caller's variables, settling there the
+kind of every generic atom, every comparison operator, literal values
+and which table each symbol reads, and computing free variables
+bottom-up.  A plan runs on any structure of its vocabulary
+(:meth:`Plan.run`).  The closures receive one list of slots per run.
+Variables live in slots numbered by nesting level, the caller's
+assignment from slot 0, so a binder that reuses an outer name needs no
+save and restore.  Above them a run's own state fills further slots:
+the universe and each element's position in it, the tables the query
+reads and the values of nullary weights, the budgets of the
+:class:`EvalLimits` passed, memo tables, support indexes and the live
+tables of fixed points.
 Binders of the same variables in one scope share one inner scope, so a
 node object reached twice under them compiles to one closure and one
 memo table (below); a summation so shared is one node for
@@ -80,7 +88,7 @@ in dicts keyed in universe order, which a draw iterates and a filter
 tests.  So the candidates come in the order of
 ``product(universe, repeat=k)``, and the first undefined summand and the
 first summand over budget are the same as under full enumeration.  An
-index is built on first use and shared by every binder of the call that
+index is built on first use and shared by every binder of the run that
 reads the same symbol with the same pattern of drawn, looked-up and
 repeated positions; a binder that never runs builds none.
 
@@ -109,15 +117,26 @@ the semi-naive tracking needs every missing entry a tuple's computation
 reads.  The cost is that a binder or nested fixed point in such a body
 that ignores the body's tuple, such as ``exists z F(z) != bot`` in a
 body over ``F(x)``, is computed again for every tuple rather than once
-per round.  Nothing is cached across calls: closures, support indexes
-and memo tables belong to one call, which keeps evaluation a pure
-function of its inputs and safe to run from several threads on shared
-structures and expressions.
+per round.
+
+:func:`evaluate` keeps the plans of its latest 32 distinct keys, least
+recently used first out; a key is the query, the vocabulary and the
+tuple of the assignment's names, so an equal query built or parsed anew
+finds the plan of the first (a node hashes and compares in time linear
+in its objects).  A plan holds closures and slot numbers, nothing of a
+structure and nothing a run writes: memo tables, support indexes,
+fixed-point tables, the tables read and the budgets are made or read
+again by every run.  So evaluation stays a pure function of its inputs,
+a kept plan never holds a structure alive, and several threads may run
+one plan on shared or separate structures at once; the cache itself is
+guarded by a lock.  :func:`purge` empties it.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -126,7 +145,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from .errors import EvalLimits, ResourceError, UsageError, depth_guard
 from . import numerics
 from .numerics import ARITH, BOT, ORDER, ExtRational, fits, gt, lt
-from .structures import WeightedStructure
+from .structures import Vocabulary, WeightedStructure
 from .syntax.analysis import vocabulary_of
 from .syntax.nodes import (
     LEAVES,
@@ -156,7 +175,7 @@ from .syntax.nodes import (
     syntactic_kind,
 )
 
-__all__ = ["Value", "EvalLimits", "FixpointTable", "evaluate", "ifp_iterate"]
+__all__ = ["Value", "EvalLimits", "FixpointTable", "Plan", "evaluate", "ifp_iterate", "prepare", "purge"]
 
 Value = Union[bool, ExtRational]
 
@@ -185,6 +204,10 @@ _MISSING = object()
 
 # the value of 0, of an empty sum and of 0 times a defined value
 _ZERO = Fraction(0)
+
+# the tables of a symbol a structure lacks
+_NO_TUPLES: frozenset = frozenset()
+_NO_VALUES: Mapping = {}
 
 
 @dataclass
@@ -315,27 +338,16 @@ def _quantify(n: Union[Exists, Forall], lo: int, bindings: Bindings, test, body)
     return forall
 
 
-class _Cell:
-    """The live table of one fixed point of the given arity and, while the
-    body runs for one tuple, the set of missing entries it has read."""
-
-    __slots__ = ("table", "reads", "arity")
-
-    def __init__(self, arity: int):
-        self.table: dict[tuple, Fraction] = {}
-        self.reads: set = set()
-        self.arity = arity
-
-
 class _Scope:
     """What compiling a node depends on besides the node itself.
 
     A scope binds ``vars_`` to the slots from ``outer.top`` upward (the
     root scope from 0); ``slots`` maps every variable in scope to its
     slot and ``top`` is the next free one.  ``cells`` maps each
-    intensional symbol to the :class:`_Cell` of its fixed point; ``inner``
-    holds the scopes of this scope's binders by their variables;
-    ``shared`` holds the nodes already compiled in this scope by identity.
+    intensional symbol to its fixed point's table slot, reads slot and
+    arity; ``inner`` holds the scopes of this scope's binders by their
+    variables; ``shared`` holds the nodes already compiled in this scope
+    by identity.
     """
 
     __slots__ = ("slots", "top", "cells", "inner", "shared")
@@ -351,30 +363,43 @@ class _Scope:
 
 
 class _Compiler:
-    """One compile pass: AST nodes to closures over one structure.
+    """One compile pass: AST nodes to closures over a vocabulary.
 
     :meth:`compile` returns a node's closure together with the bitmask of
     the slots it reads, which are its free variables.  The root scope
-    binds the caller's assignment; a name read out of scope goes into
-    ``unbound``.  ``rank`` gives each element's position in the universe;
-    ``indexes`` holds the support indexes built so far, and ``units`` the
-    universe as 1-tuples once a binder runs a slot over it.  Every binder
-    compiles through :meth:`_binder`.
+    binds the caller's variable ``names``; a name read out of scope goes
+    into ``unbound``.  Every binder compiles through :meth:`_binder`.
     ``covered`` turns false at the first uncovered use (see the module
     docstring); ``arities`` holds each fixed-point symbol's arity.
+
+    Variable slots are numbered from 0, and ``top`` is the most the
+    binders have taken so far.  The closures read everything a run owns
+    from the slots above, from ``base``, which leaves ``headroom`` slots
+    to the binders: a compile whose binders take more is discarded (see
+    :func:`_prepare`).  The first six hold the universe,
+    each element's position in it (``rank``), the universe as 1-tuples
+    if a binder runs a slot over it (``units``, then ``uses_units`` is
+    true), the support indexes built so far, and the budgets
+    ``summands`` and ``cells``; the attributes of those names are their
+    slot numbers.  Then come, in the order the compile takes them, one
+    slot per memo table (listed in ``memos``), per symbol table a run
+    reads (``tables`` maps its kind and name to the slot), per support
+    index, and per fixed point's table and set of reads.  ``size`` is
+    the length of a run's slot list.
     """
 
-    def __init__(self, structure: WeightedStructure, limits: EvalLimits, env: Optional[Mapping]):
-        self.structure = structure
-        self.universe = structure.universe
-        self.rank = {elem: i for i, elem in enumerate(self.universe)}
-        self.limits = limits
-        self.env = dict(env or {})
-        self.root = _Scope(None, tuple(self.env), {})
-        self.size = self.root.top
+    def __init__(self, vocabulary: Vocabulary, names: tuple, headroom: int):
+        self.vocabulary = vocabulary
+        self.names = names
+        self.root = _Scope(None, names, {})
+        self.top = self.root.top
+        self.base = self.root.top + headroom
+        self.universe, self.rank, self.units, self.indexes, self.summands, self.cells = range(self.base, self.base + 6)
+        self.size = self.base + 6
+        self.memos: list[int] = []
+        self.tables: dict[tuple[str, str], int] = {}
+        self.uses_units = False
         self.unbound: set[str] = set()
-        self.indexes: dict[tuple, dict] = {}
-        self.units: Optional[list] = None
         self.raising: dict[int, bool] = {}
         self.covered = True
         self.arities: dict[str, int] = {}
@@ -393,14 +418,26 @@ class _Compiler:
             done = scope.shared[id(n)] = _COMPILE[type(n)](self, n, scope)
         return done
 
-    def environment(self) -> list:
-        """The slot list holding the caller's assignment."""
+    def plan(self, e: Node, fn: Compiled) -> Plan:
+        """The plan running ``fn``, the closure compiled from ``e``."""
         if self.unbound:
             raise UsageError(f"unbound variables: {', '.join(sorted(self.unbound))}")
-        for var, val in self.env.items():
-            if val not in self.rank:
-                raise UsageError(f"assignment {var}={val!r} is not a universe element")
-        return [*self.env.values()] + [None] * (self.size - self.root.top)
+        return Plan(e, self, fn)
+
+    # -- run state ------------------------------------------------------
+
+    def _state(self) -> int:
+        """A fresh slot of the run state."""
+        self.size += 1
+        return self.size - 1
+
+    def _table(self, kind: str, name: str) -> int:
+        """The slot of a run's ``relation`` or ``weight`` table of ``name``,
+        or for kind ``constant`` of the unboxed value of a nullary weight."""
+        slot = self.tables.get((kind, name))
+        if slot is None:
+            slot = self.tables[kind, name] = self._state()
+        return slot
 
     # -- variables and binders -------------------------------------------
 
@@ -423,18 +460,20 @@ class _Compiler:
         inner = scope.inner.get(vars_)
         if inner is None:
             inner = scope.inner[vars_] = _Scope(scope, vars_, scope.cells)
-            self.size = max(self.size, inner.top)
+            self.top = max(self.top, inner.top)
         return inner, scope.top, inner.top
 
     def _memo(self, fn: Compiled, mask: int, scope: _Scope, *parts: Node) -> Compiled:
         """``fn`` memoised by the slots in ``mask`` when an enclosing binder
         loops over a slot outside ``mask``, no fixed point encloses the
         node and not all its ``parts`` (a compound node's operands) are
-        leaves, whose operation costs about a memo lookup; else ``fn``."""
+        leaves, whose operation costs about a memo lookup; else ``fn``.
+        The memo table is a run's, in a slot of its own."""
         leaves = parts and LEAVES.issuperset(map(type, parts))
         if leaves or scope.cells or not _span(self.root.top, scope.top) & ~mask:
             return fn
-        memo: dict = {}
+        table = self._state()
+        self.memos.append(table)
         slots = []
         rest = mask
         while rest:
@@ -444,6 +483,7 @@ class _Compiler:
         key = operator.itemgetter(*slots) if slots else (lambda env: None)
 
         def memoised(env):
+            memo = env[table]
             k = key(env)
             value = memo.get(k, _MISSING)
             if value is _MISSING:
@@ -469,7 +509,7 @@ class _Compiler:
         universe, k = self.universe, hi - lo
         head, mid, tails = draw
         if head is None and not any(tails):
-            return lambda env: product(universe, repeat=k)
+            return lambda env: product(env[universe], repeat=k)
         if mid == hi:
             return self._support(head, lo, hi)
         bindings = None
@@ -497,10 +537,9 @@ class _Compiler:
         """The values, as 1-tuples in universe order, that ``slot`` takes
         in the supports of all of ``conjs`` under the earlier slots."""
         if not conjs:
-            if self.units is None:
-                self.units = [(elem,) for elem in self.universe]
+            self.uses_units = True
             units = self.units
-            return lambda env: units
+            return lambda env: env[units]
         first = self._support(conjs[0], slot, slot + 1)
         if len(conjs) == 1:
             return first
@@ -532,13 +571,12 @@ class _Compiler:
                 found.append(slot)
         signature = (name, tuple(roles))
         key = _tuple_getter(bound)
-        indexes, rank = self.indexes, self.rank  # not self: no cycle with the compiler
-        box: list = [None]
+        indexes, rank, box = self.indexes, self.rank, self._state()
 
         def lookup(env):
-            index = box[0]
+            index = env[box]
             if index is None:
-                index = box[0] = _support_index(indexes, signature, table, rank)
+                index = env[box] = _support_index(env[indexes], signature, env[table], env[rank])
             return index.get(key(env), ())
 
         return lookup
@@ -587,8 +625,8 @@ class _Compiler:
         return (head, mid, tails), list(zip(conjs, residual))
 
     def _support_of(self, n: Node, scope: _Scope):
-        """``(symbol, table, args)`` if ``n`` holds only on the support of an
-        extensional table: ``R(..)`` or ``w(..) != bot``; else ``None``.
+        """``(symbol, table slot, args)`` if ``n`` holds only on the support
+        of an extensional table: ``R(..)`` or ``w(..) != bot``; else ``None``.
         A symbol the structure lacks has empty support."""
         if type(n) is Compare and n.op == "!=":
             if type(n.right) is BotConst:
@@ -601,15 +639,15 @@ class _Compiler:
                 return None
             if type(atom) is Atom and self._reads_relation(atom, scope):
                 return None
-            return atom.name, self.structure.weights.get(atom.name, {}), atom.args
+            return atom.name, self._table("weight", atom.name), atom.args
         if type(n) is RelAtom or (type(n) is Atom and self._reads_relation(n, scope)):
-            return n.name, self.structure.relations.get(n.name, frozenset()), n.args
+            return n.name, self._table("relation", n.name), n.args
         return None
 
     def _reads_relation(self, n: Atom, scope: _Scope) -> bool:
         """Whether a generic atom reads a relation table rather than a
         weight table or a fixed point's."""
-        return n.name not in scope.cells and n.name in self.structure.vocabulary.relations
+        return n.name not in scope.cells and n.name in self.vocabulary.relations
 
     def _raises(self, n: Node) -> bool:
         """Whether ``n`` contains arithmetic, a summation, aggregate or fixed
@@ -628,16 +666,16 @@ class _Compiler:
 
     def _rel_atom(self, n, scope):
         slots, mask = self._slots(scope, n.args)
-        if n.name in scope.cells or self.structure.vocabulary.relations.get(n.name) != len(slots):
+        if n.name in scope.cells or self.vocabulary.relations.get(n.name) != len(slots):
             self.covered = False
-        table = self.structure.relations.get(n.name)
-        if table is None or not slots:
-            return _constant(table is not None and () in table), mask
+        table = self._table("relation", n.name)
+        if not slots:
+            return (lambda env: () in env[table]), mask
         if len(slots) == 1:
             (a,) = slots
-            return (lambda env: (env[a],) in table), mask
+            return (lambda env: (env[a],) in env[table]), mask
         key = operator.itemgetter(*slots)
-        return (lambda env: key(env) in table), mask
+        return (lambda env: key(env) in env[table]), mask
 
     def _compare(self, n: Union[Leq, Compare], scope):
         op = "<=" if type(n) is Leq else n.op
@@ -679,21 +717,22 @@ class _Compiler:
 
     def _constant_term(self, n: Union[Zero, One, BotConst, Literal], scope):
         fn = _CONSTANT.get(type(n))
-        return fn or _constant(Fraction(n.value)), 0
+        return fn or _constant(n.value), 0
 
     def _weight_atom(self, n, scope):
         slots, mask = self._slots(scope, n.args)
         cell = scope.cells.get(n.name)
         if cell is not None:
-            if cell.arity != len(slots):
+            table, reads, arity = cell
+            if arity != len(slots):
                 self.covered = False
             if len(slots) == 1:
                 (a,) = slots
 
                 def intensional(env):
-                    value = cell.table.get((env[a],))
+                    value = env[table].get((env[a],))
                     if value is None:
-                        cell.reads.add((env[a],))
+                        env[reads].add((env[a],))
                     return value
 
                 return intensional, mask
@@ -701,29 +740,30 @@ class _Compiler:
 
             def intensional(env):
                 k = key(env)
-                value = cell.table.get(k)
+                value = env[table].get(k)
                 if value is None:
-                    cell.reads.add(k)
+                    env[reads].add(k)
                 return value
 
             return intensional, mask
-        if self.structure.vocabulary.weights.get(n.name) != len(slots):
+        if self.vocabulary.weights.get(n.name) != len(slots):
             self.covered = False
-        table = self.structure.weights.get(n.name)
-        if table is None or not slots:
-            return _constant(None if table is None else table.get((), BOT).frac), mask
+        if not slots:
+            value = self._table("constant", n.name)
+            return (lambda env: env[value]), mask
+        table = self._table("weight", n.name)
         if len(slots) == 1:
             (a,) = slots
 
             def extensional(env):
-                value = table.get((env[a],))
+                value = env[table].get((env[a],))
                 return value if value is None else value.frac
 
             return extensional, mask
         key = _tuple_getter(slots)
 
         def extensional(env):
-            value = table.get(key(env))
+            value = env[table].get(key(env))
             return value if value is None else value.frac
 
         return extensional, mask
@@ -735,7 +775,7 @@ class _Compiler:
             if term:
                 raise UsageError(f"relation atom {text} used as a term")
             return self._rel_atom(n, scope)
-        if term is False and (n.name in scope.cells or n.name in self.structure.vocabulary.weights):
+        if term is False and (n.name in scope.cells or n.name in self.vocabulary.weights):
             raise UsageError(f"weight atom {text} used as a formula")
         return self._weight_atom(n, scope)
 
@@ -743,7 +783,7 @@ class _Compiler:
         op = ARITH[n.op]
         lf, lm = self.compile(n.left, scope, term=True)
         rf, rm = self.compile(n.right, scope, term=True)
-        overflow = f"'{n.op}' result exceeds {numerics.MAX_BITS} bits"
+        symbol = n.op
 
         if n.op == "*" and (type(n.left) is Zero or type(n.right) is Zero):
             # 0 times a defined value is 0; the other operand still runs, so
@@ -755,7 +795,7 @@ class _Compiler:
             def fn(env):
                 value = op(lf(env), rf(env))
                 if not fits(value):
-                    raise ResourceError(overflow)
+                    raise ResourceError(f"'{symbol}' result exceeds {numerics.MAX_BITS} bits")
                 return value
 
         return self._memo(fn, lm | rm, scope, n.left, n.right), lm | rm
@@ -799,13 +839,13 @@ class _Compiler:
         ``test``, with running accumulators."""
         hi = lo + len(n.vars)
         kind = "sum" if type(n) is Sum else n.kind
-        limit = self.limits.max_summands
-        overflow = f"{'summation' if kind == 'sum' else 'aggregate'} exceeds {limit} summands"
-        too_long = f"'{kind}' result exceeds {numerics.MAX_BITS} bits"
+        budget = self.summands
+        noun = "summation" if kind == "sum" else "aggregate"
         counting, additive = kind == "count", kind in ("sum", "avg")
         better = gt if kind == "max" else lt
 
         def fold(env):
+            limit = env[budget]
             count = 0
             acc = _ZERO
             best = _MISSING
@@ -815,14 +855,14 @@ class _Compiler:
                     continue
                 count += 1
                 if count > limit:
-                    raise ResourceError(overflow)
+                    raise ResourceError(f"{noun} exceeds {limit} summands")
                 if additive:
                     value = body(env)
                     if value is None:
                         return None
                     acc = value if count == 1 else acc + value
                     if not fits(acc):
-                        raise ResourceError(too_long)
+                        raise ResourceError(f"'{kind}' result exceeds {numerics.MAX_BITS} bits")
                 elif not counting:
                     value = body(env)
                     if best is _MISSING or better(value, best):
@@ -836,7 +876,7 @@ class _Compiler:
                     return None
                 acc /= count
                 if not fits(acc):
-                    raise ResourceError(too_long)
+                    raise ResourceError(f"'{kind}' result exceeds {numerics.MAX_BITS} bits")
                 return acc
             return None if best is _MISSING else best
 
@@ -853,22 +893,23 @@ class _Compiler:
         """Closure running the fixed point ``n`` to stabilization, and the
         bitmask of the slots the run reads.  The closure returns the
         defined entries, unboxed, and the rounds."""
-        cell = _Cell(len(n.vars))
-        if self.arities.setdefault(n.name, cell.arity) != cell.arity:
+        k = len(n.vars)
+        if self.arities.setdefault(n.name, k) != k:
             self.covered = False
-        inner = _Scope(scope, n.vars, {**scope.cells, n.name: cell})  # never shared: a new cell
+        cell = (table_slot, reads_slot, _) = (self._state(), self._state(), k)
+        inner = _Scope(scope, n.vars, {**scope.cells, n.name: cell})  # never shared: new slots
         lo, hi = scope.top, inner.top
-        self.size = max(self.size, hi)
+        self.top = max(self.top, hi)
         step, mask = self.compile(n.body, inner, term=True)
-        universe, k = self.universe, hi - lo
-        cells, limit = len(universe) ** k, self.limits.max_fixpoint_cells
+        universe, budget = self.universe, self.cells
 
         def run(env) -> tuple[dict, int]:
+            cells, limit = len(env[universe]) ** k, env[budget]
             if cells > limit:
                 raise ResourceError(f"fixed-point table needs {cells} cells, budget is {limit}")
             table: dict[tuple, Fraction] = {}
-            cell.table = table
-            keys = list(product(universe, repeat=k))
+            env[table_slot] = table
+            keys = list(product(env[universe], repeat=k))
             rank = {key: i for i, key in enumerate(keys)}
             # missing entry -> undefined tuples whose last computation read it
             waiting: dict[tuple, list] = {}
@@ -878,7 +919,7 @@ class _Compiler:
                 additions: dict[tuple, Fraction] = {}
                 for key in pending:
                     env[lo:hi] = key
-                    cell.reads = reads = set()
+                    env[reads_slot] = reads = set()
                     value = step(env)
                     if value is not None:
                         additions[key] = value
@@ -932,6 +973,145 @@ _COMPILE = {
 }
 
 
+class Plan:
+    """A query compiled once against a vocabulary and the names of the
+    caller's variables, to run on any structure of that vocabulary.
+
+    A plan holds the closures and the layout of a run's slot list (see
+    :class:`_Compiler`), nothing of a structure and nothing a run writes:
+    :meth:`run` makes the slot list, so one plan serves many structures
+    and threads at once.  ``covered`` tells whether the vocabulary
+    interprets every symbol the query uses as the query uses it.
+    """
+
+    __slots__ = ("expr", "vocabulary", "names", "fn", "covered", "base", "size", "memos", "tables", "uses_units")
+
+    def __init__(self, expr: Node, compiler: _Compiler, fn: Callable[[list], object]):
+        self.expr = expr
+        self.vocabulary = compiler.vocabulary
+        self.names = compiler.names
+        self.fn = fn
+        self.covered = compiler.covered
+        self.base, self.size = compiler.base, compiler.size
+        self.memos = tuple(compiler.memos)
+        self.tables = tuple(compiler.tables.items())
+        self.uses_units = compiler.uses_units
+
+    @depth_guard
+    def run(
+        self,
+        structure: WeightedStructure,
+        env: Optional[Mapping[str, str]] = None,
+        limits: Optional[EvalLimits] = None,
+    ) -> Value:
+        """Value of the query on ``structure`` under ``env``, which assigns
+        exactly the plan's variable names, as :func:`evaluate` gives it."""
+        slots = self._slots(structure, env, limits)
+        if slots is None:
+            return False if syntactic_kind(self.expr) == "formula" else BOT
+        value = self.fn(slots)
+        if value is None:
+            return BOT
+        return value if type(value) is bool else ExtRational(value)
+
+    def _slots(self, structure: WeightedStructure, env: Optional[Mapping], limits: Optional[EvalLimits]):
+        """The slot list of one run: the assignment, the variable slots of
+        the binders, then the run state; ``None`` if the structure does not
+        cover the query and the query has no misuse to raise."""
+        if structure.vocabulary != self.vocabulary:
+            raise UsageError("the structure's vocabulary is not the one the plan was prepared for")
+        env = env or {}
+        if len(env) != len(self.names) or any(var not in env for var in self.names):
+            raise UsageError(f"the plan assigns {list(self.names)}, not {list(env)}")
+        universe = structure.universe
+        rank = {elem: i for i, elem in enumerate(universe)}
+        for var in self.names:
+            if env[var] not in rank:
+                raise UsageError(f"assignment {var}={env[var]!r} is not a universe element")
+        if not self.covered:
+            vocabulary_of(self.expr)  # raises on misuse
+            return None
+        limits = limits or EvalLimits()
+        slots = [env[var] for var in self.names] + [None] * (self.size - len(self.names))
+        units = [(elem,) for elem in universe] if self.uses_units else None
+        slots[self.base : self.base + 6] = universe, rank, units, {}, limits.max_summands, limits.max_fixpoint_cells
+        for slot in self.memos:
+            slots[slot] = {}
+        relations, weights = structure.relations, structure.weights
+        for (kind, name), slot in self.tables:
+            if kind == "relation":
+                slots[slot] = relations.get(name, _NO_TUPLES)
+            elif kind == "weight":
+                slots[slot] = weights.get(name, _NO_VALUES)
+            else:
+                slots[slot] = weights.get(name, _NO_VALUES).get((), BOT).frac
+        return slots
+
+
+@depth_guard
+def prepare(e: Node, vocabulary: Vocabulary, names: Sequence[str] = ()) -> Plan:
+    """Compile ``e`` once for the structures of ``vocabulary`` and the
+    assignments to the variables ``names``.
+
+    Raises the errors :func:`evaluate` raises before it reads a
+    structure: a generic atom at a position of the wrong kind, and
+    unbound variables.
+    """
+    names = tuple(names)
+    if len(set(names)) != len(names):
+        raise UsageError(f"variable names repeat: {list(names)}")
+    return _prepare(e, vocabulary, names, lambda compiler: compiler.compile(e, compiler.root, term=None))
+
+
+# the variable slots a compile first leaves to the binders, past the caller's
+_HEADROOM = 16
+
+
+def _prepare(e: Node, vocabulary: Vocabulary, names: tuple, root: Callable[[_Compiler], tuple]) -> Plan:
+    """The plan of the closure ``root`` compiles from ``e``, compiled again
+    with more headroom if its binders nest deeper than the first compile
+    left room for."""
+    headroom = _HEADROOM
+    while True:
+        compiler = _Compiler(vocabulary, names, headroom)
+        fn, _ = root(compiler)
+        if compiler.top <= compiler.base:
+            return compiler.plan(e, fn)
+        headroom = compiler.top - compiler.root.top
+
+
+# the plans of the latest evaluate calls by query, vocabulary and variable
+# names, least recently used first
+_PLANS: OrderedDict = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+_PLANS_HELD = 32
+
+
+def purge() -> None:
+    """Forget every plan :func:`evaluate` keeps, so that each query is
+    compiled again on its next call."""
+    with _PLANS_LOCK:
+        _PLANS.clear()
+
+
+def _plan(e: Node, vocabulary: Vocabulary, names: tuple) -> Plan:
+    """The kept plan of ``e`` for ``vocabulary`` and ``names``, or a new one."""
+    key = (e, vocabulary, names)
+    hash(e)  # a new query's nodes are hashed outside the lock
+    with _PLANS_LOCK:
+        kept = _PLANS.get(key)
+        if kept is not None:
+            _PLANS.move_to_end(kept[0])  # the kept key: no second comparison of the queries
+            return kept[1]
+    plan = prepare(e, vocabulary, names)
+    with _PLANS_LOCK:
+        # a thread that made the same plan meanwhile keeps its own
+        kept = _PLANS.setdefault(key, (key, plan))
+        if len(_PLANS) > _PLANS_HELD:
+            _PLANS.popitem(last=False)
+    return kept[1]
+
+
 @depth_guard
 def evaluate(
     e: Node,
@@ -947,18 +1127,11 @@ def evaluate(
     applies.  Below the root a generic atom that reads a relation must
     stand for a formula, and one that reads a weight for a term.  An
     expression nested past the Python stack raises :class:`ResourceError`
-    through :func:`wsq.errors.depth_guard`.
+    through :func:`wsq.errors.depth_guard`.  The same as
+    ``prepare(e, structure.vocabulary, env).run(structure, env, limits)``,
+    with the plan kept for the next call (see the module docstring).
     """
-    compiler = _Compiler(structure, limits or EvalLimits(), env)
-    fn, _ = compiler.compile(e, compiler.root, term=None)
-    slots = compiler.environment()
-    if not compiler.covered:
-        vocabulary_of(e)  # raises on misuse
-        return False if syntactic_kind(e) == "formula" else BOT
-    value = fn(slots)
-    if value is None:
-        return BOT
-    return value if type(value) is bool else ExtRational(value)
+    return _plan(e, structure.vocabulary, tuple(env or ())).run(structure, env, limits)
 
 
 @depth_guard
@@ -977,11 +1150,9 @@ def ifp_iterate(
     arguments must make a well-formed :class:`Ifp` node.
     """
     n = Ifp(name, tuple(vars_), body, tuple(vars_))
-    compiler = _Compiler(structure, limits or EvalLimits(), env)
-    run, _ = compiler.fixpoint(n, compiler.root)
-    slots = compiler.environment()
-    if not compiler.covered:
-        vocabulary_of(n)  # raises on misuse
+    plan = _prepare(n, structure.vocabulary, tuple(env or ()), lambda compiler: compiler.fixpoint(n, compiler.root))
+    slots = plan._slots(structure, env, limits)
+    if slots is None:
         raise UsageError("fixed-point body uses symbols the structure does not interpret")
-    table, rounds = run(slots)
+    table, rounds = plan.fn(slots)
     return FixpointTable({key: ExtRational(value) for key, value in table.items()}, rounds)

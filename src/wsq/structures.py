@@ -39,6 +39,8 @@ class Vocabulary:
 
     Names are unique across both kinds, both maps are read-only, and an
     arity is an int (not a bool) of 0 or more; 0-ary weights are constants.
+    Vocabularies with the same symbols, kinds and arities are equal and
+    hash alike.
     """
 
     relations: Mapping[str, int] = field(default_factory=dict)
@@ -53,6 +55,9 @@ class Vocabulary:
                 raise UsageError(f"bad arity for symbol {name!r}: {arity!r}")
         object.__setattr__(self, "relations", MappingProxyType(dict(self.relations)))
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.relations.items()), frozenset(self.weights.items())))
 
     def merged(self, other: "Vocabulary") -> "Vocabulary":
         clash = (set(self.relations) | set(self.weights)) & (set(other.relations) | set(other.weights))

@@ -24,3 +24,14 @@ def parse_calls(monkeypatch) -> list:
     parse = ExtRational.parse
     monkeypatch.setattr(ExtRational, "parse", staticmethod(lambda text: texts.append(text) or parse(text)))
     return texts
+
+
+@pytest.fixture
+def fresh_plans():
+    """For a test that patches the compiler: every query it evaluates is
+    compiled under the patch, and no plan compiled so outlives the test."""
+    from wsq.evaluator import purge
+
+    purge()
+    yield
+    purge()

@@ -1,11 +1,13 @@
 """Semantics engine: quantifiers, summation, fixed points, defaults, guards."""
 
 import functools
+import gc
 import itertools
 import operator
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -27,7 +29,7 @@ from ref_eval import normalize, ref_evaluate, structure_covers
 import wsq.evaluator
 import wsq.numerics
 from wsq.errors import ResourceError, UsageError
-from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate
+from wsq.evaluator import EvalLimits, _Compiler, evaluate, ifp_iterate, prepare, purge
 from wsq.fnn import forward, pwl_integral, to_pwl, with_input
 from wsq.numerics import ARITH, BOT, ORDER, ExtRational, arith, compare, rational
 from wsq.queries import (
@@ -1022,28 +1024,52 @@ class TestCompiledEvaluation:
     def test_threads_share_one_ast_and_structure(self):
         net = random_fnn(random.Random(35), max_depth=4, max_width=4, mag=20)
         s = with_input(net, [Fraction(1, k + 2) for k in range(net.input_dim)])
-        queries = [make_eval_node(), make_eval(net.depth, 1), make_useless(net.depth)]
+        builds = [make_eval_node, lambda: make_eval(net.depth, 1), lambda: make_useless(net.depth)]
+        queries = [build() for build in builds]
         u, v = next(iter(net.structure.weights["wt"]))
         envs = [{}, {}, {"x0": u, "y0": v}]
+        # each thread also asks separately built, equal queries of its own input
+        inputs = [with_input(net, [Fraction(k - t, t + 2) for k in range(net.input_dim)]) for t in range(4)]
+        purge()
         expected = [evaluate(q, s, env) for q, env in zip(queries, envs)]
+        own = [[evaluate(build(), x, env) for build, env in zip(builds, envs)] for x in inputs]
+        plans = [plan for _, plan in wsq.evaluator._PLANS.values()]
+        assert len(plans) == 3
         results: list = []
+        owned: list = [[] for _ in inputs]
 
-        def work():
+        def work(t):
             for _ in range(5):
                 results.append([evaluate(q, s, env) for q, env in zip(queries, envs)])
+                owned[t].append([evaluate(build(), inputs[t], env) for build, env in zip(builds, envs)])
 
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [expected] * 20
+        def run_threads():
+            results.clear()
+            for answers in owned:
+                answers.clear()
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(previous)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * 20
+            assert owned == [[answers] * 5 for answers in own]
+
+        run_threads()
+        # every call ran one of the three plans made before the threads
+        assert [plan for _, plan in wsq.evaluator._PLANS.values()] == plans
+        outputs = [forward(net, [Fraction(k - t, t + 2) for k in range(net.input_dim)]) for t in range(4)]
+        assert [answers[0].frac for answers in own] == [sum(o.frac for o in out) / len(out) for out in outputs]
+        # from an empty cache the threads race to make the plans: one is kept per query
+        purge()
+        run_threads()
+        assert len(wsq.evaluator._PLANS) == 3
 
     def test_agrees_with_reference_on_nested_binders(self):
         rng = random.Random(36)
@@ -1191,7 +1217,8 @@ def _total_structure(rng):
 
 def _count_arithmetic(monkeypatch, *ops):
     """Counts of the evaluator's applications of ``ops`` to defined
-    operands, for the closures compiled from here on."""
+    operands, for the closures compiled from here on (with ``fresh_plans``,
+    every closure the test runs)."""
     counts = dict.fromkeys(ops, 0)
     for op in ops:
 
@@ -1206,11 +1233,16 @@ def _count_arithmetic(monkeypatch, *ops):
 class TestHoisting:
     """Compound terms that ignore an enclosing loop's variable are memoised."""
 
-    def test_agrees_with_unmemoised_evaluation_and_reference(self, monkeypatch):
+    def test_agrees_with_unmemoised_evaluation_and_reference(self, monkeypatch, fresh_plans):
         # with every memo switched off, the evaluator runs each node at each
         # iteration: the value, or the first error, must not change
         rng = random.Random(46)
         seen = {"value": 0, "bot": 0, "error": 0}
+        unmemoised = [0]
+
+        def no_memo(self, fn, mask, scope, *parts):
+            unmemoised[0] += 1
+            return fn
 
         def outcome(e, s, env, limits):
             try:
@@ -1225,8 +1257,10 @@ class TestHoisting:
             limits = EvalLimits(max_summands=rng.choice((2, 4, 10**6)))
             got = outcome(e, s, env, limits)
             with monkeypatch.context() as m:
-                m.setattr(_Compiler, "_memo", lambda self, fn, mask, scope, *parts: fn)
+                m.setattr(_Compiler, "_memo", no_memo)
+                purge()
                 assert got == outcome(e, s, env, limits)
+            purge()
             if isinstance(got, str):
                 seen["error"] += 1
                 continue
@@ -1234,8 +1268,9 @@ class TestHoisting:
             if limits.max_summands == 10**6:
                 assert got == normalize(ref_evaluate(e, s, env))
         assert min(seen.values()) >= 20, seen
+        assert unmemoised[0] >= 200
 
-    def test_invariant_quotient_runs_once_per_binding(self, monkeypatch):
+    def test_invariant_quotient_runs_once_per_binding(self, monkeypatch, fresh_plans):
         # under loops over x, y, z the quotient reads x and z only: it runs
         # once per (x, z), while the leaf-op-leaf f(z) - 1 is not memoised
         counts = _count_arithmetic(monkeypatch, "/", "-")
@@ -1254,7 +1289,7 @@ class TestHoisting:
         assert normalize(evaluate(q, s)) == expected
         assert counts == {"/": 9, "-": 27}
 
-    def test_bot_valued_quotient_runs_once_per_binding(self, monkeypatch):
+    def test_bot_valued_quotient_runs_once_per_binding(self, monkeypatch, fresh_plans):
         # f(x) / (f(x) - f(x)) is bot and reads x only: under the loop over
         # y the memo must tell its stored bot from a missing entry, so the
         # subtraction runs once per x and not once per (x, y)
@@ -1348,30 +1383,29 @@ class TestSharedSubterms:
                 assert got == normalize(ref_evaluate(e, s, env))
         assert min(seen.values()) >= 30, seen
 
-    def test_integration_template_compiles_each_scope_once(self, monkeypatch):
+    def test_integration_template_compiles_each_scope_once(self, monkeypatch, fresh_plans):
         # 16 sibling sum {z1, z2} binders share one scope; fresh slots per
         # binder occurrence would take 4 539 compile calls and 231 slots
         calls, sizes = [0], []
-        compile_, environment = _Compiler.compile, _Compiler.environment
+        compile_, plan = _Compiler.compile, _Compiler.plan
 
         def counting_compile(self, *args, **kwargs):
             calls[0] += 1
             return compile_(self, *args, **kwargs)
 
-        def sizing_environment(self, *args):
-            slots = environment(self, *args)
-            sizes.append(len(slots))
-            return slots
+        def sizing_plan(self, *args):
+            sizes.append(self.top)  # the variable slots
+            return plan(self, *args)
 
         monkeypatch.setattr(_Compiler, "compile", counting_compile)
-        monkeypatch.setattr(_Compiler, "environment", sizing_environment)
+        monkeypatch.setattr(_Compiler, "plan", sizing_plan)
         net, s = _wide_integration_structure(8)
         expected = pwl_integral(to_pwl(net), rational(-5), rational(5))
         assert evaluate(make_integrate_2_1(), s) == expected
-        assert calls[0] <= 1500
+        assert 0 < calls[0] <= 1500
         assert sizes == [sizes[0]] and sizes[0] <= 8
 
-    def test_shared_quotient_runs_once_per_binding_across_sibling_binders(self, monkeypatch):
+    def test_shared_quotient_runs_once_per_binding_across_sibling_binders(self, monkeypatch, fresh_plans):
         # the quotient reads x only and sits under two sibling binders of
         # y: one closure and one memo serve both, so it runs once per x
         counts = _count_arithmetic(monkeypatch, "/")
@@ -1584,7 +1618,7 @@ class TestSparseEnumeration:
         assert evaluate(make_basic("triangles_count"), two_triangle_graph) == rational(6)
         assert built == [("wt", (0, 1)), ("wt", (-1, 0)), ("wt", (0, -1))]
 
-    def test_later_slots_draw_only_their_intersection(self, monkeypatch, two_triangle_graph):
+    def test_later_slots_draw_only_their_intersection(self, monkeypatch, fresh_plans, two_triangle_graph):
         # with every usable conjunct naming a slot, the candidates are
         # exactly the bindings that satisfy the guard
         drawn = [0]
@@ -1614,7 +1648,7 @@ class TestSparseEnumeration:
             assert normalize(ref_evaluate(q, s)) == ("term", answer)
             assert drawn[0] == answer, text
 
-    def test_agrees_with_reference_on_wide_guards(self, monkeypatch):
+    def test_agrees_with_reference_on_wide_guards(self, monkeypatch, fresh_plans):
         # two- and three-variable binders under two to four conjuncts in
         # every argument order, with repeated and outer variables, also in
         # fixed-point bodies, where conjuncts may read the intensional symbol
@@ -1661,13 +1695,15 @@ class TestSparseEnumeration:
             outcomes["bot" if value is None else "zero" if value == 0 else "nonzero"] += 1
         assert outcomes["nonzero"] >= 120, outcomes
 
-    def test_binders_test_only_the_residual(self, monkeypatch, two_triangle_graph):
+    def test_binders_test_only_the_residual(self, monkeypatch, fresh_plans, two_triangle_graph):
         # counts the runs of each formula closure, nested ones too: a
         # binder runs only the guard conjuncts its draw does not enforce
         runs: dict[str, int] = {}
         original = _Compiler.compile
+        compiled = [0]
 
         def counting(self, n, scope, term=False):
+            compiled[0] += 1
             fn, mask = original(self, n, scope, term)
             if term is not False:
                 return fn, mask
@@ -1708,6 +1744,7 @@ class TestSparseEnumeration:
             assert runs == expected, text
             assert got == (answer if type(answer) is bool else rational(answer)), text
             assert normalize(got) == normalize(ref_evaluate(q, s, env)), text
+        assert compiled[0] > 0
 
     def test_coverage_is_decided_by_the_whole_guard(self, two_triangle_graph):
         # the misuse, the uncovered symbol or the free variable sits only
@@ -1777,13 +1814,14 @@ class TestTrackedFixpoint:
             table = ifp_iterate("F", ("v0",), body, s, env)
             assert (table.entries, table.rounds) == _reference_iteration("v0", body, s, env)
 
-    def test_eval_node_body_registers_no_memo(self, monkeypatch):
+    def test_eval_node_body_registers_no_memo(self, monkeypatch, fresh_plans):
         # memo tables never live inside a fixed-point body, not even for a
         # binder that ignores the body's tuple
-        registered = []
+        registered, asked = [], [0]
         original = _Compiler._memo
 
         def spy(self, fn, mask, scope, *parts):
+            asked[0] += 1
             out = original(self, fn, mask, scope, *parts)
             if out is not fn and scope.cells:
                 registered.append(mask)
@@ -1800,7 +1838,7 @@ class TestTrackedFixpoint:
             "else if exists z F(z) != bot then 2 else bot) (x)"
         )
         assert evaluate(replaying, path_net(3).structure, {"x": "n3"}) == rational(2)
-        assert registered == []
+        assert registered == [] and asked[0] > 0
 
 
 def _signed_weights():
@@ -1900,3 +1938,125 @@ class TestFoldAccumulator:
         with pytest.raises(ResourceError) as exc:
             evaluate(parse(f"{kind} {{x : f(x) != bot}} f(x)"), s)
         assert str(exc.value) == f"'{kind}' result exceeds 1048576 bits"
+
+
+def _outcome(run):
+    """The normalised value ``run`` returns, or the type and text of the
+    usage or resource error it raises."""
+    try:
+        return normalize(run())
+    except (UsageError, ResourceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kept_and_fresh(build, s, env=None, limits=None):
+    """The outcome of a newly built query through ``evaluate``, which
+    reuses a kept plan, and through a fresh ``prepare``."""
+    kept = _outcome(lambda: evaluate(build(), s, env, limits))
+    fresh = _outcome(lambda: prepare(build(), s.vocabulary, tuple(env or ())).run(s, env, limits))
+    assert kept == fresh
+    return kept
+
+
+class TestPlans:
+    """A plan kept across ``evaluate`` calls answers as a fresh compile
+    does, reads every structure, assignment and budget anew, and holds
+    nothing of a structure."""
+
+    def test_integration_over_varying_intervals(self):
+        net, _ = _wide_integration_structure(4)
+        p = to_pwl(net)
+        rng = random.Random(70)
+        for _ in range(12):
+            lo = Fraction(rng.randint(-12, 4), rng.randint(1, 3))
+            hi = lo + Fraction(rng.randint(0, 12), rng.randint(1, 3))
+            s = net.structure.expand(weights={"lo": (0, {(): lo}), "hi": (0, {(): hi})})
+            assert _kept_and_fresh(make_integrate_2_1, s) == ("term", pwl_integral(p, rational(lo), rational(hi)).frac)
+        # without the interval constants the structure takes the default
+        assert _kept_and_fresh(make_integrate_2_1, net.structure) == ("term", None)
+
+    def test_useless_edge_over_varying_edges_and_inputs(self):
+        net = random_fnn(random.Random(71), max_depth=3, max_width=3, mag=6)
+        rng = random.Random(72)
+        edges = sorted(net.structure.weights["wt"])
+        for _ in range(10):
+            s = with_input(net, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(net.input_dim)])
+            x0, y0 = rng.choice(edges)
+            env = {"x0": x0, "y0": y0}
+            got = _kept_and_fresh(lambda: make_useless(net.depth), s, env)
+            # the same names in the other order make another plan, same answer
+            assert _kept_and_fresh(lambda: make_useless(net.depth), s, {"y0": y0, "x0": x0}) == got
+            assert got == normalize(ref_evaluate(make_useless(net.depth), s, env))
+
+    def test_one_limits_object_mutated_between_calls(self):
+        s = _signed_weights()
+        limits = EvalLimits()
+        # 12 summands, then a fixed point of 4 cells
+        build = lambda: parse("sum {x, y : f(x) != bot} 1 + ifp (F(x) <- 1) (x)")
+        env = {"x": "a"}
+        assert _kept_and_fresh(build, s, env, limits) == ("term", Fraction(13))
+        limits.max_summands = 11
+        assert _kept_and_fresh(build, s, env, limits) == ("ResourceError", "summation exceeds 11 summands")
+        limits.max_summands, limits.max_fixpoint_cells = 12, 3
+        assert _kept_and_fresh(build, s, env, limits) == (
+            "ResourceError",
+            "fixed-point table needs 4 cells, budget is 3",
+        )
+        limits.max_fixpoint_cells = 4
+        assert _kept_and_fresh(build, s, env, limits) == ("term", Fraction(13))
+
+    def test_misuse_and_resource_errors_match(self, monkeypatch):
+        s = _signed_weights()
+        text = lambda t: lambda: parse(t)
+        cases = [
+            (text("f(x) + f(x, x)"), {"x": "a"}, ("UsageError", "symbol 'f' used with arities 1 and 2")),
+            (text("f(x) + 1"), {"x": "zz"}, ("UsageError", "assignment x='zz' is not a universe element")),
+            (text("f(x) + f(y)"), {"x": "a"}, ("UsageError", "unbound variables: y")),
+            (lambda: Exists("x", Atom("f", ("x",))), {}, ("UsageError", "weight atom f(x) used as a formula")),
+            # a symbol the structure lacks: the default
+            (text("g(x) + 1"), {"x": "a"}, ("term", None)),
+            (text("f(x) * f(x) * f(x) * 3 * 3"), {"x": "c"}, ("term", Fraction(243))),
+        ]
+        for build, env, want in cases:
+            assert _kept_and_fresh(build, s, env) == want, to_text(build())
+        # the bit bound is read when a result is checked, not when a plan is made
+        monkeypatch.setattr(wsq.numerics, "MAX_BITS", 6)
+        build, env, _ = cases[-1]
+        assert _kept_and_fresh(build, s, env) == ("ResourceError", "'*' result exceeds 6 bits")
+
+    def test_a_plan_refuses_another_vocabulary_or_assignment(self, two_triangle_graph):
+        plan = prepare(parse("sum {y : wt(x, y) != bot} wt(x, y)"), two_triangle_graph.vocabulary, ("x",))
+        assert plan.run(two_triangle_graph, {"x": "a"}) == evaluate(plan.expr, two_triangle_graph, {"x": "a"})
+        with pytest.raises(UsageError, match="vocabulary"):
+            plan.run(_signed_weights(), {"x": "a"})
+        with pytest.raises(UsageError, match=r"the plan assigns \['x'\], not \['y'\]"):
+            plan.run(two_triangle_graph, {"y": "a"})
+        with pytest.raises(UsageError, match="repeat"):
+            prepare(plan.expr, two_triangle_graph.vocabulary, ("x", "x"))
+
+    def test_the_cache_stays_at_its_bound(self):
+        s = _signed_weights()
+        purge()
+        held = wsq.evaluator._PLANS_HELD
+        for k in range(2, held + 12):
+            assert evaluate(parse(f"sum {{x : f(x) != bot}} {k}"), s) == rational(3 * k)
+            assert len(wsq.evaluator._PLANS) == min(k - 1, held)
+        # the latest query is kept, the first evicted
+        latest = parse(f"sum {{x : f(x) != bot}} {held + 11}")
+        assert (latest, s.vocabulary, ()) in wsq.evaluator._PLANS
+        assert (parse("sum {x : f(x) != bot} 2"), s.vocabulary, ()) not in wsq.evaluator._PLANS
+        purge()
+        assert not wsq.evaluator._PLANS
+
+    def test_a_plan_holds_no_structure(self):
+        net, s = _wide_integration_structure(2)
+        x = [Fraction(1, 3)]
+        held = [weakref.ref(s), weakref.ref(s.relations["le_in"])]
+        s2 = with_input(net, x)
+        held.append(weakref.ref(s2))
+        evaluate(make_integrate_2_1(), s)
+        evaluate(make_eval_node(), s2)
+        evaluate(make_useless(net.depth), s2, {"x0": "u", "y0": "h0"})
+        del net, s, s2
+        gc.collect()
+        assert [ref() for ref in held] == [None, None, None]

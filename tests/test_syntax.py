@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import pickle
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -1122,3 +1124,80 @@ class TestNodeGrammar:
                 with pytest.raises(UsageError) as caught:
                     dataclasses.replace(node, vars=("y", "x", "y"), body=RelAtom("p", ("x",)), **applied)
                 assert str(caught.value) == "duplicate variable 'y' in binder"
+
+    def test_every_name_field_refuses_what_is_not_a_str(self):
+        leaves = [ElemEq("x", "y"), RelAtom("p", ("x",)), WeightAtom("w", ("x",)), Atom("a", ("x",))]
+        checked = set()
+        for node in [*leaves, *_WELL_FORMED]:
+            for f in dataclasses.fields(node):
+                if f.type == "str":
+                    wrongs = [(7, "int"), (None, "NoneType")]
+                    sort = "str"
+                elif f.type == "tuple[str, ...]":
+                    wrongs = [(["x"], "list"), (("x", 1), "tuple holding int"), ("x", "str")]
+                    sort = "tuple of str"
+                else:
+                    continue
+                for value, found in wrongs:
+                    with pytest.raises(UsageError) as caught:
+                        dataclasses.replace(node, **{f.name: value})
+                    message = str(caught.value)
+                    if f.name in ("op", "kind"):
+                        assert message.startswith("unknown ") and message.endswith(repr(value))
+                    else:
+                        assert message == f"{type(node).__name__}.{f.name} must be a {sort}, not {found}"
+                    checked.add((type(node).__name__, f.name))
+        assert len(checked) == 18
+
+    def test_a_literal_is_a_rational_above_0_other_than_1(self):
+        for value, found in [
+            (0.5, "float"),
+            ("2", "str"),
+            (True, "bool"),
+            (None, "NoneType"),
+            (0, "0"),
+            (1, "1"),
+            (Fraction(0), "0"),
+            (Fraction(2, 2), "1"),
+            (-2, "-2"),
+            (Fraction(-1, 2), "-1/2"),
+        ]:
+            with pytest.raises(UsageError) as caught:
+                Literal(value)
+            assert str(caught.value) == f"Literal.value must be a rational above 0 other than 1, not {found}"
+        assert type(Literal(5).value) is Fraction and Literal(5) == Literal(Fraction(5))
+        for value in (2, Fraction(1, 3), Fraction(7, 2), Fraction(10**30 + 1, 7), 10**40):
+            for e in (Literal(value), Arith("-", Zero(), Literal(value)), Sum(("x",), ElemEq("x", "x"), Literal(value))):
+                assert parse(to_text(e)) == e, value
+
+
+class TestNodeIdentity:
+    """A node's hash is computed once per object and equality compares each
+    pair of objects once, so separate builds of one DAG hash and compare in
+    time linear in their objects, not their paths."""
+
+    def test_hash_and_equality_of_a_deep_template(self):
+        # make_eval(40, 1) has 3^40 paths but a few hundred objects
+        start = time.perf_counter()
+        a, b = make_eval(40, 1), make_eval(40, 1)
+        assert a is not b and hash(a) == hash(b) and a == b
+        assert a != make_eval(39, 1) and a != make_eval(40, 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_two_parses_at_different_offsets_compare_equal(self):
+        text = "sum {x, y : e(x, y) and not x = y} (w(x) + 3/4) * w(y)"
+        a, b = parse(text), parse("\n\n   " + text.replace(" and ", "\n  and "))
+        assert a.span != b.span and a.right.span != b.right.span
+        assert hash(a) == hash(b) and a == b and {a: 1}[b] == 1
+        assert a != parse(text.replace("3/4", "3/5"))
+
+    def test_equality_against_other_values(self):
+        assert One() == One() and Zero() != One() and One() != 1 and BotConst() != None
+        assert Aggregate("count", ("x",), ElemEq("x", "x"), None) != Aggregate("count", ("y",), ElemEq("x", "x"), None)
+
+    def test_a_stored_hash_is_not_pickled(self):
+        e = make_useless(3)
+        hash(e)
+        back = pickle.loads(pickle.dumps(e))
+        assert "_hash" in e.__dict__ and "_hash" not in back.__dict__
+        assert back == e and hash(back) == hash(e)
