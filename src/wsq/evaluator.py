@@ -27,8 +27,8 @@ bottom-up.  A plan runs on any structure of its vocabulary
 (:meth:`Plan.run`).  The closures receive one list of slots per run.
 Variables live in slots numbered by nesting level, the caller's
 assignment from slot 0, so a binder that reuses an outer name needs no
-save and restore.  Above them a run's own state fills further slots:
-the universe and each element's position in it, the tables the query
+save and restore.  A run's own state fills the slots counted from the
+end of the list (-1, -2, ...), so one compile numbers both: the universe and each element's position in it, the tables the query
 reads and the values of nullary weights, the budgets of the
 :class:`EvalLimits` passed, memo tables, support indexes and the live
 tables of fixed points.
@@ -121,7 +121,8 @@ per round.
 
 :func:`evaluate` keeps the plans of its latest 32 distinct keys, least
 recently used first out; a key is the query, the vocabulary and the
-tuple of the assignment's names, so an equal query built or parsed anew
+sorted tuple of the assignment's names, so one plan serves every order
+of the same names and an equal query built or parsed anew
 finds the plan of the first (a node hashes and compares in time linear
 in its objects).  A plan holds closures and slot numbers, nothing of a
 structure and nothing a run writes: memo tables, support indexes,
@@ -208,6 +209,9 @@ _ZERO = Fraction(0)
 # the tables of a symbol a structure lacks
 _NO_TUPLES: frozenset = frozenset()
 _NO_VALUES: Mapping = {}
+
+# the first run-state slots of every plan, from the end of the slot list
+_UNIVERSE, _RANK, _UNITS, _INDEXES, _SUMMANDS, _CELLS = range(-1, -7, -1)
 
 
 @dataclass
@@ -373,29 +377,24 @@ class _Compiler:
     docstring); ``arities`` holds each fixed-point symbol's arity.
 
     Variable slots are numbered from 0, and ``top`` is the most the
-    binders have taken so far.  The closures read everything a run owns
-    from the slots above, from ``base``, which leaves ``headroom`` slots
-    to the binders: a compile whose binders take more is discarded (see
-    :func:`_prepare`).  The first six hold the universe,
-    each element's position in it (``rank``), the universe as 1-tuples
-    if a binder runs a slot over it (``units``, then ``uses_units`` is
-    true), the support indexes built so far, and the budgets
-    ``summands`` and ``cells``; the attributes of those names are their
-    slot numbers.  Then come, in the order the compile takes them, one
+    binders have taken.  The closures read everything a run owns from
+    negative slots, counted from the end of the list; ``state`` is how
+    many.  The first six hold the universe, each element's position in
+    it, the universe as 1-tuples if a binder runs a slot over it (then
+    ``uses_units`` is true), the support indexes built so far, and the
+    budgets of summands and of fixed-point cells (``_UNIVERSE`` to
+    ``_CELLS``).  Then come, in the order the compile takes them, one
     slot per memo table (listed in ``memos``), per symbol table a run
     reads (``tables`` maps its kind and name to the slot), per support
-    index, and per fixed point's table and set of reads.  ``size`` is
-    the length of a run's slot list.
+    index, and per fixed point's table and set of reads.
     """
 
-    def __init__(self, vocabulary: Vocabulary, names: tuple, headroom: int):
+    def __init__(self, vocabulary: Vocabulary, names: tuple):
         self.vocabulary = vocabulary
         self.names = names
         self.root = _Scope(None, names, {})
         self.top = self.root.top
-        self.base = self.root.top + headroom
-        self.universe, self.rank, self.units, self.indexes, self.summands, self.cells = range(self.base, self.base + 6)
-        self.size = self.base + 6
+        self.state = -_CELLS
         self.memos: list[int] = []
         self.tables: dict[tuple[str, str], int] = {}
         self.uses_units = False
@@ -427,9 +426,9 @@ class _Compiler:
     # -- run state ------------------------------------------------------
 
     def _state(self) -> int:
-        """A fresh slot of the run state."""
-        self.size += 1
-        return self.size - 1
+        """A fresh slot of the run state, counted from the end."""
+        self.state += 1
+        return -self.state
 
     def _table(self, kind: str, name: str) -> int:
         """The slot of a run's ``relation`` or ``weight`` table of ``name``,
@@ -443,7 +442,7 @@ class _Compiler:
 
     def _slot(self, scope: _Scope, var: str) -> int:
         if var not in scope.slots:
-            self.unbound.add(var)  # environment() raises before a closure runs
+            self.unbound.add(var)  # plan() raises before a closure runs
         return scope.slots.get(var, 0)
 
     def _slots(self, scope: _Scope, args: tuple) -> tuple[list, int]:
@@ -506,10 +505,10 @@ class _Compiler:
         docstring); a slot no usable conjunct names runs over the universe.
         The binder tests only the residual, the guard's other conjuncts.
         """
-        universe, k = self.universe, hi - lo
+        k = hi - lo
         head, mid, tails = draw
         if head is None and not any(tails):
-            return lambda env: product(env[universe], repeat=k)
+            return lambda env: product(env[_UNIVERSE], repeat=k)
         if mid == hi:
             return self._support(head, lo, hi)
         bindings = None
@@ -538,8 +537,7 @@ class _Compiler:
         in the supports of all of ``conjs`` under the earlier slots."""
         if not conjs:
             self.uses_units = True
-            units = self.units
-            return lambda env: env[units]
+            return lambda env: env[_UNITS]
         first = self._support(conjs[0], slot, slot + 1)
         if len(conjs) == 1:
             return first
@@ -571,12 +569,12 @@ class _Compiler:
                 found.append(slot)
         signature = (name, tuple(roles))
         key = _tuple_getter(bound)
-        indexes, rank, box = self.indexes, self.rank, self._state()
+        box = self._state()
 
         def lookup(env):
             index = env[box]
             if index is None:
-                index = env[box] = _support_index(env[indexes], signature, env[table], env[rank])
+                index = env[box] = _support_index(env[_INDEXES], signature, env[table], env[_RANK])
             return index.get(key(env), ())
 
         return lookup
@@ -839,13 +837,12 @@ class _Compiler:
         ``test``, with running accumulators."""
         hi = lo + len(n.vars)
         kind = "sum" if type(n) is Sum else n.kind
-        budget = self.summands
         noun = "summation" if kind == "sum" else "aggregate"
         counting, additive = kind == "count", kind in ("sum", "avg")
         better = gt if kind == "max" else lt
 
         def fold(env):
-            limit = env[budget]
+            limit = env[_SUMMANDS]
             count = 0
             acc = _ZERO
             best = _MISSING
@@ -901,15 +898,14 @@ class _Compiler:
         lo, hi = scope.top, inner.top
         self.top = max(self.top, hi)
         step, mask = self.compile(n.body, inner, term=True)
-        universe, budget = self.universe, self.cells
 
         def run(env) -> tuple[dict, int]:
-            cells, limit = len(env[universe]) ** k, env[budget]
+            cells, limit = len(env[_UNIVERSE]) ** k, env[_CELLS]
             if cells > limit:
                 raise ResourceError(f"fixed-point table needs {cells} cells, budget is {limit}")
             table: dict[tuple, Fraction] = {}
             env[table_slot] = table
-            keys = list(product(env[universe], repeat=k))
+            keys = list(product(env[_UNIVERSE], repeat=k))
             rank = {key: i for i, key in enumerate(keys)}
             # missing entry -> undefined tuples whose last computation read it
             waiting: dict[tuple, list] = {}
@@ -984,7 +980,7 @@ class Plan:
     interprets every symbol the query uses as the query uses it.
     """
 
-    __slots__ = ("expr", "vocabulary", "names", "fn", "covered", "base", "size", "memos", "tables", "uses_units")
+    __slots__ = ("expr", "vocabulary", "names", "fn", "covered", "size", "memos", "tables", "uses_units")
 
     def __init__(self, expr: Node, compiler: _Compiler, fn: Callable[[list], object]):
         self.expr = expr
@@ -992,7 +988,7 @@ class Plan:
         self.names = compiler.names
         self.fn = fn
         self.covered = compiler.covered
-        self.base, self.size = compiler.base, compiler.size
+        self.size = compiler.top + compiler.state
         self.memos = tuple(compiler.memos)
         self.tables = tuple(compiler.tables.items())
         self.uses_units = compiler.uses_units
@@ -1033,8 +1029,10 @@ class Plan:
             return None
         limits = limits or EvalLimits()
         slots = [env[var] for var in self.names] + [None] * (self.size - len(self.names))
-        units = [(elem,) for elem in universe] if self.uses_units else None
-        slots[self.base : self.base + 6] = universe, rank, units, {}, limits.max_summands, limits.max_fixpoint_cells
+        slots[_UNIVERSE], slots[_RANK], slots[_INDEXES] = universe, rank, {}
+        slots[_SUMMANDS], slots[_CELLS] = limits.max_summands, limits.max_fixpoint_cells
+        if self.uses_units:
+            slots[_UNITS] = [(elem,) for elem in universe]
         for slot in self.memos:
             slots[slot] = {}
         relations, weights = structure.relations, structure.weights
@@ -1060,24 +1058,9 @@ def prepare(e: Node, vocabulary: Vocabulary, names: Sequence[str] = ()) -> Plan:
     names = tuple(names)
     if len(set(names)) != len(names):
         raise UsageError(f"variable names repeat: {list(names)}")
-    return _prepare(e, vocabulary, names, lambda compiler: compiler.compile(e, compiler.root, term=None))
-
-
-# the variable slots a compile first leaves to the binders, past the caller's
-_HEADROOM = 16
-
-
-def _prepare(e: Node, vocabulary: Vocabulary, names: tuple, root: Callable[[_Compiler], tuple]) -> Plan:
-    """The plan of the closure ``root`` compiles from ``e``, compiled again
-    with more headroom if its binders nest deeper than the first compile
-    left room for."""
-    headroom = _HEADROOM
-    while True:
-        compiler = _Compiler(vocabulary, names, headroom)
-        fn, _ = root(compiler)
-        if compiler.top <= compiler.base:
-            return compiler.plan(e, fn)
-        headroom = compiler.top - compiler.root.top
+    compiler = _Compiler(vocabulary, names)
+    fn, _ = compiler.compile(e, compiler.root, term=None)
+    return compiler.plan(e, fn)
 
 
 # the plans of the latest evaluate calls by query, vocabulary and variable
@@ -1131,7 +1114,7 @@ def evaluate(
     ``prepare(e, structure.vocabulary, env).run(structure, env, limits)``,
     with the plan kept for the next call (see the module docstring).
     """
-    return _plan(e, structure.vocabulary, tuple(env or ())).run(structure, env, limits)
+    return _plan(e, structure.vocabulary, tuple(sorted(env or ()))).run(structure, env, limits)
 
 
 @depth_guard
@@ -1150,7 +1133,9 @@ def ifp_iterate(
     arguments must make a well-formed :class:`Ifp` node.
     """
     n = Ifp(name, tuple(vars_), body, tuple(vars_))
-    plan = _prepare(n, structure.vocabulary, tuple(env or ()), lambda compiler: compiler.fixpoint(n, compiler.root))
+    compiler = _Compiler(structure.vocabulary, tuple(env or ()))
+    run, _ = compiler.fixpoint(n, compiler.root)
+    plan = compiler.plan(n, run)
     slots = plan._slots(structure, env, limits)
     if slots is None:
         raise UsageError("fixed-point body uses symbols the structure does not interpret")

@@ -1979,14 +1979,35 @@ class TestPlans:
         net = random_fnn(random.Random(71), max_depth=3, max_width=3, mag=6)
         rng = random.Random(72)
         edges = sorted(net.structure.weights["wt"])
+        purge()
         for _ in range(10):
             s = with_input(net, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(net.input_dim)])
             x0, y0 = rng.choice(edges)
             env = {"x0": x0, "y0": y0}
             got = _kept_and_fresh(lambda: make_useless(net.depth), s, env)
-            # the same names in the other order make another plan, same answer
+            # the same names in the other order run the same plan
             assert _kept_and_fresh(lambda: make_useless(net.depth), s, {"y0": y0, "x0": x0}) == got
             assert got == normalize(ref_evaluate(make_useless(net.depth), s, env))
+        assert len(wsq.evaluator._PLANS) == 1
+
+    def test_binders_nested_deeper_than_the_run_state(self):
+        # 24 nested sums over walks, each with a memo table and a support
+        # index, and a fixed point under the innermost: more variable slots
+        # than run-state slots and the other way round, in one slot list
+        edges = {("a", "b"), ("b", "a"), ("b", "c"), ("c", "c"), ("c", "a"), ("a", "a")}
+        f = {("a",): Fraction(1), ("b",): Fraction(-2), ("c",): Fraction(1, 3)}
+        s = WeightedStructure.build(["a", "b", "c"], relations={"e": (2, edges)}, weights={"f": (1, f)})
+        depth = 24
+        text = "f(x24) + ifp (F(y) <- f(y)) (x24)"
+        for i in reversed(range(1, depth + 1)):
+            text = f"sum {{x{i} : e(x{i - 1}, x{i})}} ({text})"
+        walks = {(u,): 2 * value for (u,), value in f.items()}
+        for _ in range(depth):
+            walks = {(u,): sum((walks[(v,)] for v in "abc" if (u, v) in edges), Fraction(0)) for u in "abc"}
+        purge()
+        for x0 in "abc":
+            assert _kept_and_fresh(lambda: parse(text), s, {"x0": x0}) == ("term", walks[(x0,)])
+        assert len(wsq.evaluator._PLANS) == 1
 
     def test_one_limits_object_mutated_between_calls(self):
         s = _signed_weights()
